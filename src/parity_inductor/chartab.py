@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._primes import is_prime, primitive_root
 from .cyclotomic import Cyclo
 from .group import PermGroup
 from .perm import format_perm
@@ -21,40 +22,12 @@ class CharTableError(RuntimeError):
 # --------------------------------------------------------------------- F_l
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _choose_prime(order: int, exponent: int) -> int:
     l = exponent + 1
     while True:
-        if l * l > 4 * order and l % exponent == 1 and _is_prime(l):
+        if l * l > 4 * order and l % exponent == 1 and is_prime(l):
             return l
         l += 1
-
-
-def _primitive_root(p: int) -> int:
-    factors = set()
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError("no primitive root mod %d" % p)
 
 
 def _matvec(m, v, p):
@@ -191,6 +164,7 @@ class CharacterTable:
         self.degrees = tuple(row[0].to_int() for row in self.values)
         self._verify()
         self.conj_rows = tuple(self._conjugate_row_index(i) for i in range(k))
+        self.det_rows = {}  # row -> row of its determinant, filled lazily
 
     # construction checks -------------------------------------------------
 
@@ -285,7 +259,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         return [[Cyclo.rational(1)]]
     exponent = group.exponent()
     l = _choose_prime(order, exponent)
-    root = _primitive_root(l)
+    root = primitive_root(l)
     zgen = pow(root, (l - 1) // exponent, l)  # fixed element of order exp(G)
 
     elts = group.elements()

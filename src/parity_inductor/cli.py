@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import CatalogError, bundled_catalog_path, load_catalog
 from .chartab import character_table
@@ -14,7 +12,7 @@ from .cyclotomic import format_cyclo
 from .decompose import DecomposeError, decompose_structural, flatten_to_certificate, tree_to_json
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
-from .groupspec import GroupSpecError, group_from_cycles, parse_group_spec
+from .groupspec import GroupSpecError, _split_generators, group_from_cycles, parse_group_spec
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, membership_solve, verify_certificate
 from .parity import ParityError, ParityInput, parity_table, required_sha_primes
@@ -61,7 +59,7 @@ def _resolve_subgroup(G, text: str):
         matches = [r for r in lattice.records if r.order == int(text)]
     elif text.startswith("("):
         try:
-            K = group_from_cycles(_cycle_parts(text), degree=G.degree)
+            K = group_from_cycles(_split_generators(text), degree=G.degree)
         except GroupSpecError as exc:
             raise CliError(str(exc)) from None
         try:
@@ -87,24 +85,6 @@ def _resolve_subgroup(G, text: str):
         "subgroup spec %r is ambiguous; pick one of %s"
         % (text, ", ".join(r.label for r in matches))
     )
-
-
-def _cycle_parts(text: str):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
 
 
 def _emit(args, text: str, doc) -> None:
@@ -274,39 +254,14 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PARITY_INDUCTOR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError("PARITY_INDUCTOR_THREADS must be a positive integer") from None
-    if value < 1:
-        raise CliError("PARITY_INDUCTOR_THREADS must be a positive integer")
-    return value
-
-
 def _cmd_verify(args) -> int:
     path = args.catalog or bundled_catalog_path()
     entries = load_catalog(path)
     selected = [e for e in entries if e.group.order() <= args.max_order]
-
-    def build(entry):
-        return span_report(
-            entry.group,
-            args.flavor,
-            name=entry.name,
-            samples=args.samples,
-            seed=args.seed,
-        )
-
-    workers = _thread_cap()
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(build, selected))
-    else:
-        reports = [build(e) for e in selected]
+    reports = [
+        span_report(e.group, args.flavor, name=e.name, samples=args.samples, seed=args.seed)
+        for e in selected
+    ]
     certified = sum(1 for r in reports if r.all_certified)
     summary = "certified %d/%d groups" % (certified, len(reports))
     text = "\n\n".join(r.format_text() for r in reports)
@@ -375,8 +330,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parity-inductor",
         description="Certify degree-zero coset-character decompositions over twist "
-        "generator families and propagate rank parities to intermediate fields. "
-        "The PARITY_INDUCTOR_THREADS environment variable caps verify parallelism.",
+        "generator families and propagate rank parities to intermediate fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

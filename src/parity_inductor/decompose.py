@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ._primes import prime_factors
 from .chartab import character_table
 from .genchar import (
     GenChar,
@@ -18,7 +19,7 @@ from .genchar import (
 from .generators import theorem_family
 from .group import PermGroup
 from .intlinalg import solve_left_canonical
-from .lattice import SubgroupRecord, subgroup_lattice
+from .lattice import SubgroupRecord, _set_key, subgroup_lattice
 from .membership import (
     MembershipCertificate,
     _perm_lattice,
@@ -27,7 +28,7 @@ from .membership import (
     solomon_coefficients,
     verify_certificate,
 )
-from .structure import QuotientMap, identify_small_type, is_hyperelementary
+from .structure import QuotientMap, _is_normal_in, identify_small_type, is_hyperelementary
 
 _MAX_DEPTH = 100
 
@@ -205,10 +206,6 @@ def _type1_leaves(G, tau: GenChar):
     return leaves, target
 
 
-def _set_key(elements):
-    return tuple(sorted(p.images for p in elements))
-
-
 def _all_subgroup_sets(G):
     if "all_subgroup_sets" not in G._cache:
         lat = subgroup_lattice(G)
@@ -223,15 +220,6 @@ def _supersets(G, h_set, order):
     return [
         s for s in _all_subgroup_sets(G) if len(s) == order and h_set < s
     ]
-
-
-def _is_normal_set(h_set, ambient) -> bool:
-    for x in ambient:
-        xi = x.inverse()
-        for h in h_set:
-            if xi * h * x not in h_set:
-                return False
-    return True
 
 
 def _rho_of_set(G, h_set) -> GenChar:
@@ -305,7 +293,7 @@ def _thm28_rho(G, h_set, depth) -> TreeNode:
         return TreeNode("Thm2.8.case1", rho)
     u_set = _supersets(G, h_set, 2 * len(h_set))[0]
     v_set = _supersets(G, u_set, 4 * len(h_set))[0]
-    if _is_normal_set(h_set, v_set):
+    if _is_normal_in(h_set, v_set):
         if any(x * x not in h_set for x in v_set):
             return _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth)
         return _thm28_klein_chain(G, rho, h_set, v_set, depth)
@@ -404,21 +392,12 @@ def _odd_part(n: int) -> int:
     return n
 
 
-def _smallest_odd_prime_factor(n: int):
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n if n > 1 else None
-
-
 def _hyperelementary(G, rho, depth) -> TreeNode:
     p, n_rec = is_hyperelementary(G)
     odd = _odd_part(n_rec.order)
     if odd == 1:
         return _lemma24(G, rho)
-    q = _smallest_odd_prime_factor(odd)
+    q = min(prime_factors(odd))
     n_sub = n_rec.as_group()
     v_set = frozenset(x for x in n_sub.elements() if (x ** q).is_identity())
 

@@ -105,9 +105,6 @@ class GenChar:
     def is_real(self) -> bool:
         return self.conj().coeffs == self.coeffs
 
-    def is_genuine(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
 
 class LinearChar:
     """A degree-1 irreducible character, indexed by its table row."""
@@ -122,9 +119,7 @@ class LinearChar:
 
     @property
     def genchar(self) -> GenChar:
-        coeffs = [0] * self.table.class_count()
-        coeffs[self.row] = 1
-        return GenChar(self.table, coeffs)
+        return irreducible_char(self.table, self.row)
 
     def value(self, class_index: int) -> Cyclo:
         return self.table.values[self.row][class_index]
@@ -189,9 +184,7 @@ class LinearChar:
 
 
 def trivial_char(table: CharacterTable) -> GenChar:
-    coeffs = [0] * table.class_count()
-    coeffs[0] = 1
-    return GenChar(table, coeffs)
+    return irreducible_char(table, 0)
 
 
 def irreducible_char(table: CharacterTable, i: int) -> GenChar:
@@ -309,18 +302,10 @@ def _newton_determinant_row(table: CharacterTable, i: int) -> int:
     return row
 
 
-def _det_rows(table: CharacterTable):
-    cache = getattr(table, "_det_rows", None)
-    if cache is None:
-        cache = {}
-        table._det_rows = cache
-    return cache
-
-
 def determinant(tau: GenChar) -> LinearChar:
     """Determinant character, extended to virtual characters multiplicatively."""
     table = tau.table
-    cache = _det_rows(table)
+    cache = table.det_rows
     k = table.class_count()
     vals = [Cyclo.rational(1)] * k
     for i, ci in enumerate(tau.coeffs):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+from ._primes import is_prime, primitive_root
 from .group import PermGroup
 from .perm import PermError, max_point, parse_perm
 
@@ -110,40 +111,19 @@ def _family(letter: str, n: int, extra) -> PermGroup:
         if extra is None:
             raise GroupSpecError("Frobenius token needs the form F<p>:<k>")
         k = int(extra)
-        if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 3 or not is_prime(p):
             raise GroupSpecError("F%d:%d needs an odd prime modulus" % (p, k))
         if k < 1 or (p - 1) % k:
             raise GroupSpecError("F%d:%d needs k dividing p-1" % (p, k))
         trans = _cycle_text(range(1, p + 1))
         if k == 1:
             return group_from_cycles([trans], degree=p)
-        g = _primitive_root(p)
+        g = primitive_root(p)
         h = pow(g, (p - 1) // k, p)
         images = [(h * x) % p for x in range(p)]
         mult = _perm_text_from_images(images)
         return group_from_cycles([trans, mult], degree=p)
     raise GroupSpecError("unknown family letter %r" % letter)
-
-
-def _primitive_root(p: int) -> int:
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError("no primitive root found for prime %d" % p)
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _perm_text_from_images(images) -> str:

@@ -135,7 +135,3 @@ def solve_left_canonical(a, b, hnf_result: HnfResult | None = None):
         return None
     kernel = [row[:] for row in res.u[res.rank:]]
     return reduce_mod_lattice(x, kernel)
-
-
-# Contract alias: solve x with x @ a == b over the integers.
-solve_integer = solve_left

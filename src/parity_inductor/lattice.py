@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .group import PermGroup
-from .perm import Perm, identity
+from .perm import identity
 
 DEFAULT_MAX_ORDER = 512
 
@@ -167,13 +167,10 @@ class SubgroupLattice:
     def record_for_set(self, elements: frozenset) -> SubgroupRecord:
         return self.records[self.class_of_set(elements)]
 
-    def record_for_group(self, H: PermGroup) -> SubgroupRecord:
-        return self.record_for_set(frozenset(H.elements()))
 
-
-def subgroup_lattice(G: PermGroup, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupLattice:
+def subgroup_lattice(G: PermGroup) -> SubgroupLattice:
     if "lattice" not in G._cache:
-        G._cache["lattice"] = SubgroupLattice(G, max_order=max_order)
+        G._cache["lattice"] = SubgroupLattice(G)
     return G._cache["lattice"]
 
 
@@ -185,12 +182,3 @@ def subgroups_up_to_conjugacy(G: PermGroup):
 def normal_subgroups(G: PermGroup):
     """The normal subgroups of G (each its own class), including 1 and G."""
     return [r for r in subgroup_lattice(G).records if r.normal]
-
-
-def subgroup_core(ambient_elements, H_elements: frozenset) -> frozenset:
-    """Largest subgroup of H normal under conjugation by every ambient element."""
-    core = set(H_elements)
-    for g in ambient_elements:
-        gi = g.inverse()
-        core &= {gi * x * g for x in H_elements}
-    return frozenset(core)

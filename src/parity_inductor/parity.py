@@ -219,12 +219,6 @@ class ParityTable:
         self.rows = tuple(rows)
         self.assignment = assignment
 
-    def row_for(self, record) -> ParityRow:
-        for row in self.rows:
-            if row.record.class_id == record.class_id:
-                return row
-        raise KeyError("no row for subgroup class %s" % record.label)
-
     def format_text(self) -> str:
         headers = ("field", "index", "expression", "value")
         cells = [headers]

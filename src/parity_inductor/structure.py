@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._primes import is_prime, prime_factors
 from .group import PermGroup
 from .lattice import SubgroupRecord, _set_key, subgroup_lattice
 from .perm import Perm
@@ -46,7 +47,7 @@ def identify_small_type(G: PermGroup) -> SmallTypeTag:
             return SmallTypeTag(DIHEDRAL_8)
     if n % 2 == 0 and not G.is_abelian():
         p = n // 2
-        if p % 2 == 1 and _is_prime(p) and _dihedral_presentation(G, p):
+        if p % 2 == 1 and is_prime(p) and _dihedral_presentation(G, p):
             return SmallTypeTag(DIHEDRAL_2P, p)
     return SmallTypeTag(OTHER)
 
@@ -66,17 +67,6 @@ def _dihedral_presentation(G: PermGroup, m: int) -> bool:
             if G.subgroup([r, s]).order() == G.order():
                 return True
     return False
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class QuotientMap:
@@ -146,7 +136,7 @@ def quotient(G: PermGroup, N: SubgroupRecord) -> QuotientMap:
 def is_hyperelementary(G: PermGroup):
     """Smallest prime p and largest normal cyclic N, coprime to p, with G/N a p-group."""
     order = G.order()
-    primes = sorted({2} | _prime_factors(order))
+    primes = sorted({2} | prime_factors(order))
     lattice = subgroup_lattice(G)
     for p in primes:
         best = None
@@ -171,19 +161,6 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -270,7 +247,7 @@ def _allowed_ratios(h_order: int):
     for r in (4, 8):
         if h_order % r == 0:
             ratios.add(r)
-    for p in _prime_factors(h_order):
+    for p in prime_factors(h_order):
         if p % 2 == 1 and h_order % (2 * p) == 0:
             ratios.add(2 * p)
     return ratios

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,6 +108,8 @@ def test_ambiguous_and_missing_subgroup_specs():
     assert code == 2
     code, _, err = run_cli("decompose", "S3", "--subgroup", "5")
     assert code == 2
+    code, _, err = run_cli("decompose", "S4", "--subgroup", "(1 2 3 4")
+    assert code == 2 and "unbalanced" in err
 
 
 def test_bad_groupspec_exits_2():
@@ -171,7 +174,7 @@ def test_verify_malformed_catalog(tmp_path):
     assert code == 2 and "line 1" in err
 
 
-def test_verify_deterministic_and_thread_invariant(tmp_path, monkeypatch):
+def test_verify_deterministic_across_hash_seeds(tmp_path):
     path = tmp_path / "cat.jsonl"
     path.write_text(
         render_catalog(
@@ -187,12 +190,18 @@ def test_verify_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     _, serial, _ = run_cli(*argv)
     _, again, _ = run_cli(*argv)
     assert serial == again
-    monkeypatch.setenv("PARITY_INDUCTOR_THREADS", "3")
-    _, threaded, _ = run_cli(*argv)
-    assert threaded == serial
-    monkeypatch.setenv("PARITY_INDUCTOR_THREADS", "zero")
-    code, _, err = run_cli(*argv)
-    assert code == 2 and "PARITY_INDUCTOR_THREADS" in err
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "parity_inductor.cli", *argv, "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_parity_cli_with_assignment_file(tmp_path):

@@ -6,7 +6,6 @@ from parity_inductor.lattice import (
     SubgroupLattice,
     closure,
     normal_subgroups,
-    subgroup_core,
     subgroup_lattice,
     subgroups_up_to_conjugacy,
 )
@@ -96,15 +95,6 @@ def test_class_lookup_for_conjugates():
     assert lattice.record_for_set(a).order == 2
     with pytest.raises(KeyError):
         lattice.class_of_set(frozenset({parse_perm("(1 2)", 3)}))
-
-
-def test_subgroup_core():
-    G = parse_group_spec("S3")
-    c2 = frozenset(closure([parse_perm("(1 2)", 3)], 3))
-    core = subgroup_core(G.elements(), c2)
-    assert len(core) == 1
-    a3 = frozenset(closure([parse_perm("(1 2 3)", 3)], 3))
-    assert subgroup_core(G.elements(), a3) == a3
 
 
 def test_bound_error():
