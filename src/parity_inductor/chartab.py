@@ -152,19 +152,24 @@ class CharacterTable:
             group.power_class(c, self.classes[c].order - 1) if self.classes[c].order > 1 else c
             for c in range(k)
         )
-        rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
-        rows.sort(
-            key=lambda row: (
-                row[0].to_int(),
-                0 if all(v == 1 for v in row) else 1,
-                tuple(v.sort_key() for v in row),
+        pairs = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
+        pairs.sort(
+            key=lambda pair: (
+                pair[0][0].to_int(),
+                0 if all(v == 1 for v in pair[0]) else 1,
+                tuple(v.sort_key() for v in pair[0]),
             )
         )
-        self.values = tuple(tuple(row) for row in rows)
+        self.values = tuple(tuple(row) for row, _ in pairs)
+        # det of row i at class c is zeta_exp ** det_exponents[i][c]
+        self.det_exponents = tuple(tuple(dets) for _, dets in pairs)
         self.degrees = tuple(row[0].to_int() for row in self.values)
         self._verify()
         self.conj_rows = tuple(self._conjugate_row_index(i) for i in range(k))
-        self.det_rows = {}  # row -> row of its determinant, filled lazily
+        # a linear row is its own determinant
+        self.linear_row_of = {
+            self.det_exponents[i]: i for i in self.linear_row_indices()
+        }
 
     # construction checks -------------------------------------------------
 
@@ -216,12 +221,6 @@ class CharacterTable:
             coeffs.append(f.numerator)
         return tuple(coeffs)
 
-    def row_index_of_values(self, vals):
-        for i, row in enumerate(self.values):
-            if all(a == b for a, b in zip(row, vals)):
-                return i
-        return None
-
     def linear_row_indices(self):
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
@@ -256,7 +255,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
     order = group.order()
     k = len(classes)
     if k == 1:
-        return [[Cyclo.rational(1)]]
+        return [([Cyclo.rational(1)], [0])]
     exponent = group.exponent()
     l = _choose_prime(order, exponent)
     root = primitive_root(l)
@@ -357,17 +356,21 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
             raise CharTableError("no integer degree matches modulo l")
         # character values mod l
         chi_mod = [degree * w[c] * inv_mod[sizes[c]] % l for c in range(k)]
-        # exact lift by Fourier inversion over eigenvalue multiplicities
+        # exact lift by Fourier inversion over eigenvalue multiplicities m_s;
+        # the determinant at c is then zeta_o ** sum(s * m_s)
         row = []
+        dets = []
         for c in range(k):
             o = classes[c].order
             if o == 1:
                 row.append(Cyclo.rational(degree))
+                dets.append(0)
                 continue
             z_o = pow(zgen, exponent // o, l)
             inv_o = pow(o, l - 2, l)
             value = Cyclo.rational(0)
             total_mult = 0
+            det_sum = 0
             for s_exp in range(o):
                 acc = 0
                 for j in range(o):
@@ -376,12 +379,14 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
                 if m > degree:
                     raise CharTableError("eigenvalue multiplicity out of range")
                 total_mult += m
+                det_sum += s_exp * m
                 if m:
                     value = value + Cyclo.zeta(exponent, (exponent // o) * s_exp) * m
             if total_mult != degree:
                 raise CharTableError("eigenvalue multiplicities do not sum to degree")
             row.append(value)
-        rows_out.append(row)
+            dets.append((exponent // o) * det_sum % exponent)
+        rows_out.append((row, dets))
     return rows_out
 
 

@@ -206,20 +206,16 @@ def _type1_leaves(G, tau: GenChar):
     return leaves, target
 
 
-def _all_subgroup_sets(G):
-    if "all_subgroup_sets" not in G._cache:
-        lat = subgroup_lattice(G)
-        G._cache["all_subgroup_sets"] = sorted(
-            (fs for orbit in lat.class_sets for fs in orbit),
-            key=lambda s: (len(s), _set_key(s)),
-        )
-    return G._cache["all_subgroup_sets"]
-
-
 def _supersets(G, h_set, order):
-    return [
-        s for s in _all_subgroup_sets(G) if len(s) == order and h_set < s
-    ]
+    return sorted(
+        (
+            s
+            for orbit in subgroup_lattice(G).class_sets
+            for s in orbit
+            if len(s) == order and h_set < s
+        ),
+        key=_set_key,
+    )
 
 
 def _rho_of_set(G, h_set) -> GenChar:

@@ -1,15 +1,15 @@
 """Virtual characters with integer coordinates, and the standard operations.
 
 A GenChar is a vector of integer coefficients over the irreducible rows of a
-CharacterTable.  All value arithmetic is exact cyclotomic; every operation
-that produces class values re-derives coordinates and fails loudly if they
-are not integral.
+CharacterTable.  Value arithmetic is exact cyclotomic, and every operation
+that produces class values re-derives integral coordinates or fails loudly;
+determinants are integer exponent vectors mod exp(G), read off the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .chartab import CharacterTable, CharTableError, character_table
 from .cyclotomic import Cyclo
@@ -127,19 +127,17 @@ class LinearChar:
     def values(self):
         return self.table.values[self.row]
 
+    @property
+    def exponents(self):
+        """Value at class c is zeta_exp ** exponents[c], exp = exp(G)."""
+        return self.table.det_exponents[self.row]
+
     def is_trivial(self) -> bool:
         return self.row == 0
 
     def order(self) -> int:
-        o = 1
-        for v in self.values():
-            m = 1
-            w = v
-            while w != 1:
-                w = w * v
-                m += 1
-            o = lcm(o, m)
-        return o
+        e = self.table.exponent
+        return e // gcd(e, *self.exponents)
 
     def conj(self) -> "LinearChar":
         return LinearChar(self.table, self.table.conj_rows[self.row])
@@ -147,8 +145,9 @@ class LinearChar:
     def __mul__(self, other: "LinearChar") -> "LinearChar":
         if not isinstance(other, LinearChar) or self.table is not other.table:
             return NotImplemented
-        vals = [a * b for a, b in zip(self.values(), other.values())]
-        row = self.table.row_index_of_values(vals)
+        e = self.table.exponent
+        exps = tuple((a + b) % e for a, b in zip(self.exponents, other.exponents))
+        row = self.table.linear_row_of.get(exps)
         if row is None:
             raise CharTableError("product of linear characters missing from table")
         return LinearChar(self.table, row)
@@ -157,8 +156,8 @@ class LinearChar:
         G = self.table.group
         elts = G.elements()
         kern = []
-        for ci, cls in enumerate(self.table.classes):
-            if self.value(ci) == 1:
+        for a, cls in zip(self.exponents, self.table.classes):
+            if a == 0:
                 kern.extend(elts[m] for m in cls.members)
         return frozenset(kern)
 
@@ -277,51 +276,16 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     return from_values(gt, vals)
 
 
-def _newton_determinant_row(table: CharacterTable, i: int) -> int:
-    d = table.degrees[i]
-    if d == 1:
-        return i
-    k = table.class_count()
-    vals = []
-    for c in range(k):
-        powers = [None] + [
-            table.values[i][table.power_maps[j][c]] for j in range(1, d + 1)
-        ]
-        es = [Cyclo.rational(1)]
-        for m in range(1, d + 1):
-            acc = Cyclo.rational(0)
-            sign = 1
-            for j in range(1, m + 1):
-                acc = acc + es[m - j] * powers[j] * sign
-                sign = -sign
-            es.append(acc * Fraction(1, m))
-        vals.append(es[d])
-    row = table.row_index_of_values(vals)
-    if row is None or table.degrees[row] != 1:
-        raise CharTableError("determinant of irreducible %d is not a linear row" % i)
-    return row
-
-
 def determinant(tau: GenChar) -> LinearChar:
     """Determinant character, extended to virtual characters multiplicatively."""
     table = tau.table
-    cache = table.det_rows
-    k = table.class_count()
-    vals = [Cyclo.rational(1)] * k
-    for i, ci in enumerate(tau.coeffs):
-        if ci == 0:
-            continue
-        if i not in cache:
-            cache[i] = _newton_determinant_row(table, i)
-        drow = table.values[cache[i]]
-        e = abs(ci)
-        for c in range(k):
-            p = drow[c] ** e
-            if ci < 0:
-                p = p.conj()
-            vals[c] = vals[c] * p
-    row = table.row_index_of_values(vals)
-    if row is None or table.degrees[row] != 1:
+    e = table.exponent
+    exps = [0] * table.class_count()
+    for ci, dets in zip(tau.coeffs, table.det_exponents):
+        if ci:
+            exps = [(a + ci * d) % e for a, d in zip(exps, dets)]
+    row = table.linear_row_of.get(tuple(exps))
+    if row is None:
         raise CharTableError("determinant values do not match a linear character")
     return LinearChar(table, row)
 

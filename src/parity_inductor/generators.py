@@ -230,7 +230,7 @@ def _real_zero_lattice_basis(qtab: CharacterTable):
         delta = determinant(irreducible_char(qtab, i))
         if not (delta * delta).is_trivial():
             raise GeneratorError("tagged quotient with determinant of order > 2")
-        det_bits.append(tuple(0 if v == 1 else 1 for v in delta.values()))
+        det_bits.append([1 if a else 0 for a in delta.exponents])
     nvars = 2 * k
     columns = [[qtab.degrees[i] for i in range(k)] + [0] * k]
     for i in range(k):

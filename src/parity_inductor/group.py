@@ -247,11 +247,6 @@ class PermGroup:
         """Group generated by the given elements, on the same points."""
         return PermGroup(generators, degree=self.degree)
 
-    def element_set(self) -> frozenset:
-        if "element_set" not in self._cache:
-            self._cache["element_set"] = frozenset(g.images for g in self.elements())
-        return self._cache["element_set"]
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order())
 

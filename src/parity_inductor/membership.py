@@ -140,11 +140,6 @@ def is_s_element(rho: GenChar) -> bool:
     return perm_lattice_solve(rho) is not None
 
 
-def _sign_bits(G: PermGroup, delta) -> tuple:
-    """F2 coordinates of an order-at-most-2 linear character, one per class."""
-    return tuple(0 if v == 1 else 1 for v in delta.values())
-
-
 def _admissible_lattice(G: PermGroup):
     """Basis of integer subgroup-multiplicity vectors landing inside S_G."""
     if "s_lattice" in G._cache:
@@ -155,7 +150,7 @@ def _admissible_lattice(G: PermGroup):
     rows = []
     for rec, ch in zip(records, chars):
         delta = determinant(ch)
-        rows.append([ch.degree] + list(_sign_bits(G, delta)))
+        rows.append([ch.degree] + [1 if a else 0 for a in delta.exponents])
     for c in range(k):
         aux = [0] * (k + 1)
         aux[1 + c] = 2

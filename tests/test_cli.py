@@ -7,6 +7,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from parity_inductor.catalog import render_catalog
 from parity_inductor.cli import main
 from parity_inductor.generators import family_for
@@ -174,7 +176,16 @@ def test_verify_malformed_catalog(tmp_path):
     assert code == 2 and "line 1" in err
 
 
-def test_verify_deterministic_across_hash_seeds(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--catalog", "{catalog}", "--samples", "4", "--seed", "3"),
+        ("decompose", "S4", "--subgroup", "#3", "--structural"),
+        ("parity", "A5"),
+    ],
+    ids=["verify", "tree", "parity"],
+)
+def test_verify_deterministic_across_hash_seeds(tmp_path, argv):
     path = tmp_path / "cat.jsonl"
     path.write_text(
         render_catalog(
@@ -186,7 +197,7 @@ def test_verify_deterministic_across_hash_seeds(tmp_path):
             ]
         )
     )
-    argv = ("verify", "--catalog", str(path), "--samples", "4", "--seed", "3")
+    argv = tuple(a.format(catalog=path) for a in argv)
     _, serial, _ = run_cli(*argv)
     _, again, _ = run_cli(*argv)
     assert serial == again

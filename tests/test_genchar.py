@@ -1,9 +1,11 @@
 """Virtual character operations: frozen examples, reciprocity, determinant laws."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharTableError, character_table
 from parity_inductor.cyclotomic import Cyclo
 from parity_inductor.genchar import (
@@ -190,6 +192,42 @@ def test_determinant_examples():
     chi = irreducible_char(t4, 1)
     pair = chi + chi.conj()
     assert determinant(pair).is_trivial()
+
+
+def _newton_determinant_row(table, i):
+    """Reference: the row of det X_i, from Newton's identities on power maps."""
+    d = table.degrees[i]
+    if d == 1:
+        return i
+    vals = []
+    for c in range(table.class_count()):
+        powers = [None] + [
+            table.values[i][table.power_maps[j][c]] for j in range(1, d + 1)
+        ]
+        es = [Cyclo.rational(1)]
+        for m in range(1, d + 1):
+            acc = Cyclo.rational(0)
+            sign = 1
+            for j in range(1, m + 1):
+                acc = acc + es[m - j] * powers[j] * sign
+                sign = -sign
+            es.append(acc * Fraction(1, m))
+        vals.append(es[d])
+    rows = [r for r in table.linear_row_indices() if list(table.values[r]) == vals]
+    assert len(rows) == 1, "determinant of irreducible %d is not a linear row" % i
+    return rows[0]
+
+
+def test_determinant_matches_newton_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        t = character_table(entry.group)
+        for i in range(t.class_count()):
+            got = determinant(irreducible_char(t, i)).row
+            assert got == _newton_determinant_row(t, i), (entry.name, i)
+        for i in t.linear_row_indices():
+            for c in range(t.class_count()):
+                want = Cyclo.zeta(t.exponent, t.det_exponents[i][c])
+                assert t.values[i][c] == want, (entry.name, i, c)
 
 
 def test_determinant_of_difference_rule():
