@@ -28,7 +28,7 @@ from .membership import (
     solomon_coefficients,
     verify_certificate,
 )
-from .structure import QuotientMap, _is_normal_in, identify_small_type, is_hyperelementary
+from .structure import _is_normal_in, identify_small_type, is_hyperelementary, quotient
 
 _MAX_DEPTH = 100
 
@@ -270,13 +270,6 @@ def _two_group(G, rho, depth) -> TreeNode:
     return _lemma25_split(G, rho, handler, depth)
 
 
-def _quotient_of_sets(G, big_set, small_set):
-    """Quotient of the subgroup on big_set by its normal subgroup small_set."""
-    rec = _record_for_exact_set(G, big_set)
-    sub = rec.as_group()
-    return rec, sub, QuotientMap(sub, small_set)
-
-
 def _thm28_rho(G, h_set, depth) -> TreeNode:
     """Index recursion for rho_H inside a 2-group."""
     if depth > _MAX_DEPTH:
@@ -297,7 +290,8 @@ def _thm28_rho(G, h_set, depth) -> TreeNode:
 
 
 def _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth) -> TreeNode:
-    v_rec, v_sub, qmap = _quotient_of_sets(G, v_set, h_set)
+    v_rec = _record_for_exact_set(G, v_set)
+    qmap = quotient(v_rec.as_group(), h_set)
     qtab = character_table(qmap.image)
     faithful = next(
         i for i in qtab.linear_row_indices() if qtab.conj_rows[i] != i
@@ -335,7 +329,8 @@ def _thm28_non_normal(G, rho, h_set, v_set, depth) -> TreeNode:
     )
     if 2 * len(core) != len(h_set):
         raise DecomposeError("core of the non-normal step has wrong index")
-    v_rec, v_sub, qmap = _quotient_of_sets(G, v_set, core)
+    v_rec = _record_for_exact_set(G, v_set)
+    qmap = quotient(v_rec.as_group(), core)
     quo = qmap.image
     if str(identify_small_type(quo)) != "Dihedral8":
         raise DecomposeError("non-normal step quotient is not of order-8 type")
@@ -422,7 +417,7 @@ def _prop26_rho(G, v_set, q, h_set, depth) -> TreeNode:
 
 
 def _prop26_inflation(G, rho, kernel_set, h_set, kind, depth) -> TreeNode:
-    qmap = QuotientMap(G, kernel_set)
+    qmap = quotient(G, kernel_set)
     quo = qmap.image
     h_image = frozenset(qmap.map_element(x) for x in h_set)
     rho_quo = rho_H(quo, subgroup_lattice(quo).record_for_set(h_image))

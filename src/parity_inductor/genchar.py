@@ -1,14 +1,15 @@
 """Virtual characters with integer coordinates, and the standard operations.
 
 A GenChar is a vector of integer coefficients over the irreducible rows of a
-CharacterTable.  Value arithmetic is exact cyclotomic, and every operation
-that produces class values re-derives integral coordinates or fails loudly;
-determinants are integer exponent vectors mod exp(G), read off the table.
+CharacterTable, and the operations work on those coordinates.  Restriction,
+inflation and induction apply an integer pull-back matrix, decomposed exactly
+once per pair of tables and cached; determinants are integer exponent
+vectors mod exp(G), read off the table.  Class values are cyclotomic and are
+only computed on request.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .chartab import CharacterTable, CharTableError, character_table
@@ -199,19 +200,36 @@ def from_values(table: CharacterTable, values) -> GenChar:
 # ------------------------------------------------------- subgroup plumbing
 
 
-def _subgroup_view(G: PermGroup, H):
-    """Resolve H (record or group) against G; returns (subgroup, element set)."""
+def _subgroup_of(G: PermGroup, H) -> PermGroup:
+    """H (record or group) as a group; ValueError unless it lies inside G."""
     if isinstance(H, SubgroupRecord):
         sub = H.as_group()
-        h_set = H.element_set()
     elif isinstance(H, PermGroup):
         sub = H
-        h_set = frozenset(H.elements())
     else:
         raise TypeError("subgroup must be a SubgroupRecord or PermGroup")
-    if not h_set <= frozenset(G.elements()):
+    if not all(g in G for g in sub.generators):
         raise ValueError("H is not a subgroup of G")
-    return sub, h_set
+    return sub
+
+
+def _pullback(src: CharacterTable, dst: CharacterTable, class_map):
+    """Row i: src's irreducible i read at classes class_map, in dst coordinates."""
+    return tuple(dst.decompose_values([row[c] for c in class_map]) for row in src.values)
+
+
+def _restriction(G: PermGroup, H):
+    """H's table and the restriction matrix from G's table, cached in G."""
+    cache = G._cache.setdefault("restriction", {})
+    if H not in cache:
+        ht = character_table(_subgroup_of(G, H))
+        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        cache[H] = (ht, _pullback(character_table(G), ht, fusion))
+    return cache[H]
+
+
+def _apply(rows, coeffs):
+    return [sum(a * b for a, b in zip(row, coeffs)) for row in rows]
 
 
 # ---------------------------------------------------------------- the ops
@@ -224,41 +242,24 @@ def inner_product(alpha: GenChar, beta: GenChar):
 
 
 def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
-    """Induction of a virtual character of H up to its parent group."""
+    """Induction of a virtual character of H up to its parent group.
+
+    Frobenius reciprocity: <Ind tau, X_i> = <tau, Res X_i>, the dot product of
+    tau with row i of the restriction matrix.
+    """
     if not isinstance(H, SubgroupRecord):
         raise TypeError("induction needs a SubgroupRecord (the parent fixes G)")
     G = H.parent
-    sub, h_set = _subgroup_view(G, H)
-    gt = character_table(G)
-    ht = character_table(sub)
+    ht, rows = _restriction(G, H)
     if tau.table is not ht:
         raise ValueError("character does not live on the subgroup's table")
-    k = gt.class_count()
-    tau_vals = tau.values()
-    buckets = [Cyclo.rational(0)] * k
-    for x in sub.elements():
-        gc = G.class_of_index(G.element_index(x))
-        hc = sub.class_of_index(sub.element_index(x))
-        buckets[gc] = buckets[gc] + tau_vals[hc]
-    h_order = sub.order()
-    g_order = G.order()
-    vals = []
-    for c in range(k):
-        scale = Fraction(g_order, gt.classes[c].size * h_order)
-        vals.append(buckets[c] * scale)
-    return from_values(gt, vals)
+    return GenChar(character_table(G), _apply(rows, tau.coeffs))
 
 
 def restrict(tau: GenChar, H) -> GenChar:
     """Restriction of a virtual character of G to a subgroup H."""
-    G = tau.table.group
-    sub, _ = _subgroup_view(G, H)
-    ht = character_table(sub)
-    vals = []
-    for cls in ht.classes:
-        gi = G.element_index(cls.rep)
-        vals.append(tau.value(G.class_of_index(gi)))
-    return from_values(ht, vals)
+    ht, rows = _restriction(tau.table.group, H)
+    return GenChar(ht, _apply(zip(*rows), tau.coeffs))
 
 
 def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
@@ -267,13 +268,11 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     qt = character_table(Q)
     if rho.table is not qt:
         raise ValueError("character does not live on the quotient's table")
-    G = qmap.source
-    gt = character_table(G)
-    vals = []
-    for cls in gt.classes:
-        q = qmap.map_element(cls.rep)
-        vals.append(rho.value(Q.class_of_index(Q.element_index(q))))
-    return from_values(gt, vals)
+    gt = character_table(qmap.source)
+    if "inflation" not in Q._cache:
+        fusion = [Q.class_of(qmap.map_element(cls.rep)) for cls in gt.classes]
+        Q._cache["inflation"] = _pullback(qt, gt, fusion)
+    return GenChar(gt, _apply(zip(*Q._cache["inflation"]), rho.coeffs))
 
 
 def determinant(tau: GenChar) -> LinearChar:
@@ -295,30 +294,23 @@ def has_trivial_determinant(tau: GenChar) -> bool:
 
 
 def perm_char(G: PermGroup, H) -> GenChar:
-    """Character of the action on right cosets of H, by direct fixed-point count."""
+    """Character of the action on right cosets of H, from class-fusion counts.
+
+    The value at a class C is its fixed-point count |G| * |H & C| / (|H| * |C|).
+    """
     cache_key = None
     if isinstance(H, SubgroupRecord) and H.parent is G:
         cache_key = ("perm_char", H.class_id)
         if cache_key in G._cache:
             return G._cache[cache_key]
-    sub, h_set = _subgroup_view(G, H)
+    sub = _subgroup_of(G, H)
+    elements = H.element_set() if isinstance(H, SubgroupRecord) else sub.elements()
     gt = character_table(G)
-    seen = set()
-    reps = []
-    for x in G.elements():
-        if x in seen:
-            continue
-        reps.append(x)
-        for h in h_set:
-            seen.add(h * x)
-    vals = []
-    for cls in gt.classes:
-        g = cls.rep
-        fixed = 0
-        for x in reps:
-            if x * g * x.inverse() in h_set:
-                fixed += 1
-        vals.append(Cyclo.rational(fixed))
+    counts = [0] * gt.class_count()
+    for h in elements:
+        counts[G.class_of(h)] += 1
+    scale = G.order() // len(elements)
+    vals = [Cyclo.rational(scale * n // c.size) for n, c in zip(counts, gt.classes)]
     out = from_values(gt, vals)
     if cache_key is not None:
         G._cache[cache_key] = out

@@ -15,7 +15,7 @@ from .genchar import (
 from .group import PermGroup
 from .intlinalg import hnf, kernel_basis
 from .lattice import subgroup_lattice
-from .structure import QuotientMap, dihedral_subquotients
+from .structure import dihedral_subquotients, quotient
 
 THEOREM_FLAVOR = "thm12"
 COROLLARY_FLAVOR = "cor29"
@@ -114,7 +114,7 @@ def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
     sub = dq.h_record.as_group()
     subtab = character_table(sub)
-    qmap = QuotientMap(sub, dq.n_elements)
+    qmap = quotient(sub, dq.n_elements)
     qtab = character_table(qmap.image)
     one = trivial_char(subtab)
     out = []
@@ -269,8 +269,7 @@ def _cyclic_quotient_twists(record):
 
 def _tagged_quotient_twists(dq):
     """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
-    sub = dq.h_record.as_group()
-    qmap = QuotientMap(sub, dq.n_elements)
+    qmap = quotient(dq.h_record.as_group(), dq.n_elements)
     qtab = character_table(qmap.image)
     out = []
     for b_index, coeffs in enumerate(_real_zero_lattice_basis(qtab)):

@@ -12,24 +12,6 @@ def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    rows, inner = len(a), len(a[0])
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
 @dataclass(frozen=True)
 class HnfResult:
     """Row Hermite normal form h = u @ a with u unimodular.

@@ -81,28 +81,20 @@ class QuotientMap:
             n_set = kernel.element_set()
         else:
             n_set = frozenset(kernel)
-            gens = [p for p in source.generators]
-            if not _is_normal_in(n_set, gens):
+            if not _is_normal_in(n_set, source.generators):
                 raise ValueError("kernel is not normal")
         self.source = source
-        self.kernel = kernel
         self.kernel_set = n_set
-        elts = source.elements()
-        coset_of = {}
         cosets = []
-        for g in elts:
-            if g in coset_of:
-                continue
-            coset = sorted(x * g for x in n_set)
-            idx = len(cosets)
-            cosets.append(coset)
-            for y in coset:
-                coset_of[y] = idx
-        order = [i for i, _ in sorted(enumerate(cosets), key=lambda t: t[1][0].images)]
-        relabel = {old: new for new, old in enumerate(order)}
-        self._cosets = [cosets[i] for i in order]
-        self._coset_of = {y: relabel[i] for y, i in coset_of.items()}
-        self._reps = [c[0] for c in self._cosets]
+        seen = set()
+        for g in source.elements():
+            if g not in seen:
+                cosets.append(sorted(x * g for x in n_set))
+                seen.update(cosets[-1])
+        cosets.sort(key=lambda coset: coset[0].images)
+        self._cosets = cosets
+        self._coset_of = {y: i for i, coset in enumerate(cosets) for y in coset}
+        self._reps = [coset[0] for coset in cosets]
         gens = [self.map_element(g) for g in source.generators]
         self.image = PermGroup(gens, degree=len(self._cosets))
 
@@ -113,24 +105,26 @@ class QuotientMap:
         """All source elements mapping into the given set of image elements."""
         wanted = {p.images for p in image_elements}
         out = []
-        for idx, coset in enumerate(self._cosets):
-            if self._image_of_coset(idx).images in wanted:
+        for rep, coset in zip(self._reps, self._cosets):
+            if self.map_element(rep).images in wanted:
                 out.extend(coset)
         return frozenset(out)
 
-    def _image_of_coset(self, idx: int) -> Perm:
-        return self.map_element(self._reps[idx])
-
     def section(self, q: Perm) -> Perm:
         """One source element mapping to the given image element."""
-        for idx, rep in enumerate(self._reps):
+        for rep in self._reps:
             if self.map_element(rep) == q:
                 return rep
         raise KeyError("element not in quotient image")
 
 
-def quotient(G: PermGroup, N: SubgroupRecord) -> QuotientMap:
-    return QuotientMap(G, N)
+def quotient(G: PermGroup, N) -> QuotientMap:
+    """G/N for a normal record or element set N, built once per (G, N)."""
+    key = N if isinstance(N, SubgroupRecord) else frozenset(N)
+    cache = G._cache.setdefault("quotients", {})
+    if key not in cache:
+        cache[key] = QuotientMap(G, N)
+    return cache[key]
 
 
 def is_hyperelementary(G: PermGroup):
@@ -191,7 +185,6 @@ def dihedral_subquotients(G: PermGroup):
         ratios = _allowed_ratios(h_order)
         if not ratios:
             continue
-        h_gens = [p for p in h_set if not p.is_identity()]
         candidates = sorted(
             (
                 n_set
@@ -199,7 +192,7 @@ def dihedral_subquotients(G: PermGroup):
                 if h_order % len(n_set) == 0
                 and h_order // len(n_set) in ratios
                 and n_set <= h_set
-                and _is_normal_in(n_set, h_gens)
+                and _is_normal_in(n_set, h_rec.generators)
             ),
             key=_set_key,
         )
@@ -210,7 +203,6 @@ def dihedral_subquotients(G: PermGroup):
             for g in G.elements()
             if frozenset(g.inverse() * x * g for x in h_set) == h_set
         ]
-        H = PermGroup(h_gens, degree=G.degree)
         seen = set()
         for n_set in candidates:
             if n_set in seen:
@@ -219,7 +211,7 @@ def dihedral_subquotients(G: PermGroup):
                 frozenset(g.inverse() * x * g for x in n_set) for g in normalizer
             }
             seen |= orbit
-            tag = _quotient_tag(H, n_set)
+            tag = _quotient_tag(h_rec.as_group(), n_set)
             if tag is None:
                 continue
             out.append(

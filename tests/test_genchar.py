@@ -230,6 +230,87 @@ def test_determinant_matches_newton_reference_on_catalog():
                 assert t.values[i][c] == want, (entry.name, i, c)
 
 
+# Reference paths: transport through class values, decomposed with cyclotomic
+# inner products on every call, and coset characters by counting fixed points.
+
+
+def _induce_reference(H, tau):
+    G = H.parent
+    sub = H.as_group()
+    gt = character_table(G)
+    tau_vals = tau.values()
+    buckets = [Cyclo.rational(0)] * gt.class_count()
+    for x in sub.elements():
+        gc = G.class_of_index(G.element_index(x))
+        hc = sub.class_of_index(sub.element_index(x))
+        buckets[gc] = buckets[gc] + tau_vals[hc]
+    vals = [
+        b * Fraction(G.order(), cls.size * sub.order())
+        for b, cls in zip(buckets, gt.classes)
+    ]
+    return from_values(gt, vals)
+
+
+def _restrict_reference(tau, H):
+    G = tau.table.group
+    ht = character_table(H.as_group())
+    vals = [tau.value(G.class_of_index(G.element_index(c.rep))) for c in ht.classes]
+    return from_values(ht, vals)
+
+
+def _inflate_reference(qmap, rho):
+    Q = qmap.image
+    gt = character_table(qmap.source)
+    vals = []
+    for cls in gt.classes:
+        q = qmap.map_element(cls.rep)
+        vals.append(rho.value(Q.class_of_index(Q.element_index(q))))
+    return from_values(gt, vals)
+
+
+def _perm_char_reference(G, H):
+    h_set = H.element_set()
+    gt = character_table(G)
+    seen = set()
+    reps = []
+    for x in G.elements():
+        if x in seen:
+            continue
+        reps.append(x)
+        for h in h_set:
+            seen.add(h * x)
+    vals = []
+    for cls in gt.classes:
+        g = cls.rep
+        fixed = sum(1 for x in reps if x * g * x.inverse() in h_set)
+        vals.append(Cyclo.rational(fixed))
+    return from_values(gt, vals)
+
+
+def test_transport_matches_value_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        G = entry.group
+        if G.order() > 24:
+            continue
+        gt = character_table(G)
+        g_irr = [irreducible_char(gt, i) for i in range(gt.class_count())]
+        for rec in records(G):
+            where = (entry.name, rec.label)
+            assert perm_char(G, rec) == _perm_char_reference(G, rec), where
+            ht = character_table(rec.as_group())
+            for i in range(ht.class_count()):
+                tau = irreducible_char(ht, i)
+                assert induce(rec, tau) == _induce_reference(rec, tau), where
+            for chi in g_irr:
+                assert restrict(chi, rec) == _restrict_reference(chi, rec), where
+            if rec.normal:
+                q = quotient(G, rec)
+                qt = character_table(q.image)
+                for i in range(qt.class_count()):
+                    rho = irreducible_char(qt, i)
+                    assert inflate(q, rho) == _inflate_reference(q, rho), where
+
+
 def test_determinant_of_difference_rule():
     # det(a - b) = det(a) * conj(det b), checked via values
     G = parse_group_spec("D8")

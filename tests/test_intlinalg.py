@@ -2,11 +2,28 @@ from parity_inductor.intlinalg import (
     hnf,
     identity_matrix,
     kernel_basis,
-    mat_mul,
     reduce_mod_lattice,
     solve_left,
     solve_left_canonical,
 )
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    rows, inner = len(a), len(a[0])
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            x = ai[k]
+            if x:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] += x * bk[j]
+    return out
 
 
 def bareiss_det(a):

@@ -68,6 +68,19 @@ def test_quotient_rejects_non_normal():
         quotient(G, record_of_order(G, 2, normal=False))
 
 
+def test_quotient_is_built_once_per_kernel():
+    G = parse_group_spec("D12")
+    n = record_of_order(G, 3)
+    q = quotient(G, n.element_set())
+    assert quotient(G, set(n.element_set())) is q
+    assert quotient(G, n) is quotient(G, n)
+    S3 = parse_group_spec("S3")
+    flip = record_of_order(S3, 2, normal=False).element_set()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            quotient(S3, flip)
+
+
 def test_quotient_map_accepts_raw_set():
     G = parse_group_spec("C6")
     n = record_of_order(G, 3)
