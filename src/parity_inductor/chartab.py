@@ -164,8 +164,8 @@ class CharacterTable:
         # det of row i at class c is zeta_exp ** det_exponents[i][c]
         self.det_exponents = tuple(tuple(dets) for _, dets in pairs)
         self.degrees = tuple(row[0].to_int() for row in self.values)
-        self._verify()
         self.conj_rows = tuple(self._conjugate_row_index(i) for i in range(k))
+        self._verify()
         # a linear row is its own determinant
         self.linear_row_of = {
             self.det_exponents[i]: i for i in self.linear_row_indices()
@@ -182,7 +182,8 @@ class CharacterTable:
             raise CharTableError("first row is not the trivial character")
         for i in range(k):
             for j in range(i, k):
-                got = self.inner_product_values(self.values[i], self.values[j])
+                conj_j = self.values[self.conj_rows[j]]
+                got = self._inner_product_conj(self.values[i], conj_j)
                 want = 1 if i == j else 0
                 if got != Fraction(want):
                     raise CharTableError(
@@ -202,9 +203,13 @@ class CharacterTable:
         return len(self.classes)
 
     def inner_product_values(self, avals, bvals) -> Fraction:
+        return self._inner_product_conj(avals, [b.conj() for b in bvals])
+
+    def _inner_product_conj(self, avals, conj_bvals) -> Fraction:
+        """<a, b> from the values of a and of the complex conjugate of b."""
         total = Cyclo.rational(0)
-        for cls, a, b in zip(self.classes, avals, bvals):
-            total = total + a * b.conj() * cls.size
+        for cls, a, b in zip(self.classes, avals, conj_bvals):
+            total = total + a * b * cls.size
         total = total * Fraction(1, self.group.order())
         f = total.to_fraction()
         if f is None:
@@ -214,8 +219,8 @@ class CharacterTable:
     def decompose_values(self, vals):
         """Integer coordinates over the irreducibles; error if non-integral."""
         coeffs = []
-        for row in self.values:
-            f = self.inner_product_values(vals, row)
+        for j in self.conj_rows:
+            f = self._inner_product_conj(vals, self.values[j])
             if f.denominator != 1:
                 raise CharTableError("values are not a generalized character")
             coeffs.append(f.numerator)

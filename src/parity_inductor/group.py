@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .perm import Perm, identity
 
@@ -16,6 +17,14 @@ class ConjClass:
     size: int
     order: int
     members: tuple
+
+
+class Cayley(NamedTuple):
+    """A group's multiplication on the positions of its sorted elements."""
+
+    table: tuple  # table[a][b] = position of elements()[a] * elements()[b]
+    inverse: tuple  # inverse[a] = position of elements()[a] ** -1
+    orders: tuple  # orders[a] = order of elements()[a]
 
 
 class PermGroup:
@@ -169,6 +178,36 @@ class PermGroup:
             return self._cache["index"][p.images]
         except KeyError:
             raise KeyError("element not in group: %r" % (p,)) from None
+
+    def cayley(self) -> Cayley:
+        """Integer Cayley table, inverses and element orders, built once."""
+        if "cayley" not in self._cache:
+            elts = self.elements()
+            index = self._cache["index"]
+            # left multiplication by each generator, on positions
+            lefts = [
+                [index[tuple(x.images[i] for i in g.images)] for x in elts]
+                for g in self.generators
+            ]
+            rows = [None] * len(elts)
+            rows[0] = tuple(range(len(elts)))
+            frontier = [0]
+            while frontier:
+                new = []
+                for a in frontier:
+                    for left in lefts:
+                        b = left[a]
+                        if rows[b] is None:
+                            # elts[b] = g * elts[a], so row b is row a moved by g
+                            rows[b] = tuple([left[x] for x in rows[a]])
+                            new.append(b)
+                frontier = new
+            self._cache["cayley"] = Cayley(
+                table=tuple(rows),
+                inverse=tuple(row.index(0) for row in rows),
+                orders=tuple(x.order() for x in elts),
+            )
+        return self._cache["cayley"]
 
     # ---------------------------------------------------------------- classes
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 from .group import PermGroup
-from .perm import identity
 
 DEFAULT_MAX_ORDER = 512
 
@@ -21,7 +22,7 @@ class SubgroupRecord:
         self.order = len(elements)
         self.class_id = class_id
         self.normal = normal
-        self.generators = _greedy_generators(elements)
+        self.generators = _greedy_generators(parent, elements)
         self._group = None
 
     @property
@@ -52,73 +53,105 @@ def _set_key(elements):
     return tuple(sorted(p.images for p in elements))
 
 
-def _greedy_generators(elements) -> tuple:
-    """Small deterministic generating set: highest element order first."""
-    target = set(elements)
-    degree = next(iter(elements)).degree
-    if len(elements) == 1:
-        return ()
-    candidates = sorted(elements, key=lambda p: (-p.order(), p.images))
-    gens = []
-    current = {identity(degree)}
-    for c in candidates:
-        if c in current:
-            continue
-        gens.append(c)
-        current = closure(gens, degree)
-        if len(current) == len(target):
-            break
-    return tuple(gens)
+def _greedy_generators(G: PermGroup, elements) -> tuple:
+    """Small deterministic generating set: highest element order first.
 
-
-def closure(generators, degree) -> set:
-    """All products of the given permutations (breadth-first closure)."""
-    gens = [g for g in generators if not g.is_identity()]
-    start = identity(degree)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
-
-
-def _all_subgroup_sets(G: PermGroup):
-    """Every subgroup of G, as a set of frozensets of Perm.
-
-    Each known subgroup is extended by one representative of every right
-    coset outside it; since <S, g> = <S, s*g> for s in S, this reaches every
-    subgroup (any subgroup is built from the trivial one element by element).
+    Ties go to the smaller position in ``G.elements()``, which is sorted by
+    images, so the choice only depends on the elements themselves.
     """
+    table, _, orders = G.cayley()
+    members = [G.element_index(p) for p in elements]
+    gens = []
+    current = frozenset({0})
+    for c in sorted(members, key=lambda a: (-orders[a], a)):
+        if len(current) == len(members):
+            break
+        if c not in current:
+            current = _extend(table, current, gens, c)
+            gens.append(c)
     elts = G.elements()
-    trivial = frozenset({identity(G.degree)})
+    return tuple(elts[a] for a in gens)
+
+
+def _extend(table, sub, gens, g) -> frozenset:
+    """Positions of <S, g>, for S = <gens> given as the positions ``sub``.
+
+    Dimino's coset extension: <S, g> is a union of right cosets S*y, and a
+    union of such cosets that contains S is the whole of <S, g> as soon as
+    it is closed under right multiplication by the generators of S and g.
+    """
+    members = set(sub)
+    gens = [*gens, g]
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for x in gens:
+            y = row[x]
+            if y not in members:
+                members.update([table[s][y] for s in sub])
+                reps.append(y)
+    return frozenset(members)
+
+
+def _mark_double_coset(table, sub, gens, y, marks):
+    """Mark S*y*S, for S = <gens> listed as ``sub``, one right coset at a time.
+
+    Marks only ever cover whole double cosets, so a marked y means S*y*S is.
+    """
+    if marks[y]:
+        return
+    stack = [y]
+    for s in sub:
+        marks[table[s][y]] = 1
+    while stack:
+        row = table[stack.pop()]
+        for x in gens:
+            z = row[x]
+            if not marks[z]:
+                stack.append(z)
+                for s in sub:
+                    marks[table[s][z]] = 1
+
+
+def _all_subgroups(table, orders) -> set:
+    """Every subgroup of the group with this Cayley table, as position sets.
+
+    Each known subgroup S is extended by every element g outside it, which
+    reaches every subgroup (any subgroup is built from the trivial one
+    element by element).  Since <S, s*g^k*t> = <S, g> for s, t in S and k
+    prime to the order of g, one g per such family of double cosets
+    S*g^k*S is enough.
+    """
+    n = len(table)
+    trivial = frozenset({0})
     known = {trivial}
-    work = [trivial]
+    work = [(trivial, ())]
     while work:
-        S = work.pop()
-        members = set(S)
-        processed = set(members)
-        gens = [p for p in S if not p.is_identity()]
-        for g in elts:
-            if g in processed:
+        sub, gens = work.pop()
+        done = bytearray(n)
+        _mark_double_coset(table, sub, gens, 0, done)
+        for g in range(n):
+            if done[g]:
                 continue
-            coset = {s * g for s in S}
-            processed |= coset
-            T = frozenset(closure(gens + [g], G.degree))
+            T = _extend(table, sub, gens, g)
+            power = g
+            for k in range(1, orders[g]):
+                if gcd(k, orders[g]) == 1:
+                    _mark_double_coset(table, sub, gens, power, done)
+                power = table[power][g]
             if T not in known:
                 known.add(T)
-                work.append(T)
+                work.append((T, gens + (g,)))
     return known
 
 
 class SubgroupLattice:
-    """All subgroups of a group, organised into conjugacy classes."""
+    """All subgroups of a group, organised into conjugacy classes.
+
+    The enumeration runs on positions in ``G.elements()`` through the
+    group's Cayley table; ``index_sets`` keeps those position sets, parallel
+    to ``class_sets``.
+    """
 
     def __init__(self, G: PermGroup, max_order: int = DEFAULT_MAX_ORDER):
         if G.order() > max_order:
@@ -127,11 +160,16 @@ class SubgroupLattice:
                 % (G.order(), max_order)
             )
         self.group = G
-        sets = _all_subgroup_sets(G)
-        gens = G.generators
+        table, inverse, orders = G.cayley()
+        # conjugation x -> g^-1 * x * g by each generator g, on positions
+        conjugations = []
+        for g in G.generators:
+            gi = G.element_index(g)
+            left = table[inverse[gi]]
+            conjugations.append([left[row[gi]] for row in table])
         classes = []
         seen = set()
-        for fs in sorted(sets, key=_set_key):
+        for fs in _all_subgroups(table, orders):
             if fs in seen:
                 continue
             orbit = {fs}
@@ -139,20 +177,24 @@ class SubgroupLattice:
             while frontier:
                 new = []
                 for cur in frontier:
-                    for g in gens:
-                        gi = g.inverse()
-                        conj = frozenset(gi * x * g for x in cur)
-                        if conj not in orbit:
-                            orbit.add(conj)
-                            new.append(conj)
+                    for conj in conjugations:
+                        image = frozenset([conj[x] for x in cur])
+                        if image not in orbit:
+                            orbit.add(image)
+                            new.append(image)
                 frontier = new
             seen |= orbit
-            classes.append(sorted(orbit, key=_set_key))
-        classes.sort(key=lambda orbit: (len(orbit[0]), _set_key(orbit[0])))
-        self.class_sets = tuple(tuple(orbit) for orbit in classes)
+            classes.append(sorted(orbit, key=sorted))
+        # positions follow the images' order, so this is the (order, _set_key) order
+        classes.sort(key=lambda orbit: (len(orbit[0]), sorted(orbit[0])))
+        self.index_sets = tuple(tuple(orbit) for orbit in classes)
+        elts = G.elements()
+        self.class_sets = tuple(
+            tuple(frozenset([elts[a] for a in fs]) for fs in orbit) for orbit in classes
+        )
         self.records = tuple(
             SubgroupRecord(G, orbit[0], class_id=i, normal=len(orbit) == 1)
-            for i, orbit in enumerate(classes)
+            for i, orbit in enumerate(self.class_sets)
         )
         self._set_to_class = {
             fs: i for i, orbit in enumerate(self.class_sets) for fs in orbit

@@ -172,45 +172,50 @@ def dihedral_subquotients(G: PermGroup):
 
     H runs over lattice class representatives; N-choices within one H are
     deduplicated under conjugation by the normalizer of H, which realises
-    G-conjugacy of pairs.
+    G-conjugacy of pairs.  Normality, normalizers and orbits are computed on
+    element positions through the Cayley table.
     """
     if "dihedral_subquotients" in G._cache:
         return G._cache["dihedral_subquotients"]
     lattice = subgroup_lattice(G)
-    all_sets = [fs for orbit in lattice.class_sets for fs in orbit]
+    table, inverse, _ = G.cayley()
+
+    def conjugate(x, g):
+        return table[inverse[g]][table[x][g]]
+
+    by_order = {}
+    for class_id, orbit in enumerate(lattice.index_sets):
+        for n_idx, n_set in zip(orbit, lattice.class_sets[class_id]):
+            by_order.setdefault(len(n_idx), []).append((n_idx, n_set, class_id))
     out = []
     for h_rec in lattice.records:
-        h_set = h_rec.element_set()
+        h_idx = lattice.index_sets[h_rec.class_id][0]
         h_order = h_rec.order
-        ratios = _allowed_ratios(h_order)
-        if not ratios:
-            continue
+        h_gens = [G.element_index(g) for g in h_rec.generators]
         candidates = sorted(
             (
-                n_set
-                for n_set in all_sets
-                if h_order % len(n_set) == 0
-                and h_order // len(n_set) in ratios
-                and n_set <= h_set
-                and _is_normal_in(n_set, h_rec.generators)
+                cand
+                for ratio in _allowed_ratios(h_order)
+                for cand in by_order.get(h_order // ratio, ())
+                if cand[0] <= h_idx
+                and all(conjugate(x, g) in cand[0] for g in h_gens for x in cand[0])
             ),
-            key=_set_key,
+            key=lambda cand: sorted(cand[0]),
         )
         if not candidates:
             continue
         normalizer = [
             g
-            for g in G.elements()
-            if frozenset(g.inverse() * x * g for x in h_set) == h_set
+            for g in range(len(table))
+            if all(conjugate(x, g) in h_idx for x in h_gens)
         ]
         seen = set()
-        for n_set in candidates:
-            if n_set in seen:
+        for n_idx, n_set, class_id in candidates:
+            if n_idx in seen:
                 continue
-            orbit = {
-                frozenset(g.inverse() * x * g for x in n_set) for g in normalizer
-            }
-            seen |= orbit
+            seen.update(
+                frozenset([conjugate(x, g) for x in n_idx]) for g in normalizer
+            )
             tag = _quotient_tag(h_rec.as_group(), n_set)
             if tag is None:
                 continue
@@ -218,7 +223,7 @@ def dihedral_subquotients(G: PermGroup):
                 DihedralSubquotient(
                     h_record=h_rec,
                     n_elements=n_set,
-                    n_class_id=lattice.class_of_set(n_set),
+                    n_class_id=class_id,
                     tag=tag,
                 )
             )
@@ -227,7 +232,7 @@ def dihedral_subquotients(G: PermGroup):
             d.h_record.class_id,
             d.n_class_id,
             str(d.tag),
-            tuple(sorted(p.images for p in d.n_elements)),
+            _set_key(d.n_elements),
         )
     )
     G._cache["dihedral_subquotients"] = out

@@ -182,8 +182,10 @@ def test_verify_malformed_catalog(tmp_path):
         ("verify", "--catalog", "{catalog}", "--samples", "4", "--seed", "3"),
         ("decompose", "S4", "--subgroup", "#3", "--structural"),
         ("parity", "A5"),
+        ("subgroups", "S4"),
+        ("subgroups", "A5"),
     ],
-    ids=["verify", "tree", "parity"],
+    ids=["verify", "tree", "parity", "subgroups-S4", "subgroups-A5"],
 )
 def test_verify_deterministic_across_hash_seeds(tmp_path, argv):
     path = tmp_path / "cat.jsonl"

@@ -1,15 +1,93 @@
 import pytest
 
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import (
     LatticeBoundError,
     SubgroupLattice,
-    closure,
+    _set_key,
     normal_subgroups,
     subgroup_lattice,
     subgroups_up_to_conjugacy,
 )
-from parity_inductor.perm import parse_perm
+from parity_inductor.perm import identity, parse_perm
+
+
+def closure(generators, degree) -> set:
+    """All products of the given permutations (breadth-first closure)."""
+    gens = [g for g in generators if not g.is_identity()]
+    start = identity(degree)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def reference_class_sets(G):
+    """The Perm-closure lattice: every subgroup, grouped into sorted classes.
+
+    Each known subgroup is extended by one representative of every right
+    coset outside it, and every extension is closed from scratch; classes
+    are orbits under conjugation by G's generators.
+    """
+    trivial = frozenset({identity(G.degree)})
+    known = {trivial}
+    work = [trivial]
+    while work:
+        S = work.pop()
+        processed = set(S)
+        gens = [p for p in S if not p.is_identity()]
+        for g in G.elements():
+            if g in processed:
+                continue
+            processed |= {s * g for s in S}
+            T = frozenset(closure(gens + [g], G.degree))
+            if T not in known:
+                known.add(T)
+                work.append(T)
+    classes = []
+    seen = set()
+    for fs in sorted(known, key=_set_key):
+        if fs in seen:
+            continue
+        orbit = {fs}
+        frontier = [fs]
+        while frontier:
+            new = []
+            for cur in frontier:
+                for g in G.generators:
+                    conj = frozenset(g.inverse() * x * g for x in cur)
+                    if conj not in orbit:
+                        orbit.add(conj)
+                        new.append(conj)
+            frontier = new
+        seen |= orbit
+        classes.append(sorted(orbit, key=_set_key))
+    classes.sort(key=lambda orbit: (len(orbit[0]), _set_key(orbit[0])))
+    return classes
+
+
+def reference_generators(elements):
+    """Greedy generators by (-element order, images), closed from scratch."""
+    degree = next(iter(elements)).degree
+    gens = []
+    current = {identity(degree)}
+    for c in sorted(elements, key=lambda p: (-p.order(), p.images)):
+        if len(current) == len(elements):
+            break
+        if c in current:
+            continue
+        gens.append(c)
+        current = closure(gens, degree)
+    return tuple(gens)
 
 
 def pair_closure_subgroup_sets(G):
@@ -100,3 +178,37 @@ def test_class_lookup_for_conjugates():
 def test_bound_error():
     with pytest.raises(LatticeBoundError):
         SubgroupLattice(parse_group_spec("S4"), max_order=10)
+
+
+def test_index_lattice_matches_closure_reference():
+    for entry in load_bundled_catalog():
+        G = entry.group
+        lattice = SubgroupLattice(G)
+        reference = reference_class_sets(G)
+        assert [[_set_key(s) for s in orbit] for orbit in lattice.class_sets] == [
+            [_set_key(s) for s in orbit] for orbit in reference
+        ], entry.name
+        for record, orbit in zip(lattice.records, reference):
+            assert record.order == len(orbit[0]), entry.name
+            assert record.normal == (len(orbit) == 1), entry.name
+            assert record.generators == reference_generators(orbit[0]), entry.name
+
+
+@pytest.mark.parametrize(
+    "spec, subgroups, classes, normal",
+    [
+        # elementary abelian 2^6: the sum of the Gaussian binomials, all normal
+        ("(1 2),(3 4),(5 6),(7 8),(9 10),(11 12)", 2825, 2825, 2825),
+        # dihedral of order 128: tau(64) + sigma(64) subgroups; the normal
+        # ones are the 7 rotation subgroups, 2 dihedral ones of index 2 and G
+        ("D128", 134, 20, 10),
+        # simple: only 1 and A6 are normal
+        ("A6", 501, 22, 2),
+    ],
+    ids=["C2^6", "D128", "A6"],
+)
+def test_known_lattice_counts(spec, subgroups, classes, normal):
+    lattice = SubgroupLattice(parse_group_spec(spec))
+    assert sum(len(orbit) for orbit in lattice.class_sets) == subgroups
+    assert len(lattice.records) == classes
+    assert sum(r.normal for r in lattice.records) == normal
