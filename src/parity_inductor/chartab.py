@@ -1,16 +1,39 @@
 """Exact character tables via class-matrix eigenspace splitting mod a prime.
 
 The table is computed over F_l (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)),
-where the class algebra splits completely, then lifted to exact cyclotomic
-values by discrete Fourier inversion over the power maps.
-"""
+where the class algebra splits completely, then lifted to exact values by
+discrete Fourier inversion over the power maps.
 
+Representation: at a class of element order o, a row's value is its integer
+multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
+where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
+so rows are compared, conjugated (s -> -s) and read for determinants as
+integer tuples; `Cyclo` rows (`values`) are built only to render.
+
+Orthogonality: sum_c |C_c| chi_i(c) conj(chi_j(c)) is accumulated as one
+integer vector in Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e once per
+pair, and must be the constant |G| * delta_ij.
+
+Decomposition: one path takes a class function as integer vectors (value
+sum_s a_s zeta_n ** s at a class, any n); put N = lcm(n, o).  By Hoelder's
+formula the normalized trace Tr(zeta_N ** k) / phi(N) is mu(N/g) / phi(N/g),
+g = gcd(k, N): the Ramanujan sum c_N(k) over phi(N).  So the rational part of
+<f, chi_j> is one integer dot product of f with the dual vector
+D_j[c][s] = |C_c| * (L / phi(N)) * sum_t m_t * c_N(s - t), over |G| * L with
+L = lcm of the phi(N).  For a generalized character the inner products are
+rational, hence equal to their rational parts.  For other input they need
+not be, so the coordinates must be integers and sum_j a_j * chi_j must
+re-expand to the input at every class modulo Phi_N.  A return is then the
+exact identity f = sum_j a_j * chi_j for any input, with no second path.
+"""
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
+from operator import mul, sub
 
 from ._primes import is_prime, primitive_root
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, _reduce_mod_phi, cyclotomic_polynomial, format_cyclo
 from .group import PermGroup
 from .perm import format_perm
 
@@ -31,7 +54,7 @@ def _choose_prime(order: int, exponent: int) -> int:
 
 
 def _matvec(m, v, p):
-    return [sum(mj * vj for mj, vj in zip(row, v)) % p for row in m]
+    return [sum(map(mul, row, v)) % p for row in m]
 
 
 def _rref(rows, p):
@@ -133,6 +156,62 @@ def _poly_roots_mod(poly, p):
     return roots
 
 
+# ------------------------------------------------------------ integer values
+
+
+@lru_cache(maxsize=None)
+def _ramanujan(n: int):
+    """c_n(k) = Tr(zeta_n ** k) = (phi(n) / phi(d)) * Tr(zeta_d), d = n / gcd(k, n).
+
+    Tr(zeta_d), the sum of the primitive d-th roots, is minus the
+    second-highest coefficient of Phi_d.
+    """
+    phi_n = len(cyclotomic_polynomial(n)) - 1
+    out = []
+    for k in range(n):
+        phi_d = cyclotomic_polynomial(n // gcd(k, n))
+        out.append(-phi_d[-2] * phi_n // (len(phi_d) - 1))
+    return tuple(out)
+
+
+def _lift(m, n: int):
+    """m in Z[x]/(x^len(m) - 1) as a vector of Z[x]/(x^n - 1); len(m) divides n."""
+    out = [0] * n
+    out[:: n // len(m)] = m
+    return out
+
+
+def _terms(row):
+    """The nonzero (s, m_s) of a row at each class."""
+    return tuple(tuple((s, x) for s, x in enumerate(m) if x) for m in row)
+
+
+def _row_key(row, e: int):
+    """(degree, not trivial, `Cyclo.sort_key` per class) without building a Cyclo."""
+    keys = []
+    for m in row:
+        red = _reduce_mod_phi(_lift(m, e), e)
+        keys.append((1, red[0]) if not any(red[1:]) else (e, *red))
+    return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, tuple(keys))
+
+
+def _power_maps(group: PermGroup, classes, exponent: int):
+    """power_maps[j][c] = class of rep_c ** j, and the inverse map, off the Cayley table."""
+    table, inverse = group.cayley()[:2]
+    class_of = [group.class_of_index(i) for i in range(len(table))]
+    cycles = []
+    for cls in classes:
+        pos, cycle = 0, []
+        for _ in range(cls.order):
+            cycle.append(class_of[pos])
+            pos = table[pos][cls.members[0]]
+        cycles.append(cycle)
+    power_maps = tuple(
+        tuple(cycle[j % len(cycle)] for cycle in cycles) for j in range(exponent + 1)
+    )
+    return power_maps, tuple(class_of[inverse[cls.members[0]]] for cls in classes)
+
+
 # ----------------------------------------------------------------- the table
 
 
@@ -142,89 +221,139 @@ class CharacterTable:
     def __init__(self, group: PermGroup):
         self.group = group
         self.classes = group.conjugacy_classes()
-        self.exponent = group.exponent()
-        k = len(self.classes)
-        self.power_maps = tuple(
-            tuple(group.power_class(c, j) for c in range(k))
-            for j in range(self.exponent + 1)
-        )
-        self.inverse_map = tuple(
-            group.power_class(c, self.classes[c].order - 1) if self.classes[c].order > 1 else c
-            for c in range(k)
-        )
-        pairs = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
-        pairs.sort(
-            key=lambda pair: (
-                pair[0][0].to_int(),
-                0 if all(v == 1 for v in pair[0]) else 1,
-                tuple(v.sort_key() for v in pair[0]),
-            )
-        )
-        self.values = tuple(tuple(row) for row, _ in pairs)
+        self.exponent = e = group.exponent()
+        self.power_maps, self.inverse_map = _power_maps(group, self.classes, e)
+        rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
+        rows.sort(key=lambda row: _row_key(row, e))
+        # row i at class c: sum_s vectors[i][c][s] * zeta_o ** s, o = len(vectors[i][c])
+        self.vectors = tuple(rows)
+        self.degrees = tuple(row[0][0] for row in rows)
         # det of row i at class c is zeta_exp ** det_exponents[i][c]
-        self.det_exponents = tuple(tuple(dets) for _, dets in pairs)
-        self.degrees = tuple(row[0].to_int() for row in self.values)
-        self.conj_rows = tuple(self._conjugate_row_index(i) for i in range(k))
+        self.det_exponents = tuple(
+            tuple(e // len(m) * sum(s * x for s, x in enumerate(m)) % e for m in row)
+            for row in rows
+        )
+        index = {row: i for i, row in enumerate(rows)}
+        conj = [tuple(m[:1] + m[:0:-1] for m in row) for row in rows]
+        if not all(row in index for row in conj):
+            raise CharTableError("the conjugate of a row is not in the table")
+        self.conj_rows = tuple(index[row] for row in conj)
         self._verify()
         # a linear row is its own determinant
         self.linear_row_of = {
             self.det_exponents[i]: i for i in self.linear_row_indices()
         }
+        self._values = self._duals = None
 
     # construction checks -------------------------------------------------
 
     def _verify(self):
-        G = self.group
+        order = self.group.order()
         k = len(self.classes)
-        if sum(d * d for d in self.degrees) != G.order():
+        if sum(d * d for d in self.degrees) != order:
             raise CharTableError("degree squares do not sum to the group order")
-        if not all(v == 1 for v in self.values[0]):
+        if not all(m[0] == sum(m) == 1 for m in self.vectors[0]):
             raise CharTableError("first row is not the trivial character")
+        terms = [_terms(row) for row in self.vectors]
         for i in range(k):
             for j in range(i, k):
-                conj_j = self.values[self.conj_rows[j]]
-                got = self._inner_product_conj(self.values[i], conj_j)
-                want = 1 if i == j else 0
-                if got != Fraction(want):
+                got = self._gram(terms[i], terms[j])
+                if got != (order if i == j else 0):
                     raise CharTableError(
-                        "row orthogonality fails at (%d, %d): %s" % (i, j, got)
+                        "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order)
                     )
 
-    def _conjugate_row_index(self, i: int) -> int:
-        target = tuple(v.conj() for v in self.values[i])
-        for j, row in enumerate(self.values):
-            if all(a == b for a, b in zip(row, target)):
-                return j
-        raise CharTableError("conjugate of row %d is not in the table" % i)
+    def _gram(self, aterms, bterms) -> int:
+        """|G| * <a, b> for two rows given by `_terms`."""
+        e = self.exponent
+        acc = [0] * e
+        for cls, ta, tb in zip(self.classes, aterms, bterms):
+            step = e // cls.order
+            for t, y in tb:
+                y *= cls.size
+                for s, x in ta:
+                    acc[(s - t) * step % e] += x * y
+        red = _reduce_mod_phi(acc, e)
+        if any(red[1:]):
+            raise CharTableError("inner product is not rational")
+        return red[0]
 
     # queries --------------------------------------------------------------
 
     def class_count(self) -> int:
         return len(self.classes)
 
-    def inner_product_values(self, avals, bvals) -> Fraction:
-        return self._inner_product_conj(avals, [b.conj() for b in bvals])
-
-    def _inner_product_conj(self, avals, conj_bvals) -> Fraction:
-        """<a, b> from the values of a and of the complex conjugate of b."""
-        total = Cyclo.rational(0)
-        for cls, a, b in zip(self.classes, avals, conj_bvals):
-            total = total + a * b * cls.size
-        total = total * Fraction(1, self.group.order())
-        f = total.to_fraction()
-        if f is None:
-            raise CharTableError("inner product is not rational")
-        return f
+    @property
+    def values(self):
+        """Exact class values as `Cyclo` rows in Q(zeta_exp), built on first use."""
+        if self._values is None:
+            e = self.exponent
+            self._values = tuple(
+                tuple(Cyclo(e, _lift(m, e)) for m in row) for row in self.vectors
+            )
+        return self._values
 
     def decompose_values(self, vals):
-        """Integer coordinates over the irreducibles; error if non-integral."""
-        coeffs = []
-        for j in self.conj_rows:
-            f = self._inner_product_conj(vals, self.values[j])
-            if f.denominator != 1:
+        """Integer coordinates of exact class values (`Cyclo` or rational)."""
+        vectors = []
+        for v in vals:
+            v = v if isinstance(v, Cyclo) else Cyclo.rational(v)
+            if v.den != 1:
                 raise CharTableError("values are not a generalized character")
-            coeffs.append(f.numerator)
-        return tuple(coeffs)
+            vectors.append(v.coeffs + (0,) * (v.n - len(v.coeffs)))
+        return self.decompose(vectors)
+
+    def decompose(self, vectors):
+        """Integer coordinates over the irreducibles of a class function.
+
+        vectors[c] = (a_0, ..., a_{n-1}) stands for sum_s a_s * zeta_n ** s
+        at class c, for any n >= 1.  Raises CharTableError unless the class
+        function is exactly an integer combination of the rows.
+        """
+        k = len(self.classes)
+        if len(vectors) != k:
+            raise ValueError("%d values for %d classes" % (len(vectors), k))
+        orders = [cls.order for cls in self.classes]
+        lengths = [lcm(len(v), o) for v, o in zip(vectors, orders)]
+        if lengths != orders:
+            duals, den = self._dual_vectors(lengths)
+        else:
+            duals, den = self._duals = self._duals or self._dual_vectors(lengths)
+        given = [_lift(v, n) for v, n in zip(vectors, lengths)]
+        flat = [a for vec in given for a in vec]
+        quotient = self.group.order() * den
+        coords = []
+        for dual in duals:
+            num = sum(map(mul, flat, dual))
+            if num % quotient:
+                raise CharTableError("values are not a generalized character")
+            coords.append(num // quotient)
+        # re-expand sum_j a_j chi_j and compare with the input modulo Phi_N
+        for c, (vec, n, o) in enumerate(zip(given, lengths, orders)):
+            acc = [0] * n
+            for a, row in zip(coords, self.vectors):
+                if a:
+                    for s, x in enumerate(row[c]):
+                        if x:
+                            acc[s * n // o] += a * x
+            if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
+                raise CharTableError("values are not a generalized character")
+        return tuple(coords)
+
+    def _dual_vectors(self, lengths):
+        """Each row's trace-form dual over the flattened (class, slot) layout."""
+        phis = [len(cyclotomic_polynomial(n)) - 1 for n in lengths]
+        den = lcm(*phis)
+        duals = [[] for _ in self.classes]
+        for c, (cls, n, phi) in enumerate(zip(self.classes, lengths, phis)):
+            weights = _ramanujan(n)
+            scale = cls.size * (den // phi)
+            for dual, row in zip(duals, self.vectors):
+                shifted = [(t * n // cls.order, x * scale) for t, x in enumerate(row[c]) if x]
+                dual.extend(
+                    sum(x * weights[(s - t) % n] for t, x in shifted) for s in range(n)
+                )
+        return duals, den
 
     def linear_row_indices(self):
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
@@ -232,57 +361,48 @@ class CharacterTable:
     # rendering ------------------------------------------------------------
 
     def format_text(self) -> str:
-        from .cyclotomic import format_cyclo
-
         headers = ["chi"] + [
             "%s(%d)" % (format_perm(c.rep), c.size) for c in self.classes
         ]
-        body = []
-        for i, row in enumerate(self.values):
-            cells = ["X%d" % i]
-            for v in row:
-                lifted = v if v.n == 1 else v.lift(self.exponent)
-                cells.append(format_cyclo(lifted))
-            body.append(cells)
+        body = [
+            ["X%d" % i] + [format_cyclo(v) for v in row] for i, row in enumerate(self.values)
+        ]
         widths = [
             max(len(r[c]) for r in [headers] + body) for c in range(len(headers))
         ]
-        lines = []
-        for cells in [headers] + body:
-            lines.append(
-                "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
-            )
+        lines = [
+            "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+            for cells in [headers] + body
+        ]
         lines.insert(1, "-" * len(lines[0]))
         return "\n".join(lines)
 
 
 def _dixon_schneider(group, classes, power_maps, inverse_map):
+    """Rows of eigenvalue multiplicity vectors, one tuple per class."""
     order = group.order()
     k = len(classes)
     if k == 1:
-        return [([Cyclo.rational(1)], [0])]
+        return [((1,),)]
     exponent = group.exponent()
     l = _choose_prime(order, exponent)
     root = primitive_root(l)
     zgen = pow(root, (l - 1) // exponent, l)  # fixed element of order exp(G)
 
-    elts = group.elements()
+    cayley = group.cayley()
+    table, inverse = cayley.table, cayley.inverse
     class_of = [group.class_of_index(i) for i in range(order)]
-    reps = [c.rep for c in classes]
+    reps = [c.members[0] for c in classes]
     sizes = [c.size for c in classes]
 
     # class matrices: (A_i)[j][t] = #{x in C_i : x^{-1} * rep_t in C_j}
     def class_matrix(i):
         a = [[0] * k for _ in range(k)]
-        members = [elts[m] for m in classes[i].members]
+        inverses = [table[inverse[x]] for x in classes[i].members]
         for t in range(k):
             z = reps[t]
-            col = [0] * k
-            for x in members:
-                y = x.inverse() * z
-                col[class_of[group.element_index(y)]] += 1
-            for j in range(k):
-                a[j][t] = col[j]
+            for row in inverses:
+                a[class_of[row[z]]][t] += 1
         return a
 
     # split the common eigenspaces
@@ -300,13 +420,13 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
                 a = class_matrix(i)
             rows, pivots = _rref(basis, l)
             images = [_matvec(a, v, l) for v in rows]
+            columns = list(zip(*rows))
             # restricted matrix: coordinates of each image in the basis
             b = []
             for img in images:
                 coords = [img[c] % l for c in pivots]
                 check = [
-                    (x - sum(cc * rows[r][col] for r, cc in enumerate(coords))) % l
-                    for col, x in enumerate(img)
+                    (x - sum(map(mul, coords, col))) % l for col, x in zip(columns, img)
                 ]
                 if any(check):
                     raise CharTableError("class matrix does not preserve eigenspace")
@@ -336,7 +456,27 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
     if not all(len(s) == 1 for s in spaces):
         raise CharTableError("class-matrix eigenspaces failed to split")
 
+    # Fourier inversion over the power maps, with each element order's
+    # table of powers of z_o = zgen ** (exp / o) computed once
+    inversion = {}
+    for o in {c.order for c in classes}:
+        powers = [pow(zgen, exponent // o * i, l) for i in range(o)]
+        rows = tuple([powers[-j * s % o] for j in range(o)] for s in range(o))
+        inversion[o] = (rows, pow(o, l - 2, l))
+    cycles = [[power_maps[j][c] for j in range(cls.order)] for c, cls in enumerate(classes)]
+    # a class reached from an earlier one by a power j prime to the element
+    # order needs no inversion: the eigenvalues of g ** j are those of g,
+    # raised to the j, so m(g ** j)[s] = m(g)[s / j]
+    galois = [None] * k
+    for c0, cycle in enumerate(cycles):
+        o = len(cycle)
+        for j in range(2, o):
+            c = cycle[j]
+            if galois[c0] is None and c > c0 and galois[c] is None and gcd(j, o) == 1:
+                galois[c] = (c0, pow(j, -1, o))
+
     inv_mod = {x: pow(x, l - 2, l) for x in set(sizes)}
+    shared = {}  # one tuple object per distinct vector
     rows_out = []
     for (w,) in spaces:
         if w[0] == 0:
@@ -359,39 +499,23 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
             d += 1
         if degree is None:
             raise CharTableError("no integer degree matches modulo l")
-        # character values mod l
+        # character values mod l, then the exact multiplicities m_s of the
+        # eigenvalues zeta_o ** s at each class
         chi_mod = [degree * w[c] * inv_mod[sizes[c]] % l for c in range(k)]
-        # exact lift by Fourier inversion over eigenvalue multiplicities m_s;
-        # the determinant at c is then zeta_o ** sum(s * m_s)
         row = []
-        dets = []
-        for c in range(k):
-            o = classes[c].order
-            if o == 1:
-                row.append(Cyclo.rational(degree))
-                dets.append(0)
-                continue
-            z_o = pow(zgen, exponent // o, l)
-            inv_o = pow(o, l - 2, l)
-            value = Cyclo.rational(0)
-            total_mult = 0
-            det_sum = 0
-            for s_exp in range(o):
-                acc = 0
-                for j in range(o):
-                    acc = (acc + chi_mod[power_maps[j][c]] * pow(z_o, (-j * s_exp) % (l - 1), l)) % l
-                m = acc * inv_o % l
-                if m > degree:
-                    raise CharTableError("eigenvalue multiplicity out of range")
-                total_mult += m
-                det_sum += s_exp * m
-                if m:
-                    value = value + Cyclo.zeta(exponent, (exponent // o) * s_exp) * m
-            if total_mult != degree:
-                raise CharTableError("eigenvalue multiplicities do not sum to degree")
-            row.append(value)
-            dets.append((exponent // o) * det_sum % exponent)
-        rows_out.append((row, dets))
+        for cycle, source in zip(cycles, galois):
+            o = len(cycle)
+            if source is not None:
+                c0, j_inv = source
+                m = tuple(row[c0][s * j_inv % o] for s in range(o))
+            else:
+                dft, inv_o = inversion[o]
+                along = [chi_mod[c] for c in cycle]
+                m = tuple(sum(map(mul, along, f)) * inv_o % l for f in dft)
+                if max(m) > degree or sum(m) != degree:
+                    raise CharTableError("eigenvalue multiplicities do not sum to the degree")
+            row.append(shared.setdefault(m, m))
+        rows_out.append(tuple(row))
     return rows_out
 
 

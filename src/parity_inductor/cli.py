@@ -146,11 +146,6 @@ def _cmd_group_info(args) -> int:
 def _cmd_chartab(args) -> int:
     G = _load_group(args.groupspec)
     table = character_table(G)
-    rows = []
-    for row in table.values:
-        rows.append(
-            [format_cyclo(v if v.n == 1 else v.lift(table.exponent)) for v in row]
-        )
     doc = {
         "spec": args.groupspec,
         "order": G.order(),
@@ -158,7 +153,7 @@ def _cmd_chartab(args) -> int:
         "class_sizes": [c.size for c in table.classes],
         "class_orders": [c.order for c in table.classes],
         "degrees": list(table.degrees),
-        "rows": rows,
+        "rows": [[format_cyclo(v) for v in row] for row in table.values],
     }
     _emit(args, table.format_text(), doc)
     return 0

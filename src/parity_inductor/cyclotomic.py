@@ -46,17 +46,24 @@ def _poly_exact_div(num, den):
     return q
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(n: int):
+    """deg Phi_n and the nonzero (j, coefficient) of Phi_n below the leading term."""
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
 def _reduce_mod_phi(coeffs, n):
     """Reduce an integer polynomial in zeta_n modulo Phi_n; returns len-phi(n) list."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
+    deg, terms = _phi_terms(n)
     work = list(coeffs)
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
             work[k] = 0
-            for j in range(deg):
-                work[k - deg + j] -= c * phi[j]
+            base = k - deg
+            for j, p in terms:
+                work[base + j] -= c * p
     work = work[:deg]
     work += [0] * (deg - len(work))
     return work

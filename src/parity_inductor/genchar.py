@@ -11,6 +11,7 @@ only computed on request.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .chartab import CharacterTable, CharTableError, character_table
 from .cyclotomic import Cyclo
@@ -215,7 +216,7 @@ def _subgroup_of(G: PermGroup, H) -> PermGroup:
 
 def _pullback(src: CharacterTable, dst: CharacterTable, class_map):
     """Row i: src's irreducible i read at classes class_map, in dst coordinates."""
-    return tuple(dst.decompose_values([row[c] for c in class_map]) for row in src.values)
+    return tuple(dst.decompose([row[c] for c in class_map]) for row in src.vectors)
 
 
 def _restriction(G: PermGroup, H):
@@ -229,7 +230,7 @@ def _restriction(G: PermGroup, H):
 
 
 def _apply(rows, coeffs):
-    return [sum(a * b for a, b in zip(row, coeffs)) for row in rows]
+    return [sum(map(mul, row, coeffs)) for row in rows]
 
 
 # ---------------------------------------------------------------- the ops
@@ -310,8 +311,8 @@ def perm_char(G: PermGroup, H) -> GenChar:
     for h in elements:
         counts[G.class_of(h)] += 1
     scale = G.order() // len(elements)
-    vals = [Cyclo.rational(scale * n // c.size) for n, c in zip(counts, gt.classes)]
-    out = from_values(gt, vals)
+    vals = [(scale * n // c.size,) for n, c in zip(counts, gt.classes)]
+    out = GenChar(gt, gt.decompose(vals))
     if cache_key is not None:
         G._cache[cache_key] = out
     return out

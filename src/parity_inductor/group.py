@@ -259,11 +259,6 @@ class PermGroup:
     def class_of(self, p: Perm) -> int:
         return self.class_of_index(self.element_index(p))
 
-    def power_class(self, class_index: int, k: int) -> int:
-        """Class index of rep**k for the given class."""
-        rep = self.conjugacy_classes()[class_index].rep
-        return self.class_of(rep**k)
-
     # ------------------------------------------------------------- structure
 
     def exponent(self) -> int:

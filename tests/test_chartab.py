@@ -4,11 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from parity_inductor.chartab import CharTableError, character_table
+from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.chartab import CharTableError, _terms, character_table
 from parity_inductor.cyclotomic import Cyclo
+from parity_inductor.genchar import _pullback, _restriction, from_values, perm_char
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
+from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
+from _cyclo_reference import (
+    conjugate_rows,
+    decompose_reference,
+    inner_product_conj,
+    inner_product_values,
+)
 
 
 def table(spec):
@@ -85,7 +95,7 @@ def test_row_orthogonality_exact():
         for i in range(k):
             for j in range(k):
                 want = Fraction(1 if i == j else 0)
-                assert t.inner_product_values(t.values[i], t.values[j]) == want
+                assert inner_product_values(t, t.values[i], t.values[j]) == want
 
 
 def test_column_orthogonality_exact():
@@ -170,3 +180,94 @@ def test_defect_on_bad_values():
     t = table("S3")
     with pytest.raises(CharTableError):
         t.decompose_values([Cyclo.rational(1), Cyclo.rational(0), Cyclo.rational(0)])
+
+
+def test_value_count_must_match_class_count():
+    t = table("C4")
+    regular = [Cyclo.rational(4), Cyclo.rational(0), Cyclo.rational(0), Cyclo.rational(0)]
+    assert from_values(t, regular).coeffs == (1, 1, 1, 1)
+    for vals in ([Cyclo.rational(4)], regular + [Cyclo.rational(99)]):
+        with pytest.raises(ValueError):
+            from_values(t, vals)
+        with pytest.raises(ValueError):
+            t.decompose_values(vals)
+        with pytest.raises(ValueError):
+            t.decompose([(v.to_int(),) for v in vals])
+
+
+def test_decompose_is_exact_on_non_characters():
+    # zeta_3 - zeta_3^2 has rational part 0, so the trace form alone would
+    # return the zero character; the re-expansion must refuse it
+    t = table("C1")
+    assert t.decompose([(2,)]) == (2,)
+    with pytest.raises(CharTableError):
+        t.decompose_values([Cyclo.zeta(3) - Cyclo.zeta(3, 2)])
+    with pytest.raises(CharTableError):
+        t.decompose([(0, 1, -1)])
+
+
+# Differential check of the integer paths against the Cyclo reference: the
+# Gram matrix, every pull-back matrix, every coset character, and the power
+# and inverse maps against Perm powers.
+
+
+def _check_against_reference(G):
+    t = character_table(G)
+    k = t.class_count()
+    conj = conjugate_rows(t)
+    terms = [_terms(row) for row in t.vectors]
+    for i in range(k):
+        assert list(t.values[t.conj_rows[i]]) == conj[i], i
+        for j in range(i, k):
+            got = Fraction(t._gram(terms[i], terms[j]), G.order())
+            assert got == inner_product_conj(t, t.values[i], conj[j]), (i, j)
+    for c, cls in enumerate(t.classes):
+        assert t.inverse_map[c] == G.class_of(cls.rep.inverse())
+        for j in range(t.exponent + 1):
+            assert t.power_maps[j][c] == G.class_of(cls.rep**j)
+    for rec in subgroup_lattice(G).records:
+        counts = [0] * k
+        for h in rec.element_set():
+            counts[G.class_of(h)] += 1
+        fixed = [
+            Cyclo.rational(G.order() * n // (rec.order * cls.size))
+            for n, cls in zip(counts, t.classes)
+        ]
+        assert perm_char(G, rec).coeffs == decompose_reference(t, fixed), rec.label
+        ht, rows = _restriction(G, rec)
+        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in t.values)
+        assert rows == want, rec.label
+        if rec.normal:
+            q = quotient(G, rec)
+            qt = character_table(q.image)
+            fusion = [q.image.class_of(q.map_element(cls.rep)) for cls in t.classes]
+            want = tuple(decompose_reference(t, [row[c] for c in fusion]) for row in qt.values)
+            assert _pullback(qt, t, fusion) == want, rec.label
+
+
+def test_integer_paths_match_cyclo_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        _check_against_reference(entry.group)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec",
+    ["D64", "D128", "(1 2), (3 4), (5 6), (7 8), (9 10)"],
+    ids=["D64", "D128", "C2^5"],
+)
+def test_integer_paths_match_cyclo_reference_large(spec):
+    _check_against_reference(parse_group_spec(spec))
+
+
+@pytest.mark.large
+def test_d256_table_exact_gram():
+    t = table("D256")
+    k = t.class_count()
+    assert k == 67 and sum(d * d for d in t.degrees) == 256
+    terms = [_terms(row) for row in t.vectors]
+    for i in range(k):
+        for j in range(k):
+            want = 256 if i == j else 0
+            assert t._gram(terms[i], terms[j]) == want, (i, j)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
@@ -176,6 +177,38 @@ def test_verify_malformed_catalog(tmp_path):
     assert code == 2 and "line 1" in err
 
 
+# sha256 of `chartab SPEC --format json` and of `chartab SPEC`, as printed
+_CHARTAB_DIGESTS = {
+    "A5": (
+        "186c7291f3aacbf2a6919a6839acfa928e3b483d841d862c6693b1ae235ed9c6",
+        "296a0807ea4dbe9a1004cdf563fea41207fd04d517512189ac1f2934cd4b5a00",
+    ),
+    "F7:3": (
+        "b052518b6608a124e8b4bfff508b45d2eea3c9d34d8bf39dbebaa3fe2e7b86eb",
+        "184798970a655fc3cbfc694a8e6048aeceda5aae69e59e844fb68a40930611e7",
+    ),
+    "(1 4 7)(2 8 5), (1 6 2 3)(4 7 8 5)": (  # SL(2,3)
+        "d7b29bfa01a656a0ed3a63a678633322c871ce3cfb4855aa45f81f70573ae83a",
+        "8b971d10187f20ffbe2a0501883d2a833993abe7c1953de3a3072e93bc241f15",
+    ),
+    "C8": (
+        "88b8d0739d79bf8fed7c4e26a3983ef9fb91241649ee203849039121d49dae28",
+        "317b88583c140ea6d997cfcb253d12eb337c93cae8e286487fca0f7568e16817",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", list(_CHARTAB_DIGESTS), ids=["A5", "F7:3", "SL(2,3)", "C8"]
+)
+def test_chartab_rendering_is_pinned(spec):
+    want_json, want_text = _CHARTAB_DIGESTS[spec]
+    code, out, _ = run_cli("chartab", spec, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want_json
+    code, out, _ = run_cli("chartab", spec)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want_text
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -184,8 +217,18 @@ def test_verify_malformed_catalog(tmp_path):
         ("parity", "A5"),
         ("subgroups", "S4"),
         ("subgroups", "A5"),
+        ("chartab", "A5"),
+        ("chartab", "F7:3"),
     ],
-    ids=["verify", "tree", "parity", "subgroups-S4", "subgroups-A5"],
+    ids=[
+        "verify",
+        "tree",
+        "parity",
+        "subgroups-S4",
+        "subgroups-A5",
+        "chartab-A5",
+        "chartab-F7:3",
+    ],
 )
 def test_verify_deterministic_across_hash_seeds(tmp_path, argv):
     path = tmp_path / "cat.jsonl"
