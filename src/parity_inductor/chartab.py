@@ -54,7 +54,7 @@ def _choose_prime(order: int, exponent: int) -> int:
 
 
 def _matvec(m, v, p):
-    return [sum(map(mul, row, v)) % p for row in m]
+    return [sum([e * v[c] for c, e in row]) % p for row in m]
 
 
 def _rref(rows, p):
@@ -395,15 +395,17 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
     reps = [c.members[0] for c in classes]
     sizes = [c.size for c in classes]
 
-    # class matrices: (A_i)[j][t] = #{x in C_i : x^{-1} * rep_t in C_j}
+    # class matrices: (A_i)[j][t] = #{x in C_i : x^{-1} * rep_t in C_j},
+    # each row kept as its nonzero (t, count) pairs
     def class_matrix(i):
-        a = [[0] * k for _ in range(k)]
+        a = [{} for _ in range(k)]
         inverses = [table[inverse[x]] for x in classes[i].members]
         for t in range(k):
             z = reps[t]
             for row in inverses:
-                a[class_of[row[z]]][t] += 1
-        return a
+                counts = a[class_of[row[z]]]
+                counts[t] = counts.get(t, 0) + 1
+        return [list(counts.items()) for counts in a]
 
     # split the common eigenspaces
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .group import PermGroup
@@ -22,8 +23,11 @@ class SubgroupRecord:
         self.order = len(elements)
         self.class_id = class_id
         self.normal = normal
-        self.generators = _greedy_generators(parent, elements)
         self._group = None
+
+    @cached_property
+    def generators(self) -> tuple:
+        return _greedy_generators(self.parent, self._elements)
 
     @property
     def index(self) -> int:

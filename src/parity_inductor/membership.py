@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
+from math import comb
 
 from .chartab import character_table
 from .genchar import (
@@ -161,32 +163,54 @@ def _admissible_lattice(G: PermGroup):
     return basis
 
 
+_DRAWS = 1000  # random_S_element's budget of draws per call
+_COEFFS = (-2, -1, 1, 2)
+
+
+def _draw(rows, coeffs, bound: int):
+    """The multiplicities of one draw, or None when random_S_element rejects it."""
+    x = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        x = [xi + c * ri for xi, ri in zip(x, row)]
+    return x if any(x) and max(map(abs, x)) <= bound else None
+
+
+def _has_target(G: PermGroup, basis, bound: int) -> bool:
+    """Whether any draw can be accepted at this bound: decided once, by trying
+    every draw when they fit the budget (at most 5 basis rows), else assumed."""
+    key = ("s_targets", bound)
+    if key not in G._cache:
+        sizes = range(1, min(3, len(basis)) + 1)
+        G._cache[key] = sum(comb(len(basis), k) * 4**k for k in sizes) > _DRAWS or any(
+            _draw(rows, coeffs, bound) is not None
+            for k in sizes
+            for rows in combinations(basis, k)
+            for coeffs in product(_COEFFS, repeat=k)
+        )
+    return G._cache[key]
+
+
 def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
-    """A seeded random degree-0 trivial-det permutation combination."""
+    """A seeded random degree-0 trivial-det permutation combination: 1 to 3
+    distinct basis rows with coefficients in {-2, -1, 1, 2}, redrawn unless
+    nonzero with no entry above ``bound``.  Zero comes back when ``bound <= 0``,
+    the basis is empty, no draw can pass (C_p, p >= 5, at bound 4), all 1,000
+    draws fail, or the draw is a relation among permutation characters (D6 at
+    bound 4, seed 19)."""
     table = character_table(G)
     zero = GenChar(table, [0] * table.class_count())
     if bound <= 0:
         return zero
-    records, chars, _, _ = _perm_lattice(G)
+    _, chars, _, _ = _perm_lattice(G)
     basis = _admissible_lattice(G)
-    if not basis:
+    if not basis or not _has_target(G, basis, bound):
         return zero
     rng = random.Random(seed)
-    for _ in range(1000):
-        x = [0] * len(records)
-        sparsity = rng.randint(1, min(3, len(basis)))
-        for row in rng.sample(basis, sparsity):
-            c = rng.choice((-2, -1, 1, 2))
-            x = [xi + c * ri for xi, ri in zip(x, row)]
-        if not any(x):
-            continue
-        if max(abs(v) for v in x) > bound:
-            continue
-        out = zero
-        for coeff, ch in zip(x, chars):
-            if coeff:
-                out = out + coeff * ch
-        return out
+    for _ in range(_DRAWS):
+        rows = rng.sample(basis, rng.randint(1, min(3, len(basis))))
+        x = _draw(rows, [rng.choice(_COEFFS) for _ in rows], bound)
+        if x is not None:
+            return sum((c * ch for c, ch in zip(x, chars) if c), zero)
     return zero
 
 

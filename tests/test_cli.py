@@ -213,6 +213,8 @@ def test_chartab_rendering_is_pinned(spec):
     "argv",
     [
         ("verify", "--catalog", "{catalog}", "--samples", "4", "--seed", "3"),
+        # C25 and C29 have no random target at the default bound
+        ("verify", "--catalog", "{empty_space}", "--samples", "5"),
         ("decompose", "S4", "--subgroup", "#3", "--structural"),
         ("parity", "A5"),
         ("subgroups", "S4"),
@@ -222,6 +224,7 @@ def test_chartab_rendering_is_pinned(spec):
     ],
     ids=[
         "verify",
+        "verify-empty-space",
         "tree",
         "parity",
         "subgroups-S4",
@@ -242,7 +245,11 @@ def test_verify_deterministic_across_hash_seeds(tmp_path, argv):
             ]
         )
     )
-    argv = tuple(a.format(catalog=path) for a in argv)
+    empty_space = tmp_path / "empty_space.jsonl"
+    empty_space.write_text(
+        render_catalog([{"name": n, "spec": n} for n in ("C25", "C29", "D10")])
+    )
+    argv = tuple(a.format(catalog=path, empty_space=empty_space) for a in argv)
     _, serial, _ = run_cli(*argv)
     _, again, _ = run_cli(*argv)
     assert serial == again

@@ -1,7 +1,11 @@
 """Tests for membership certificates, random targets, and induction bases."""
 
+import random
+
 import pytest
 
+from parity_inductor import membership
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
 from parity_inductor.genchar import (
     GenChar,
@@ -138,6 +142,84 @@ def test_random_elements_stay_in_lattice():
         for seed in range(8):
             rho = random_S_element(G, seed, 4)
             assert is_s_element(rho), (name, seed)
+
+
+def reference_random_S_element(G, seed, bound):
+    """The rejection loop random_S_element ran before it decided its draw space.
+
+    Returns None, where that loop returned zero, when all 1,000 draws are
+    rejected.
+    """
+    table = character_table(G)
+    zero = GenChar(table, [0] * table.class_count())
+    if bound <= 0:
+        return zero
+    records, chars, _, _ = membership._perm_lattice(G)
+    basis = membership._admissible_lattice(G)
+    if not basis:
+        return zero
+    rng = random.Random(seed)
+    randint, sample, choice = rng.randint, rng.sample, rng.choice
+    most = min(3, len(basis))
+    for _ in range(1000):
+        x = [0] * len(records)
+        for row in sample(basis, randint(1, most)):
+            c = choice((-2, -1, 1, 2))
+            x = [xi + c * ri for xi, ri in zip(x, row)]
+        if not any(x):
+            continue
+        if max(map(abs, x)) > bound:
+            continue
+        out = zero
+        for coeff, ch in zip(x, chars):
+            if coeff:
+                out = out + coeff * ch
+        return out
+    return None
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return load_bundled_catalog()
+
+
+def test_random_element_matches_rejection_reference(catalog):
+    for entry in catalog:
+        G = entry.group
+        zero = zero_char(G).coeffs
+        for bound in (1, 3, 4, 8):
+            for seed in range(10):
+                expected = reference_random_S_element(G, seed, bound)
+                expected = zero if expected is None else expected.coeffs
+                assert random_S_element(G, seed, bound).coeffs == expected, (
+                    entry.name,
+                    bound,
+                    seed,
+                )
+
+
+def test_random_element_budget_never_runs_out_on_catalog(catalog):
+    # zero comes back only from an empty draw space, never from bad luck
+    for entry in catalog:
+        G = entry.group
+        basis = membership._admissible_lattice(G)
+        if not basis or not membership._has_target(G, basis, 4):
+            continue
+        for seed in range(20):
+            assert reference_random_S_element(G, seed, 4) is not None, (entry.name, seed)
+
+
+def test_empty_draw_space_makes_no_generator(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("random.Random constructed")
+
+    monkeypatch.setattr(membership.random, "Random", refuse)
+    for name in ("C29", "C25"):
+        G = parse_group_spec(name)
+        for seed in range(3):
+            assert random_S_element(G, seed, 4).is_zero(), name
+    with pytest.raises(AssertionError):
+        random_S_element(parse_group_spec("C30"), 0, 4)
 
 
 def test_s_predicate_rejects_outsiders():
