@@ -28,7 +28,7 @@ from .membership import (
     solomon_coefficients,
     verify_certificate,
 )
-from .structure import _is_normal_in, identify_small_type, is_hyperelementary, quotient
+from .structure import identify_small_type, is_hyperelementary, quotient
 
 _MAX_DEPTH = 100
 
@@ -282,11 +282,14 @@ def _thm28_rho(G, h_set, depth) -> TreeNode:
         return TreeNode("Thm2.8.case1", rho)
     u_set = _supersets(G, h_set, 2 * len(h_set))[0]
     v_set = _supersets(G, u_set, 4 * len(h_set))[0]
-    if _is_normal_in(h_set, v_set):
+    core = frozenset(
+        x for x in h_set if all(v.inverse() * x * v in h_set for v in v_set)
+    )
+    if core == h_set:
         if any(x * x not in h_set for x in v_set):
             return _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth)
         return _thm28_klein_chain(G, rho, h_set, v_set, depth)
-    return _thm28_non_normal(G, rho, h_set, v_set, depth)
+    return _thm28_non_normal(G, rho, h_set, v_set, core, depth)
 
 
 def _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth) -> TreeNode:
@@ -321,12 +324,7 @@ def _thm28_klein_chain(G, rho, h_set, v_set, depth) -> TreeNode:
     return TreeNode("Thm2.8.case3", rho, children)
 
 
-def _thm28_non_normal(G, rho, h_set, v_set, depth) -> TreeNode:
-    core = frozenset(
-        x
-        for x in h_set
-        if all(v.inverse() * x * v in h_set for v in v_set)
-    )
+def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
     if 2 * len(core) != len(h_set):
         raise DecomposeError("core of the non-normal step has wrong index")
     v_rec = _record_for_exact_set(G, v_set)

@@ -216,6 +216,8 @@ class PermGroup:
         if "classes" in self._cache:
             return self._cache["classes"]
         elts = self.elements()
+        table, inverse, orders = self.cayley()
+        gens = [self.element_index(g) for g in self.generators]
         assigned = [None] * len(elts)
         raw = []
         for start in range(len(elts)):
@@ -225,24 +227,24 @@ class PermGroup:
             frontier = [start]
             while frontier:
                 new = []
-                for idx in frontier:
-                    x = elts[idx]
-                    for g in self.generators:
-                        y = g.inverse() * x * g
-                        yi = self._cache["index"][y.images]
-                        if yi not in orbit:
-                            orbit.add(yi)
-                            new.append(yi)
+                for x in frontier:
+                    row = table[x]
+                    for g in gens:
+                        y = table[inverse[g]][row[g]]
+                        if y not in orbit:
+                            orbit.add(y)
+                            new.append(y)
                 frontier = new
             for idx in orbit:
                 assigned[idx] = -1
             members = tuple(sorted(orbit))
-            rep = elts[members[0]]
-            raw.append((rep.order(), len(members), rep.images, members))
-        raw.sort(key=lambda t: (t[0], t[1], t[2]))
+            raw.append((orders[start], len(members), members))
+        # classes are disjoint, so ties on (order, size) go to the smaller
+        # first member, which is the minimal rep: positions follow the images
+        raw.sort()
         classes = []
         class_of = [None] * len(elts)
-        for ci, (order, size, _, members) in enumerate(raw):
+        for ci, (order, size, members) in enumerate(raw):
             classes.append(
                 ConjClass(rep=elts[members[0]], size=size, order=order, members=members)
             )

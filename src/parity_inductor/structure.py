@@ -33,89 +33,82 @@ OTHER = "Other"
 
 
 def identify_small_type(G: PermGroup) -> SmallTypeTag:
-    """Classify G among the tagged small types, verifying presentations."""
-    n = G.order()
+    """Classify G among the tagged small types."""
     if G.is_cyclic():
-        return SmallTypeTag(CYCLIC, n)
-    if n == 4 and G.exponent() == 2:
+        return SmallTypeTag(CYCLIC, G.order())
+    roots = sum(c.size for c in G.conjugacy_classes() if c.order <= 2)
+    return _dihedral_tag(G.order(), roots) or SmallTypeTag(OTHER)
+
+
+def _dihedral_tag(order: int, roots: int):
+    """Tag of a group of this order with ``roots`` solutions of x*x = 1, or None.
+
+    Among the groups of order 4, 8 and 2p (p an odd prime), the count is 4,
+    6 and p + 1 exactly for the Klein four group, D8 and D2p: the others of
+    those orders have 2 (C4, C8, Q8, C2p), 4 (C4 x C2) or 8 (C2^3).
+    """
+    if order == 4 and roots == 4:
         return SmallTypeTag(KLEIN_FOUR)
-    if n == 8 and not G.is_abelian() and G.exponent() == 4:
-        noncentral_involution_classes = [
-            c for c in G.conjugacy_classes() if c.order == 2 and c.size > 1
-        ]
-        if len(noncentral_involution_classes) >= 2 and _dihedral_presentation(G, 4):
-            return SmallTypeTag(DIHEDRAL_8)
-    if n % 2 == 0 and not G.is_abelian():
-        p = n // 2
-        if p % 2 == 1 and is_prime(p) and _dihedral_presentation(G, p):
-            return SmallTypeTag(DIHEDRAL_2P, p)
-    return SmallTypeTag(OTHER)
-
-
-def _dihedral_presentation(G: PermGroup, m: int) -> bool:
-    """Find r of order m and s of order 2 with (r*s)**2 = 1 generating G."""
-    elts = G.elements()
-    degree = G.degree
-    rs = [g for g in elts if g.order() == m]
-    ss = [g for g in elts if g.order() == 2]
-    for r in rs:
-        for s in ss:
-            if not (r * s * r * s).is_identity():
-                continue
-            if s in G.subgroup([r]).elements():
-                continue
-            if G.subgroup([r, s]).order() == G.order():
-                return True
-    return False
+    if order == 8 and roots == 6:
+        return SmallTypeTag(DIHEDRAL_8)
+    p = order // 2
+    if order == 2 * p and p % 2 == 1 and is_prime(p) and roots == p + 1:
+        return SmallTypeTag(DIHEDRAL_2P, p)
+    return None
 
 
 class QuotientMap:
-    """The quotient G/N realised as a faithful action on the cosets of N."""
+    """The quotient G/N realised as a faithful action on the cosets of N.
+
+    Right cosets N*g are numbered by their smallest position in
+    ``G.elements()`` and found through G's Cayley table; each coset's image
+    permutation is computed once, so ``map_element`` is a lookup.
+    """
 
     def __init__(self, source: PermGroup, kernel):
         if isinstance(kernel, SubgroupRecord):
             if kernel.parent is not source:
                 raise ValueError("kernel record belongs to a different group")
-            if not kernel.normal:
-                raise ValueError("kernel is not normal")
-            n_set = kernel.element_set()
-        else:
-            n_set = frozenset(kernel)
-            if not _is_normal_in(n_set, source.generators):
+            kernel = kernel.element_set()
+        n_set = frozenset(kernel)
+        table, inverse, _ = source.cayley()
+        try:
+            n_idx = [source.element_index(x) for x in n_set]
+        except KeyError:
+            raise ValueError("kernel is not a subgroup") from None
+        members = frozenset(n_idx)
+        if 0 not in members or any(
+            table[a][b] not in members for a in n_idx for b in n_idx
+        ):
+            raise ValueError("kernel is not a subgroup")
+        for g in map(source.element_index, source.generators):
+            if any(table[inverse[g]][table[x][g]] not in members for x in n_idx):
                 raise ValueError("kernel is not normal")
         self.source = source
         self.kernel_set = n_set
-        cosets = []
-        seen = set()
-        for g in source.elements():
-            if g not in seen:
-                cosets.append(sorted(x * g for x in n_set))
-                seen.update(cosets[-1])
-        cosets.sort(key=lambda coset: coset[0].images)
-        self._cosets = cosets
-        self._coset_of = {y: i for i, coset in enumerate(cosets) for y in coset}
-        self._reps = [coset[0] for coset in cosets]
+        coset_of = [None] * len(table)
+        reps = []
+        for g in range(len(table)):
+            if coset_of[g] is None:
+                for x in n_idx:
+                    coset_of[table[x][g]] = len(reps)
+                reps.append(g)
+        self._coset_of = coset_of
+        self._images = [
+            Perm(tuple(coset_of[table[r][g]] for r in reps)) for g in reps
+        ]
         gens = [self.map_element(g) for g in source.generators]
-        self.image = PermGroup(gens, degree=len(self._cosets))
+        self.image = PermGroup(gens, degree=len(reps))
 
     def map_element(self, g: Perm) -> Perm:
-        return Perm(tuple(self._coset_of[rep * g] for rep in self._reps))
+        return self._images[self._coset_of[self.source.element_index(g)]]
 
     def preimage_set(self, image_elements) -> frozenset:
         """All source elements mapping into the given set of image elements."""
         wanted = {p.images for p in image_elements}
-        out = []
-        for rep, coset in zip(self._reps, self._cosets):
-            if self.map_element(rep).images in wanted:
-                out.extend(coset)
-        return frozenset(out)
-
-    def section(self, q: Perm) -> Perm:
-        """One source element mapping to the given image element."""
-        for rep in self._reps:
-            if self.map_element(rep) == q:
-                return rep
-        raise KeyError("element not in quotient image")
+        hit = [q.images in wanted for q in self._images]
+        elts = self.source.elements()
+        return frozenset(elts[a] for a, c in enumerate(self._coset_of) if hit[c])
 
 
 def quotient(G: PermGroup, N) -> QuotientMap:
@@ -172,8 +165,9 @@ def dihedral_subquotients(G: PermGroup):
 
     H runs over lattice class representatives; N-choices within one H are
     deduplicated under conjugation by the normalizer of H, which realises
-    G-conjugacy of pairs.  Normality, normalizers and orbits are computed on
-    element positions through the Cayley table.
+    G-conjugacy of pairs.  Normality, normalizers, orbits and the count of
+    h in H with h*h in N, which decides the tag, are computed on element
+    positions through the Cayley table.
     """
     if "dihedral_subquotients" in G._cache:
         return G._cache["dihedral_subquotients"]
@@ -216,7 +210,8 @@ def dihedral_subquotients(G: PermGroup):
             seen.update(
                 frozenset([conjugate(x, g) for x in n_idx]) for g in normalizer
             )
-            tag = _quotient_tag(h_rec.as_group(), n_set)
+            roots = sum(1 for h in h_idx if table[h][h] in n_idx)
+            tag = _dihedral_tag(h_order // len(n_idx), roots // len(n_idx))
             if tag is None:
                 continue
             out.append(
@@ -248,23 +243,3 @@ def _allowed_ratios(h_order: int):
         if p % 2 == 1 and h_order % (2 * p) == 0:
             ratios.add(2 * p)
     return ratios
-
-
-def _is_normal_in(n_set: frozenset, h_gens) -> bool:
-    for g in h_gens:
-        gi = g.inverse()
-        for x in n_set:
-            if gi * x * g not in n_set:
-                return False
-    return True
-
-
-def _quotient_tag(H: PermGroup, n_set):
-    Q = QuotientMap(H, n_set).image
-    tag = identify_small_type(Q)
-    if tag.variant in (KLEIN_FOUR, DIHEDRAL_8, DIHEDRAL_2P):
-        return tag
-    return None
-
-
-

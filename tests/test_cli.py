@@ -216,6 +216,10 @@ def test_chartab_rendering_is_pinned(spec):
         # C25 and C29 have no random target at the default bound
         ("verify", "--catalog", "{empty_space}", "--samples", "5"),
         ("decompose", "S4", "--subgroup", "#3", "--structural"),
+        # Thm2.8.case4, through preimage_set
+        ("decompose", "D16", "--subgroup", "#0", "--structural"),
+        # Prop2.6.case1 and case3, through inflation
+        ("decompose", "C12", "--subgroup", "#1", "--structural"),
         ("parity", "A5"),
         ("subgroups", "S4"),
         ("subgroups", "A5"),
@@ -226,6 +230,8 @@ def test_chartab_rendering_is_pinned(spec):
         "verify",
         "verify-empty-space",
         "tree",
+        "tree-D16",
+        "tree-C12",
         "parity",
         "subgroups-S4",
         "subgroups-A5",

@@ -1,9 +1,11 @@
 """Tests for structural decomposition trees and their flattening."""
 
+import hashlib
 import json
 
 import pytest
 
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
 from parity_inductor.decompose import (
     DecomposeError,
@@ -256,6 +258,28 @@ def test_zero_target_gives_empty_tree():
     cert = flatten_to_certificate(tree)
     assert cert.terms == ()
     assert verify_certificate(cert)
+
+
+# sha256 over the JSON trees of rho_H for every subgroup class H of every
+# catalog group of order <= 48 (344 trees); a change in any node, coefficient
+# or generator id of any tree changes it.
+CATALOG_TREES_SHA256 = "18f16efaeac47f382b7131ee413c468599ddd7521914ff60f81bf6e5552ef7d5"
+
+
+def test_catalog_trees_match_pin():
+    digest = hashlib.sha256()
+    count = 0
+    for entry in load_bundled_catalog():
+        G = entry.group
+        if G.order() > 48:
+            continue
+        for rec in subgroup_lattice(G).records:
+            doc = tree_to_json(decompose_structural(G, rho_H(G, rec)))
+            line = json.dumps([entry.name, rec.class_id, doc], sort_keys=True)
+            digest.update(line.encode() + b"\n")
+            count += 1
+    assert count == 344
+    assert digest.hexdigest() == CATALOG_TREES_SHA256
 
 
 def test_induced_and_inflated_nodes_record_their_carriers():

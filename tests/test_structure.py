@@ -1,7 +1,16 @@
 import pytest
+from _quotient_reference import (
+    QuotientMapReference,
+    conjugacy_classes_reference,
+    dihedral_subquotients_reference,
+    identify_small_type_reference,
+)
 
-from parity_inductor.groupspec import parse_group_spec
-from parity_inductor.lattice import subgroup_lattice, subgroups_up_to_conjugacy
+from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.group import PermGroup
+from parity_inductor.groupspec import group_from_cycles, parse_group_spec
+from parity_inductor.lattice import _set_key, subgroup_lattice, subgroups_up_to_conjugacy
+from parity_inductor.perm import parse_perm
 from parity_inductor.structure import (
     QuotientMap,
     dihedral_subquotients,
@@ -28,6 +37,12 @@ def test_identify_small_type():
     assert str(identify_small_type(parse_group_spec("D14"))) == "Dihedral2p(7)"
     assert str(identify_small_type(parse_group_spec("D12"))) == "Other"
     assert str(identify_small_type(parse_group_spec("S4"))) == "Other"
+    # abelian, not cyclic: 4 and 8 square roots of 1
+    assert str(identify_small_type(group_from_cycles(["(1 2 3 4)", "(5 6)"]))) == "Other"
+    assert (
+        str(identify_small_type(group_from_cycles(["(1 2)", "(3 4)", "(5 6)"])))
+        == "Other"
+    )
 
 
 def test_quotient_c4_by_c2():
@@ -90,15 +105,31 @@ def test_quotient_map_accepts_raw_set():
         QuotientMap(parse_group_spec("S3"), record_of_order(parse_group_spec("S3"), 2).element_set())
 
 
-def test_quotient_preimage_and_section():
+def test_quotient_preimage_set():
     G = parse_group_spec("D42")
     n = record_of_order(G, 7)
     q = quotient(G, n)
     assert q.preimage_set(q.image.elements()) == frozenset(G.elements())
     ident = [p for p in q.image.elements() if p.is_identity()]
     assert q.preimage_set(ident) == n.element_set()
-    for img in q.image.elements():
-        assert q.map_element(q.section(img)) == img
+
+
+@pytest.mark.parametrize(
+    "spec, kernel",
+    [
+        ("S3", ["(1 2 3)", "(1 3 2)"]),
+        ("S3", ["()", "(1 2)", "(1 3)", "(2 3)"]),
+        ("C4", ["()", "(1 3)"]),
+    ],
+    ids=["no-identity", "not-closed", "outside-source"],
+)
+def test_quotient_rejects_kernel_that_is_not_a_subgroup(spec, kernel):
+    G = parse_group_spec(spec)
+    n_set = [parse_perm(c, G.degree) for c in kernel]
+    with pytest.raises(ValueError, match="kernel is not a subgroup"):
+        quotient(G, n_set)
+    with pytest.raises(ValueError, match="kernel is not a subgroup"):
+        QuotientMap(G, n_set)
 
 
 def test_is_hyperelementary():
@@ -158,3 +189,37 @@ def test_dihedral_subquotients_s4():
 def test_dihedral_subquotients_a4():
     pairs = dihedral_subquotients(parse_group_spec("A4"))
     assert len(pairs) == 1 and str(pairs[0].tag) == "KleinFour"
+
+
+def _differential_groups():
+    groups = [(e.name, e.group) for e in load_bundled_catalog()]
+    groups.append(("C2^5", group_from_cycles(["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"])))
+    return groups
+
+
+def test_positions_match_perm_reference_on_catalog():
+    """Classes, tags and quotients on positions equal the `Perm`-product reference."""
+    for name, G in _differential_groups():
+        lattice = subgroup_lattice(G)
+        for rec in lattice.records:
+            H = rec.as_group()
+            assert identify_small_type(H) == identify_small_type_reference(H), (name, rec)
+            classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
+            assert classes == conjugacy_classes_reference(H), (name, rec)
+        got = [
+            (d.h_record.class_id, d.n_class_id, str(d.tag), _set_key(d.n_elements))
+            for d in dihedral_subquotients(G)
+        ]
+        assert got == dihedral_subquotients_reference(G), name
+        for rec in lattice.records:
+            if not rec.normal:
+                continue
+            q = quotient(G, rec)
+            ref = QuotientMapReference(G, rec)
+            assert q.image.generators == PermGroup(ref.generators, degree=q.image.degree).generators
+            for g in G.elements():
+                assert q.map_element(g) == ref.map_element(g), (name, rec, g)
+            image = q.image.elements()
+            assert q.preimage_set(image) == ref.preimage_set(image)
+            for p in image:
+                assert q.preimage_set([p]) == ref.preimage_set([p]), (name, rec, p)
