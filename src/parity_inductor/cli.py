@@ -63,7 +63,9 @@ def _resolve_subgroup(G, text: str):
         except GroupSpecError as exc:
             raise CliError(str(exc)) from None
         try:
-            return lattice.record_for_set(frozenset(K.elements()))
+            return lattice.records[
+                lattice.class_of_set(G.element_index(k) for k in K.elements())
+            ]
         except KeyError:
             raise CliError("%r does not generate a subgroup of the group" % text) from None
     else:

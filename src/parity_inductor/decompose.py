@@ -19,7 +19,7 @@ from .genchar import (
 from .generators import theorem_family
 from .group import PermGroup
 from .intlinalg import solve_left_canonical
-from .lattice import SubgroupRecord, _set_key, subgroup_lattice
+from .lattice import subgroup_lattice
 from .membership import (
     MembershipCertificate,
     _perm_lattice,
@@ -214,7 +214,7 @@ def _supersets(G, h_set, order):
             for s in orbit
             if len(s) == order and h_set < s
         ),
-        key=_set_key,
+        key=sorted,
     )
 
 
@@ -222,17 +222,8 @@ def _rho_of_set(G, h_set) -> GenChar:
     return rho_H(G, subgroup_lattice(G).record_for_set(h_set))
 
 
-def _record_for_exact_set(G, elements) -> SubgroupRecord:
-    """Record whose elements are exactly these, not just conjugate to them."""
-    rec = subgroup_lattice(G).record_for_set(elements)
-    if rec.element_set() == elements:
-        return rec
-    cache = G._cache.setdefault("exact_records", {})
-    if elements not in cache:
-        cache[elements] = SubgroupRecord(
-            G, elements, class_id=rec.class_id, normal=False
-        )
-    return cache[elements]
+def _preimage(qmap, image_positions) -> frozenset:
+    return frozenset(a for a, q in enumerate(qmap.image_of) if q in image_positions)
 
 
 def _lemma25_split(G, rho, handler, depth) -> TreeNode:
@@ -265,7 +256,7 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
 
 def _two_group(G, rho, depth) -> TreeNode:
     def handler(rec, depth):
-        return _thm28_rho(G, rec.element_set(), depth + 1)
+        return _thm28_rho(G, rec.positions, depth + 1)
 
     return _lemma25_split(G, rho, handler, depth)
 
@@ -282,19 +273,22 @@ def _thm28_rho(G, h_set, depth) -> TreeNode:
         return TreeNode("Thm2.8.case1", rho)
     u_set = _supersets(G, h_set, 2 * len(h_set))[0]
     v_set = _supersets(G, u_set, 4 * len(h_set))[0]
+    table, inverse, _ = G.cayley()
     core = frozenset(
-        x for x in h_set if all(v.inverse() * x * v in h_set for v in v_set)
+        x
+        for x in h_set
+        if all(table[inverse[v]][table[x][v]] in h_set for v in v_set)
     )
     if core == h_set:
-        if any(x * x not in h_set for x in v_set):
+        if any(table[x][x] not in h_set for x in v_set):
             return _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth)
         return _thm28_klein_chain(G, rho, h_set, v_set, depth)
     return _thm28_non_normal(G, rho, h_set, v_set, core, depth)
 
 
 def _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth) -> TreeNode:
-    v_rec = _record_for_exact_set(G, v_set)
-    qmap = quotient(v_rec.as_group(), h_set)
+    v_rec = subgroup_lattice(G).record_for_set(v_set)
+    qmap = quotient(v_rec.as_group(), v_rec.local(h_set))
     qtab = character_table(qmap.image)
     faithful = next(
         i for i in qtab.linear_row_indices() if qtab.conj_rows[i] != i
@@ -327,14 +321,14 @@ def _thm28_klein_chain(G, rho, h_set, v_set, depth) -> TreeNode:
 def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
     if 2 * len(core) != len(h_set):
         raise DecomposeError("core of the non-normal step has wrong index")
-    v_rec = _record_for_exact_set(G, v_set)
-    qmap = quotient(v_rec.as_group(), core)
+    v_rec = subgroup_lattice(G).record_for_set(v_set)
+    qmap = quotient(v_rec.as_group(), v_rec.local(core))
     quo = qmap.image
     if str(identify_small_type(quo)) != "Dihedral8":
         raise DecomposeError("non-normal step quotient is not of order-8 type")
     qtab = character_table(quo)
-    h_image = frozenset(qmap.map_element(x) for x in h_set)
-    coset = perm_char(quo, _record_for_exact_set(quo, h_image))
+    h_image = frozenset(qmap.image_of[a] for a in v_rec.local(h_set))
+    coset = perm_char(quo, subgroup_lattice(quo).record_for_set(h_image))
     sigma_row = next(i for i, d in enumerate(qtab.degrees) if d == 2)
     lam_row = next(
         i
@@ -353,8 +347,8 @@ def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
     expansion = induce(v_rec, twist)
     gen = _find_family_generator(G, expansion)
     leaf = TreeNode(LEAF, expansion, generator=gen, multiplicity=1)
-    k_lam = qmap.preimage_set(LinearChar(qtab, lam_row).kernel_elements())
-    k_det = qmap.preimage_set(det_sigma.kernel_elements())
+    k_lam = v_rec.lift(_preimage(qmap, LinearChar(qtab, lam_row).kernel_positions()))
+    k_det = v_rec.lift(_preimage(qmap, det_sigma.kernel_positions()))
     children = [
         leaf,
         _thm28_rho(G, k_lam, depth + 1),
@@ -375,23 +369,18 @@ def _find_family_generator(G, expansion):
     raise DecomposeError("expansion is not a family generator")
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def _hyperelementary(G, rho, depth) -> TreeNode:
     p, n_rec = is_hyperelementary(G)
-    odd = _odd_part(n_rec.order)
-    if odd == 1:
+    odd_primes = prime_factors(n_rec.order) - {2}
+    if not odd_primes:
         return _lemma24(G, rho)
-    q = min(prime_factors(odd))
-    n_sub = n_rec.as_group()
-    v_set = frozenset(x for x in n_sub.elements() if (x ** q).is_identity())
+    q = min(odd_primes)
+    orders = G.cayley().orders
+    # the order-q part of the cyclic N
+    v_set = frozenset(x for x in n_rec.positions if q % orders[x] == 0)
 
     def handler(rec, depth):
-        return _prop26_rho(G, v_set, q, rec.element_set(), depth + 1)
+        return _prop26_rho(G, v_set, q, rec.positions, depth + 1)
 
     return _lemma25_split(G, rho, handler, depth)
 
@@ -403,11 +392,12 @@ def _prop26_rho(G, v_set, q, h_set, depth) -> TreeNode:
     rho = _rho_of_set(G, h_set)
     if v_set <= h_set:
         return _prop26_inflation(G, rho, v_set, h_set, "Prop2.6.case1", depth)
-    vh_set = frozenset(v * h for v in v_set for h in h_set)
+    table = G.cayley().table
+    vh_set = frozenset(table[v][h] for v in v_set for h in h_set)
     if len(vh_set) < G.order():
         return _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth)
     kernel = frozenset(
-        x for x in h_set if all(x.inverse() * v * x == v for v in v_set)
+        x for x in h_set if all(table[x][v] == table[v][x] for v in v_set)
     )
     if len(kernel) > 1:
         return _prop26_inflation(G, rho, kernel, h_set, "Prop2.6.case3", depth)
@@ -417,7 +407,7 @@ def _prop26_rho(G, v_set, q, h_set, depth) -> TreeNode:
 def _prop26_inflation(G, rho, kernel_set, h_set, kind, depth) -> TreeNode:
     qmap = quotient(G, kernel_set)
     quo = qmap.image
-    h_image = frozenset(qmap.map_element(x) for x in h_set)
+    h_image = frozenset(qmap.image_of[a] for a in h_set)
     rho_quo = rho_H(quo, subgroup_lattice(quo).record_for_set(h_image))
     subtree = _dispatch(quo, rho_quo, depth + 1)
     inflated = TreeNode(INFLATED, rho, [subtree], qmap=qmap)
@@ -425,9 +415,9 @@ def _prop26_inflation(G, rho, kernel_set, h_set, kind, depth) -> TreeNode:
 
 
 def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
-    vh_rec = _record_for_exact_set(G, vh_set)
+    vh_rec = subgroup_lattice(G).record_for_set(vh_set)
     sub = vh_rec.as_group()
-    h_rec_sub = subgroup_lattice(sub).record_for_set(h_set)
+    h_rec_sub = subgroup_lattice(sub).record_for_set(vh_rec.local(h_set))
     rho0 = rho_H(sub, h_rec_sub)
     subtree = _dispatch(sub, rho0, depth + 1)
     induced_char = induce(vh_rec, rho0)
@@ -440,7 +430,7 @@ def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
         )
         remainder = remainder - q * _rho_of_set(G, vh_set)
     else:
-        k_set = delta.kernel_elements()
+        k_set = vh_rec.lift(delta.kernel_positions())
         if not v_set <= k_set:
             raise DecomposeError("determinant kernel misses the Sylow base")
         children.append(_prop26_rho(G, v_set, q, k_set, depth + 1))
@@ -483,7 +473,7 @@ def _dispatch(G, rho, depth) -> TreeNode:
     order = G.order()
     if order % 2 == 1:
         return _lemma24(G, rho)
-    if _odd_part(order) == 1:
+    if prime_factors(order) <= {2}:
         return _two_group(G, rho, depth)
     if is_hyperelementary(G) is not None:
         return _hyperelementary(G, rho, depth)
@@ -566,5 +556,5 @@ def tree_to_json(node: TreeNode) -> dict:
         doc["subgroup_order"] = node.subgroup.order
         doc["subgroup"] = node.subgroup.label
     if node.kind == INFLATED:
-        doc["kernel_order"] = len(node.qmap.kernel_set)
+        doc["kernel_order"] = len(node.qmap.kernel)
     return doc

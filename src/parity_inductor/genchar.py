@@ -154,18 +154,18 @@ class LinearChar:
             raise CharTableError("product of linear characters missing from table")
         return LinearChar(self.table, row)
 
-    def kernel_elements(self) -> frozenset:
-        G = self.table.group
-        elts = G.elements()
-        kern = []
-        for a, cls in zip(self.exponents, self.table.classes):
-            if a == 0:
-                kern.extend(elts[m] for m in cls.members)
-        return frozenset(kern)
+    def kernel_positions(self) -> frozenset:
+        """Positions in the group's ``elements()`` where the value is 1."""
+        return frozenset(
+            m
+            for a, cls in zip(self.exponents, self.table.classes)
+            if a == 0
+            for m in cls.members
+        )
 
     def kernel_record(self) -> SubgroupRecord:
         lat = subgroup_lattice(self.table.group)
-        return lat.record_for_set(self.kernel_elements())
+        return lat.record_for_set(self.kernel_positions())
 
     def __eq__(self, other):
         return (
@@ -271,7 +271,7 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
         raise ValueError("character does not live on the quotient's table")
     gt = character_table(qmap.source)
     if "inflation" not in Q._cache:
-        fusion = [Q.class_of(qmap.map_element(cls.rep)) for cls in gt.classes]
+        fusion = [Q.class_of_index(qmap.image_of[cls.members[0]]) for cls in gt.classes]
         Q._cache["inflation"] = _pullback(qt, gt, fusion)
     return GenChar(gt, _apply(zip(*Q._cache["inflation"]), rho.coeffs))
 
@@ -305,12 +305,13 @@ def perm_char(G: PermGroup, H) -> GenChar:
         if cache_key in G._cache:
             return G._cache[cache_key]
     sub = _subgroup_of(G, H)
-    elements = H.element_set() if isinstance(H, SubgroupRecord) else sub.elements()
+    # a cache key means H is a record of G
+    positions = H.positions if cache_key else [G.element_index(h) for h in sub.elements()]
     gt = character_table(G)
     counts = [0] * gt.class_count()
-    for h in elements:
-        counts[G.class_of(h)] += 1
-    scale = G.order() // len(elements)
+    for a in positions:
+        counts[G.class_of_index(a)] += 1
+    scale = G.order() // len(positions)
     vals = [(scale * n // c.size,) for n, c in zip(counts, gt.classes)]
     out = GenChar(gt, gt.decompose(vals))
     if cache_key is not None:

@@ -35,7 +35,7 @@ class GeneratorDesc:
         "expansion",
         "index",
         "h_record",
-        "n_elements",
+        "n_positions",
         "n_class_id",
         "tag",
         "tau_index",
@@ -48,7 +48,7 @@ class GeneratorDesc:
         self.expansion = expansion
         self.index = extra.get("index")
         self.h_record = extra.get("h_record")
-        self.n_elements = extra.get("n_elements")
+        self.n_positions = extra.get("n_positions")
         self.n_class_id = extra.get("n_class_id")
         self.tag = extra.get("tag")
         self.tau_index = extra.get("tau_index")
@@ -114,7 +114,7 @@ def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
     sub = dq.h_record.as_group()
     subtab = character_table(sub)
-    qmap = quotient(sub, dq.n_elements)
+    qmap = quotient(sub, dq.h_record.local(dq.n_positions))
     qtab = character_table(qmap.image)
     one = trivial_char(subtab)
     out = []
@@ -134,7 +134,7 @@ def _dihedral_twists(dq):
                 gen_id,
                 expansion,
                 h_record=dq.h_record,
-                n_elements=dq.n_elements,
+                n_positions=dq.n_positions,
                 n_class_id=dq.n_class_id,
                 tag=str(dq.tag),
                 tau_index=tau_index,
@@ -148,7 +148,7 @@ def _type2_sort_key(desc: GeneratorDesc):
     return (
         -desc.h_record.order,
         desc.h_record.class_id,
-        len(desc.n_elements),
+        len(desc.n_positions),
         desc.n_class_id,
         desc.tag,
         desc.tau_index,
@@ -269,7 +269,7 @@ def _cyclic_quotient_twists(record):
 
 def _tagged_quotient_twists(dq):
     """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
-    qmap = quotient(dq.h_record.as_group(), dq.n_elements)
+    qmap = quotient(dq.h_record.as_group(), dq.h_record.local(dq.n_positions))
     qtab = character_table(qmap.image)
     out = []
     for b_index, coeffs in enumerate(_real_zero_lattice_basis(qtab)):
@@ -287,7 +287,7 @@ def _tagged_quotient_twists(dq):
                 gen_id,
                 expansion,
                 h_record=dq.h_record,
-                n_elements=dq.n_elements,
+                n_positions=dq.n_positions,
                 n_class_id=dq.n_class_id,
                 tag=str(dq.tag),
                 tau_index=b_index,

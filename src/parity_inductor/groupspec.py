@@ -6,7 +6,7 @@ import re
 
 from ._primes import is_prime, primitive_root
 from .group import PermGroup
-from .perm import PermError, max_point, parse_perm
+from .perm import Perm, PermError, format_perm, max_point, parse_perm
 
 _FAMILY_RE = re.compile(r"^([CDSAQF])(\d+)(?::(\d+))?$")
 
@@ -121,25 +121,7 @@ def _family(letter: str, n: int, extra) -> PermGroup:
         g = primitive_root(p)
         h = pow(g, (p - 1) // k, p)
         images = [(h * x) % p for x in range(p)]
-        mult = _perm_text_from_images(images)
+        mult = format_perm(Perm(images))
         return group_from_cycles([trans, mult], degree=p)
     raise GroupSpecError("unknown family letter %r" % letter)
 
-
-def _perm_text_from_images(images) -> str:
-    """Cycle text for the map point (i+1) -> images[i]+1."""
-    n = len(images)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start] or images[start] == start:
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = images[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = images[nxt]
-        parts.append(_cycle_text(p + 1 for p in cyc))
-    return "".join(parts) if parts else "()"

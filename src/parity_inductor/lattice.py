@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from math import gcd
 
@@ -15,19 +16,26 @@ class LatticeBoundError(ValueError):
 
 
 class SubgroupRecord:
-    """A subgroup of a fixed parent group, tagged with its lattice class."""
+    """A subgroup of a fixed parent group, tagged with its lattice class.
 
-    def __init__(self, parent: PermGroup, elements: frozenset, class_id: int, normal: bool):
+    ``positions`` is the frozenset of the subgroup's positions in
+    ``parent.elements()``.  Both element lists are sorted by images, so the
+    i-th element of ``as_group()`` is the parent's i-th smallest position:
+    ``local`` and ``lift`` translate between the two numberings.
+    """
+
+    def __init__(self, parent: PermGroup, positions: frozenset, class_id: int, normal: bool):
         self.parent = parent
-        self._elements = elements  # frozenset of Perm
-        self.order = len(elements)
+        self.positions = positions
+        self.order = len(positions)
         self.class_id = class_id
         self.normal = normal
         self._group = None
 
     @cached_property
     def generators(self) -> tuple:
-        return _greedy_generators(self.parent, self._elements)
+        elts = self.parent.elements()
+        return tuple(elts[a] for a in _greedy_generators(self.parent, self.positions))
 
     @property
     def index(self) -> int:
@@ -38,12 +46,26 @@ class SubgroupRecord:
         return "#%d" % self.class_id
 
     def element_set(self) -> frozenset:
-        return self._elements
+        """The subgroup's elements as a frozenset of ``Perm``, built on request."""
+        elts = self.parent.elements()
+        return frozenset([elts[a] for a in self.positions])
 
     def as_group(self) -> PermGroup:
         if self._group is None:
             self._group = PermGroup(self.generators, degree=self.parent.degree)
         return self._group
+
+    @cached_property
+    def _sorted(self) -> tuple:
+        return tuple(sorted(self.positions))
+
+    def local(self, positions) -> frozenset:
+        """Positions in ``as_group().elements()`` of these parent positions."""
+        return frozenset([bisect_left(self._sorted, a) for a in positions])
+
+    def lift(self, positions) -> frozenset:
+        """Parent positions of these positions in ``as_group().elements()``."""
+        return frozenset([self._sorted[i] for i in positions])
 
     def __repr__(self):
         return "SubgroupRecord(order=%d, class_id=%d, normal=%s)" % (
@@ -53,18 +75,14 @@ class SubgroupRecord:
         )
 
 
-def _set_key(elements):
-    return tuple(sorted(p.images for p in elements))
+def _greedy_generators(G: PermGroup, members) -> tuple:
+    """Positions of a small deterministic generating set of the subgroup ``members``.
 
-
-def _greedy_generators(G: PermGroup, elements) -> tuple:
-    """Small deterministic generating set: highest element order first.
-
-    Ties go to the smaller position in ``G.elements()``, which is sorted by
-    images, so the choice only depends on the elements themselves.
+    Highest element order first; ties go to the smaller position in
+    ``G.elements()``, which is sorted by images, so the choice only depends
+    on the elements themselves.
     """
     table, _, orders = G.cayley()
-    members = [G.element_index(p) for p in elements]
     gens = []
     current = frozenset({0})
     for c in sorted(members, key=lambda a: (-orders[a], a)):
@@ -73,8 +91,7 @@ def _greedy_generators(G: PermGroup, elements) -> tuple:
         if c not in current:
             current = _extend(table, current, gens, c)
             gens.append(c)
-    elts = G.elements()
-    return tuple(elts[a] for a in gens)
+    return tuple(gens)
 
 
 def _extend(table, sub, gens, g) -> frozenset:
@@ -153,15 +170,15 @@ class SubgroupLattice:
     """All subgroups of a group, organised into conjugacy classes.
 
     The enumeration runs on positions in ``G.elements()`` through the
-    group's Cayley table; ``index_sets`` keeps those position sets, parallel
-    to ``class_sets``.
+    group's Cayley table, and every subgroup stays a frozenset of those
+    positions: ``class_sets`` holds each class's members, sorted.
     """
 
-    def __init__(self, G: PermGroup, max_order: int = DEFAULT_MAX_ORDER):
-        if G.order() > max_order:
+    def __init__(self, G: PermGroup):
+        if G.order() > DEFAULT_MAX_ORDER:
             raise LatticeBoundError(
                 "group order %d exceeds the subgroup-enumeration bound %d"
-                % (G.order(), max_order)
+                % (G.order(), DEFAULT_MAX_ORDER)
             )
         self.group = G
         table, inverse, orders = G.cayley()
@@ -189,13 +206,9 @@ class SubgroupLattice:
                 frontier = new
             seen |= orbit
             classes.append(sorted(orbit, key=sorted))
-        # positions follow the images' order, so this is the (order, _set_key) order
+        # positions follow the images' order, so this is (order, sorted elements)
         classes.sort(key=lambda orbit: (len(orbit[0]), sorted(orbit[0])))
-        self.index_sets = tuple(tuple(orbit) for orbit in classes)
-        elts = G.elements()
-        self.class_sets = tuple(
-            tuple(frozenset([elts[a] for a in fs]) for fs in orbit) for orbit in classes
-        )
+        self.class_sets = tuple(tuple(orbit) for orbit in classes)
         self.records = tuple(
             SubgroupRecord(G, orbit[0], class_id=i, normal=len(orbit) == 1)
             for i, orbit in enumerate(self.class_sets)
@@ -203,15 +216,28 @@ class SubgroupLattice:
         self._set_to_class = {
             fs: i for i, orbit in enumerate(self.class_sets) for fs in orbit
         }
+        self._conjugates = {}
 
-    def class_of_set(self, elements: frozenset) -> int:
+    def class_of_set(self, positions) -> int:
         try:
-            return self._set_to_class[frozenset(elements)]
+            return self._set_to_class[frozenset(positions)]
         except KeyError:
             raise KeyError("not a subgroup of this group") from None
 
-    def record_for_set(self, elements: frozenset) -> SubgroupRecord:
-        return self.records[self.class_of_set(elements)]
+    def record_for_set(self, positions) -> SubgroupRecord:
+        """The record with exactly these positions, not just a conjugate of them.
+
+        A conjugate of a class representative gets its own record, made once.
+        """
+        positions = frozenset(positions)
+        rec = self.records[self.class_of_set(positions)]
+        if rec.positions == positions:
+            return rec
+        if positions not in self._conjugates:
+            self._conjugates[positions] = SubgroupRecord(
+                self.group, positions, class_id=rec.class_id, normal=False
+            )
+        return self._conjugates[positions]
 
 
 def subgroup_lattice(G: PermGroup) -> SubgroupLattice:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ._primes import is_prime, prime_factors
 from .group import PermGroup
-from .lattice import SubgroupRecord, _set_key, subgroup_lattice
+from .lattice import SubgroupRecord, _greedy_generators, subgroup_lattice
 from .perm import Perm
 
 
@@ -60,59 +60,44 @@ def _dihedral_tag(order: int, roots: int):
 class QuotientMap:
     """The quotient G/N realised as a faithful action on the cosets of N.
 
-    Right cosets N*g are numbered by their smallest position in
-    ``G.elements()`` and found through G's Cayley table; each coset's image
-    permutation is computed once, so ``map_element`` is a lookup.
+    ``kernel`` is N as positions in ``G.elements()``.  Right cosets N*g are
+    numbered by their smallest position and found through G's Cayley table;
+    ``image_of[a]`` is the position in ``image.elements()`` of the image of
+    the element at position a.
     """
 
     def __init__(self, source: PermGroup, kernel):
         if isinstance(kernel, SubgroupRecord):
             if kernel.parent is not source:
                 raise ValueError("kernel record belongs to a different group")
-            kernel = kernel.element_set()
-        n_set = frozenset(kernel)
+            kernel = kernel.positions
+        members = frozenset(kernel)
         table, inverse, _ = source.cayley()
-        try:
-            n_idx = [source.element_index(x) for x in n_set]
-        except KeyError:
-            raise ValueError("kernel is not a subgroup") from None
-        members = frozenset(n_idx)
-        if 0 not in members or any(
-            table[a][b] not in members for a in n_idx for b in n_idx
+        if 0 not in members or not members.issubset(range(len(table))) or any(
+            table[a][b] not in members for a in members for b in members
         ):
             raise ValueError("kernel is not a subgroup")
         for g in map(source.element_index, source.generators):
-            if any(table[inverse[g]][table[x][g]] not in members for x in n_idx):
+            if any(table[inverse[g]][table[x][g]] not in members for x in members):
                 raise ValueError("kernel is not normal")
         self.source = source
-        self.kernel_set = n_set
+        self.kernel = members
         coset_of = [None] * len(table)
         reps = []
         for g in range(len(table)):
             if coset_of[g] is None:
-                for x in n_idx:
+                for x in members:
                     coset_of[table[x][g]] = len(reps)
                 reps.append(g)
-        self._coset_of = coset_of
-        self._images = [
-            Perm(tuple(coset_of[table[r][g]] for r in reps)) for g in reps
-        ]
-        gens = [self.map_element(g) for g in source.generators]
+        images = [Perm(tuple(coset_of[table[r][g]] for r in reps)) for g in reps]
+        gens = [images[coset_of[source.element_index(g)]] for g in source.generators]
         self.image = PermGroup(gens, degree=len(reps))
-
-    def map_element(self, g: Perm) -> Perm:
-        return self._images[self._coset_of[self.source.element_index(g)]]
-
-    def preimage_set(self, image_elements) -> frozenset:
-        """All source elements mapping into the given set of image elements."""
-        wanted = {p.images for p in image_elements}
-        hit = [q.images in wanted for q in self._images]
-        elts = self.source.elements()
-        return frozenset(elts[a] for a, c in enumerate(self._coset_of) if hit[c])
+        position = [self.image.element_index(p) for p in images]
+        self.image_of = [position[c] for c in coset_of]
 
 
 def quotient(G: PermGroup, N) -> QuotientMap:
-    """G/N for a normal record or element set N, built once per (G, N)."""
+    """G/N for a normal record or position set N, built once per (G, N)."""
     key = N if isinstance(N, SubgroupRecord) else frozenset(N)
     cache = G._cache.setdefault("quotients", {})
     if key not in cache:
@@ -123,6 +108,7 @@ def quotient(G: PermGroup, N) -> QuotientMap:
 def is_hyperelementary(G: PermGroup):
     """Smallest prime p and largest normal cyclic N, coprime to p, with G/N a p-group."""
     order = G.order()
+    orders = G.cayley().orders
     primes = sorted({2} | prime_factors(order))
     lattice = subgroup_lattice(G)
     for p in primes:
@@ -130,12 +116,11 @@ def is_hyperelementary(G: PermGroup):
         for rec in lattice.records:
             if not rec.normal:
                 continue
-            idx = order // rec.order
             if rec.order % p == 0 and rec.order > 1:
                 continue
-            if not _is_p_power(idx, p):
+            if not prime_factors(order // rec.order) <= {p}:
                 continue
-            if not rec.as_group().is_cyclic():
+            if not any(orders[x] == rec.order for x in rec.positions):
                 continue
             if best is None or rec.order > best.order:
                 best = rec
@@ -144,18 +129,12 @@ def is_hyperelementary(G: PermGroup):
     return None
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 @dataclass(frozen=True)
 class DihedralSubquotient:
     """A pair N normal-in H with H/N of Klein-four or dihedral type."""
 
     h_record: SubgroupRecord
-    n_elements: frozenset
+    n_positions: frozenset
     n_class_id: int
     tag: SmallTypeTag
 
@@ -165,7 +144,8 @@ def dihedral_subquotients(G: PermGroup):
 
     H runs over lattice class representatives; N-choices within one H are
     deduplicated under conjugation by the normalizer of H, which realises
-    G-conjugacy of pairs.  Normality, normalizers, orbits and the count of
+    G-conjugacy of pairs: each N's orbit is closed under generators of the
+    normalizer.  Normality, normalizers, orbits and the count of
     h in H with h*h in N, which decides the tag, are computed on element
     positions through the Cayley table.
     """
@@ -178,12 +158,12 @@ def dihedral_subquotients(G: PermGroup):
         return table[inverse[g]][table[x][g]]
 
     by_order = {}
-    for class_id, orbit in enumerate(lattice.index_sets):
-        for n_idx, n_set in zip(orbit, lattice.class_sets[class_id]):
-            by_order.setdefault(len(n_idx), []).append((n_idx, n_set, class_id))
+    for class_id, orbit in enumerate(lattice.class_sets):
+        for n_set in orbit:
+            by_order.setdefault(len(n_set), []).append((n_set, class_id))
     out = []
     for h_rec in lattice.records:
-        h_idx = lattice.index_sets[h_rec.class_id][0]
+        h_set = h_rec.positions
         h_order = h_rec.order
         h_gens = [G.element_index(g) for g in h_rec.generators]
         candidates = sorted(
@@ -191,7 +171,7 @@ def dihedral_subquotients(G: PermGroup):
                 cand
                 for ratio in _allowed_ratios(h_order)
                 for cand in by_order.get(h_order // ratio, ())
-                if cand[0] <= h_idx
+                if cand[0] <= h_set
                 and all(conjugate(x, g) in cand[0] for g in h_gens for x in cand[0])
             ),
             key=lambda cand: sorted(cand[0]),
@@ -199,25 +179,29 @@ def dihedral_subquotients(G: PermGroup):
         if not candidates:
             continue
         normalizer = [
-            g
-            for g in range(len(table))
-            if all(conjugate(x, g) in h_idx for x in h_gens)
+            g for g in range(len(table)) if all(conjugate(x, g) in h_set for x in h_gens)
         ]
+        n_gens = _greedy_generators(G, normalizer)
         seen = set()
-        for n_idx, n_set, class_id in candidates:
-            if n_idx in seen:
+        for n_set, class_id in candidates:
+            if n_set in seen:
                 continue
-            seen.update(
-                frozenset([conjugate(x, g) for x in n_idx]) for g in normalizer
-            )
-            roots = sum(1 for h in h_idx if table[h][h] in n_idx)
-            tag = _dihedral_tag(h_order // len(n_idx), roots // len(n_idx))
+            seen.add(n_set)
+            orbit = [n_set]
+            for cur in orbit:
+                for g in n_gens:
+                    image = frozenset([conjugate(x, g) for x in cur])
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            roots = sum(1 for h in h_set if table[h][h] in n_set)
+            tag = _dihedral_tag(h_order // len(n_set), roots // len(n_set))
             if tag is None:
                 continue
             out.append(
                 DihedralSubquotient(
                     h_record=h_rec,
-                    n_elements=n_set,
+                    n_positions=n_set,
                     n_class_id=class_id,
                     tag=tag,
                 )
@@ -227,7 +211,7 @@ def dihedral_subquotients(G: PermGroup):
             d.h_record.class_id,
             d.n_class_id,
             str(d.tag),
-            _set_key(d.n_elements),
+            sorted(d.n_positions),
         )
     )
     G._cache["dihedral_subquotients"] = out

@@ -9,7 +9,7 @@ It stays here as the independent side of the differential tests.
 
 from parity_inductor._primes import is_prime
 from parity_inductor.group import PermGroup
-from parity_inductor.lattice import SubgroupRecord, _set_key, subgroup_lattice
+from parity_inductor.lattice import SubgroupRecord, subgroup_lattice
 from parity_inductor.perm import Perm
 from parity_inductor.structure import (
     CYCLIC,
@@ -19,7 +19,12 @@ from parity_inductor.structure import (
     OTHER,
     SmallTypeTag,
     _allowed_ratios,
+    _dihedral_tag,
 )
+
+
+def _set_key(elements):
+    return tuple(sorted(p.images for p in elements))
 
 
 def conjugacy_classes_reference(G):
@@ -132,7 +137,8 @@ def _dihedral_presentation(G, m: int) -> bool:
     return False
 
 
-def _quotient_tag(H, n_set):
+def quotient_tag(H, n_set):
+    """Tag of H/N from the quotient group built out of `Perm` cosets."""
     q = QuotientMapReference(H, n_set)
     image = PermGroup(q.generators, degree=len(q._reps))
     tag = identify_small_type_reference(image)
@@ -141,12 +147,19 @@ def _quotient_tag(H, n_set):
     return None
 
 
-def dihedral_subquotients_reference(G):
+def square_count_tag(H, n_set):
+    """Tag of H/N from its order and the count of h in H with h*h in N."""
+    roots = sum(1 for h in H.elements() if h * h in n_set)
+    return _dihedral_tag(H.order() // len(n_set), roots // len(n_set))
+
+
+def dihedral_subquotients_reference(G, tag_of=quotient_tag):
     """(H class, N class, tag, N key) for every tagged subquotient, up to conjugacy.
 
-    Candidates and their deduplication under the normalizer of H are the
-    same as in `structure.dihedral_subquotients`; the tag comes from the
-    quotient group built out of `Perm` cosets.
+    Candidates are those of `structure.dihedral_subquotients`; each N is
+    deduplicated by conjugating it with every element of the normalizer of
+    H, and ``tag_of(H, N)`` tags H/N (by default from the quotient group
+    built out of `Perm` cosets).
     """
     lattice = subgroup_lattice(G)
     table, inverse, _ = G.cayley()
@@ -154,13 +167,15 @@ def dihedral_subquotients_reference(G):
     def conjugate(x, g):
         return table[inverse[g]][table[x][g]]
 
+    elts = G.elements()
     by_order = {}
-    for class_id, orbit in enumerate(lattice.index_sets):
-        for n_idx, n_set in zip(orbit, lattice.class_sets[class_id]):
+    for class_id, orbit in enumerate(lattice.class_sets):
+        for n_idx in orbit:
+            n_set = frozenset(elts[a] for a in n_idx)
             by_order.setdefault(len(n_idx), []).append((n_idx, n_set, class_id))
     out = []
     for h_rec in lattice.records:
-        h_idx = lattice.index_sets[h_rec.class_id][0]
+        h_idx = h_rec.positions
         h_gens = [G.element_index(g) for g in h_rec.generators]
         candidates = sorted(
             (
@@ -184,7 +199,7 @@ def dihedral_subquotients_reference(G):
             seen.update(
                 frozenset([conjugate(x, g) for x in n_idx]) for g in normalizer
             )
-            tag = _quotient_tag(h_rec.as_group(), n_set)
+            tag = tag_of(h_rec.as_group(), n_set)
             if tag is not None:
                 out.append((h_rec.class_id, class_id, str(tag), _set_key(n_set)))
     return sorted(out)

@@ -241,7 +241,7 @@ def _check_against_reference(G):
         if rec.normal:
             q = quotient(G, rec)
             qt = character_table(q.image)
-            fusion = [q.image.class_of(q.map_element(cls.rep)) for cls in t.classes]
+            fusion = [q.image.class_of_index(q.image_of[cls.members[0]]) for cls in t.classes]
             want = tuple(decompose_reference(t, [row[c] for c in fusion]) for row in qt.values)
             assert _pullback(qt, t, fusion) == want, rec.label
 

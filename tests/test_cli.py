@@ -216,7 +216,9 @@ def test_chartab_rendering_is_pinned(spec):
         # C25 and C29 have no random target at the default bound
         ("verify", "--catalog", "{empty_space}", "--samples", "5"),
         ("decompose", "S4", "--subgroup", "#3", "--structural"),
-        # Thm2.8.case4, through preimage_set
+        # a subgroup given by cycles, looked up by its positions
+        ("decompose", "S4", "--subgroup", "(1 3)", "--structural"),
+        # Thm2.8.case4, through kernel preimages in the quotient
         ("decompose", "D16", "--subgroup", "#0", "--structural"),
         # Prop2.6.case1 and case3, through inflation
         ("decompose", "C12", "--subgroup", "#1", "--structural"),
@@ -230,6 +232,7 @@ def test_chartab_rendering_is_pinned(spec):
         "verify",
         "verify-empty-space",
         "tree",
+        "tree-cycles",
         "tree-D16",
         "tree-C12",
         "parity",

@@ -18,6 +18,7 @@ from parity_inductor.generators import theorem_family
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.membership import random_S_element, verify_certificate
+from parity_inductor.perm import Perm
 from parity_inductor.structure import is_hyperelementary
 
 WIRE_KINDS = {
@@ -282,6 +283,28 @@ def test_catalog_trees_match_pin():
     assert digest.hexdigest() == CATALOG_TREES_SHA256
 
 
+def test_warm_catalog_trees_make_no_perm_products(monkeypatch):
+    """Once the caches are warm, the recursion runs on Cayley-table positions."""
+    groups = [e.group for e in load_bundled_catalog() if e.group.order() <= 48]
+
+    def trees():
+        for G in groups:
+            for rec in subgroup_lattice(G).records:
+                decompose_structural(G, rho_H(G, rec))
+
+    trees()
+    calls = []
+    product = Perm.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    trees()
+    assert len(calls) == 0
+
+
 def test_induced_and_inflated_nodes_record_their_carriers():
     G = parse_group_spec("S4")
     rec = next(r for r in subgroup_lattice(G).records if r.order == 2)
@@ -298,7 +321,7 @@ def test_induced_and_inflated_nodes_record_their_carriers():
     assert inflated
     for node in inflated:
         assert node.qmap is not None
-        assert len(node.qmap.kernel_set) > 1
+        assert len(node.qmap.kernel) > 1
 
 
 def test_leaf_accounting_is_exact():

@@ -263,8 +263,8 @@ def _inflate_reference(qmap, rho):
     gt = character_table(qmap.source)
     vals = []
     for cls in gt.classes:
-        q = qmap.map_element(cls.rep)
-        vals.append(rho.value(Q.class_of_index(Q.element_index(q))))
+        q = qmap.image_of[qmap.source.element_index(cls.rep)]
+        vals.append(rho.value(Q.class_of_index(q)))
     return from_values(gt, vals)
 
 

@@ -5,12 +5,21 @@ from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import (
     LatticeBoundError,
     SubgroupLattice,
-    _set_key,
     normal_subgroups,
     subgroup_lattice,
     subgroups_up_to_conjugacy,
 )
 from parity_inductor.perm import identity, parse_perm
+
+
+def _set_key(elements):
+    return tuple(sorted(p.images for p in elements))
+
+
+def _perm_sets(G, orbit):
+    """The position sets of one lattice class as frozensets of `Perm`."""
+    elts = G.elements()
+    return [frozenset(elts[a] for a in s) for s in orbit]
 
 
 def closure(generators, degree) -> set:
@@ -145,7 +154,7 @@ def test_pair_closure_oracle_agrees():
     for spec in ["S3", "D8", "A4", "D12", "S4"]:
         G = parse_group_spec(spec)
         lattice = subgroup_lattice(G)
-        mine = {fs for orbit in lattice.class_sets for fs in orbit}
+        mine = {fs for orbit in lattice.class_sets for fs in _perm_sets(G, orbit)}
         oracle = {
             frozenset(p.images for p in s) for s in pair_closure_subgroup_sets(G)
         }
@@ -160,6 +169,7 @@ def test_record_fields():
         assert all(g in G for g in r.generators)
         assert r.as_group().order() == r.order
         assert len(r.element_set()) == r.order
+        assert r.element_set() == {G.elements()[a] for a in r.positions}
         assert r.index * r.order == G.order()
         assert r.label == "#%d" % r.class_id
 
@@ -167,17 +177,51 @@ def test_record_fields():
 def test_class_lookup_for_conjugates():
     G = parse_group_spec("S3")
     lattice = subgroup_lattice(G)
-    a = frozenset(closure([parse_perm("(1 2)", 3)], 3))
-    b = frozenset(closure([parse_perm("(2 3)", 3)], 3))
+    a = {G.element_index(p) for p in closure([parse_perm("(1 2)", 3)], 3)}
+    b = {G.element_index(p) for p in closure([parse_perm("(2 3)", 3)], 3)}
     assert lattice.class_of_set(a) == lattice.class_of_set(b)
     assert lattice.record_for_set(a).order == 2
     with pytest.raises(KeyError):
-        lattice.class_of_set(frozenset({parse_perm("(1 2)", 3)}))
+        lattice.class_of_set({G.element_index(parse_perm("(1 2)", 3))})
+
+
+def test_record_for_set_returns_the_conjugate_itself():
+    G = parse_group_spec("S4")
+    lattice = subgroup_lattice(G)
+    for class_id, orbit in enumerate(lattice.class_sets):
+        for positions in orbit:
+            rec = lattice.record_for_set(positions)
+            assert rec.positions == positions
+            assert rec.class_id == class_id and rec.order == len(positions)
+            assert rec.normal == (len(orbit) == 1)
+            assert lattice.record_for_set(set(positions)) is rec
+            assert rec.element_set() == set(rec.as_group().elements())
+    # a non-normal class: each conjugate has its own record
+    rep = lattice.records[1]
+    conjugate = lattice.class_sets[1][-1]
+    assert not rep.normal and conjugate != rep.positions
+    assert lattice.record_for_set(conjugate) is not rep
+    assert lattice.record_for_set(conjugate).element_set() != rep.element_set()
+
+
+def test_local_and_lift_follow_the_sorted_elements():
+    G = parse_group_spec("S4")
+    for rec in subgroup_lattice(G).records:
+        H = rec.as_group()
+        local = rec.local(rec.positions)
+        assert local == frozenset(range(rec.order))
+        assert rec.lift(local) == rec.positions
+        for a in rec.positions:
+            (i,) = rec.local([a])
+            assert H.elements()[i] == G.elements()[a]
 
 
 def test_bound_error():
+    # S7 has order 5040: refused before any enumeration
+    G = parse_group_spec("S7")
     with pytest.raises(LatticeBoundError):
-        SubgroupLattice(parse_group_spec("S4"), max_order=10)
+        SubgroupLattice(G)
+    assert "cayley" not in G._cache
 
 
 def test_index_lattice_matches_closure_reference():
@@ -185,9 +229,9 @@ def test_index_lattice_matches_closure_reference():
         G = entry.group
         lattice = SubgroupLattice(G)
         reference = reference_class_sets(G)
-        assert [[_set_key(s) for s in orbit] for orbit in lattice.class_sets] == [
-            [_set_key(s) for s in orbit] for orbit in reference
-        ], entry.name
+        assert [
+            [_set_key(s) for s in _perm_sets(G, orbit)] for orbit in lattice.class_sets
+        ] == [[_set_key(s) for s in orbit] for orbit in reference], entry.name
         for record, orbit in zip(lattice.records, reference):
             assert record.order == len(orbit[0]), entry.name
             assert record.normal == (len(orbit) == 1), entry.name

@@ -4,12 +4,13 @@ from _quotient_reference import (
     conjugacy_classes_reference,
     dihedral_subquotients_reference,
     identify_small_type_reference,
+    square_count_tag,
 )
 
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
-from parity_inductor.lattice import _set_key, subgroup_lattice, subgroups_up_to_conjugacy
+from parity_inductor.lattice import subgroup_lattice, subgroups_up_to_conjugacy
 from parity_inductor.perm import parse_perm
 from parity_inductor.structure import (
     QuotientMap,
@@ -18,6 +19,10 @@ from parity_inductor.structure import (
     is_hyperelementary,
     quotient,
 )
+
+
+def _set_key(elements):
+    return tuple(sorted(p.images for p in elements))
 
 
 def record_of_order(G, n, normal=None):
@@ -69,12 +74,13 @@ def test_quotient_is_homomorphism():
     G = parse_group_spec("D12")
     n = record_of_order(G, 3)
     q = quotient(G, n)
-    elts = G.elements()
-    for a in elts:
-        for b in G.generators:
-            assert q.map_element(a * b) == q.map_element(a) * q.map_element(b)
-    for x in n.element_set():
-        assert q.map_element(x).is_identity()
+    table = G.cayley().table
+    image_table = q.image.cayley().table
+    for a in range(G.order()):
+        for b in range(G.order()):
+            assert q.image_of[table[a][b]] == image_table[q.image_of[a]][q.image_of[b]]
+    assert q.kernel == n.positions
+    assert {a for a in range(G.order()) if q.image_of[a] == 0} == n.positions
 
 
 def test_quotient_rejects_non_normal():
@@ -86,11 +92,11 @@ def test_quotient_rejects_non_normal():
 def test_quotient_is_built_once_per_kernel():
     G = parse_group_spec("D12")
     n = record_of_order(G, 3)
-    q = quotient(G, n.element_set())
-    assert quotient(G, set(n.element_set())) is q
+    q = quotient(G, n.positions)
+    assert quotient(G, set(n.positions)) is q
     assert quotient(G, n) is quotient(G, n)
     S3 = parse_group_spec("S3")
-    flip = record_of_order(S3, 2, normal=False).element_set()
+    flip = record_of_order(S3, 2, normal=False).positions
     for _ in range(2):
         with pytest.raises(ValueError):
             quotient(S3, flip)
@@ -99,19 +105,19 @@ def test_quotient_is_built_once_per_kernel():
 def test_quotient_map_accepts_raw_set():
     G = parse_group_spec("C6")
     n = record_of_order(G, 3)
-    q = QuotientMap(G, n.element_set())
+    q = QuotientMap(G, n.positions)
     assert q.image.order() == 2
     with pytest.raises(ValueError):
-        QuotientMap(parse_group_spec("S3"), record_of_order(parse_group_spec("S3"), 2).element_set())
+        QuotientMap(parse_group_spec("S3"), record_of_order(parse_group_spec("S3"), 2).positions)
 
 
 def test_quotient_preimage_set():
     G = parse_group_spec("D42")
     n = record_of_order(G, 7)
     q = quotient(G, n)
-    assert q.preimage_set(q.image.elements()) == frozenset(G.elements())
-    ident = [p for p in q.image.elements() if p.is_identity()]
-    assert q.preimage_set(ident) == n.element_set()
+    assert sorted(q.image_of) == sorted(list(range(q.image.order())) * n.order)
+    assert q.image.elements()[0].is_identity()
+    assert frozenset(a for a, c in enumerate(q.image_of) if c == 0) == n.positions
 
 
 @pytest.mark.parametrize(
@@ -125,7 +131,9 @@ def test_quotient_preimage_set():
 )
 def test_quotient_rejects_kernel_that_is_not_a_subgroup(spec, kernel):
     G = parse_group_spec(spec)
-    n_set = [parse_perm(c, G.degree) for c in kernel]
+    # positions in G; an element outside G gets the position past the end
+    perms = [parse_perm(c, G.degree) for c in kernel]
+    n_set = [G.element_index(p) if p in G else G.order() for p in perms]
     with pytest.raises(ValueError, match="kernel is not a subgroup"):
         quotient(G, n_set)
     with pytest.raises(ValueError, match="kernel is not a subgroup"):
@@ -152,7 +160,7 @@ def test_dihedral_subquotients_d42():
     pairs = dihedral_subquotients(parse_group_spec("D42"))
     tags = sorted(str(p.tag) for p in pairs)
     assert tags == ["Dihedral2p(3)", "Dihedral2p(3)", "Dihedral2p(7)", "Dihedral2p(7)"]
-    assert {(p.h_record.order, len(p.n_elements)) for p in pairs} == {
+    assert {(p.h_record.order, len(p.n_positions)) for p in pairs} == {
         (6, 1),
         (14, 1),
         (42, 7),
@@ -164,7 +172,7 @@ def test_dihedral_subquotients_klein():
     pairs = dihedral_subquotients(parse_group_spec("D4"))
     assert len(pairs) == 1
     assert str(pairs[0].tag) == "KleinFour"
-    assert pairs[0].h_record.order == 4 and len(pairs[0].n_elements) == 1
+    assert pairs[0].h_record.order == 4 and len(pairs[0].n_positions) == 1
 
 
 def test_dihedral_subquotients_c15_empty():
@@ -183,7 +191,7 @@ def test_dihedral_subquotients_s4():
         "KleinFour",
     ]
     for p in pairs:
-        assert p.n_elements <= p.h_record.element_set()
+        assert p.n_positions <= p.h_record.positions
 
 
 def test_dihedral_subquotients_a4():
@@ -206,20 +214,39 @@ def test_positions_match_perm_reference_on_catalog():
             assert identify_small_type(H) == identify_small_type_reference(H), (name, rec)
             classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
             assert classes == conjugacy_classes_reference(H), (name, rec)
-        got = [
-            (d.h_record.class_id, d.n_class_id, str(d.tag), _set_key(d.n_elements))
-            for d in dihedral_subquotients(G)
-        ]
-        assert got == dihedral_subquotients_reference(G), name
+        assert _subquotient_keys(G) == dihedral_subquotients_reference(G), name
         for rec in lattice.records:
             if not rec.normal:
                 continue
             q = quotient(G, rec)
             ref = QuotientMapReference(G, rec)
             assert q.image.generators == PermGroup(ref.generators, degree=q.image.degree).generators
-            for g in G.elements():
-                assert q.map_element(g) == ref.map_element(g), (name, rec, g)
             image = q.image.elements()
-            assert q.preimage_set(image) == ref.preimage_set(image)
-            for p in image:
-                assert q.preimage_set([p]) == ref.preimage_set([p]), (name, rec, p)
+            elts = G.elements()
+            for a, g in enumerate(elts):
+                assert image[q.image_of[a]] == ref.map_element(g), (name, rec, g)
+            for c, p in enumerate(image):
+                preimage = {elts[a] for a, d in enumerate(q.image_of) if d == c}
+                assert preimage == ref.preimage_set([p]), (name, rec, p)
+
+
+def _subquotient_keys(G):
+    elts = G.elements()
+    return [
+        (
+            d.h_record.class_id,
+            d.n_class_id,
+            str(d.tag),
+            _set_key(elts[a] for a in d.n_positions),
+        )
+        for d in dihedral_subquotients(G)
+    ]
+
+
+@pytest.mark.large
+def test_orbit_closure_matches_per_element_dedup_on_c2_6():
+    """Closing N's orbit under the normalizer's generators loses and adds nothing."""
+    G = group_from_cycles(["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)", "(11 12)"])
+    got = _subquotient_keys(G)
+    assert len(got) == 43617
+    assert got == dihedral_subquotients_reference(G, tag_of=square_count_tag)
