@@ -28,13 +28,13 @@ exact identity f = sum_j a_j * chi_j for any input, with no second path.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul, sub
 
 from ._primes import is_prime, primitive_root
 from .cyclotomic import Cyclo, _reduce_mod_phi, cyclotomic_polynomial, format_cyclo
-from .group import PermGroup
+from .group import PermGroup, per_group
 from .perm import format_perm
 
 
@@ -159,7 +159,7 @@ def _poly_roots_mod(poly, p):
 # ------------------------------------------------------------ integer values
 
 
-@lru_cache(maxsize=None)
+@cache
 def _ramanujan(n: int):
     """c_n(k) = Tr(zeta_n ** k) = (phi(n) / phi(d)) * Tr(zeta_d), d = n / gcd(k, n).
 
@@ -243,7 +243,6 @@ class CharacterTable:
         self.linear_row_of = {
             self.det_exponents[i]: i for i in self.linear_row_indices()
         }
-        self._values = self._duals = None
 
     # construction checks -------------------------------------------------
 
@@ -283,15 +282,11 @@ class CharacterTable:
     def class_count(self) -> int:
         return len(self.classes)
 
-    @property
+    @cached_property
     def values(self):
         """Exact class values as `Cyclo` rows in Q(zeta_exp), built on first use."""
-        if self._values is None:
-            e = self.exponent
-            self._values = tuple(
-                tuple(Cyclo(e, _lift(m, e)) for m in row) for row in self.vectors
-            )
-        return self._values
+        e = self.exponent
+        return tuple(tuple(Cyclo(e, _lift(m, e)) for m in row) for row in self.vectors)
 
     def decompose_values(self, vals):
         """Integer coordinates of exact class values (`Cyclo` or rational)."""
@@ -315,10 +310,7 @@ class CharacterTable:
             raise ValueError("%d values for %d classes" % (len(vectors), k))
         orders = [cls.order for cls in self.classes]
         lengths = [lcm(len(v), o) for v, o in zip(vectors, orders)]
-        if lengths != orders:
-            duals, den = self._dual_vectors(lengths)
-        else:
-            duals, den = self._duals = self._duals or self._dual_vectors(lengths)
+        duals, den = self._duals if lengths == orders else self._dual_vectors(lengths)
         given = [_lift(v, n) for v, n in zip(vectors, lengths)]
         flat = [a for vec in given for a in vec]
         quotient = self.group.order() * den
@@ -339,6 +331,11 @@ class CharacterTable:
             if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
                 raise CharTableError("values are not a generalized character")
         return tuple(coords)
+
+    @cached_property
+    def _duals(self):
+        """The duals at each class's own element order, the common case."""
+        return self._dual_vectors([cls.order for cls in self.classes])
 
     def _dual_vectors(self, lengths):
         """Each row's trace-form dual over the flattened (class, slot) layout."""
@@ -521,7 +518,6 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
     return rows_out
 
 
+@per_group
 def character_table(G: PermGroup) -> CharacterTable:
-    if "chartab" not in G._cache:
-        G._cache["chartab"] = CharacterTable(G)
-    return G._cache["chartab"]
+    return CharacterTable(G)

@@ -10,11 +10,11 @@ rationals is structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_polynomial(n: int):
     """Coefficients of Phi_n, low degree first, monic."""
     if n < 1:
@@ -46,7 +46,7 @@ def _poly_exact_div(num, den):
     return q
 
 
-@lru_cache(maxsize=None)
+@cache
 def _phi_terms(n: int):
     """deg Phi_n and the nonzero (j, coefficient) of Phi_n below the leading term."""
     phi = cyclotomic_polynomial(n)

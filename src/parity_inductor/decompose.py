@@ -90,10 +90,7 @@ class TreeNode:
             if total is None or self.genchar != inflate(self.qmap, total):
                 raise DecomposeError("inflated node does not match its children")
             return
-        table = self.genchar.table
-        total = GenChar(table, [0] * table.class_count())
-        for child in self.children:
-            total = total + child.genchar
+        total = sum((child.genchar for child in self.children), _zero(self.genchar.table))
         if total != self.genchar:
             raise DecomposeError("node %s does not match its children" % self.kind)
 
@@ -110,15 +107,10 @@ class TreeNode:
 
 
 def _child_sum(children):
-    if not children:
+    """The children's characters summed, or None unless they share one table."""
+    if not children or any(c.genchar.table is not children[0].genchar.table for c in children):
         return None
-    table = children[0].genchar.table
-    total = GenChar(table, [0] * table.class_count())
-    for child in children:
-        if child.genchar.table is not table:
-            return None
-        total = total + child.genchar
-    return total
+    return sum((child.genchar for child in children), _zero(children[0].genchar.table))
 
 
 def _zero(table) -> GenChar:

@@ -3,9 +3,9 @@
 A GenChar is a vector of integer coefficients over the irreducible rows of a
 CharacterTable, and the operations work on those coordinates.  Restriction,
 inflation and induction apply an integer pull-back matrix, decomposed exactly
-once per pair of tables and cached; determinants are integer exponent
-vectors mod exp(G), read off the table.  Class values are cyclotomic and are
-only computed on request.
+once per pair of tables and cached in the larger group; determinants are
+integer exponent vectors mod exp(G), read off the table.  Class values are
+cyclotomic and are only computed on request.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import mul
 
 from .chartab import CharacterTable, CharTableError, character_table
 from .cyclotomic import Cyclo
-from .group import PermGroup
+from .group import PermGroup, per_group
 from .lattice import SubgroupRecord, subgroup_lattice
 from .structure import QuotientMap
 
@@ -219,14 +219,21 @@ def _pullback(src: CharacterTable, dst: CharacterTable, class_map):
     return tuple(dst.decompose([row[c] for c in class_map]) for row in src.vectors)
 
 
+@per_group
 def _restriction(G: PermGroup, H):
-    """H's table and the restriction matrix from G's table, cached in G."""
-    cache = G._cache.setdefault("restriction", {})
-    if H not in cache:
-        ht = character_table(_subgroup_of(G, H))
-        fusion = [G.class_of(cls.rep) for cls in ht.classes]
-        cache[H] = (ht, _pullback(character_table(G), ht, fusion))
-    return cache[H]
+    """H's table and the restriction matrix from G's table."""
+    ht = character_table(_subgroup_of(G, H))
+    fusion = [G.class_of(cls.rep) for cls in ht.classes]
+    return ht, _pullback(character_table(G), ht, fusion)
+
+
+@per_group
+def _inflation(G: PermGroup, qmap: QuotientMap):
+    """The inflation matrix from the table of G/N to G's table, one row per row of G's."""
+    Q = qmap.image
+    gt = character_table(G)
+    fusion = [Q.class_of_index(qmap.image_of[cls.members[0]]) for cls in gt.classes]
+    return tuple(zip(*_pullback(character_table(Q), gt, fusion)))
 
 
 def _apply(rows, coeffs):
@@ -265,15 +272,10 @@ def restrict(tau: GenChar, H) -> GenChar:
 
 def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     """Pull a character of the quotient image back to the source group."""
-    Q = qmap.image
-    qt = character_table(Q)
-    if rho.table is not qt:
+    if rho.table is not character_table(qmap.image):
         raise ValueError("character does not live on the quotient's table")
-    gt = character_table(qmap.source)
-    if "inflation" not in Q._cache:
-        fusion = [Q.class_of_index(qmap.image_of[cls.members[0]]) for cls in gt.classes]
-        Q._cache["inflation"] = _pullback(qt, gt, fusion)
-    return GenChar(gt, _apply(zip(*Q._cache["inflation"]), rho.coeffs))
+    G = qmap.source
+    return GenChar(character_table(G), _apply(_inflation(G, qmap), rho.coeffs))
 
 
 def determinant(tau: GenChar) -> LinearChar:
@@ -298,27 +300,28 @@ def perm_char(G: PermGroup, H) -> GenChar:
     """Character of the action on right cosets of H, from class-fusion counts.
 
     The value at a class C is its fixed-point count |G| * |H & C| / (|H| * |C|).
+    Conjugate subgroups give the same character, so a record of G is counted
+    on its class representative: once per lattice class.
     """
-    cache_key = None
     if isinstance(H, SubgroupRecord) and H.parent is G:
-        cache_key = ("perm_char", H.class_id)
-        if cache_key in G._cache:
-            return G._cache[cache_key]
-    sub = _subgroup_of(G, H)
-    # a cache key means H is a record of G
-    positions = H.positions if cache_key else [G.element_index(h) for h in sub.elements()]
+        positions = subgroup_lattice(G).records[H.class_id].positions
+    else:
+        positions = frozenset(G.element_index(h) for h in _subgroup_of(G, H).elements())
+    return _coset_char(G, positions)
+
+
+@per_group
+def _coset_char(G: PermGroup, positions: frozenset) -> GenChar:
     gt = character_table(G)
     counts = [0] * gt.class_count()
     for a in positions:
         counts[G.class_of_index(a)] += 1
     scale = G.order() // len(positions)
     vals = [(scale * n // c.size,) for n, c in zip(counts, gt.classes)]
-    out = GenChar(gt, gt.decompose(vals))
-    if cache_key is not None:
-        G._cache[cache_key] = out
-    return out
+    return GenChar(gt, gt.decompose(vals))
 
 
+@per_group
 def rho_H(G: PermGroup, H) -> GenChar:
     """Coset character minus its determinant, recentred to degree zero."""
     perm = perm_char(G, H)

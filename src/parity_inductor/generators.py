@@ -12,7 +12,7 @@ from .genchar import (
     irreducible_char,
     trivial_char,
 )
-from .group import PermGroup
+from .group import PermGroup, per_group
 from .intlinalg import hnf, kernel_basis
 from .lattice import subgroup_lattice
 from .structure import dihedral_subquotients, quotient
@@ -213,13 +213,11 @@ class GeneratorFamily:
         return [g.gen_id for g in self.generators]
 
 
+@per_group
 def theorem_family(G: PermGroup) -> GeneratorFamily:
-    """The conjugate-pair plus dihedral-twist family, cached per group."""
-    key = "family:" + THEOREM_FLAVOR
-    if key not in G._cache:
-        descs = _drop_zero_and_duplicate(enumerate_type1(G) + enumerate_type2(G))
-        G._cache[key] = GeneratorFamily(G, THEOREM_FLAVOR, descs)
-    return G._cache[key]
+    """The conjugate-pair plus dihedral-twist family."""
+    descs = _drop_zero_and_duplicate(enumerate_type1(G) + enumerate_type2(G))
+    return GeneratorFamily(G, THEOREM_FLAVOR, descs)
 
 
 def _real_zero_lattice_basis(qtab: CharacterTable):
@@ -297,21 +295,19 @@ def _tagged_quotient_twists(dq):
     return out
 
 
+@per_group
 def cor29_family(G: PermGroup) -> GeneratorFamily:
-    """Induced real twists through cyclic or tagged quotients, cached."""
-    key = "family:" + COROLLARY_FLAVOR
-    if key not in G._cache:
-        cyclic = []
-        for record in subgroup_lattice(G).records:
-            cyclic.extend(_cyclic_quotient_twists(record))
-        cyclic.sort(key=lambda d: (-d.h_record.order, d.h_record.class_id, d.index))
-        tagged = []
-        for dq in dihedral_subquotients(G):
-            tagged.extend(_tagged_quotient_twists(dq))
-        tagged.sort(key=_type2_sort_key)
-        descs = _drop_zero_and_duplicate(cyclic + tagged)
-        G._cache[key] = GeneratorFamily(G, COROLLARY_FLAVOR, descs)
-    return G._cache[key]
+    """Induced real twists through cyclic or tagged quotients."""
+    cyclic = []
+    for record in subgroup_lattice(G).records:
+        cyclic.extend(_cyclic_quotient_twists(record))
+    cyclic.sort(key=lambda d: (-d.h_record.order, d.h_record.class_id, d.index))
+    tagged = []
+    for dq in dihedral_subquotients(G):
+        tagged.extend(_tagged_quotient_twists(dq))
+    tagged.sort(key=_type2_sort_key)
+    descs = _drop_zero_and_duplicate(cyclic + tagged)
+    return GeneratorFamily(G, COROLLARY_FLAVOR, descs)
 
 
 def family_for(G: PermGroup, flavor: str) -> GeneratorFamily:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import lcm
 from typing import NamedTuple
 
@@ -25,6 +26,26 @@ class Cayley(NamedTuple):
     table: tuple  # table[a][b] = position of elements()[a] * elements()[b]
     inverse: tuple  # inverse[a] = position of elements()[a] ** -1
     orders: tuple  # orders[a] = order of elements()[a]
+
+
+_MISSING = object()
+
+
+def per_group(build):
+    """Memoise ``build(G, *args)`` in ``G._cache`` under ``build.__name__``, or
+    ``(build.__name__, *args)`` with arguments: the one way into a group's cache.
+    """
+    name = build.__name__
+
+    @wraps(build, updated=())
+    def cached(G, *args):
+        key = (name, *args) if args else name
+        value = G._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = G._cache[key] = build(G, *args)
+        return value
+
+    return cached
 
 
 class PermGroup:
@@ -53,10 +74,9 @@ class PermGroup:
 
     # ------------------------------------------------------------------ chain
 
+    @per_group
     def _chain(self):
         """Deterministic stabilizer chain: list of (point, gens, transversal)."""
-        if "chain" in self._cache:
-            return self._cache["chain"]
         levels = []
 
         def first_moved(g):
@@ -135,16 +155,14 @@ class PermGroup:
                 i -= 1
             else:
                 i = new_depth
-        self._cache["chain"] = levels
         return levels
 
+    @per_group
     def order(self) -> int:
-        if "order" not in self._cache:
-            n = 1
-            for lv in self._chain():
-                n *= len(lv["trans"])
-            self._cache["order"] = n
-        return self._cache["order"]
+        n = 1
+        for lv in self._chain():
+            n *= len(lv["trans"])
+        return n
 
     def __contains__(self, p: Perm) -> bool:
         if not isinstance(p, Perm) or p.degree != self.degree:
@@ -160,61 +178,61 @@ class PermGroup:
 
     # --------------------------------------------------------------- elements
 
+    @per_group
     def elements(self):
         """All elements, sorted; the identity is first."""
-        if "elements" not in self._cache:
-            elts = [identity(self.degree)]
-            for lv in reversed(self._chain()):
-                trans = [lv["trans"][p] for p in sorted(lv["trans"])]
-                elts = [h * u for h in elts for u in trans]
-            elts.sort()
-            self._cache["elements"] = tuple(elts)
-            self._cache["index"] = {g.images: i for i, g in enumerate(elts)}
-        return self._cache["elements"]
+        elts = [identity(self.degree)]
+        for lv in reversed(self._chain()):
+            trans = [lv["trans"][p] for p in sorted(lv["trans"])]
+            elts = [h * u for h in elts for u in trans]
+        elts.sort()
+        return tuple(elts)
+
+    @per_group
+    def _index(self):
+        """Position in ``elements()`` of each element, keyed by its images."""
+        return {g.images: i for i, g in enumerate(self.elements())}
 
     def element_index(self, p: Perm) -> int:
-        self.elements()
         try:
-            return self._cache["index"][p.images]
+            return self._index()[p.images]
         except KeyError:
             raise KeyError("element not in group: %r" % (p,)) from None
 
+    @per_group
     def cayley(self) -> Cayley:
         """Integer Cayley table, inverses and element orders, built once."""
-        if "cayley" not in self._cache:
-            elts = self.elements()
-            index = self._cache["index"]
-            # left multiplication by each generator, on positions
-            lefts = [
-                [index[tuple(x.images[i] for i in g.images)] for x in elts]
-                for g in self.generators
-            ]
-            rows = [None] * len(elts)
-            rows[0] = tuple(range(len(elts)))
-            frontier = [0]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for left in lefts:
-                        b = left[a]
-                        if rows[b] is None:
-                            # elts[b] = g * elts[a], so row b is row a moved by g
-                            rows[b] = tuple([left[x] for x in rows[a]])
-                            new.append(b)
-                frontier = new
-            self._cache["cayley"] = Cayley(
-                table=tuple(rows),
-                inverse=tuple(row.index(0) for row in rows),
-                orders=tuple(x.order() for x in elts),
-            )
-        return self._cache["cayley"]
+        elts = self.elements()
+        index = self._index()
+        # left multiplication by each generator, on positions
+        lefts = [
+            [index[tuple(x.images[i] for i in g.images)] for x in elts]
+            for g in self.generators
+        ]
+        rows = [None] * len(elts)
+        rows[0] = tuple(range(len(elts)))
+        frontier = [0]
+        while frontier:
+            new = []
+            for a in frontier:
+                for left in lefts:
+                    b = left[a]
+                    if rows[b] is None:
+                        # elts[b] = g * elts[a], so row b is row a moved by g
+                        rows[b] = tuple([left[x] for x in rows[a]])
+                        new.append(b)
+            frontier = new
+        return Cayley(
+            table=tuple(rows),
+            inverse=tuple(row.index(0) for row in rows),
+            orders=tuple(x.order() for x in elts),
+        )
 
     # ---------------------------------------------------------------- classes
 
+    @per_group
     def conjugacy_classes(self):
         """Conjugacy classes ordered by (element order, size, minimal rep)."""
-        if "classes" in self._cache:
-            return self._cache["classes"]
         elts = self.elements()
         table, inverse, orders = self.cayley()
         gens = [self.element_index(g) for g in self.generators]
@@ -242,33 +260,27 @@ class PermGroup:
         # classes are disjoint, so ties on (order, size) go to the smaller
         # first member, which is the minimal rep: positions follow the images
         raw.sort()
-        classes = []
-        class_of = [None] * len(elts)
-        for ci, (order, size, members) in enumerate(raw):
-            classes.append(
-                ConjClass(rep=elts[members[0]], size=size, order=order, members=members)
-            )
-            for idx in members:
-                class_of[idx] = ci
-        self._cache["classes"] = tuple(classes)
-        self._cache["class_of"] = class_of
-        return self._cache["classes"]
+        return tuple(
+            ConjClass(rep=elts[members[0]], size=size, order=order, members=members)
+            for order, size, members in raw
+        )
+
+    @per_group
+    def _class_of(self):
+        """Class index of each element position."""
+        return {a: ci for ci, cls in enumerate(self.conjugacy_classes()) for a in cls.members}
 
     def class_of_index(self, elt_index: int) -> int:
-        self.conjugacy_classes()
-        return self._cache["class_of"][elt_index]
+        return self._class_of()[elt_index]
 
     def class_of(self, p: Perm) -> int:
         return self.class_of_index(self.element_index(p))
 
     # ------------------------------------------------------------- structure
 
+    @per_group
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = lcm(
-                *(c.order for c in self.conjugacy_classes())
-            )
-        return self._cache["exponent"]
+        return lcm(*(c.order for c in self.conjugacy_classes()))
 
     def is_abelian(self) -> bool:
         gens = self.generators

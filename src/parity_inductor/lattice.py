@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from functools import cached_property
 from math import gcd
 
-from .group import PermGroup
+from .group import PermGroup, per_group
 
 DEFAULT_MAX_ORDER = 512
+MAX_SUBGROUPS = 2**15  # C2^7 has 29,212 subgroups, C2^8 has 417,199
 
 
 class LatticeBoundError(ValueError):
@@ -141,14 +143,16 @@ def _all_subgroups(table, orders) -> set:
     reaches every subgroup (any subgroup is built from the trivial one
     element by element).  Since <S, s*g^k*t> = <S, g> for s, t in S and k
     prime to the order of g, one g per such family of double cosets
-    S*g^k*S is enough.
+    S*g^k*S is enough.  Subgroups are extended in the order they are found,
+    so the small ones come first and a group with more than MAX_SUBGROUPS
+    subgroups raises LatticeBoundError early, before memory runs away.
     """
     n = len(table)
     trivial = frozenset({0})
     known = {trivial}
-    work = [(trivial, ())]
+    work = deque([(trivial, ())])
     while work:
-        sub, gens = work.pop()
+        sub, gens = work.popleft()
         done = bytearray(n)
         _mark_double_coset(table, sub, gens, 0, done)
         for g in range(n):
@@ -162,6 +166,11 @@ def _all_subgroups(table, orders) -> set:
                 power = table[power][g]
             if T not in known:
                 known.add(T)
+                if len(known) > MAX_SUBGROUPS:
+                    raise LatticeBoundError(
+                        "group has more than %d subgroups, the enumeration bound"
+                        % MAX_SUBGROUPS
+                    )
                 work.append((T, gens + (g,)))
     return known
 
@@ -240,10 +249,9 @@ class SubgroupLattice:
         return self._conjugates[positions]
 
 
+@per_group
 def subgroup_lattice(G: PermGroup) -> SubgroupLattice:
-    if "lattice" not in G._cache:
-        G._cache["lattice"] = SubgroupLattice(G)
-    return G._cache["lattice"]
+    return SubgroupLattice(G)
 
 
 def subgroups_up_to_conjugacy(G: PermGroup):

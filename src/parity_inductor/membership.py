@@ -15,7 +15,7 @@ from .genchar import (
     trivial_char,
 )
 from .generators import GeneratorFamily
-from .group import PermGroup
+from .group import PermGroup, per_group
 from .intlinalg import hnf, kernel_basis, solve_left_canonical
 from .lattice import subgroup_lattice
 from .structure import is_hyperelementary
@@ -113,14 +113,13 @@ def certificate_from_json(doc: dict, family: GeneratorFamily) -> MembershipCerti
     return MembershipCertificate(family, target, terms)
 
 
+@per_group
 def _perm_lattice(G: PermGroup):
-    """Cached (records, perm-char rows, HNF) for the permutation lattice."""
-    if "perm_lattice" not in G._cache:
-        records = subgroup_lattice(G).records
-        chars = [perm_char(G, rec) for rec in records]
-        matrix = [list(ch.coeffs) for ch in chars]
-        G._cache["perm_lattice"] = (records, chars, matrix, hnf(matrix))
-    return G._cache["perm_lattice"]
+    """(records, perm chars, their rows, HNF) for the permutation lattice."""
+    records = subgroup_lattice(G).records
+    chars = [perm_char(G, rec) for rec in records]
+    matrix = [list(ch.coeffs) for ch in chars]
+    return records, chars, matrix, hnf(matrix)
 
 
 def perm_lattice_solve(rho: GenChar):
@@ -142,10 +141,9 @@ def is_s_element(rho: GenChar) -> bool:
     return perm_lattice_solve(rho) is not None
 
 
+@per_group
 def _admissible_lattice(G: PermGroup):
     """Basis of integer subgroup-multiplicity vectors landing inside S_G."""
-    if "s_lattice" in G._cache:
-        return G._cache["s_lattice"]
     records, chars, _, _ = _perm_lattice(G)
     k = character_table(G).class_count()
     m = len(records)
@@ -158,9 +156,7 @@ def _admissible_lattice(G: PermGroup):
         aux[1 + c] = 2
         rows.append(aux)
     projected = [row[:m] for row in kernel_basis(rows) if any(row[:m])]
-    basis = [row for row in hnf(projected).h if any(row)] if projected else []
-    G._cache["s_lattice"] = basis
-    return basis
+    return [row for row in hnf(projected).h if any(row)] if projected else []
 
 
 _DRAWS = 1000  # random_S_element's budget of draws per call
@@ -175,19 +171,18 @@ def _draw(rows, coeffs, bound: int):
     return x if any(x) and max(map(abs, x)) <= bound else None
 
 
-def _has_target(G: PermGroup, basis, bound: int) -> bool:
-    """Whether any draw can be accepted at this bound: decided once, by trying
-    every draw when they fit the budget (at most 5 basis rows), else assumed."""
-    key = ("s_targets", bound)
-    if key not in G._cache:
-        sizes = range(1, min(3, len(basis)) + 1)
-        G._cache[key] = sum(comb(len(basis), k) * 4**k for k in sizes) > _DRAWS or any(
-            _draw(rows, coeffs, bound) is not None
-            for k in sizes
-            for rows in combinations(basis, k)
-            for coeffs in product(_COEFFS, repeat=k)
-        )
-    return G._cache[key]
+@per_group
+def _has_target(G: PermGroup, bound: int) -> bool:
+    """Whether any draw can be accepted at this bound: decided by trying every
+    draw when they fit the budget (at most 5 basis rows), else assumed."""
+    basis = _admissible_lattice(G)
+    sizes = range(1, min(3, len(basis)) + 1)
+    return sum(comb(len(basis), k) * 4**k for k in sizes) > _DRAWS or any(
+        _draw(rows, coeffs, bound) is not None
+        for k in sizes
+        for rows in combinations(basis, k)
+        for coeffs in product(_COEFFS, repeat=k)
+    )
 
 
 def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
@@ -203,7 +198,7 @@ def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
         return zero
     _, chars, _, _ = _perm_lattice(G)
     basis = _admissible_lattice(G)
-    if not basis or not _has_target(G, basis, bound):
+    if not basis or not _has_target(G, bound):
         return zero
     rng = random.Random(seed)
     for _ in range(_DRAWS):
@@ -223,10 +218,9 @@ def hyperelementary_records(G: PermGroup):
     return out
 
 
+@per_group
 def solomon_coefficients(G: PermGroup):
     """Integers n_H over hyperelementary H with sum n_H * Ind_H 1 = 1."""
-    if "solomon" in G._cache:
-        return G._cache["solomon"]
     one = trivial_char(character_table(G))
     if is_hyperelementary(G) is not None:
         top = subgroup_lattice(G).records[-1]
@@ -247,5 +241,4 @@ def solomon_coefficients(G: PermGroup):
         total = [t + c * v for t, v in zip(total, perm_char(G, rec).coeffs)]
     if tuple(total) != one.coeffs:
         raise MembershipError("induction identity failed to re-verify")
-    G._cache["solomon"] = result
     return result

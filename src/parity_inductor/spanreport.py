@@ -24,6 +24,15 @@ class TargetResult:
         self.terms = tuple(terms)
         self.meta = dict(meta or {})
 
+    def to_json(self) -> dict:
+        return {
+            "label": self.label,
+            "certified": self.certified,
+            "detail": self.detail,
+            "terms": [list(t) for t in self.terms],
+            **self.meta,
+        }
+
     def __repr__(self):
         state = "certified" if self.certified else "FAILED"
         return "TargetResult(%s: %s)" % (self.label, state)
@@ -69,22 +78,18 @@ class SpanReport:
         lines.append(
             "group %s (order %d, flavor %s)" % (self.group_name, self.order, self.flavor)
         )
-        for result in self.subgroup_results:
-            state = "certified" if result.certified else "FAILED"
-            suffix = " (%s)" % result.detail if result.detail else ""
-            lines.append("  rho[%s]: %s%s" % (result.label, state, suffix))
-        for result in self.sample_results:
-            state = "certified" if result.certified else "FAILED"
-            suffix = " (%s)" % result.detail if result.detail else ""
-            lines.append("  %s: %s%s" % (result.label, state, suffix))
+        for template, results in (("rho[%s]", self.subgroup_results), ("%s", self.sample_results)):
+            for result in results:
+                state = "certified" if result.certified else "FAILED"
+                suffix = " (%s)" % result.detail if result.detail else ""
+                lines.append("  %s: %s%s" % (template % result.label, state, suffix))
         if self.usage:
             parts = ["%s x%d" % (key, self.usage[key]) for key in sorted(self.usage)]
             lines.append("  generators used: %s" % ", ".join(parts))
         else:
             lines.append("  generators used: none")
-        good = sum(1 for r in self.subgroup_results + self.sample_results if r.certified)
         total = len(self.subgroup_results) + len(self.sample_results)
-        lines.append("  targets certified: %d/%d" % (good, total))
+        lines.append("  targets certified: %d/%d" % (total - len(self.failures()), total))
         return "\n".join(lines)
 
     def to_json(self, include_timing=False) -> dict:
@@ -92,26 +97,8 @@ class SpanReport:
             "group": self.group_name,
             "order": self.order,
             "flavor": self.flavor,
-            "subgroups": [
-                {
-                    "label": r.label,
-                    "certified": r.certified,
-                    "detail": r.detail,
-                    "terms": [list(t) for t in r.terms],
-                    **r.meta,
-                }
-                for r in self.subgroup_results
-            ],
-            "samples": [
-                {
-                    "label": r.label,
-                    "certified": r.certified,
-                    "detail": r.detail,
-                    "terms": [list(t) for t in r.terms],
-                    **r.meta,
-                }
-                for r in self.sample_results
-            ],
+            "subgroups": [r.to_json() for r in self.subgroup_results],
+            "samples": [r.to_json() for r in self.sample_results],
             "usage": {key: self.usage[key] for key in sorted(self.usage)},
             "all_certified": self.all_certified,
         }

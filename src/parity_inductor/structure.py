@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._primes import is_prime, prime_factors
-from .group import PermGroup
+from .group import PermGroup, per_group
 from .lattice import SubgroupRecord, _greedy_generators, subgroup_lattice
 from .perm import Perm
 
@@ -67,11 +67,7 @@ class QuotientMap:
     """
 
     def __init__(self, source: PermGroup, kernel):
-        if isinstance(kernel, SubgroupRecord):
-            if kernel.parent is not source:
-                raise ValueError("kernel record belongs to a different group")
-            kernel = kernel.positions
-        members = frozenset(kernel)
+        members = _kernel_positions(source, kernel)
         table, inverse, _ = source.cayley()
         if 0 not in members or not members.issubset(range(len(table))) or any(
             table[a][b] not in members for a in members for b in members
@@ -96,13 +92,21 @@ class QuotientMap:
         self.image_of = [position[c] for c in coset_of]
 
 
+def _kernel_positions(G: PermGroup, N) -> frozenset:
+    """N's positions in ``G.elements()``, for a record of G or a position set."""
+    if isinstance(N, SubgroupRecord):
+        if N.parent is not G:
+            raise ValueError("kernel record belongs to a different group")
+        return N.positions
+    return frozenset(N)
+
+
+_quotient_map = per_group(QuotientMap)
+
+
 def quotient(G: PermGroup, N) -> QuotientMap:
-    """G/N for a normal record or position set N, built once per (G, N)."""
-    key = N if isinstance(N, SubgroupRecord) else frozenset(N)
-    cache = G._cache.setdefault("quotients", {})
-    if key not in cache:
-        cache[key] = QuotientMap(G, N)
-    return cache[key]
+    """G/N for a normal record or position set N, built once per (G, positions of N)."""
+    return _quotient_map(G, _kernel_positions(G, N))
 
 
 def is_hyperelementary(G: PermGroup):
@@ -139,6 +143,7 @@ class DihedralSubquotient:
     tag: SmallTypeTag
 
 
+@per_group
 def dihedral_subquotients(G: PermGroup):
     """All (H, N, tag) pairs up to G-conjugacy with H/N Klein-four, D8, or D2p.
 
@@ -149,8 +154,6 @@ def dihedral_subquotients(G: PermGroup):
     h in H with h*h in N, which decides the tag, are computed on element
     positions through the Cayley table.
     """
-    if "dihedral_subquotients" in G._cache:
-        return G._cache["dihedral_subquotients"]
     lattice = subgroup_lattice(G)
     table, inverse, _ = G.cayley()
 
@@ -214,7 +217,6 @@ def dihedral_subquotients(G: PermGroup):
             sorted(d.n_positions),
         )
     )
-    G._cache["dihedral_subquotients"] = out
     return out
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -118,6 +119,14 @@ def test_ambiguous_and_missing_subgroup_specs():
 def test_bad_groupspec_exits_2():
     code, _, err = run_cli("group-info", "Z6")
     assert code == 2 and "error" in err
+
+
+def test_group_with_too_many_subgroups_exits_2_fast():
+    # C2^8 has 417,199 subgroups: refused once the enumeration passes its bound
+    started = time.perf_counter()
+    code, out, err = run_cli("group-info", "(1 2),(3 4),(5 6),(7 8),(9 10),(11 12),(13 14),(15 16)")
+    assert time.perf_counter() - started < 5
+    assert code == 2 and out == "" and "more than 32768 subgroups" in err
 
 
 def test_verify_custom_catalog(tmp_path):

@@ -156,6 +156,16 @@ def test_restrict_error_on_foreign_subgroup():
         restrict(trivial_char(t), alien)
 
 
+def test_record_and_its_positions_give_one_quotient():
+    # a character of either call's image inflates through the other
+    G = parse_group_spec("D12")
+    n = record_of_order(G, 3)
+    q = quotient(G, n)
+    assert quotient(G, n.positions) is q
+    chi = irreducible_char(character_table(quotient(G, n.positions).image), 1)
+    assert inflate(q, chi).degree == 1
+
+
 def test_inflate_examples():
     C4 = parse_group_spec("C4")
     N = record_of_order(C4, 2)

@@ -1,7 +1,21 @@
+import gc
+import sys
+from pathlib import Path
+
+import pytest
+
+import parity_inductor
 from parity_inductor.chartab import character_table
-from parity_inductor.group import PermGroup, conjugacy_classes
+from parity_inductor.decompose import decompose_structural
+from parity_inductor.genchar import perm_char, rho_H
+from parity_inductor.generators import family_for
+from parity_inductor.group import PermGroup, conjugacy_classes, per_group
 from parity_inductor.groupspec import parse_group_spec
+from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.membership import solomon_coefficients
 from parity_inductor.perm import identity, parse_perm
+from parity_inductor.spanreport import span_report
+from parity_inductor.structure import dihedral_subquotients, quotient
 
 
 def bfs_closure(gens, degree):
@@ -150,3 +164,68 @@ def test_conjugacy_classes_contract_view():
     rows = conjugacy_classes(parse_group_spec("S3"))
     assert rows[0][1] == 1 and rows[0][2] == 1
     assert [r[1] for r in rows] == [1, 3, 2]
+
+
+def _builder_names():
+    """Names of every function the package wraps with ``per_group``."""
+    code = per_group(lambda G: G).__code__
+    names = set()
+    for key, module in list(sys.modules.items()):
+        if not key.startswith("parity_inductor."):
+            continue
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *members):
+                if getattr(obj, "__code__", None) is code:
+                    names.add(obj.__name__)
+    return names
+
+
+def test_every_cache_key_names_a_per_group_builder():
+    G = parse_group_spec("S4")
+    for flavor in ("thm12", "cor29"):
+        family_for(G, flavor).hnf()
+    dihedral_subquotients(G)
+    span_report(G, samples=3)
+    solomon_coefficients(G)
+    rec = subgroup_lattice(G).records[2]
+    decompose_structural(G, rho_H(G, rec))
+    names = _builder_names()
+    assert {"cayley", "character_table", "subgroup_lattice", "QuotientMap", "rho_H"} <= names
+    groups = [obj for obj in gc.get_objects() if isinstance(obj, PermGroup)]
+    assert G in groups and len(groups) > 1
+    for group in groups:
+        for key in group._cache:
+            assert (key if isinstance(key, str) else key[0]) in names, key
+    # the memo is the only code that touches a group's cache
+    package = Path(parity_inductor.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "_cache" in p.read_text()] == [
+        "group.py"
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        PermGroup.elements,
+        PermGroup.cayley,
+        PermGroup.conjugacy_classes,
+        character_table,
+        subgroup_lattice,
+        dihedral_subquotients,
+        solomon_coefficients,
+        lambda G: family_for(G, "thm12"),
+        lambda G: family_for(G, "cor29"),
+        lambda G: quotient(G, subgroup_lattice(G).records[-2]),
+        lambda G: perm_char(G, subgroup_lattice(G).records[1]),
+        lambda G: rho_H(G, subgroup_lattice(G).records[1]),
+    ],
+    ids=[
+        "elements", "cayley", "conjugacy_classes", "character_table", "subgroup_lattice",
+        "dihedral_subquotients", "solomon_coefficients", "thm12", "cor29", "quotient",
+        "perm_char", "rho_H",
+    ],
+)
+def test_per_group_calls_return_the_same_object(call):
+    G = parse_group_spec("D8")
+    assert call(G) is call(G)

@@ -243,13 +243,15 @@ def test_index_lattice_matches_closure_reference():
     [
         # elementary abelian 2^6: the sum of the Gaussian binomials, all normal
         ("(1 2),(3 4),(5 6),(7 8),(9 10),(11 12)", 2825, 2825, 2825),
+        # 2^7: the largest elementary abelian 2-group under the subgroup bound
+        ("(1 2),(3 4),(5 6),(7 8),(9 10),(11 12),(13 14)", 29212, 29212, 29212),
         # dihedral of order 128: tau(64) + sigma(64) subgroups; the normal
         # ones are the 7 rotation subgroups, 2 dihedral ones of index 2 and G
         ("D128", 134, 20, 10),
         # simple: only 1 and A6 are normal
         ("A6", 501, 22, 2),
     ],
-    ids=["C2^6", "D128", "A6"],
+    ids=["C2^6", "C2^7", "D128", "A6"],
 )
 def test_known_lattice_counts(spec, subgroups, classes, normal):
     lattice = SubgroupLattice(parse_group_spec(spec))
