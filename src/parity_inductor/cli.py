@@ -197,11 +197,6 @@ def _cmd_subgroups(args) -> int:
     return 0
 
 
-def _certificate_text(cert) -> str:
-    parts = ["%+d*%s" % (c, cert.family.generators[i].gen_id) for i, c in cert.terms]
-    return " ".join(parts) or "0"
-
-
 def _cmd_decompose(args) -> int:
     G = _load_group(args.groupspec)
     record = _resolve_subgroup(G, args.subgroup)
@@ -231,10 +226,7 @@ def _cmd_decompose(args) -> int:
         "index": G.order() // record.order,
         "flavor": flavor,
         "target": list(cert.target.coeffs),
-        "terms": [
-            {"generator": family.generators[i].gen_id, "coefficient": c}
-            for i, c in cert.terms
-        ],
+        "terms": [{"generator": g, "coefficient": c} for g, c in cert.named_terms()],
         "verified": True,
     }
     text = "\n".join(
@@ -243,7 +235,7 @@ def _cmd_decompose(args) -> int:
             "subgroup: %s (order %d, index %d)"
             % (record.label, record.order, doc["index"]),
             "flavor: %s" % flavor,
-            "certificate: %s" % _certificate_text(cert),
+            "certificate: %s" % cert.format_terms(),
             "verified: yes",
         ]
     )

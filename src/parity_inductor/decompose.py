@@ -16,9 +16,8 @@ from .genchar import (
     rho_H,
     trivial_char,
 )
-from .generators import theorem_family
-from .group import PermGroup
-from .intlinalg import solve_left_canonical
+from .generators import THEOREM_FLAVOR, GeneratorFamily, theorem_family
+from .group import PermGroup, per_group
 from .lattice import subgroup_lattice
 from .membership import (
     MembershipCertificate,
@@ -136,42 +135,54 @@ def _is_linear_combination(rho: GenChar) -> bool:
     return all(c == 0 or degrees[i] == 1 for i, c in enumerate(rho.coeffs))
 
 
-def _restricted_solve(G, rho, gens, kind) -> TreeNode:
+def _subfamily(G, keep) -> GeneratorFamily:
+    return GeneratorFamily(G, THEOREM_FLAVOR, [g for g in theorem_family(G) if keep(g)])
+
+
+@per_group
+def _lemma24_family(G) -> GeneratorFamily:
+    """The conjugate pairs."""
+    return _subfamily(G, lambda g: g.kind == "type1")
+
+
+@per_group
+def _lemma23_family(G) -> GeneratorFamily:
+    """The conjugate pairs plus the sign-pair bricks (linear combinations)."""
+    return _subfamily(
+        G, lambda g: g.kind == "type1" or _is_linear_combination(g.expansion)
+    )
+
+
+@per_group
+def _prop26_family(G, q) -> GeneratorFamily:
+    """The conjugate pairs plus the dihedral twists of order 2q."""
+    tag = "Dihedral2p(%d)" % q
+    return _subfamily(G, lambda g: g.kind == "type1" or g.tag == tag)
+
+
+def _leaf_solve(rho, family, kind) -> TreeNode:
     """Leaf-solve rho over a lemma-prescribed subfamily of the full family."""
     if rho.is_zero():
         return TreeNode(kind, rho)
-    matrix = [list(g.expansion.coeffs) for g in gens]
-    if not matrix:
-        raise DecomposeError("%s leaf-solve of a nonzero target over nothing" % kind)
-    x = solve_left_canonical(matrix, list(rho.coeffs))
-    if x is None:
+    cert = membership_solve(rho, family)
+    if cert is None:
         raise DecomposeError("%s leaf-solve failed" % kind)
     leaves = [
-        TreeNode(LEAF, c * g.expansion, generator=g, multiplicity=c)
-        for g, c in zip(gens, x)
-        if c
+        TreeNode(LEAF, c * family[i].expansion, generator=family[i], multiplicity=c)
+        for i, c in cert.terms
     ]
     return TreeNode(kind, rho, leaves)
 
 
-def _type1_generators(G):
-    return [g for g in theorem_family(G) if g.kind == "type1"]
-
-
 def _lemma24(G, rho) -> TreeNode:
-    return _restricted_solve(G, rho, _type1_generators(G), "Lemma2.4")
+    return _leaf_solve(rho, _lemma24_family(G), "Lemma2.4")
 
 
 def _lemma23(G, rho) -> TreeNode:
     """Linear-combination targets: conjugate pairs plus sign-pair bricks."""
     if not _is_linear_combination(rho):
         raise DecomposeError("Lemma2.3 target is not a linear combination")
-    gens = [
-        g
-        for g in theorem_family(G)
-        if g.kind == "type1" or _is_linear_combination(g.expansion)
-    ]
-    return _restricted_solve(G, rho, gens, "Lemma2.3")
+    return _leaf_solve(rho, _lemma23_family(G), "Lemma2.3")
 
 
 def _type1_leaves(G, tau: GenChar):
@@ -222,7 +233,7 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
     """Split rho into subgroup terms rho_H plus a linear-character remainder."""
     if rho.is_zero():
         return TreeNode("Lemma2.5", rho)
-    records, chars, matrix, basis = _perm_lattice(G)
+    records, _, lattice = _perm_lattice(G)
     order = G.order()
     terms = None
     for rec in records:
@@ -230,7 +241,7 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
             terms = [(rec, 1)]
             break
     if terms is None:
-        x = solve_left_canonical(matrix, list(rho.coeffs), basis)
+        x = lattice.solve(rho.coeffs)
         if x is None:
             raise DecomposeError("target left the permutation lattice")
         terms = [
@@ -438,13 +449,7 @@ def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
 
 
 def _prop26_faithful(G, rho, q) -> TreeNode:
-    fam = theorem_family(G)
-    gens = [
-        g
-        for g in fam
-        if g.kind == "type1" or g.tag == "Dihedral2p(%d)" % q
-    ]
-    return _restricted_solve(G, rho, gens, "Prop2.6.case4")
+    return _leaf_solve(rho, _prop26_family(G, q), "Prop2.6.case4")
 
 
 def _solomon_root(G, rho, depth) -> TreeNode:

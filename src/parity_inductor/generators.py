@@ -13,7 +13,7 @@ from .genchar import (
     trivial_char,
 )
 from .group import PermGroup, per_group
-from .intlinalg import hnf, kernel_basis
+from .intlinalg import hnf
 from .lattice import subgroup_lattice
 from .structure import dihedral_subquotients, quotient
 
@@ -243,7 +243,7 @@ def _real_zero_lattice_basis(qtab: CharacterTable):
         col[k + c] = 2
         columns.append(col)
     rows = [[col[i] for col in columns] for i in range(nvars)]
-    return [row[:k] for row in kernel_basis(rows) if any(row[:k])]
+    return [row[:k] for row in hnf(rows).kernel if any(row[:k])]
 
 
 def _cyclic_quotient_twists(record):

@@ -16,7 +16,7 @@ from .genchar import (
 )
 from .generators import GeneratorFamily
 from .group import PermGroup, per_group
-from .intlinalg import hnf, kernel_basis, solve_left_canonical
+from .intlinalg import hnf
 from .lattice import subgroup_lattice
 from .structure import is_hyperelementary
 
@@ -35,20 +35,22 @@ class MembershipCertificate:
         self.target = target
         self.terms = tuple(sorted(terms))
 
+    def named_terms(self):
+        """The terms as (generator id, coefficient) pairs."""
+        return [(self.family.generators[i].gen_id, c) for i, c in self.terms]
+
+    def format_terms(self) -> str:
+        """The terms as text, e.g. "+1*t1:1 -2*t2:..." ("0" when empty)."""
+        return " ".join("%+d*%s" % (c, g) for g, c in self.named_terms()) or "0"
+
     def coefficient(self, gen_id: str) -> int:
-        for index, coeff in self.terms:
-            if self.family.generators[index].gen_id == gen_id:
-                return coeff
-        return 0
+        return dict(self.named_terms()).get(gen_id, 0)
 
     def generator_ids(self):
-        return [self.family.generators[i].gen_id for i, _ in self.terms]
+        return [g for g, _ in self.named_terms()]
 
     def __repr__(self):
-        parts = [
-            "%+d*%s" % (c, self.family.generators[i].gen_id) for i, c in self.terms
-        ]
-        return "MembershipCertificate(%s)" % (" ".join(parts) or "0")
+        return "MembershipCertificate(%s)" % self.format_terms()
 
 
 def membership_solve(rho: GenChar, family: GeneratorFamily):
@@ -59,7 +61,7 @@ def membership_solve(rho: GenChar, family: GeneratorFamily):
         if rho.is_zero():
             return MembershipCertificate(family, rho, ())
         return None
-    x = solve_left_canonical(family.matrix, list(rho.coeffs), family.hnf())
+    x = family.hnf().solve(rho.coeffs)
     if x is None:
         return None
     terms = tuple((i, c) for i, c in enumerate(x) if c)
@@ -81,11 +83,7 @@ def certificate_to_json(cert: MembershipCertificate, group_name: str) -> dict:
         "flavor": cert.family.flavor,
         "target": list(cert.target.coeffs),
         "terms": [
-            {
-                "generator": cert.family.generators[i].gen_id,
-                "coefficient": c,
-            }
-            for i, c in cert.terms
+            {"generator": g, "coefficient": c} for g, c in cert.named_terms()
         ],
         "verified": verify_certificate(cert),
     }
@@ -115,18 +113,17 @@ def certificate_from_json(doc: dict, family: GeneratorFamily) -> MembershipCerti
 
 @per_group
 def _perm_lattice(G: PermGroup):
-    """(records, perm chars, their rows, HNF) for the permutation lattice."""
+    """(records, perm chars, HNF of their rows) for the permutation lattice."""
     records = subgroup_lattice(G).records
     chars = [perm_char(G, rec) for rec in records]
-    matrix = [list(ch.coeffs) for ch in chars]
-    return records, chars, matrix, hnf(matrix)
+    return records, chars, hnf([list(ch.coeffs) for ch in chars])
 
 
 def perm_lattice_solve(rho: GenChar):
     """Integer coordinates of rho over {perm_char(G, H)}, or None."""
     G = rho.table.group
-    records, _, matrix, basis = _perm_lattice(G)
-    x = solve_left_canonical(matrix, list(rho.coeffs), basis)
+    records, _, lattice = _perm_lattice(G)
+    x = lattice.solve(rho.coeffs)
     if x is None:
         return None
     return list(zip(records, x))
@@ -144,7 +141,7 @@ def is_s_element(rho: GenChar) -> bool:
 @per_group
 def _admissible_lattice(G: PermGroup):
     """Basis of integer subgroup-multiplicity vectors landing inside S_G."""
-    records, chars, _, _ = _perm_lattice(G)
+    records, chars, _ = _perm_lattice(G)
     k = character_table(G).class_count()
     m = len(records)
     rows = []
@@ -155,7 +152,7 @@ def _admissible_lattice(G: PermGroup):
         aux = [0] * (k + 1)
         aux[1 + c] = 2
         rows.append(aux)
-    projected = [row[:m] for row in kernel_basis(rows) if any(row[:m])]
+    projected = [row[:m] for row in hnf(rows).kernel if any(row[:m])]
     return [row for row in hnf(projected).h if any(row)] if projected else []
 
 
@@ -196,7 +193,7 @@ def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
     zero = GenChar(table, [0] * table.class_count())
     if bound <= 0:
         return zero
-    _, chars, _, _ = _perm_lattice(G)
+    _, chars, _ = _perm_lattice(G)
     basis = _admissible_lattice(G)
     if not basis or not _has_target(G, bound):
         return zero
@@ -230,7 +227,7 @@ def solomon_coefficients(G: PermGroup):
     else:
         records = hyperelementary_records(G)
         matrix = [list(perm_char(G, rec).coeffs) for rec in records]
-        x = solve_left_canonical(matrix, list(one.coeffs))
+        x = hnf(matrix).solve(one.coeffs)
         if x is None:
             raise MembershipError(
                 "no hyperelementary expression of the trivial character"

@@ -92,7 +92,7 @@ def evaluate(expr: ParityExpression, assignment: "ParityInput") -> int:
 
 
 def _check_sign(value, where: str) -> int:
-    if value not in (1, -1):
+    if type(value) is not int or value not in (1, -1):
         raise ValueError("%s must be +1 or -1, got %r" % (where, value))
     return value
 
@@ -248,7 +248,6 @@ class ParityTable:
 
 def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -> ParityTable:
     """One row per subgroup class; rows evaluate when the assignment covers them."""
-    family = family_for(G, flavor)
     records = sorted(subgroup_lattice(G).records, key=lambda r: (-r.order, r.class_id))
     rows = []
     for record in records:
@@ -262,9 +261,7 @@ def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -
                 value = expression.evaluate(assignment)
             except ParityError:
                 value = None
-        cert_terms = tuple(
-            (family.generators[i].gen_id, c) for i, c in cert.terms
-        )
+        cert_terms = tuple(cert.named_terms())
         label = "F(#%d)" % record.class_id
         rows.append(ParityRow(record, label, index, expression, cert_terms, value))
     return ParityTable(G, flavor, rows, assignment)

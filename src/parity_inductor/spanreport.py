@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from .chartab import character_table
 from .genchar import rho_H
 from .generators import family_for
@@ -48,17 +46,15 @@ class SpanReport:
         "subgroup_results",
         "sample_results",
         "usage",
-        "elapsed",
     )
 
-    def __init__(self, group_name, order, flavor, subgroup_results, sample_results, usage, elapsed):
+    def __init__(self, group_name, order, flavor, subgroup_results, sample_results, usage):
         self.group_name = group_name
         self.order = order
         self.flavor = flavor
         self.subgroup_results = tuple(subgroup_results)
         self.sample_results = tuple(sample_results)
         self.usage = dict(usage)
-        self.elapsed = elapsed
 
     @property
     def all_certified(self) -> bool:
@@ -92,8 +88,8 @@ class SpanReport:
         lines.append("  targets certified: %d/%d" % (total - len(self.failures()), total))
         return "\n".join(lines)
 
-    def to_json(self, include_timing=False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "group": self.group_name,
             "order": self.order,
             "flavor": self.flavor,
@@ -102,9 +98,6 @@ class SpanReport:
             "usage": {key: self.usage[key] for key in sorted(self.usage)},
             "all_certified": self.all_certified,
         }
-        if include_timing:
-            doc["elapsed_seconds"] = self.elapsed
-        return doc
 
 
 def _usage_key(desc) -> str:
@@ -126,13 +119,11 @@ def _solve_target(rho, family, label, usage, meta):
         usage[_usage_key(family.generators[index])] = (
             usage.get(_usage_key(family.generators[index]), 0) + 1
         )
-    terms = [(family.generators[i].gen_id, c) for i, c in cert.terms]
-    return TargetResult(label, True, terms=terms, meta=meta)
+    return TargetResult(label, True, terms=cert.named_terms(), meta=meta)
 
 
 def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, bound=4):
     """Certify every rho_H of G plus seeded random targets; failures are recorded."""
-    started = time.perf_counter()
     group_name = name if name is not None else "order%d" % G.order()
     usage = {}
     subgroup_results = []
@@ -141,8 +132,7 @@ def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, boun
         family = family_for(G, flavor)
     except (RuntimeError, ValueError) as exc:
         result = TargetResult("family", False, detail=str(exc))
-        elapsed = time.perf_counter() - started
-        return SpanReport(group_name, G.order(), flavor, [result], [], usage, elapsed)
+        return SpanReport(group_name, G.order(), flavor, [result], [], usage)
     character_table(G)
     for record in subgroup_lattice(G).records:
         rho = rho_H(G, record)
@@ -159,7 +149,4 @@ def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, boun
             sample_results.append(TargetResult(label, False, detail=str(exc), meta=meta))
             continue
         sample_results.append(_solve_target(rho, family, label, usage, meta))
-    elapsed = time.perf_counter() - started
-    return SpanReport(
-        group_name, G.order(), flavor, subgroup_results, sample_results, usage, elapsed
-    )
+    return SpanReport(group_name, G.order(), flavor, subgroup_results, sample_results, usage)

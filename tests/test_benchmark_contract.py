@@ -1,0 +1,74 @@
+"""The package surface that the benchmark under ``perfbench/`` calls.
+
+The benchmark runs against whatever ``src/`` holds, so a rename there (a traced
+layer, ``GeneratorFamily.hnf`` or the fields of its result) would only show as
+a failed benchmark run.  These checks catch it in the test suite instead.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
+
+import parity_inductor
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("_perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+def _package():
+    """The package's modules as attributes, the way the benchmark passes them."""
+    names = [m.name for m in pkgutil.iter_modules(parity_inductor.__path__)]
+    return SimpleNamespace(
+        **{name: importlib.import_module("parity_inductor." + name) for name in names}
+    )
+
+
+def _catalog(pi):
+    return {e.name: e.group for e in pi.catalog.load_bundled_catalog()}
+
+
+def test_every_traced_layer_resolves_to_a_callable():
+    for name, module, attr in tracing.LAYERS:
+        obj = importlib.import_module("parity_inductor." + module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
+
+
+def test_build_counters_on_an_empty_and_a_nonempty_family():
+    pi = _package()
+    groups = _catalog(pi)
+    chk = workloads.Check()
+    workloads.build_counters(pi, [groups["C1"], groups["D6"]], chk)
+    family = pi.generators.family_for(groups["D6"], workloads.FLAVOR)
+    assert pi.generators.family_for(groups["C1"], workloads.FLAVOR).hnf() is None
+    assert chk.counters["generators.generators"] == len(family) > 0
+    assert chk.counters["intlinalg.hnf_rank"] == family.hnf().rank > 0
+    assert chk.counters["intlinalg.h_max_bits"] > 0
+    assert chk.counters["intlinalg.u_max_bits"] > 0
+
+
+def test_target_stream_solve_verifies_and_round_trips():
+    pi = _package()
+    G = _catalog(pi)["D6"]
+    family = pi.generators.family_for(G, workloads.FLAVOR)
+    record = pi.lattice.subgroup_lattice(G).records[1]
+    stream = workloads.TargetStream(pi, workloads.DEFAULT_SEED)
+    target = partial(pi.genchar.rho_H, G, record)
+    rho, cert, verified, doc, back, back_verified = stream._solve("D6", family, target)
+    assert verified and back_verified
+    assert cert.target == rho and back.terms == cert.terms and back.target == rho
+    assert doc["terms"] and doc["verified"] is True

@@ -328,6 +328,19 @@ def test_parity_cli_rejects_bad_input_file(tmp_path):
     assert code == 2
 
 
+def test_parity_cli_rejects_bool_and_float_signs(tmp_path):
+    path = tmp_path / "signs.json"
+    for doc in (
+        {"base": True},
+        {"base": 1, "quadratic": {"X1": 1.0}},
+        {"base": True, "quadratic": {"X1": 1.0}},
+        {"base": 1, "dihedral": {"t2:h3:n0:Dihedral2p(3):tau3": -1.0}},
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("parity", "S3", "--parities", str(path))
+        assert code == 2 and out == "" and "must be +1 or -1" in err, doc
+
+
 def test_required_primes_cli():
     code, out, _ = run_cli("required-primes", "S4", "--format", "json")
     assert code == 0

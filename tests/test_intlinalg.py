@@ -1,11 +1,14 @@
-from parity_inductor.intlinalg import (
-    hnf,
-    identity_matrix,
-    kernel_basis,
-    reduce_mod_lattice,
-    solve_left,
-    solve_left_canonical,
-)
+import pytest
+from _intlinalg_reference import reduce_mod_lattice, solve_left_canonical
+
+from parity_inductor import decompose, membership
+from parity_inductor._primes import prime_factors
+from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.chartab import character_table
+from parity_inductor.genchar import rho_H, trivial_char
+from parity_inductor.generators import family_for
+from parity_inductor.intlinalg import hnf, identity_matrix
+from parity_inductor.lattice import subgroup_lattice
 
 
 def mat_mul(a, b):
@@ -82,38 +85,120 @@ def test_hnf_unimodular_transform_general():
 
 
 def test_kernel_basis():
-    k = kernel_basis([[1, 1], [2, 2]])
+    k = hnf([[1, 1], [2, 2]]).kernel
     assert len(k) == 1
     assert mat_mul(k, [[1, 1], [2, 2]]) == [[0, 0]]
     assert k == [[-2, 1]]
-    assert kernel_basis([[1, 0], [0, 1]]) == []
+    assert hnf([[1, 0], [0, 1]]).kernel == []
 
 
 def test_solve_left():
     a = [[1, 1], [0, 2]]
-    assert solve_left(a, [1, 3]) == [1, 1]
-    assert solve_left([[2, 0], [0, 1]], [1, 0]) is None
-    assert solve_left([[2, 0], [0, 1]], [4, 7]) == [2, 7]
+    assert hnf(a).solve([1, 3]) == [1, 1]
+    assert hnf([[2, 0], [0, 1]]).solve([1, 0]) is None
+    assert hnf([[2, 0], [0, 1]]).solve([4, 7]) == [2, 7]
 
 
 def test_solve_left_no_integer_solution():
     # 3x = 2 over the integers has no solution
-    assert solve_left([[3]], [2]) is None
+    assert hnf([[3]]).solve([2]) is None
 
 
 def test_reduce_mod_lattice():
+    # the reference reduction behind the differential tests
     assert reduce_mod_lattice([5, 7], [[2, 0], [0, 3]]) == [1, 1]
     assert reduce_mod_lattice([5, 7], []) == [5, 7]
     assert reduce_mod_lattice([-1, 0], [[2, 0], [0, 3]]) == [1, 0]
+    # solve reduces modulo the HNF of the kernel, here the row (1, -1, 0)
+    a = [[1, 0], [1, 0], [0, 1]]
+    res = hnf(a)
+    assert hnf(res.kernel).h == [[1, -1, 0]]
+    for b in ([5, 7], [-1, 0], [0, 0]):
+        x = res.solve(b)
+        assert mat_mul([x], a) == [b]
+        assert x[0] == 0
 
 
 def test_solve_left_canonical():
     a = [[1, 0], [1, 0]]
-    x = solve_left_canonical(a, [3, 0])
+    x = hnf(a).solve([3, 0])
     assert x == [0, 3]
     assert mat_mul([x], a) == [[3, 0]]
+
+
+def test_solve_rejects_a_wrong_length_target():
+    res = hnf([[1, 1], [0, 2]])
+    for b in ([1], [1, 3, 0], []):
+        with pytest.raises(ValueError):
+            res.solve(b)
+
+
+def test_solve_over_an_empty_lattice():
+    # no rows: only the empty zero vector is reached
+    res = hnf([])
+    assert res.rank == 0 and res.kernel == []
+    assert res.solve([]) == []
+    assert res.solve([0, 0]) == []
+    assert res.solve([1]) is None
+    # zero rows span {0}; the canonical solution is the zero combination
+    res = hnf([[0, 0], [0, 0]])
+    assert res.rank == 0 and res.kernel == [[1, 0], [0, 1]]
+    assert res.solve([0, 0]) == [0, 0]
+    assert res.solve([0, 1]) is None
 
 
 def test_identity_matrix():
     assert identity_matrix(2) == [[1, 0], [0, 1]]
     assert mat_mul(identity_matrix(3), identity_matrix(3)) == identity_matrix(3)
+
+
+def _lattices(G):
+    """(name, matrix, HNF, degree zero) for every HNF that src solves against on G."""
+    out = []
+    for flavor in ("thm12", "cor29"):
+        family = family_for(G, flavor)
+        out.append((flavor, family.matrix, family.hnf() or hnf([]), True))
+    _, chars, lattice = membership._perm_lattice(G)
+    out.append(("perm", [list(ch.coeffs) for ch in chars], lattice, False))
+    subfamilies = [
+        ("Lemma2.3", decompose._lemma23_family(G)),
+        ("Lemma2.4", decompose._lemma24_family(G)),
+    ]
+    for q in sorted(prime_factors(G.order()) - {2}):
+        subfamilies.append(("Prop2.6(%d)" % q, decompose._prop26_family(G, q)))
+    for name, family in subfamilies:
+        out.append((name, family.matrix, family.hnf() or hnf([]), True))
+    return out
+
+
+def _check_solve_against_reference(G):
+    targets = [rho_H(G, rec) for rec in subgroup_lattice(G).records]
+    targets += [membership.random_S_element(G, seed, 4) for seed in (0, 1)]
+    one = list(trivial_char(character_table(G)).coeffs)
+    for name, matrix, res, degree_zero in _lattices(G):
+        for rho in targets:
+            b = list(rho.coeffs)
+            assert res.solve(b) == solve_left_canonical(matrix, b), name
+        x = res.solve(one)
+        assert x == solve_left_canonical(matrix, one), name
+        # the trivial character has degree 1: off every degree-zero lattice
+        assert (x is None) == degree_zero, name
+
+
+SMALL = (
+    "C1", "C2", "C6", "C12", "C15", "D6", "D8", "D10", "D12", "C2xC2", "Q8", "A4", "S4",
+    "SL(2,3)", "F5:4", "F7:3", "A5",
+)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_solve_matches_reference(name):
+    by_name = {e.name: e.group for e in load_bundled_catalog()}
+    _check_solve_against_reference(by_name[name])
+
+
+@pytest.mark.large
+def test_solve_matches_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        if entry.name not in SMALL:
+            _check_solve_against_reference(entry.group)

@@ -154,7 +154,7 @@ def reference_random_S_element(G, seed, bound):
     zero = GenChar(table, [0] * table.class_count())
     if bound <= 0:
         return zero
-    records, chars, _, _ = membership._perm_lattice(G)
+    records, chars, _ = membership._perm_lattice(G)
     basis = membership._admissible_lattice(G)
     if not basis:
         return zero

@@ -228,8 +228,14 @@ def test_rows_sorted_from_base_field_down():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        ParityInput(base=0)
+    # only the integers 1 and -1: no booleans, no floats
+    for value in (0, True, False, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            ParityInput(base=value)
+        with pytest.raises(ValueError):
+            ParityInput(quadratic={"X1": value})
+        with pytest.raises(ValueError):
+            ParityInput(dihedral={"t2:h3:n0:Dihedral2p(3):tau3": value})
     with pytest.raises(ValueError):
         ParityInput(quadratic={"bogus": 1})
     with pytest.raises(ValueError):

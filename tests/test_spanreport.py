@@ -73,5 +73,3 @@ def test_json_shape_and_timing_flag():
     assert {entry["label"] for entry in doc["subgroups"]} == {
         r.label for r in report.subgroup_results
     }
-    assert report.to_json(include_timing=True)["elapsed_seconds"] == report.elapsed
-    assert report.elapsed > 0.0
