@@ -1,6 +1,7 @@
 """Exact integer matrix helpers: row HNF with transform, canonical lattice solves.
 
 Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
+Both the HNF and the solves' reduction run one elimination loop, `_echelon`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class HnfResult:
 
     def solve(self, b):
         """The canonical x with x @ a = b, or None if b is off the row lattice:
-        one solution reduced modulo the HNF of the kernel."""
+        the unique solution with 0 <= x[c] < p at each pivot column c (pivot p)
+        of the kernel lattice, i.e. one solution reduced modulo its HNF."""
         if self.h and len(b) != len(self.h[0]):
             raise ValueError("dimension mismatch")
         resid = list(b)
@@ -46,47 +48,54 @@ class HnfResult:
                 x = [xi + q * ui for xi, ui in zip(x, self.u[k])]
         if any(resid):
             return None
-        relations = hnf(self.kernel)
-        for k, col in enumerate(relations.pivot_cols):
-            q = x[col] // relations.h[k][col]
+        if not any(x):
+            return x
+        relations, pivot_cols = _echelon(self.kernel, len(x))
+        for row, col in zip(relations, pivot_cols):
+            q = x[col] // row[col]
             if q:
-                x = [xi - q * v for xi, v in zip(x, relations.h[k])]
+                x = [xi - q * v for xi, v in zip(x, row)]
         return x
+
+
+def _echelon(rows, width):
+    """(rows, pivot_cols): an echelon form by integer row operations, pivoting
+    in the first `width` columns; pivots positive, entries above them as left."""
+    rows = list(rows)  # rows are replaced, never mutated in place
+    m = len(rows)
+    r = 0
+    pivot_cols = []
+    for col in range(width):
+        live = [i for i in range(r, m) if rows[i][col]]
+        while len(live) > 1:
+            live.sort(key=lambda i: abs(rows[i][col]))
+            base = rows[live[0]]
+            for i in live[1:]:
+                q = rows[i][col] // base[col]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], base)]
+            live = [i for i in live if rows[i][col]]
+        if not live:
+            continue
+        i = live[0]
+        rows[i], rows[r] = rows[r], rows[i]
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+        pivot_cols.append(col)
+        r += 1
+    return rows, pivot_cols
 
 
 def hnf(a) -> HnfResult:
     m = len(a)
     n = len(a[0]) if m else 0
-    h = [list(row) for row in a]
-    u = identity_matrix(m)
-    r = 0
-    pivot_cols = []
-    for col in range(n):
-        live = [i for i in range(r, m) if h[i][col]]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(h[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                q = h[i][col] // h[base][col]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[base])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[base])]
-            live = [i for i in live if h[i][col]]
-        if not live:
-            continue
-        i = live[0]
-        if i != r:
-            h[i], h[r] = h[r], h[i]
-            u[i], u[r] = u[r], u[i]
-        if h[r][col] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        piv = h[r][col]
+    # u rides along as the last m columns: the same row operations as on a.
+    rows, pivot_cols = _echelon([list(row) + e for row, e in zip(a, identity_matrix(m))], n)
+    for r, col in enumerate(pivot_cols):
+        piv = rows[r][col]
         for k in range(r):
-            q = h[k][col] // piv
+            q = rows[k][col] // piv
             if q:
-                h[k] = [x - q * y for x, y in zip(h[k], h[r])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[r])]
-        pivot_cols.append(col)
-        r += 1
-    return HnfResult(h=h, u=u, rank=r, pivot_cols=pivot_cols)
+                rows[k] = [x - q * y for x, y in zip(rows[k], rows[r])]
+    h, u = [row[:n] for row in rows], [row[n:] for row in rows]
+    return HnfResult(h=h, u=u, rank=len(pivot_cols), pivot_cols=pivot_cols)

@@ -1,12 +1,52 @@
-"""Reference lattice solves, each taking its own HNF of the matrix.
+"""Reference HNF and lattice solves, each solve taking its own HNF of the matrix.
 
-These are the solves `src/` used before `HnfResult.solve`.  They stay here as
-the independent side of the differential tests.
+`hnf` is the row HNF that updates h and its transform u in parallel, and the
+solves are the ones `src/` used before `HnfResult.solve`.  Only the result
+container comes from `src/`; they stay here as the independent side of the
+differential tests.
 """
 
 from __future__ import annotations
 
-from parity_inductor.intlinalg import HnfResult, hnf
+from parity_inductor.intlinalg import HnfResult, identity_matrix
+
+
+def hnf(a) -> HnfResult:
+    m = len(a)
+    n = len(a[0]) if m else 0
+    h = [list(row) for row in a]
+    u = identity_matrix(m)
+    r = 0
+    pivot_cols = []
+    for col in range(n):
+        live = [i for i in range(r, m) if h[i][col]]
+        while len(live) > 1:
+            live.sort(key=lambda i: abs(h[i][col]))
+            base = live[0]
+            for i in live[1:]:
+                q = h[i][col] // h[base][col]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[base])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[base])]
+            live = [i for i in live if h[i][col]]
+        if not live:
+            continue
+        i = live[0]
+        if i != r:
+            h[i], h[r] = h[r], h[i]
+            u[i], u[r] = u[r], u[i]
+        if h[r][col] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        piv = h[r][col]
+        for k in range(r):
+            q = h[k][col] // piv
+            if q:
+                h[k] = [x - q * y for x, y in zip(h[k], h[r])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[r])]
+        pivot_cols.append(col)
+        r += 1
+    return HnfResult(h=h, u=u, rank=r, pivot_cols=pivot_cols)
 
 
 def kernel_basis(a):

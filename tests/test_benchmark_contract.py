@@ -72,3 +72,25 @@ def test_target_stream_solve_verifies_and_round_trips():
     assert verified and back_verified
     assert cert.target == rho and back.terms == cert.terms and back.target == rho
     assert doc["terms"] and doc["verified"] is True
+
+
+def test_family_hnf_keeps_the_meaning_build_counters_reads():
+    # build_counters reports the bit sizes of .h and .u: h must stay the HNF of
+    # the family matrix and u its full square transform
+    pi = _package()
+    groups = {
+        "D6": _catalog(pi)["D6"],
+        "D8xC2": pi.groupspec.parse_group_spec(dict(workloads.TARGET_GROUPS)["D8xC2"]),
+    }
+    for name, G in groups.items():
+        family = pi.generators.family_for(G, workloads.FLAVOR)
+        res = family.hnf()
+        m = len(family)
+        assert len(res.u) == m and all(len(row) == m for row in res.u), name
+        product = [
+            [sum(c * row[j] for c, row in zip(u_row, family.matrix)) for j in range(len(family.matrix[0]))]
+            for u_row in res.u
+        ]
+        assert product == res.h, name
+        for r, col in enumerate(res.pivot_cols):
+            assert all(0 <= res.h[k][col] < res.h[r][col] for k in range(r)), name

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from _intlinalg_reference import hnf as reference_hnf
 from _intlinalg_reference import reduce_mod_lattice, solve_left_canonical
 
 from parity_inductor import decompose, membership
@@ -7,6 +10,7 @@ from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
 from parity_inductor.genchar import rho_H, trivial_char
 from parity_inductor.generators import family_for
+from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.intlinalg import hnf, identity_matrix
 from parity_inductor.lattice import subgroup_lattice
 
@@ -202,3 +206,123 @@ def test_solve_matches_reference_on_catalog():
     for entry in load_bundled_catalog():
         if entry.name not in SMALL:
             _check_solve_against_reference(entry.group)
+
+
+def _fields(res):
+    return res.h, res.u, res.rank, res.pivot_cols
+
+
+def _random_matrix(rng, m, n, entries):
+    return [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+
+
+def _random_matrices(count=3000, seed=12):
+    """Seeded matrices of every shape the HNF meets: empty, zero rows, more rows
+    than columns, rank-deficient, and with negative entries."""
+    rng = random.Random(seed)
+    out = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]]]
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -4, 6, -9)
+    while len(out) < count:
+        m, n = rng.randint(1, 8), rng.randint(1, 6)
+        a = _random_matrix(rng, m, n, entries)
+        kind = rng.randrange(4)
+        if kind == 1:
+            # rank-deficient: extra rows are integer combinations of the first
+            a += [[sum(rng.randint(-3, 3) * row[j] for row in a) for j in range(n)]
+                  for _ in range(rng.randint(1, 3))]
+        elif kind == 2:
+            a.insert(rng.randrange(m + 1), [0] * n)
+        elif kind == 3:
+            # non-unit pivots: scale whole columns
+            a = [[x * (j + 2) for j, x in enumerate(row)] for row in a]
+        out.append(a)
+    return out
+
+
+def test_hnf_matches_reference_on_random_matrices():
+    tall = deficient = 0
+    for a in _random_matrices():
+        res = hnf(a)
+        assert _fields(res) == _fields(reference_hnf(a)), a
+        tall += bool(a) and len(a) > len(a[0])
+        deficient += res.rank < len(a) <= len(a[0] if a else ())
+    assert tall > 500 and deficient > 200
+
+
+@pytest.fixture(scope="module")
+def catalog_families():
+    return [
+        (entry.name, flavor, family_for(entry.group, flavor))
+        for entry in load_bundled_catalog()
+        for flavor in ("thm12", "cor29")
+    ]
+
+
+def test_hnf_matches_reference_on_catalog_families(catalog_families):
+    for name, flavor, family in catalog_families:
+        if len(family):
+            assert _fields(family.hnf()) == _fields(reference_hnf(family.matrix)), (name, flavor)
+
+
+def test_zero_target_gives_the_zero_solution(catalog_families):
+    for name, flavor, family in catalog_families:
+        res = family.hnf() or hnf([])
+        b = [0] * family.table.class_count()
+        x = res.solve(b)
+        assert x == [0] * len(family), (name, flavor)
+        assert x == solve_left_canonical(family.matrix, b), (name, flavor)
+
+
+def test_solve_matches_reference_on_random_lattices():
+    """On- and off-lattice probes of random lattices with non-unit pivots: the
+    solve equals the reference, and is the solution whose entries at the
+    kernel HNF's pivot columns lie in [0, pivot)."""
+    rng = random.Random(7)
+    kernel_pivots = lattice_pivots = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 4)
+        a = _random_matrix(rng, m, n, (0, 1, -1, 2, -2, 3, 4, -6))
+        a = [[x * (j + 1) for j, x in enumerate(row)] for row in a]
+        res, ref = hnf(a), reference_hnf(a)
+        relations = reference_hnf(ref.kernel) if ref.kernel else None
+        lattice_pivots += any(ref.h[k][c] > 1 for k, c in enumerate(ref.pivot_cols))
+        kernel_pivots += bool(relations) and any(
+            relations.h[k][c] > 1 for k, c in enumerate(relations.pivot_cols)
+        )
+        for _ in range(4):
+            coeffs = [rng.randint(-5, 5) for _ in range(m)]
+            b = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(n)]
+            off = list(b)
+            off[rng.randrange(n)] += rng.choice((-1, 1))
+            for probe in (b, off):
+                x = res.solve(probe)
+                assert x == solve_left_canonical(a, probe, ref), (a, probe)
+                if probe is b:
+                    assert mat_mul([x], a) == [b]
+                    for k, c in enumerate(relations.pivot_cols if relations else ()):
+                        assert 0 <= x[c] < relations.h[k][c]
+    assert lattice_pivots > 100 and kernel_pivots > 20
+
+
+TARGET_STREAM_GROUPS = (
+    ("C2^3", "(1 2),(3 4),(5 6)"),
+    pytest.param("D8xC2", "(1 2 3 4),(1 3),(5 6)", marks=pytest.mark.large),
+    pytest.param("S4xC2", "(1 2 3 4),(1 2),(5 6)", marks=pytest.mark.large),
+    ("D64", "D64"),
+)
+
+
+@pytest.mark.parametrize("name,spec", TARGET_STREAM_GROUPS)
+def test_solve_matches_reference_on_target_stream_groups(name, spec):
+    """Every target the benchmark's target_stream solves on these groups."""
+    G = parse_group_spec(spec)
+    family = family_for(G, "thm12")
+    ref = reference_hnf(family.matrix)
+    targets = [rho_H(G, rec) for rec in subgroup_lattice(G).records]
+    targets += [membership.random_S_element(G, seed, 4) for seed in range(8)]
+    for rho in targets:
+        b = list(rho.coeffs)
+        assert family.hnf().solve(b) == solve_left_canonical(family.matrix, b, ref)
+    one = list(trivial_char(character_table(G)).coeffs)
+    assert family.hnf().solve(one) is None
+    assert solve_left_canonical(family.matrix, one, ref) is None
