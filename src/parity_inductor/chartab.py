@@ -8,7 +8,8 @@ Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
 where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
 so rows are compared, conjugated (s -> -s) and read for determinants as
-integer tuples; `Cyclo` rows (`values`) are built only to render.
+integer tuples, and are rendered by reducing their lift to Z[x]/(x^e - 1),
+e = exp(G), modulo Phi_e: a polynomial in z = zeta_e of degree below phi(e).
 
 Orthogonality: sum_c |C_c| chi_i(c) conj(chi_j(c)) is accumulated as one
 integer vector in Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e once per
@@ -33,7 +34,6 @@ from math import gcd, lcm
 from operator import mul, sub
 
 from ._primes import is_prime, primitive_root
-from .cyclotomic import Cyclo, _reduce_mod_phi, cyclotomic_polynomial, format_cyclo
 from .group import PermGroup, per_group
 from .perm import format_perm
 
@@ -160,6 +160,54 @@ def _poly_roots_mod(poly, p):
 
 
 @cache
+def cyclotomic_polynomial(n: int):
+    """Coefficients of Phi_n, low degree first, monic."""
+    if n == 1:
+        return (-1, 1)
+    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def _poly_exact_div(num, den):
+    """num / den for a monic den that divides num."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = num[k + len(den) - 1]
+        if c:
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    return q
+
+
+@cache
+def _phi_terms(n: int):
+    """deg Phi_n and the nonzero (j, coefficient) of Phi_n below the leading term."""
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce_mod_phi(coeffs, n):
+    """Reduce an integer polynomial in zeta_n modulo Phi_n; returns len-phi(n) list."""
+    deg, terms = _phi_terms(n)
+    work = list(coeffs)
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            work[k] = 0
+            base = k - deg
+            for j, p in terms:
+                work[base + j] -= c * p
+    work = work[:deg]
+    work += [0] * (deg - len(work))
+    return work
+
+
+@cache
 def _ramanujan(n: int):
     """c_n(k) = Tr(zeta_n ** k) = (phi(n) / phi(d)) * Tr(zeta_d), d = n / gcd(k, n).
 
@@ -187,12 +235,26 @@ def _terms(row):
 
 
 def _row_key(row, e: int):
-    """(degree, not trivial, `Cyclo.sort_key` per class) without building a Cyclo."""
+    """(degree, not trivial, per class the value's key), a value keyed by
+    (1, its integer) when rational and by (e, its coordinates in the basis
+    1, zeta_e, ..., zeta_e ** (phi(e) - 1)) otherwise.
+    """
     keys = []
     for m in row:
         red = _reduce_mod_phi(_lift(m, e), e)
         keys.append((1, red[0]) if not any(red[1:]) else (e, *red))
     return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, tuple(keys))
+
+
+def _format_value(m, e: int) -> str:
+    """A value as an integer polynomial in z = zeta_e of degree below phi(e)."""
+    parts = []
+    for i, c in enumerate(_reduce_mod_phi(_lift(m, e), e)):
+        if c:
+            mag = str(abs(c)) if i == 0 else "" if abs(c) == 1 else "%d*" % abs(c)
+            term = mag + ("" if i == 0 else "z" if i == 1 else "z^%d" % i)
+            parts.append(("- " if c < 0 else "+ " if parts else "") + term)
+    return " ".join(parts) or "0"
 
 
 def _power_maps(group: PermGroup, classes, exponent: int):
@@ -282,22 +344,6 @@ class CharacterTable:
     def class_count(self) -> int:
         return len(self.classes)
 
-    @cached_property
-    def values(self):
-        """Exact class values as `Cyclo` rows in Q(zeta_exp), built on first use."""
-        e = self.exponent
-        return tuple(tuple(Cyclo(e, _lift(m, e)) for m in row) for row in self.vectors)
-
-    def decompose_values(self, vals):
-        """Integer coordinates of exact class values (`Cyclo` or rational)."""
-        vectors = []
-        for v in vals:
-            v = v if isinstance(v, Cyclo) else Cyclo.rational(v)
-            if v.den != 1:
-                raise CharTableError("values are not a generalized character")
-            vectors.append(v.coeffs + (0,) * (v.n - len(v.coeffs)))
-        return self.decompose(vectors)
-
     def decompose(self, vectors):
         """Integer coordinates over the irreducibles of a class function.
 
@@ -357,13 +403,16 @@ class CharacterTable:
 
     # rendering ------------------------------------------------------------
 
+    def formatted_rows(self):
+        """Each row's values as integer polynomials in z = zeta_exp."""
+        e = self.exponent
+        return [[_format_value(m, e) for m in row] for row in self.vectors]
+
     def format_text(self) -> str:
         headers = ["chi"] + [
             "%s(%d)" % (format_perm(c.rep), c.size) for c in self.classes
         ]
-        body = [
-            ["X%d" % i] + [format_cyclo(v) for v in row] for i, row in enumerate(self.values)
-        ]
+        body = [["X%d" % i] + row for i, row in enumerate(self.formatted_rows())]
         widths = [
             max(len(r[c]) for r in [headers] + body) for c in range(len(headers))
         ]

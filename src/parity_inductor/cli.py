@@ -8,10 +8,10 @@ import sys
 
 from .catalog import CatalogError, bundled_catalog_path, load_catalog
 from .chartab import character_table
-from .cyclotomic import format_cyclo
 from .decompose import DecomposeError, decompose_structural, flatten_to_certificate, tree_to_json
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
+from .group import CayleyBoundError
 from .groupspec import GroupSpecError, _split_generators, group_from_cycles, parse_group_spec
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, membership_solve, verify_certificate
@@ -20,7 +20,7 @@ from .perm import format_perm
 from .spanreport import span_report
 from .structure import is_hyperelementary
 
-_INPUT_ERRORS = (GroupSpecError, CatalogError, LatticeBoundError, OSError)
+_INPUT_ERRORS = (GroupSpecError, CatalogError, LatticeBoundError, CayleyBoundError, OSError)
 _WORK_ERRORS = (DecomposeError, GeneratorError, MembershipError, ParityError)
 
 
@@ -155,7 +155,7 @@ def _cmd_chartab(args) -> int:
         "class_sizes": [c.size for c in table.classes],
         "class_orders": [c.order for c in table.classes],
         "degrees": list(table.degrees),
-        "rows": [[format_cyclo(v) for v in row] for row in table.values],
+        "rows": table.formatted_rows(),
     }
     _emit(args, table.format_text(), doc)
     return 0

@@ -4,8 +4,8 @@ A GenChar is a vector of integer coefficients over the irreducible rows of a
 CharacterTable, and the operations work on those coordinates.  Restriction,
 inflation and induction apply an integer pull-back matrix, decomposed exactly
 once per pair of tables and cached in the larger group; determinants are
-integer exponent vectors mod exp(G), read off the table.  Class values are
-cyclotomic and are only computed on request.
+integer exponent vectors mod exp(G), read off the table.  No class value is
+ever formed: the table keeps its rows as eigenvalue multiplicity vectors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import gcd
 from operator import mul
 
 from .chartab import CharacterTable, CharTableError, character_table
-from .cyclotomic import Cyclo
 from .group import PermGroup, per_group
 from .lattice import SubgroupRecord, subgroup_lattice
 from .structure import QuotientMap
@@ -86,20 +85,6 @@ class GenChar:
     def degree(self) -> int:
         return sum(c * d for c, d in zip(self.coeffs, self.table.degrees))
 
-    def value(self, class_index: int) -> Cyclo:
-        total = Cyclo.rational(0)
-        for c, row in zip(self.coeffs, self.table.values):
-            if c:
-                total = total + row[class_index] * c
-        return total
-
-    def values(self):
-        return tuple(self.value(c) for c in range(self.table.class_count()))
-
-    def value_at(self, g) -> Cyclo:
-        G = self.table.group
-        return self.value(G.class_of_index(G.element_index(g)))
-
     def conj(self) -> "GenChar":
         perm = self.table.conj_rows
         return GenChar(self.table, [self.coeffs[perm[j]] for j in range(len(perm))])
@@ -122,12 +107,6 @@ class LinearChar:
     @property
     def genchar(self) -> GenChar:
         return irreducible_char(self.table, self.row)
-
-    def value(self, class_index: int) -> Cyclo:
-        return self.table.values[self.row][class_index]
-
-    def values(self):
-        return self.table.values[self.row]
 
     @property
     def exponents(self):
@@ -192,10 +171,6 @@ def irreducible_char(table: CharacterTable, i: int) -> GenChar:
     coeffs = [0] * table.class_count()
     coeffs[i] = 1
     return GenChar(table, coeffs)
-
-
-def from_values(table: CharacterTable, values) -> GenChar:
-    return GenChar(table, table.decompose_values(list(values)))
 
 
 # ------------------------------------------------------- subgroup plumbing

@@ -9,6 +9,15 @@ from typing import NamedTuple
 
 from .perm import Perm, identity
 
+# A Cayley table holds order ** 2 positions, about 8 bytes each in CPython
+# 3.11: `chartab S7` (order 5,040) peaks at 213 MB, so this bound keeps a
+# table near 0.55 GB, while S8 would need about 13 GB.
+MAX_CAYLEY_ORDER = 8192
+
+
+class CayleyBoundError(ValueError):
+    """The group is too large for a Cayley table."""
+
 
 @dataclass(frozen=True)
 class ConjClass:
@@ -202,6 +211,11 @@ class PermGroup:
     @per_group
     def cayley(self) -> Cayley:
         """Integer Cayley table, inverses and element orders, built once."""
+        if self.order() > MAX_CAYLEY_ORDER:
+            raise CayleyBoundError(
+                "group order %d exceeds the Cayley-table bound %d"
+                % (self.order(), MAX_CAYLEY_ORDER)
+            )
         elts = self.elements()
         index = self._index()
         # left multiplication by each generator, on positions
@@ -233,8 +247,9 @@ class PermGroup:
     @per_group
     def conjugacy_classes(self):
         """Conjugacy classes ordered by (element order, size, minimal rep)."""
-        elts = self.elements()
+        # the table first: it refuses a group too large before any element is listed
         table, inverse, orders = self.cayley()
+        elts = self.elements()
         gens = [self.element_index(g) for g in self.generators]
         assigned = [None] * len(elts)
         raw = []

@@ -100,15 +100,23 @@ def certificate_from_json(doc: dict, family: GeneratorFamily) -> MembershipCerti
     target_coeffs = doc["target"]
     if len(target_coeffs) != table.class_count():
         raise ValueError("target length does not match the character table")
-    target = GenChar(table, target_coeffs)
+    target = GenChar(table, [_integer(c, "target entry") for c in target_coeffs])
     position = {desc.gen_id: i for i, desc in enumerate(family.generators)}
     terms = []
     for term in doc["terms"]:
         gen_id = term["generator"]
         if gen_id not in position:
             raise ValueError("unknown generator id %r" % gen_id)
-        terms.append((position[gen_id], term["coefficient"]))
+        terms.append((position[gen_id], _integer(term["coefficient"], "coefficient")))
+    if len({i for i, _ in terms}) != len(terms):
+        raise ValueError("a generator id appears in more than one term")
     return MembershipCertificate(family, target, terms)
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (where, value))
+    return value
 
 
 @per_group

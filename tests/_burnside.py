@@ -3,13 +3,13 @@
 Splits the commuting class matrices with numpy on a random combination,
 reconstructs every character value exactly as an integer combination of
 roots of unity (rounding catches numeric fuzz), then verifies the exact
-table before handing it out.  Shares only the permutation type with the
-production path.
+table before handing it out.  Shares only the permutation group with the
+production path: its values are the reference `Cyclo`.
 """
 
 import numpy as np
 
-from parity_inductor.cyclotomic import Cyclo
+from _cyclo_reference import Cyclo
 
 
 def _class_data(G):

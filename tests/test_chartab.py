@@ -6,18 +6,21 @@ import pytest
 
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharTableError, _terms, character_table
-from parity_inductor.cyclotomic import Cyclo
-from parity_inductor.genchar import _pullback, _restriction, from_values, perm_char
+from parity_inductor.genchar import _pullback, _restriction, perm_char
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
 from _cyclo_reference import (
+    Cyclo,
     conjugate_rows,
     decompose_reference,
+    format_cyclo,
     inner_product_conj,
     inner_product_values,
+    reference_rows,
+    value_of,
 )
 
 
@@ -28,13 +31,14 @@ def table(spec):
 def test_trivial_group():
     t = table("C1")
     assert t.degrees == (1,)
-    assert t.values == ((Cyclo.rational(1),),)
+    assert t.vectors == (((1,),),)
+    assert reference_rows(t) == [[Cyclo.rational(1)]]
 
 
 def test_c2_rows():
     t = table("C2")
     assert t.degrees == (1, 1)
-    assert [[v for v in row] for row in t.values] == [[1, 1], [1, -1]]
+    assert reference_rows(t) == [[1, 1], [1, -1]]
 
 
 def test_s3_table():
@@ -42,9 +46,7 @@ def test_s3_table():
     assert t.degrees == (1, 1, 2)
     # classes ordered: identity, transpositions, 3-cycles
     assert [c.size for c in t.classes] == [1, 3, 2]
-    assert list(t.values[0]) == [1, 1, 1]
-    assert list(t.values[1]) == [1, -1, 1]
-    assert list(t.values[2]) == [2, 0, -1]
+    assert reference_rows(t) == [[1, 1, 1], [1, -1, 1], [2, 0, -1]]
 
 
 def test_c4_rows():
@@ -58,8 +60,7 @@ def test_c4_rows():
         [1, -1, i, -i],
         [1, 1, -1, -1],
     ]
-    got = [list(row) for row in t.values]
-    assert all(a == b for row_g, row_e in zip(got, expect) for a, b in zip(row_g, row_e))
+    assert reference_rows(t) == expect
 
 
 def test_d8_degrees():
@@ -83,7 +84,7 @@ def test_bigger_degree_vectors():
 def test_first_row_trivial_and_degree_sum():
     for spec in ["C6", "C12", "D10", "D12", "Q8", "A4", "S4", "F7:3", "F5:4"]:
         t = table(spec)
-        assert all(v == 1 for v in t.values[0])
+        assert all(v == 1 for v in reference_rows(t)[0])
         assert sum(d * d for d in t.degrees) == t.group.order()
         assert t.degrees == tuple(sorted(t.degrees))
 
@@ -91,11 +92,10 @@ def test_first_row_trivial_and_degree_sum():
 def test_row_orthogonality_exact():
     for spec in ["S3", "D8", "Q8", "A4", "D14", "C9"]:
         t = table(spec)
-        k = t.class_count()
-        for i in range(k):
-            for j in range(k):
-                want = Fraction(1 if i == j else 0)
-                assert inner_product_values(t, t.values[i], t.values[j]) == want
+        rows = reference_rows(t)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                assert inner_product_values(t, a, b) == Fraction(1 if i == j else 0)
 
 
 def test_column_orthogonality_exact():
@@ -105,7 +105,7 @@ def test_column_orthogonality_exact():
         for c1 in range(k):
             for c2 in range(k):
                 acc = Cyclo.rational(0)
-                for row in t.values:
+                for row in reference_rows(t):
                     acc = acc + row[c1] * row[c2].conj()
                 want = t.group.order() // t.classes[c1].size if c1 == c2 else 0
                 assert acc == want
@@ -149,7 +149,7 @@ def test_matches_burnside_oracle_up_to_24():
         t = character_table(G)
         oracle = burnside_character_rows(G, seed=7)
         unmatched = list(oracle)
-        for row in t.values:
+        for row in reference_rows(t):
             hits = [o for o in unmatched if all(a == b for a, b in zip(row, o))]
             assert len(hits) == 1, "table row missing from oracle"
             unmatched.remove(hits[0])
@@ -158,7 +158,7 @@ def test_matches_burnside_oracle_up_to_24():
 
 def test_values_are_algebraic_integers_at_identity():
     t = table("S4")
-    for row, d in zip(t.values, t.degrees):
+    for row, d in zip(reference_rows(t), t.degrees):
         assert row[0] == d
 
 
@@ -179,20 +179,16 @@ def test_format_text_uses_exponent_root():
 def test_defect_on_bad_values():
     t = table("S3")
     with pytest.raises(CharTableError):
-        t.decompose_values([Cyclo.rational(1), Cyclo.rational(0), Cyclo.rational(0)])
+        t.decompose([(1,), (0,), (0,)])
 
 
 def test_value_count_must_match_class_count():
     t = table("C4")
-    regular = [Cyclo.rational(4), Cyclo.rational(0), Cyclo.rational(0), Cyclo.rational(0)]
-    assert from_values(t, regular).coeffs == (1, 1, 1, 1)
-    for vals in ([Cyclo.rational(4)], regular + [Cyclo.rational(99)]):
+    regular = [(4,), (0,), (0,), (0,)]
+    assert t.decompose(regular) == (1, 1, 1, 1)
+    for vals in ([(4,)], regular + [(99,)]):
         with pytest.raises(ValueError):
-            from_values(t, vals)
-        with pytest.raises(ValueError):
-            t.decompose_values(vals)
-        with pytest.raises(ValueError):
-            t.decompose([(v.to_int(),) for v in vals])
+            t.decompose(vals)
 
 
 def test_decompose_is_exact_on_non_characters():
@@ -200,8 +196,6 @@ def test_decompose_is_exact_on_non_characters():
     # return the zero character; the re-expansion must refuse it
     t = table("C1")
     assert t.decompose([(2,)]) == (2,)
-    with pytest.raises(CharTableError):
-        t.decompose_values([Cyclo.zeta(3) - Cyclo.zeta(3, 2)])
     with pytest.raises(CharTableError):
         t.decompose([(0, 1, -1)])
 
@@ -214,13 +208,13 @@ def test_decompose_is_exact_on_non_characters():
 def _check_against_reference(G):
     t = character_table(G)
     k = t.class_count()
-    conj = conjugate_rows(t)
+    vals, conj = reference_rows(t), conjugate_rows(t)
     terms = [_terms(row) for row in t.vectors]
     for i in range(k):
-        assert list(t.values[t.conj_rows[i]]) == conj[i], i
+        assert vals[t.conj_rows[i]] == conj[i], i
         for j in range(i, k):
             got = Fraction(t._gram(terms[i], terms[j]), G.order())
-            assert got == inner_product_conj(t, t.values[i], conj[j]), (i, j)
+            assert got == inner_product_conj(t, vals[i], conj[j]), (i, j)
     for c, cls in enumerate(t.classes):
         assert t.inverse_map[c] == G.class_of(cls.rep.inverse())
         for j in range(t.exponent + 1):
@@ -236,13 +230,15 @@ def _check_against_reference(G):
         assert perm_char(G, rec).coeffs == decompose_reference(t, fixed), rec.label
         ht, rows = _restriction(G, rec)
         fusion = [G.class_of(cls.rep) for cls in ht.classes]
-        want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in t.values)
+        want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in vals)
         assert rows == want, rec.label
         if rec.normal:
             q = quotient(G, rec)
             qt = character_table(q.image)
             fusion = [q.image.class_of_index(q.image_of[cls.members[0]]) for cls in t.classes]
-            want = tuple(decompose_reference(t, [row[c] for c in fusion]) for row in qt.values)
+            want = tuple(
+                decompose_reference(t, [row[c] for c in fusion]) for row in reference_rows(qt)
+            )
             assert _pullback(qt, t, fusion) == want, rec.label
 
 
@@ -259,6 +255,42 @@ def test_integer_paths_match_cyclo_reference_on_catalog():
 )
 def test_integer_paths_match_cyclo_reference_large(spec):
     _check_against_reference(parse_group_spec(spec))
+
+
+# The table renders straight from its vectors; the reference renders each
+# value as an element of Q(zeta_exp).  Row order is the reference order too:
+# it fixes every generator id and every pinned digest.
+
+
+def _check_rendering(t):
+    e = t.exponent
+    want = [[format_cyclo(value_of(m, e)) for m in row] for row in t.vectors]
+    assert t.formatted_rows() == want
+
+
+def test_rendering_matches_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        _check_rendering(character_table(entry.group))
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec",
+    ["D64", "D128", "(1 2), (3 4), (5 6), (7 8), (9 10)"],
+    ids=["D64", "D128", "C2^5"],
+)
+def test_rendering_matches_reference_large(spec):
+    _check_rendering(table(spec))
+
+
+def test_row_order_matches_reference_sort_key_on_catalog():
+    for entry in load_bundled_catalog():
+        t = character_table(entry.group)
+        keys = [
+            (d, 0 if all(v == 1 for v in row) else 1, tuple(v.sort_key() for v in row))
+            for d, row in zip(t.degrees, reference_rows(t))
+        ]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), entry.name
 
 
 @pytest.mark.large

@@ -14,6 +14,7 @@ import pytest
 from parity_inductor.catalog import render_catalog
 from parity_inductor.cli import main
 from parity_inductor.generators import family_for
+from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.membership import certificate_from_json, verify_certificate
 
@@ -127,6 +128,19 @@ def test_group_with_too_many_subgroups_exits_2_fast():
     code, out, err = run_cli("group-info", "(1 2),(3 4),(5 6),(7 8),(9 10),(11 12),(13 14),(15 16)")
     assert time.perf_counter() - started < 5
     assert code == 2 and out == "" and "more than 32768 subgroups" in err
+
+
+def test_chartab_above_the_cayley_bound_exits_2_fast(monkeypatch):
+    # S8 would need a Cayley table of 40,320 ** 2 positions, about 13 GB:
+    # refused on its order, before a single element is listed
+    def unreachable(G):
+        raise AssertionError("elements of a group of order %d were listed" % G.order())
+
+    monkeypatch.setattr(PermGroup, "elements", unreachable)
+    started = time.perf_counter()
+    code, out, err = run_cli("chartab", "S8")
+    assert time.perf_counter() - started < 5
+    assert code == 2 and out == "" and "order 40320 exceeds the Cayley-table bound 8192" in err
 
 
 def test_verify_custom_catalog(tmp_path):

@@ -1,13 +1,18 @@
-import cmath
+"""The reference `Cyclo` arithmetic, and Phi_n in the package and the reference."""
+
 import math
+from fractions import Fraction
 
 import pytest
 
-from parity_inductor.cyclotomic import Cyclo, cyclotomic_polynomial, format_cyclo
-from fractions import Fraction
+from parity_inductor import chartab
+
+from _cyclo_reference import Cyclo, cyclotomic_polynomial, format_cyclo
 
 
 def test_cyclotomic_polynomials():
+    for n in range(1, 61):
+        assert chartab.cyclotomic_polynomial(n) == cyclotomic_polynomial(n), n
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
@@ -19,17 +24,19 @@ def test_cyclotomic_polynomials():
 def test_zeta_powers():
     i = Cyclo.zeta(4)
     assert i * i == -1
-    assert i**4 == 1
+    assert i * i * i * i == 1
     z = Cyclo.zeta(3)
-    assert z + z**2 == -1
-    assert Cyclo.zeta(7) ** 7 == 1
+    assert z + z * z == -1
+    w, power = Cyclo.zeta(7), Cyclo.rational(1)
+    for _ in range(7):
+        power = power * w
+    assert power == 1
 
 
 def test_rational_collapse():
     s = sum((Cyclo.zeta(5, k) for k in range(1, 5)), Cyclo.rational(0))
     assert s == -1
     assert s.n == 1
-    assert s.is_rational()
 
 
 def test_cross_conductor_equality():
@@ -41,8 +48,8 @@ def test_cross_conductor_equality():
 def test_conj():
     z = Cyclo.zeta(5)
     assert z.conj() == Cyclo.zeta(5, 4)
-    assert (z + z.conj()).is_real()
-    assert not z.is_real()
+    assert (z + z.conj()).conj() == z + z.conj()
+    assert z.conj() != z
     assert Cyclo.rational(7).conj() == 7
 
 
@@ -61,22 +68,6 @@ def test_fraction_arithmetic():
     assert half * 2 == 1
     assert half + half == 1
     assert (half * Fraction(2, 3)).to_fraction() == Fraction(1, 3)
-
-
-def test_to_int():
-    assert (Cyclo.zeta(3) - Cyclo.zeta(3)).to_int() == 0
-    assert Cyclo.rational(5).to_int() == 5
-    with pytest.raises(ValueError):
-        Cyclo.rational(Fraction(1, 2)).to_int()
-    with pytest.raises(ValueError):
-        Cyclo.zeta(3).to_int()
-
-
-def test_to_complex():
-    z = Cyclo.zeta(7)
-    assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 7)) < 1e-12
-    v = Cyclo.zeta(5) + Cyclo.zeta(5).conj()
-    assert abs(v.to_complex().imag) < 1e-12
 
 
 def test_moebius_sums():
@@ -103,9 +94,3 @@ def test_format():
     assert format_cyclo(Cyclo.zeta(5) + 1) == "1 + z"
     assert format_cyclo(Cyclo.zeta(5) * 2 - 1) == "- 1 + 2*z"
     assert format_cyclo(Cyclo.rational(Fraction(1, 2))) == "(1)/2"
-
-
-def test_immutability():
-    z = Cyclo.zeta(3)
-    with pytest.raises(AttributeError):
-        z.n = 5

@@ -6,7 +6,6 @@ from parity_inductor.chartab import character_table
 from parity_inductor.genchar import (
     GenChar,
     determinant,
-    from_values,
     has_trivial_determinant,
     irreducible_char,
     rho_H,
@@ -26,6 +25,8 @@ from parity_inductor.membership import (
     random_S_element,
     verify_certificate,
 )
+
+from _cyclo_reference import from_values, reference_values
 
 ZOO = ["C1", "C2", "C4", "C6", "S3", "D8", "Q8", "A4", "D10", "S4", "D42"]
 
@@ -78,7 +79,8 @@ def test_type2_klein_four_brick():
             i for i, c in enumerate(g.expansion.coeffs) if c == -1 and i != 0
         ][0]
         a, b = (irreducible_char(tab, i) for i in eps_rows)
-        prod = from_values(tab, [x * y for x, y in zip(a.values(), b.values())])
+        values = zip(reference_values(a), reference_values(b))
+        prod = from_values(tab, [x * y for x, y in values])
         assert prod.coeffs[prod_row] == 1
 
 

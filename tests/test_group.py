@@ -1,3 +1,4 @@
+import ast
 import gc
 import sys
 from pathlib import Path
@@ -9,7 +10,13 @@ from parity_inductor.chartab import character_table
 from parity_inductor.decompose import decompose_structural
 from parity_inductor.genchar import perm_char, rho_H
 from parity_inductor.generators import family_for
-from parity_inductor.group import PermGroup, conjugacy_classes, per_group
+from parity_inductor.group import (
+    MAX_CAYLEY_ORDER,
+    CayleyBoundError,
+    PermGroup,
+    conjugacy_classes,
+    per_group,
+)
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.membership import solomon_coefficients
@@ -202,6 +209,46 @@ def test_every_cache_key_names_a_per_group_builder():
     assert [p.name for p in sorted(package.glob("*.py")) if "_cache" in p.read_text()] == [
         "group.py"
     ]
+
+
+def _package_imports(path):
+    """(module, name) of every import a file makes from the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("parity_inductor"):
+            found.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update((a.name, None) for a in node.names if a.name.startswith("parity_inductor"))
+    return found
+
+
+def test_one_character_value_format():
+    # the package keeps values only as multiplicity vectors; the field-element
+    # reference lives in the tests, and the Burnside oracle takes its values
+    # from there, so a package defect cannot show on both sides of a match
+    package = Path(parity_inductor.__file__).parent
+    assert [p.name for p in sorted(package.rglob("*.py")) if "Cyclo" in p.read_text()] == []
+    tests = Path(__file__).parent
+    assert _package_imports(tests / "_burnside.py") == set()
+    assert _package_imports(tests / "_cyclo_reference.py") == {("parity_inductor.genchar", "GenChar")}
+
+
+def test_cayley_table_is_refused_above_its_bound(monkeypatch):
+    def unreachable(G):
+        raise AssertionError("elements of a group of order %d were listed" % G.order())
+
+    monkeypatch.setattr(PermGroup, "elements", unreachable)
+    S8 = parse_group_spec("S8")
+    assert S8.order() == 40320 > MAX_CAYLEY_ORDER
+    for call in (PermGroup.cayley, PermGroup.conjugacy_classes, character_table):
+        with pytest.raises(CayleyBoundError, match="exceeds the Cayley-table bound"):
+            call(S8)
+    assert issubclass(CayleyBoundError, ValueError)
+
+
+@pytest.mark.large
+def test_s7_is_below_the_cayley_bound():
+    assert character_table(parse_group_spec("S7")).degrees[-1] == 35
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.membership import (
     MembershipCertificate,
     MembershipError,
+    certificate_from_json,
     certificate_to_json,
     hyperelementary_records,
     is_s_element,
@@ -107,6 +108,41 @@ def test_certificate_json_shape():
         ],
         "verified": True,
     }
+
+
+def _s3_certificate_doc():
+    G = parse_group_spec("S3")
+    rec = next(r for r in subgroup_lattice(G).records if r.order == 2)
+    family = theorem_family(G)
+    return certificate_to_json(membership_solve(rho_H(G, rec), family), "S3"), family
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("target", 0), -0.5), (("terms", 0, "coefficient"), True), (("terms", 0, "coefficient"), 1.0)],
+    ids=["target-half", "coefficient-bool", "coefficient-float"],
+)
+def test_certificate_from_json_rejects_non_integers(path, value):
+    # -0.5 would truncate to a different target; True and 1.0 would verify
+    doc, family = _s3_certificate_doc()
+    assert verify_certificate(certificate_from_json(doc, family))
+    *where, last = path
+    node = doc
+    for key in where:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        certificate_from_json(doc, family)
+
+
+def test_certificate_from_json_rejects_a_repeated_generator():
+    # terms 3 and -2 on one generator verify as its net 1, while
+    # `coefficient` would report one of them
+    doc, family = _s3_certificate_doc()
+    (term,) = doc["terms"]
+    doc["terms"] = [dict(term, coefficient=3), dict(term, coefficient=-2)]
+    with pytest.raises(ValueError, match="more than one term"):
+        certificate_from_json(doc, family)
 
 
 def test_random_element_bound_zero():
