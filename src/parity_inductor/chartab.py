@@ -18,18 +18,20 @@ pair, and must be the constant |G| * delta_ij.
 Decomposition: one path takes a class function as integer vectors (value
 sum_s a_s zeta_n ** s at a class, any n); put N = lcm(n, o).  By Hoelder's
 formula the normalized trace Tr(zeta_N ** k) / phi(N) is mu(N/g) / phi(N/g),
-g = gcd(k, N): the Ramanujan sum c_N(k) over phi(N).  So the rational part of
-<f, chi_j> is one integer dot product of f with the dual vector
-D_j[c][s] = |C_c| * (L / phi(N)) * sum_t m_t * c_N(s - t), over |G| * L with
-L = lcm of the phi(N).  For a generalized character the inner products are
-rational, hence equal to their rational parts.  For other input they need
-not be, so the coordinates must be integers and sum_j a_j * chi_j must
-re-expand to the input at every class modulo Phi_N.  A return is then the
-exact identity f = sum_j a_j * chi_j for any input, with no second path.
+g = gcd(k, N): the Ramanujan sum c_N(k) over phi(N).  So |G| * L times the
+rational part of <f, chi_j>, with L the lcm of the phi(N), is the integer
+sum over classes c, over the input's nonzero terms (s, a_s) and over row j's
+nonzero multiplicities (t, m_t) at c of |C_c| * (L / phi(N)) * a_s * m_t *
+c_N(s - t), slots lifted to Z[x]/(x^N - 1); a class where the input is zero
+adds nothing.  For a generalized character the inner products are rational,
+hence equal to their rational parts.  For other input they need not be, so
+the coordinates must be integers and sum_j a_j * chi_j must re-expand to the
+input at every class modulo Phi_N.  A return is then the exact identity
+f = sum_j a_j * chi_j for any input, with no second path.
 """
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -246,6 +248,35 @@ def _row_key(row, e: int):
     return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, tuple(keys))
 
 
+def quotient_rows(table: "CharacterTable", qmap):
+    """H/N's irreducibles: the rows of H's table with N in their kernel
+    (Isaacs, Lemma 2.22), for qmap mapping H = table.group onto H/N.
+
+    Returns the rows in the order the image's own table sorts them, keyed by
+    `_row_key` over the image's classes, and one class of H over each class
+    of the image.  At an h of order o_h whose image has order o, a row folds
+    to the image as m_image[s] = m_H[s * o_h / o].
+    """
+    if qmap.source is not table.group:
+        raise ValueError("the quotient map does not start at the table's group")
+    image = qmap.image
+    classes = image.conjugacy_classes()
+    under = [image.class_of_index(qmap.image_of[cls.members[0]]) for cls in table.classes]
+    over = {s: c for c, s in enumerate(under)}
+    over = [over[s] for s in range(len(classes))]
+    # class 0 of the image is its identity, so the classes under it make up N
+    rows = [
+        i for i, row in enumerate(table.vectors)
+        if all(m[0] == row[0][0] for m, s in zip(row, under) if s == 0)
+    ]
+    if len(rows) != len(classes):
+        raise CharTableError("the rows with N in their kernel do not fit H/N")
+    steps = [(c, table.classes[c].order // cls.order) for c, cls in zip(over, classes)]
+    e = image.exponent()
+    rows.sort(key=lambda i: _row_key([table.vectors[i][c][::j] for c, j in steps], e))
+    return rows, over
+
+
 def _format_value(m, e: int) -> str:
     """A value as an integer polynomial in z = zeta_e of degree below phi(e)."""
     parts = []
@@ -289,6 +320,7 @@ class CharacterTable:
         rows.sort(key=lambda row: _row_key(row, e))
         # row i at class c: sum_s vectors[i][c][s] * zeta_o ** s, o = len(vectors[i][c])
         self.vectors = tuple(rows)
+        self._row_terms = [_terms(row) for row in rows]
         self.degrees = tuple(row[0][0] for row in rows)
         # det of row i at class c is zeta_exp ** det_exponents[i][c]
         self.det_exponents = tuple(
@@ -315,7 +347,7 @@ class CharacterTable:
             raise CharTableError("degree squares do not sum to the group order")
         if not all(m[0] == sum(m) == 1 for m in self.vectors[0]):
             raise CharTableError("first row is not the trivial character")
-        terms = [_terms(row) for row in self.vectors]
+        terms = self._row_terms
         for i in range(k):
             for j in range(i, k):
                 got = self._gram(terms[i], terms[j])
@@ -348,55 +380,43 @@ class CharacterTable:
         """Integer coordinates over the irreducibles of a class function.
 
         vectors[c] = (a_0, ..., a_{n-1}) stands for sum_s a_s * zeta_n ** s
-        at class c, for any n >= 1.  Raises CharTableError unless the class
-        function is exactly an integer combination of the rows.
+        at class c, for any n >= 1.  Raises ValueError on malformed input and
+        CharTableError unless the class function is exactly an integer
+        combination of the rows.
         """
         k = len(self.classes)
         if len(vectors) != k:
             raise ValueError("%d values for %d classes" % (len(vectors), k))
-        orders = [cls.order for cls in self.classes]
-        lengths = [lcm(len(v), o) for v, o in zip(vectors, orders)]
-        duals, den = self._duals if lengths == orders else self._dual_vectors(lengths)
-        given = [_lift(v, n) for v, n in zip(vectors, lengths)]
-        flat = [a for vec in given for a in vec]
+        for v, cls in zip(vectors, self.classes):
+            if not v or any(type(a) is not int for a in v):
+                raise ValueError("value at class %s: %r" % (format_perm(cls.rep), v))
+        lengths = [lcm(len(v), cls.order) for v, cls in zip(vectors, self.classes)]
+        phis = [len(cyclotomic_polynomial(n)) - 1 for n in lengths]
+        den = lcm(*phis)
+        nums = [0] * k
+        for c, (v, n, phi, cls) in enumerate(zip(vectors, lengths, phis, self.classes)):
+            scale, step, weights = cls.size * (den // phi), n // cls.order, _ramanujan(n)
+            given = [(s * n // len(v), a * scale) for s, a in enumerate(v) if a]
+            if given:
+                # the input's weight against slot t of a row's vector at c
+                at = [sum(a * weights[(s - t * step) % n] for s, a in given)
+                      for t in range(cls.order)]
+                for j, terms in enumerate(self._row_terms):
+                    nums[j] += sum(x * at[t] for t, x in terms[c])
         quotient = self.group.order() * den
-        coords = []
-        for dual in duals:
-            num = sum(map(mul, flat, dual))
-            if num % quotient:
-                raise CharTableError("values are not a generalized character")
-            coords.append(num // quotient)
+        if any(num % quotient for num in nums):
+            raise CharTableError("values are not a generalized character")
+        coords = [num // quotient for num in nums]
         # re-expand sum_j a_j chi_j and compare with the input modulo Phi_N
-        for c, (vec, n, o) in enumerate(zip(given, lengths, orders)):
-            acc = [0] * n
-            for a, row in zip(coords, self.vectors):
+        for c, (v, n, cls) in enumerate(zip(vectors, lengths, self.classes)):
+            vec, acc = _lift(v, n), [0] * n
+            for a, terms in zip(coords, self._row_terms):
                 if a:
-                    for s, x in enumerate(row[c]):
-                        if x:
-                            acc[s * n // o] += a * x
+                    for s, x in terms[c]:
+                        acc[s * n // cls.order] += a * x
             if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
                 raise CharTableError("values are not a generalized character")
         return tuple(coords)
-
-    @cached_property
-    def _duals(self):
-        """The duals at each class's own element order, the common case."""
-        return self._dual_vectors([cls.order for cls in self.classes])
-
-    def _dual_vectors(self, lengths):
-        """Each row's trace-form dual over the flattened (class, slot) layout."""
-        phis = [len(cyclotomic_polynomial(n)) - 1 for n in lengths]
-        den = lcm(*phis)
-        duals = [[] for _ in self.classes]
-        for c, (cls, n, phi) in enumerate(zip(self.classes, lengths, phis)):
-            weights = _ramanujan(n)
-            scale = cls.size * (den // phi)
-            for dual, row in zip(duals, self.vectors):
-                shifted = [(t * n // cls.order, x * scale) for t, x in enumerate(row[c]) if x]
-                dual.extend(
-                    sum(x * weights[(s - t) % n] for t, x in shifted) for s in range(n)
-                )
-        return duals, den
 
     def linear_row_indices(self):
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from .chartab import CharacterTable, character_table
+from .chartab import CharacterTable, character_table, quotient_rows
 from .genchar import (
     GenChar,
     determinant,
     has_trivial_determinant,
     induce,
-    inflate,
     irreducible_char,
     trivial_char,
 )
@@ -92,56 +91,52 @@ def enumerate_type1(G: PermGroup):
     return out
 
 
-def _degree2_characters(qtab: CharacterTable):
-    """All degree-2 characters of a small quotient, in canonical order."""
-    linear = qtab.linear_row_indices()
+def _subquotient_rows(dq):
+    """H's table and `chartab.quotient_rows` of H -> H/N on it."""
+    sub = dq.h_record.as_group()
+    table = character_table(sub)
+    return (table, *quotient_rows(table, quotient(sub, dq.h_record.local(dq.n_positions))))
+
+
+def _subquotient_generator(kind, id_format, dq, index, tau, core):
+    """The generator Ind_H^G(core) built from the index-th tau of H/N."""
+    return GeneratorDesc(
+        kind,
+        id_format % (dq.h_record.class_id, dq.n_class_id, dq.tag, index),
+        induce(dq.h_record, core),
+        h_record=dq.h_record,
+        n_positions=dq.n_positions,
+        n_class_id=dq.n_class_id,
+        tag=str(dq.tag),
+        tau_index=index,
+        tau=tau,
+    )
+
+
+def _degree2_characters(table: CharacterTable, rows):
+    """All degree-2 characters of H/N, on H's table, in canonical order."""
+    linear = [i for i in rows if table.degrees[i] == 1]
     out = []
     for pos, a in enumerate(linear):
         for b in linear[pos:]:
-            coeffs = [0] * qtab.class_count()
+            coeffs = [0] * table.class_count()
             coeffs[a] += 1
             coeffs[b] += 1
-            out.append(GenChar(qtab, coeffs))
-    for row, degree in enumerate(qtab.degrees):
-        if degree == 2:
-            coeffs = [0] * qtab.class_count()
-            coeffs[row] = 1
-            out.append(GenChar(qtab, coeffs))
+            out.append(GenChar(table, coeffs))
+    out.extend(irreducible_char(table, i) for i in rows if table.degrees[i] == 2)
     return out
 
 
 def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
-    sub = dq.h_record.as_group()
-    subtab = character_table(sub)
-    qmap = quotient(sub, dq.h_record.local(dq.n_positions))
-    qtab = character_table(qmap.image)
-    one = trivial_char(subtab)
-    out = []
-    for tau_index, tau in enumerate(_degree2_characters(qtab)):
-        lifted = inflate(qmap, tau)
-        core = lifted - one - determinant(lifted).genchar
-        expansion = induce(dq.h_record, core)
-        gen_id = "t2:h%d:n%d:%s:tau%d" % (
-            dq.h_record.class_id,
-            dq.n_class_id,
-            dq.tag,
-            tau_index,
+    table, rows, _ = _subquotient_rows(dq)
+    one = trivial_char(table)
+    return [
+        _subquotient_generator(
+            "type2", "t2:h%d:n%d:%s:tau%d", dq, i, tau, tau - one - determinant(tau).genchar
         )
-        out.append(
-            GeneratorDesc(
-                "type2",
-                gen_id,
-                expansion,
-                h_record=dq.h_record,
-                n_positions=dq.n_positions,
-                n_class_id=dq.n_class_id,
-                tag=str(dq.tag),
-                tau_index=tau_index,
-                tau=tau,
-            )
-        )
-    return out
+        for i, tau in enumerate(_degree2_characters(table, rows))
+    ]
 
 
 def _type2_sort_key(desc: GeneratorDesc):
@@ -220,19 +215,22 @@ def theorem_family(G: PermGroup) -> GeneratorFamily:
     return GeneratorFamily(G, THEOREM_FLAVOR, descs)
 
 
-def _real_zero_lattice_basis(qtab: CharacterTable):
-    """Basis of {real generalized characters of degree 0 with trivial det}."""
-    k = qtab.class_count()
+def _real_zero_lattice_basis(table: CharacterTable, rows, over):
+    """Basis of {real generalized characters of H/N of degree 0 with trivial
+    det}, on H's table: H/N's irreducibles are ``rows``, and ``over`` holds
+    one class of H over each class of H/N."""
+    k = len(rows)
     det_bits = []
-    for i in range(k):
-        delta = determinant(irreducible_char(qtab, i))
+    for i in rows:
+        delta = determinant(irreducible_char(table, i))
         if not (delta * delta).is_trivial():
             raise GeneratorError("tagged quotient with determinant of order > 2")
-        det_bits.append([1 if a else 0 for a in delta.exponents])
+        det_bits.append([1 if delta.exponents[c] else 0 for c in over])
     nvars = 2 * k
-    columns = [[qtab.degrees[i] for i in range(k)] + [0] * k]
-    for i in range(k):
-        j = qtab.conj_rows[i]
+    columns = [[table.degrees[i] for i in rows] + [0] * k]
+    position = {row: i for i, row in enumerate(rows)}
+    for i, row in enumerate(rows):
+        j = position[table.conj_rows[row]]
         if j > i:
             col = [0] * nvars
             col[i] = 1
@@ -242,8 +240,15 @@ def _real_zero_lattice_basis(qtab: CharacterTable):
         col = [det_bits[i][c] for i in range(k)] + [0] * k
         col[k + c] = 2
         columns.append(col)
-    rows = [[col[i] for col in columns] for i in range(nvars)]
-    return [row[:k] for row in hnf(rows).kernel if any(row[:k])]
+    matrix = [[col[i] for col in columns] for i in range(nvars)]
+    basis = []
+    for x in hnf(matrix).kernel:
+        if any(x[:k]):
+            coeffs = [0] * table.class_count()
+            for row, a in zip(rows, x):
+                coeffs[row] = a
+            basis.append(GenChar(table, coeffs))
+    return basis
 
 
 def _cyclic_quotient_twists(record):
@@ -267,32 +272,11 @@ def _cyclic_quotient_twists(record):
 
 def _tagged_quotient_twists(dq):
     """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
-    qmap = quotient(dq.h_record.as_group(), dq.h_record.local(dq.n_positions))
-    qtab = character_table(qmap.image)
-    out = []
-    for b_index, coeffs in enumerate(_real_zero_lattice_basis(qtab)):
-        tau = GenChar(qtab, coeffs)
-        expansion = induce(dq.h_record, inflate(qmap, tau))
-        gen_id = "tag:h%d:n%d:%s:b%d" % (
-            dq.h_record.class_id,
-            dq.n_class_id,
-            dq.tag,
-            b_index,
-        )
-        out.append(
-            GeneratorDesc(
-                "tagged",
-                gen_id,
-                expansion,
-                h_record=dq.h_record,
-                n_positions=dq.n_positions,
-                n_class_id=dq.n_class_id,
-                tag=str(dq.tag),
-                tau_index=b_index,
-                tau=tau,
-            )
-        )
-    return out
+    table, rows, over = _subquotient_rows(dq)
+    return [
+        _subquotient_generator("tagged", "tag:h%d:n%d:%s:b%d", dq, i, tau, tau)
+        for i, tau in enumerate(_real_zero_lattice_basis(table, rows, over))
+    ]
 
 
 @per_group

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from .chartab import character_table
 from .genchar import (
@@ -210,7 +211,8 @@ def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
         rows = rng.sample(basis, rng.randint(1, min(3, len(basis))))
         x = _draw(rows, [rng.choice(_COEFFS) for _ in rows], bound)
         if x is not None:
-            return sum((c * ch for c, ch in zip(x, chars) if c), zero)
+            columns = zip(*(ch.coeffs for ch in chars))
+            return GenChar(table, [sum(map(mul, x, column)) for column in columns])
     return zero
 
 

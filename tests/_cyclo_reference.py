@@ -251,15 +251,15 @@ def inner_product_values(table, avals, bvals):
 
 
 def decompose_reference(table, vals):
-    """Integer coordinates of class values over the irreducibles, or None."""
+    """Integer coordinates of class values over the irreducibles, or None
+    unless every inner product with an irreducible is a rational integer."""
     coeffs = []
     for weighted in _rows(table)[2]:
         total = Cyclo.rational(0)
         for a, b in zip(vals, weighted):
             total = total + a * b
         f = total.to_fraction()
-        assert f is not None, "inner product is not rational"
-        if f.denominator != 1 or f.numerator % table.group.order():
+        if f is None or f.denominator != 1 or f.numerator % table.group.order():
             return None
         coeffs.append(f.numerator // table.group.order())
     return tuple(coeffs)

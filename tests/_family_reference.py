@@ -1,0 +1,134 @@
+"""Reference generator families through the quotient image's own table.
+
+This is how both flavors built their subquotient twists before they read
+H/N's characters off H's table: build the table of the image of H -> H/N,
+take its degree-2 characters (thm12) or a lattice basis of its real
+degree-0 trivial-determinant characters (cor29), and inflate each through
+the inflation matrix of the quotient map before inducing to G.  It stays
+here as the independent side of the differential tests.
+"""
+
+from parity_inductor.chartab import character_table
+from parity_inductor.genchar import (
+    GenChar,
+    determinant,
+    induce,
+    inflate,
+    irreducible_char,
+    trivial_char,
+)
+from parity_inductor.generators import (
+    GeneratorDesc,
+    GeneratorError,
+    _cyclic_quotient_twists,
+    _drop_zero_and_duplicate,
+    _type2_sort_key,
+    enumerate_type1,
+)
+from parity_inductor.intlinalg import hnf
+from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.structure import dihedral_subquotients, quotient
+
+
+def _degree2_characters(qtab):
+    linear = qtab.linear_row_indices()
+    out = []
+    for pos, a in enumerate(linear):
+        for b in linear[pos:]:
+            coeffs = [0] * qtab.class_count()
+            coeffs[a] += 1
+            coeffs[b] += 1
+            out.append(GenChar(qtab, coeffs))
+    for row, degree in enumerate(qtab.degrees):
+        if degree == 2:
+            out.append(irreducible_char(qtab, row))
+    return out
+
+
+def _subquotient(dq):
+    qmap = quotient(dq.h_record.as_group(), dq.h_record.local(dq.n_positions))
+    return qmap, character_table(qmap.image)
+
+
+def _describe(kind, gen_id, expansion, dq, index, tau):
+    return GeneratorDesc(
+        kind,
+        gen_id,
+        expansion,
+        h_record=dq.h_record,
+        n_positions=dq.n_positions,
+        n_class_id=dq.n_class_id,
+        tag=str(dq.tag),
+        tau_index=index,
+        tau=tau,
+    )
+
+
+def _dihedral_twists(dq):
+    qmap, qtab = _subquotient(dq)
+    one = trivial_char(character_table(qmap.source))
+    out = []
+    for tau_index, tau in enumerate(_degree2_characters(qtab)):
+        lifted = inflate(qmap, tau)
+        core = lifted - one - determinant(lifted).genchar
+        gen_id = "t2:h%d:n%d:%s:tau%d" % (
+            dq.h_record.class_id, dq.n_class_id, dq.tag, tau_index
+        )
+        out.append(_describe("type2", gen_id, induce(dq.h_record, core), dq, tau_index, tau))
+    return out
+
+
+def _real_zero_lattice_basis(qtab):
+    k = qtab.class_count()
+    det_bits = []
+    for i in range(k):
+        delta = determinant(irreducible_char(qtab, i))
+        if not (delta * delta).is_trivial():
+            raise GeneratorError("tagged quotient with determinant of order > 2")
+        det_bits.append([1 if a else 0 for a in delta.exponents])
+    nvars = 2 * k
+    columns = [[qtab.degrees[i] for i in range(k)] + [0] * k]
+    for i in range(k):
+        j = qtab.conj_rows[i]
+        if j > i:
+            col = [0] * nvars
+            col[i] = 1
+            col[j] = -1
+            columns.append(col)
+    for c in range(k):
+        col = [det_bits[i][c] for i in range(k)] + [0] * k
+        col[k + c] = 2
+        columns.append(col)
+    rows = [[col[i] for col in columns] for i in range(nvars)]
+    return [row[:k] for row in hnf(rows).kernel if any(row[:k])]
+
+
+def _tagged_quotient_twists(dq):
+    qmap, qtab = _subquotient(dq)
+    out = []
+    for b_index, coeffs in enumerate(_real_zero_lattice_basis(qtab)):
+        tau = GenChar(qtab, coeffs)
+        expansion = induce(dq.h_record, inflate(qmap, tau))
+        gen_id = "tag:h%d:n%d:%s:b%d" % (
+            dq.h_record.class_id, dq.n_class_id, dq.tag, b_index
+        )
+        out.append(_describe("tagged", gen_id, expansion, dq, b_index, tau))
+    return out
+
+
+def theorem_generators(G):
+    """The thm12 family's generators, in family order."""
+    type2 = [d for dq in dihedral_subquotients(G) for d in _dihedral_twists(dq)]
+    type2.sort(key=_type2_sort_key)
+    return _drop_zero_and_duplicate(enumerate_type1(G) + _drop_zero_and_duplicate(type2))
+
+
+def cor29_generators(G):
+    """The cor29 family's generators, in family order."""
+    cyclic = []
+    for record in subgroup_lattice(G).records:
+        cyclic.extend(_cyclic_quotient_twists(record))
+    cyclic.sort(key=lambda d: (-d.h_record.order, d.h_record.class_id, d.index))
+    tagged = [d for dq in dihedral_subquotients(G) for d in _tagged_quotient_twists(dq)]
+    tagged.sort(key=_type2_sort_key)
+    return _drop_zero_and_duplicate(cyclic + tagged)

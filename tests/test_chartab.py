@@ -1,14 +1,23 @@
 """Character table construction: frozen small tables, invariants, oracle match."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from parity_inductor.catalog import load_bundled_catalog
-from parity_inductor.chartab import CharTableError, _terms, character_table
+from parity_inductor.chartab import (
+    CharacterTable,
+    CharTableError,
+    _terms,
+    character_table,
+    quotient_rows,
+)
 from parity_inductor.genchar import _pullback, _restriction, perm_char
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.perm import format_perm
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
@@ -22,6 +31,7 @@ from _cyclo_reference import (
     reference_rows,
     value_of,
 )
+from _decompose_reference import decompose_dense
 
 
 def table(spec):
@@ -198,6 +208,126 @@ def test_decompose_is_exact_on_non_characters():
     assert t.decompose([(2,)]) == (2,)
     with pytest.raises(CharTableError):
         t.decompose([(0, 1, -1)])
+
+
+def test_decompose_rejects_malformed_values_naming_the_class():
+    t = table("C3")
+    names = [format_perm(cls.rep) for cls in t.classes]
+    cases = [
+        ([(), (1,), (1,)], names[0]),
+        ([(1,), (1.0,), (1,)], names[1]),
+        ([(1,), (1,), (0, "1", 0)], names[2]),
+    ]
+    for vals, name in cases:
+        with pytest.raises(ValueError, match="class %s:" % re.escape(name)):
+            t.decompose(vals)
+
+
+def test_quotient_rows_fold_to_the_image_table_on_catalog():
+    # Lemma 2.22 read off G's table: the rows with N in their kernel, folded
+    # to the image's element orders, are the image's own table, in its order
+    for entry in load_bundled_catalog():
+        G = entry.group
+        t = character_table(G)
+        for rec in subgroup_lattice(G).records:
+            if not rec.normal:
+                continue
+            q = quotient(G, rec)
+            qt = character_table(q.image)
+            rows, over = quotient_rows(t, q)
+            for s, c in enumerate(over):
+                assert q.image.class_of_index(q.image_of[t.classes[c].members[0]]) == s
+            folded = [
+                tuple(t.vectors[i][c][:: t.classes[c].order // cls.order]
+                      for c, cls in zip(over, qt.classes))
+                for i in rows
+            ]
+            assert folded == list(qt.vectors), (entry.name, rec.label)
+
+
+def test_quotient_rows_need_the_map_from_the_tables_group():
+    G = parse_group_spec("S4")
+    q = quotient(G, subgroup_lattice(G).records[-2])
+    with pytest.raises(ValueError):
+        quotient_rows(table("S4"), q)
+
+
+# Differential check of the sparse decomposition against the dense-dual
+# reference: every coset character, every restriction and inflation
+# pull-back row, and seeded random integer class functions, whose outcome
+# the Cyclo inner products decide independently.
+
+
+def _outcome(decompose, t, vectors):
+    try:
+        return decompose(t, vectors)
+    except CharTableError:
+        return None
+
+
+def _random_class_functions(t, rng, count):
+    """Integer combinations of the rows written at random multiples of each
+    class's order, then about half of them disturbed at a few classes."""
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in t.degrees]
+        vectors = []
+        for c, cls in enumerate(t.classes):
+            n = cls.order * rng.choice((1, 1, 2))
+            v = [0] * n
+            for a, row in zip(coeffs, t.vectors):
+                for s, x in enumerate(row[c]):
+                    v[s * n // cls.order] += a * x
+            vectors.append(tuple(v))
+        if rng.random() < 0.5:
+            for c in rng.sample(range(len(vectors)), min(2, rng.randint(1, len(vectors)))):
+                noise = [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
+                n = len(vectors[c]) * len(noise)
+                v = [0] * n
+                for part in (vectors[c], noise):
+                    for s, a in enumerate(part):
+                        v[s * n // len(part)] += a
+                vectors[c] = tuple(v)
+        out.append(vectors)
+    return out
+
+
+def _check_decompose_against_dense(G, rng):
+    t = character_table(G)
+    cases = []
+    for rec in subgroup_lattice(G).records:
+        counts = [0] * t.class_count()
+        for a in rec.positions:
+            counts[G.class_of_index(a)] += 1
+        scale = G.order() // rec.order
+        cases.append((t, [(scale * n // cls.size,) for n, cls in zip(counts, t.classes)]))
+        ht = character_table(rec.as_group())
+        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        cases.extend((ht, [row[c] for c in fusion]) for row in t.vectors)
+        if rec.normal:
+            q = quotient(G, rec)
+            fusion = [q.image.class_of_index(q.image_of[cls.members[0]]) for cls in t.classes]
+            qt = character_table(q.image)
+            cases.extend((t, [row[c] for c in fusion]) for row in qt.vectors)
+    for ct, vectors in cases:
+        got = ct.decompose(vectors)
+        assert got == decompose_dense(ct, vectors), (ct.group, vectors)
+    outcomes = []
+    for vectors in _random_class_functions(t, rng, 6):
+        want = decompose_reference(t, [value_of(v, len(v)) for v in vectors])
+        got = _outcome(CharacterTable.decompose, t, vectors)
+        assert got == _outcome(decompose_dense, t, vectors) == want, vectors
+        outcomes.append(got is None)
+    return outcomes
+
+
+def test_decompose_matches_dense_reference_on_catalog():
+    rng = random.Random(20261019)
+    outcomes = []
+    for entry in load_bundled_catalog():
+        outcomes += _check_decompose_against_dense(entry.group, rng)
+    # both branches ran: characters decomposed, non-characters refused
+    assert 100 < outcomes.count(True) and 100 < outcomes.count(False), outcomes.count(True)
 
 
 # Differential check of the integer paths against the Cyclo reference: the

@@ -2,11 +2,15 @@
 
 import random
 
-from parity_inductor.chartab import character_table
+import pytest
+
+from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.genchar import (
     GenChar,
     determinant,
     has_trivial_determinant,
+    induce,
     irreducible_char,
     rho_H,
     trivial_char,
@@ -25,7 +29,9 @@ from parity_inductor.membership import (
     random_S_element,
     verify_certificate,
 )
+from parity_inductor.structure import dihedral_subquotients
 
+import _family_reference
 from _cyclo_reference import from_values, reference_values
 
 ZOO = ["C1", "C2", "C4", "C6", "S3", "D8", "Q8", "A4", "D10", "S4", "D42"]
@@ -194,3 +200,79 @@ def test_type2_expansion_matches_definition():
     eps = irreducible_char(tab, 1)
     assert g.expansion == sigma - trivial_char(tab) - eps
     assert determinant(sigma).row == 1
+
+
+# Differential check of the subquotient twists read off H's table against the
+# reference that builds each quotient image's own table and inflates.
+
+
+def _listing(generators):
+    return [(g.gen_id, g.kind, g.expansion.coeffs) for g in generators]
+
+
+def _check_against_quotient_tables(G):
+    assert _listing(theorem_family(G)) == _listing(_family_reference.theorem_generators(G))
+    assert _listing(cor29_family(G)) == _listing(_family_reference.cor29_generators(G))
+
+
+def test_families_match_quotient_table_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        _check_against_quotient_tables(entry.group)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "(1 2),(3 4),(5 6)",
+        "(1 2 3 4),(1 3),(5 6)",
+        "(1 2 3 4),(1 2),(5 6)",
+        "D64",
+        "(1 2), (3 4), (5 6), (7 8), (9 10)",
+    ],
+    ids=["C2^3", "D8xC2", "S4xC2", "D64", "C2^5"],
+)
+def test_families_match_quotient_table_reference_large(spec):
+    _check_against_quotient_tables(parse_group_spec(spec))
+
+
+def test_subquotient_taus_live_on_h_with_n_in_their_kernel():
+    for entry in load_bundled_catalog():
+        G = entry.group
+        for g in list(theorem_family(G)) + list(cor29_family(G)):
+            if g.kind not in ("type2", "tagged"):
+                continue
+            where = (entry.name, g.gen_id)
+            H = g.h_record.as_group()
+            assert g.tau.table is character_table(H), where
+            n_local = g.h_record.local(g.n_positions)
+            values = reference_values(g.tau)
+            for c, cls in enumerate(g.tau.table.classes):
+                if cls.members[0] in n_local:
+                    assert values[c] == values[0], where
+            core = g.tau
+            if g.kind == "type2":
+                core = g.tau - trivial_char(g.tau.table) - determinant(g.tau).genchar
+            assert induce(g.h_record, core) == g.expansion, where
+
+
+def test_families_build_tables_of_g_and_its_subgroups_only(monkeypatch):
+    built = []
+    init = CharacterTable.__init__
+
+    def counting_init(table, group):
+        built.append(group)
+        init(table, group)
+
+    monkeypatch.setattr(CharacterTable, "__init__", counting_init)
+    for spec in ("S4", "(1 2),(3 4),(5 6)"):
+        for family in (theorem_family, cor29_family):
+            G = parse_group_spec(spec)
+            records = subgroup_lattice(G).records
+            if family is theorem_family:
+                records = {id(dq.h_record): dq.h_record for dq in dihedral_subquotients(G)}
+                records = list(records.values())
+            built.clear()
+            family(G)
+            expected = [G] + [rec.as_group() for rec in records]
+            assert sorted(map(id, built)) == sorted(map(id, expected)), (spec, family)
