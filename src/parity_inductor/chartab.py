@@ -248,9 +248,21 @@ def _row_key(row, e: int):
     return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, tuple(keys))
 
 
+def kernel_rows(table: "CharacterTable", positions):
+    """The rows with N in their kernel, N normal in table.group, given as
+    positions in its ``elements()``: G/N's irreducibles (Isaacs, Lemma 2.22).
+    A row's identity slot holds its whole degree at each class N meets."""
+    group = table.group
+    classes = {group.class_of_index(a) for a in positions}
+    return [
+        i for i, row in enumerate(table.vectors)
+        if all(row[c][0] == row[0][0] for c in classes)
+    ]
+
+
 def quotient_rows(table: "CharacterTable", qmap):
-    """H/N's irreducibles: the rows of H's table with N in their kernel
-    (Isaacs, Lemma 2.22), for qmap mapping H = table.group onto H/N.
+    """H/N's irreducibles: the `kernel_rows` of H's table, for qmap mapping
+    H = table.group onto H/N, so that the image's row i inflates to rows[i].
 
     Returns the rows in the order the image's own table sorts them, keyed by
     `_row_key` over the image's classes, and one class of H over each class
@@ -264,11 +276,7 @@ def quotient_rows(table: "CharacterTable", qmap):
     under = [image.class_of_index(qmap.image_of[cls.members[0]]) for cls in table.classes]
     over = {s: c for c, s in enumerate(under)}
     over = [over[s] for s in range(len(classes))]
-    # class 0 of the image is its identity, so the classes under it make up N
-    rows = [
-        i for i, row in enumerate(table.vectors)
-        if all(m[0] == row[0][0] for m, s in zip(row, under) if s == 0)
-    ]
+    rows = kernel_rows(table, qmap.kernel)
     if len(rows) != len(classes):
         raise CharTableError("the rows with N in their kernel do not fit H/N")
     steps = [(c, table.classes[c].order // cls.order) for c, cls in zip(over, classes)]

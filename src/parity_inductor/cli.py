@@ -15,7 +15,7 @@ from .group import CayleyBoundError
 from .groupspec import GroupSpecError, _split_generators, group_from_cycles, parse_group_spec
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, membership_solve, verify_certificate
-from .parity import ParityError, ParityInput, parity_table, required_sha_primes
+from .parity import ParityError, ParityInput, full_assignment, parity_table, required_sha_primes
 from .perm import format_perm
 from .spanreport import span_report
 from .structure import is_hyperelementary
@@ -244,6 +244,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise CliError("--samples must be at least 0, got %d" % args.samples)
     path = args.catalog or bundled_catalog_path()
     entries = load_catalog(path)
     selected = [e for e in entries if e.group.order() <= args.max_order]
@@ -281,6 +283,12 @@ def _cmd_parity(args) -> int:
             assignment = ParityInput.from_json(raw)
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        known = full_assignment(G, args.flavor)
+        unknown = ["X%d" % r for r in assignment.quadratic if r not in known.quadratic]
+        unknown += [k for k in assignment.dihedral if k not in known.dihedral]
+        if unknown:
+            raise CliError("%s has no parity symbols %s under flavor %s"
+                           % (args.groupspec, ", ".join(unknown), args.flavor))
     table = parity_table(G, assignment, args.flavor)
     doc = {"group": args.groupspec, **table.to_json()}
     _emit(args, table.format_text(), doc)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from ._primes import prime_factors
-from .chartab import character_table
+from .chartab import character_table, kernel_rows
 from .genchar import (
     GenChar,
     LinearChar,
+    _coset_char,
     determinant,
     induce,
     inflate,
@@ -27,7 +28,7 @@ from .membership import (
     solomon_coefficients,
     verify_certificate,
 )
-from .structure import identify_small_type, is_hyperelementary, quotient
+from .structure import is_hyperelementary, quotient
 
 _MAX_DEPTH = 100
 
@@ -79,15 +80,10 @@ class TreeNode:
             if self.genchar != self.multiplicity * self.generator.expansion:
                 raise DecomposeError("leaf does not account for its generator")
             return
-        if self.kind == INDUCED:
+        if self.kind in (INDUCED, INFLATED):
             total = _child_sum(self.children)
-            if total is None or self.genchar != induce(self.subgroup, total):
-                raise DecomposeError("induced node does not match its children")
-            return
-        if self.kind == INFLATED:
-            total = _child_sum(self.children)
-            if total is None or self.genchar != inflate(self.qmap, total):
-                raise DecomposeError("inflated node does not match its children")
+            if total is None or self.genchar != _carry(self, total):
+                raise DecomposeError("%s node does not match its children" % self.kind.lower())
             return
         total = sum((child.genchar for child in self.children), _zero(self.genchar.table))
         if total != self.genchar:
@@ -103,6 +99,11 @@ class TreeNode:
 
     def __repr__(self):
         return "TreeNode(%s, %d children)" % (self.kind, len(self.children))
+
+
+def _carry(node, char) -> GenChar:
+    """A character of an Induced or Inflated node's children, on the node's group."""
+    return induce(node.subgroup, char) if node.kind == INDUCED else inflate(node.qmap, char)
 
 
 def _child_sum(children):
@@ -225,10 +226,6 @@ def _rho_of_set(G, h_set) -> GenChar:
     return rho_H(G, subgroup_lattice(G).record_for_set(h_set))
 
 
-def _preimage(qmap, image_positions) -> frozenset:
-    return frozenset(a for a, q in enumerate(qmap.image_of) if q in image_positions)
-
-
 def _lemma25_split(G, rho, handler, depth) -> TreeNode:
     """Split rho into subgroup terms rho_H plus a linear-character remainder."""
     if rho.is_zero():
@@ -290,13 +287,13 @@ def _thm28_rho(G, h_set, depth) -> TreeNode:
 
 
 def _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth) -> TreeNode:
+    # V/H is cyclic of order 4: either of its non-real rows is faithful
     v_rec = subgroup_lattice(G).record_for_set(v_set)
-    qmap = quotient(v_rec.as_group(), v_rec.local(h_set))
-    qtab = character_table(qmap.image)
+    vtab = character_table(v_rec.as_group())
     faithful = next(
-        i for i in qtab.linear_row_indices() if qtab.conj_rows[i] != i
+        i for i in kernel_rows(vtab, v_rec.local(h_set)) if vtab.conj_rows[i] != i
     )
-    tau = induce(v_rec, inflate(qmap, irreducible_char(qtab, faithful)))
+    tau = induce(v_rec, irreducible_char(vtab, faithful))
     leaves, twist = _type1_leaves(G, tau)
     children = [_thm28_rho(G, u_set, depth + 1)] + leaves
     remainder = rho - _rho_of_set(G, u_set) - twist
@@ -324,34 +321,26 @@ def _thm28_klein_chain(G, rho, h_set, v_set, depth) -> TreeNode:
 def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
     if 2 * len(core) != len(h_set):
         raise DecomposeError("core of the non-normal step has wrong index")
+    # V/core is nonabelian of order 8 with the non-normal H/core: dihedral
     v_rec = subgroup_lattice(G).record_for_set(v_set)
-    qmap = quotient(v_rec.as_group(), v_rec.local(core))
-    quo = qmap.image
-    if str(identify_small_type(quo)) != "Dihedral8":
+    vtab = character_table(v_rec.as_group())
+    rows = kernel_rows(vtab, v_rec.local(core))
+    if sorted(vtab.degrees[i] for i in rows) != [1, 1, 1, 1, 2]:
         raise DecomposeError("non-normal step quotient is not of order-8 type")
-    qtab = character_table(quo)
-    h_image = frozenset(qmap.image_of[a] for a in v_rec.local(h_set))
-    coset = perm_char(quo, subgroup_lattice(quo).record_for_set(h_image))
-    sigma_row = next(i for i, d in enumerate(qtab.degrees) if d == 2)
+    sigma = irreducible_char(vtab, next(i for i in rows if vtab.degrees[i] == 2))
+    coset = _coset_char(vtab.group, v_rec.local(h_set))
     lam_row = next(
-        i
-        for i, c in enumerate(coset.coeffs)
-        if c == 1 and i != 0 and qtab.degrees[i] == 1
+        i for i, c in enumerate(coset.coeffs) if c == 1 and i != 0 and vtab.degrees[i] == 1
     )
-    expected = [0] * qtab.class_count()
-    expected[0] = 1
-    expected[lam_row] = 1
-    expected[sigma_row] = 1
-    if list(coset.coeffs) != expected:
+    one = trivial_char(vtab)
+    if coset != one + irreducible_char(vtab, lam_row) + sigma:
         raise DecomposeError("coset character is not 1 + lambda + sigma")
-    sigma = irreducible_char(qtab, sigma_row)
     det_sigma = determinant(sigma)
-    twist = inflate(qmap, sigma - trivial_char(qtab) - det_sigma.genchar)
-    expansion = induce(v_rec, twist)
+    expansion = induce(v_rec, sigma - one - det_sigma.genchar)
     gen = _find_family_generator(G, expansion)
     leaf = TreeNode(LEAF, expansion, generator=gen, multiplicity=1)
-    k_lam = v_rec.lift(_preimage(qmap, LinearChar(qtab, lam_row).kernel_positions()))
-    k_det = v_rec.lift(_preimage(qmap, det_sigma.kernel_positions()))
+    k_lam = v_rec.lift(LinearChar(vtab, lam_row).kernel_positions())
+    k_det = v_rec.lift(det_sigma.kernel_positions())
     children = [
         leaf,
         _thm28_rho(G, k_lam, depth + 1),
@@ -513,22 +502,12 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
                 merged[j] = merged.get(j, 0) + node.multiplicity
                 return
             char = node.generator.expansion
-            for kind, carrier in reversed(lifts):
-                char = (
-                    induce(carrier, char)
-                    if kind == INDUCED
-                    else inflate(carrier, char)
-                )
+            for carrier in reversed(lifts):
+                char = _carry(carrier, char)
             add_solved(char, node.multiplicity)
             return
-        if node.kind == INDUCED:
-            for child in node.children:
-                walk(child, lifts + [(INDUCED, node.subgroup)])
-            return
-        if node.kind == INFLATED:
-            for child in node.children:
-                walk(child, lifts + [(INFLATED, node.qmap)])
-            return
+        if node.kind in (INDUCED, INFLATED):
+            lifts = lifts + [node]
         for child in node.children:
             walk(child, lifts)
 

@@ -1,11 +1,12 @@
 """Virtual characters with integer coordinates, and the standard operations.
 
 A GenChar is a vector of integer coefficients over the irreducible rows of a
-CharacterTable, and the operations work on those coordinates.  Restriction,
-inflation and induction apply an integer pull-back matrix, decomposed exactly
-once per pair of tables and cached in the larger group; determinants are
-integer exponent vectors mod exp(G), read off the table.  No class value is
-ever formed: the table keeps its rows as eigenvalue multiplicity vectors.
+CharacterTable, and the operations work on those coordinates.  Restriction and
+induction apply an integer matrix, decomposed once per pair of tables and
+cached in the larger group; inflation puts each coordinate of G/N on the row
+of G's table it names (`chartab.quotient_rows`); determinants are integer
+exponent vectors mod exp(G).  No class value is ever formed: the table keeps
+its rows as eigenvalue multiplicity vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .chartab import CharacterTable, CharTableError, character_table
+from .chartab import CharacterTable, CharTableError, character_table, quotient_rows
 from .group import PermGroup, per_group
 from .lattice import SubgroupRecord, subgroup_lattice
 from .structure import QuotientMap
@@ -189,26 +190,19 @@ def _subgroup_of(G: PermGroup, H) -> PermGroup:
     return sub
 
 
-def _pullback(src: CharacterTable, dst: CharacterTable, class_map):
-    """Row i: src's irreducible i read at classes class_map, in dst coordinates."""
-    return tuple(dst.decompose([row[c] for c in class_map]) for row in src.vectors)
-
-
 @per_group
 def _restriction(G: PermGroup, H):
-    """H's table and the restriction matrix from G's table."""
+    """H's table and the restriction matrix: G's rows at H's classes, in H's coordinates."""
     ht = character_table(_subgroup_of(G, H))
     fusion = [G.class_of(cls.rep) for cls in ht.classes]
-    return ht, _pullback(character_table(G), ht, fusion)
+    gt = character_table(G)
+    return ht, tuple(ht.decompose([row[c] for c in fusion]) for row in gt.vectors)
 
 
 @per_group
-def _inflation(G: PermGroup, qmap: QuotientMap):
-    """The inflation matrix from the table of G/N to G's table, one row per row of G's."""
-    Q = qmap.image
-    gt = character_table(G)
-    fusion = [Q.class_of_index(qmap.image_of[cls.members[0]]) for cls in gt.classes]
-    return tuple(zip(*_pullback(character_table(Q), gt, fusion)))
+def _inflation_rows(G: PermGroup, qmap: QuotientMap):
+    """The row of G's table that each row of the image's table inflates to."""
+    return quotient_rows(character_table(G), qmap)[0]
 
 
 def _apply(rows, coeffs):
@@ -250,7 +244,11 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     if rho.table is not character_table(qmap.image):
         raise ValueError("character does not live on the quotient's table")
     G = qmap.source
-    return GenChar(character_table(G), _apply(_inflation(G, qmap), rho.coeffs))
+    gt = character_table(G)
+    coeffs = [0] * gt.class_count()
+    for row, c in zip(_inflation_rows(G, qmap), rho.coeffs):
+        coeffs[row] = c
+    return GenChar(gt, coeffs)
 
 
 def determinant(tau: GenChar) -> LinearChar:

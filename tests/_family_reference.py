@@ -4,8 +4,10 @@ This is how both flavors built their subquotient twists before they read
 H/N's characters off H's table: build the table of the image of H -> H/N,
 take its degree-2 characters (thm12) or a lattice basis of its real
 degree-0 trivial-determinant characters (cor29), and inflate each through
-the inflation matrix of the quotient map before inducing to G.  It stays
-here as the independent side of the differential tests.
+the decomposed pull-back matrix of the quotient map (`_inflation_reference`,
+not the package's `inflate`, which reads H/N's rows off H's table too)
+before inducing to G.  It stays here as the independent side of the
+differential tests.
 """
 
 from parity_inductor.chartab import character_table
@@ -13,7 +15,6 @@ from parity_inductor.genchar import (
     GenChar,
     determinant,
     induce,
-    inflate,
     irreducible_char,
     trivial_char,
 )
@@ -28,6 +29,8 @@ from parity_inductor.generators import (
 from parity_inductor.intlinalg import hnf
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.structure import dihedral_subquotients, quotient
+
+from _inflation_reference import inflate_reference
 
 
 def _degree2_characters(qtab):
@@ -69,7 +72,7 @@ def _dihedral_twists(dq):
     one = trivial_char(character_table(qmap.source))
     out = []
     for tau_index, tau in enumerate(_degree2_characters(qtab)):
-        lifted = inflate(qmap, tau)
+        lifted = inflate_reference(qmap, tau)
         core = lifted - one - determinant(lifted).genchar
         gen_id = "t2:h%d:n%d:%s:tau%d" % (
             dq.h_record.class_id, dq.n_class_id, dq.tag, tau_index
@@ -108,7 +111,7 @@ def _tagged_quotient_twists(dq):
     out = []
     for b_index, coeffs in enumerate(_real_zero_lattice_basis(qtab)):
         tau = GenChar(qtab, coeffs)
-        expansion = induce(dq.h_record, inflate(qmap, tau))
+        expansion = induce(dq.h_record, inflate_reference(qmap, tau))
         gen_id = "tag:h%d:n%d:%s:b%d" % (
             dq.h_record.class_id, dq.n_class_id, dq.tag, b_index
         )

@@ -14,7 +14,7 @@ from parity_inductor.chartab import (
     character_table,
     quotient_rows,
 )
-from parity_inductor.genchar import _pullback, _restriction, perm_char
+from parity_inductor.genchar import _restriction, inflate, irreducible_char, perm_char
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.perm import format_perm
@@ -331,8 +331,9 @@ def test_decompose_matches_dense_reference_on_catalog():
 
 
 # Differential check of the integer paths against the Cyclo reference: the
-# Gram matrix, every pull-back matrix, every coset character, and the power
-# and inverse maps against Perm powers.
+# Gram matrix, every restriction matrix, the inflation of every irreducible
+# of every quotient, every coset character, and the power and inverse maps
+# against Perm powers.
 
 
 def _check_against_reference(G):
@@ -369,7 +370,8 @@ def _check_against_reference(G):
             want = tuple(
                 decompose_reference(t, [row[c] for c in fusion]) for row in reference_rows(qt)
             )
-            assert _pullback(qt, t, fusion) == want, rec.label
+            got = tuple(inflate(q, irreducible_char(qt, i)).coeffs for i in range(len(want)))
+            assert got == want, rec.label
 
 
 def test_integer_paths_match_cyclo_reference_on_catalog():

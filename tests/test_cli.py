@@ -193,6 +193,11 @@ def test_verify_empty_catalog(tmp_path):
     assert code == 0 and out.strip() == "certified 0/0 groups"
 
 
+def test_verify_rejects_negative_samples():
+    code, out, err = run_cli("verify", "--samples", "-3", "--format", "json")
+    assert code == 2 and out == "" and "--samples must be at least 0" in err
+
+
 def test_verify_malformed_catalog(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{nope\n")
@@ -340,6 +345,19 @@ def test_parity_cli_rejects_bad_input_file(tmp_path):
     assert code == 2 and "base" in err
     code, _, err = run_cli("parity", "S3", "--parities", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_parity_cli_rejects_unknown_symbols(tmp_path):
+    path = tmp_path / "parities.json"
+    path.write_text(json.dumps({"quadratic": {"X99": -1, "X0": 1}, "dihedral": {"nope": -1}}))
+    code, out, err = run_cli("parity", "D8", "--parities", str(path))
+    assert code == 2 and out == ""
+    assert "X99, X0, nope" in err, err
+    # a thm12 twist id names no symbol of the cor29 family
+    path.write_text(json.dumps({"dihedral": {"t2:h3:n0:Dihedral2p(3):tau3": -1}}))
+    assert run_cli("parity", "S3", "--parities", str(path))[0] == 0
+    code, out, err = run_cli("parity", "S3", "--parities", str(path), "--flavor", "cor29")
+    assert code == 2 and out == "" and "t2:h3:n0:Dihedral2p(3):tau3" in err
 
 
 def test_parity_cli_rejects_bool_and_float_signs(tmp_path):

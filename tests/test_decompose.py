@@ -6,7 +6,7 @@ import json
 import pytest
 
 from parity_inductor.catalog import load_bundled_catalog
-from parity_inductor.chartab import character_table
+from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.decompose import (
     DecomposeError,
     decompose_structural,
@@ -16,10 +16,10 @@ from parity_inductor.decompose import (
 from parity_inductor.genchar import GenChar, rho_H, trivial_char
 from parity_inductor.generators import theorem_family
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
-from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.lattice import SubgroupLattice, subgroup_lattice
 from parity_inductor.membership import random_S_element, verify_certificate
 from parity_inductor.perm import Perm
-from parity_inductor.structure import is_hyperelementary
+from parity_inductor.structure import QuotientMap, is_hyperelementary
 
 WIRE_KINDS = {
     "Lemma2.3",
@@ -127,6 +127,30 @@ def test_two_group_trees_use_index_recursion():
             kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
         assert any(k.startswith("Thm2.8") for k in kinds), spec
         assert not any(k.startswith("Prop2.6") for k in kinds), spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C16", "Q8", "D16", "D32", "(1 2 3 4),(1 3),(5 6)"],
+    ids=["C16", "Q8", "D16", "D32", "D8xC2"],
+)
+def test_two_group_trees_build_nothing_outside_the_group(monkeypatch, spec):
+    # Thm 2.8's quotient steps read V/H's characters off V's own table, so
+    # no table, lattice or quotient map of a group outside G is ever built
+    G = parse_group_spec(spec)
+    theorem_family(G).hnf()
+    outside = []
+    for cls in (CharacterTable, SubgroupLattice, QuotientMap):
+
+        def counted(self, group, *args, _init=cls.__init__, _name=cls.__name__):
+            if group.degree != G.degree or not all(g in G for g in group.generators):
+                outside.append((_name, group.order()))
+            _init(self, group, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for rec in subgroup_lattice(G).records:
+        decompose_structural(G, rho_H(G, rec))
+    assert outside == []
 
 
 def test_two_group_case_coverage():
