@@ -1,8 +1,11 @@
-"""Exact character tables via class-matrix eigenspace splitting mod a prime.
+"""Exact character tables, by one of two paths.
 
-The table is computed over F_l (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)),
-where the class algebra splits completely, then lifted to exact values by
-discrete Fourier inversion over the power maps.
+An abelian group's irreducibles are its |G| linear characters, built in
+closed form one generator at a time off the Cayley table.  Any other table
+is computed over F_l (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)) by
+Dixon-Schneider: the class algebra splits completely there into common
+eigenspaces, which are lifted to exact values by discrete Fourier inversion
+over the power maps.  Both paths' rows pass the same exact checks.
 
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
@@ -324,7 +327,10 @@ class CharacterTable:
         self.classes = group.conjugacy_classes()
         self.exponent = e = group.exponent()
         self.power_maps, self.inverse_map = _power_maps(group, self.classes, e)
-        rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
+        if len(self.classes) == group.order():
+            rows = _abelian_rows(group, self.classes, e)
+        else:
+            rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
         rows.sort(key=lambda row: _row_key(row, e))
         # row i at class c: sum_s vectors[i][c][s] * zeta_o ** s, o = len(vectors[i][c])
         self.vectors = tuple(rows)
@@ -452,12 +458,39 @@ class CharacterTable:
         return "\n".join(lines)
 
 
+def _abelian_rows(group, classes, exponent):
+    """The |G| linear characters of an abelian group, one tuple per class.
+
+    A character chi of H extends to <H, g> in m = |<H, g> : H| ways (Isaacs,
+    Ch. 2): chi'(g) = zeta_e ** t with m * t = chi(g ** m) mod e, e = exp(G),
+    so t = chi(g ** m) / m + j * e / m, and chi'(h * g ** i) = chi(h) * chi'(g) ** i.
+    """
+    table, e = group.cayley().table, exponent
+    # chars[i][j] = t where chi_i(elts[j]) = zeta_e ** t
+    elts, chars = [0], [[0]]
+    for g in map(group.element_index, group.generators):
+        where = {x: j for j, x in enumerate(elts)}
+        powers = [0, g]
+        while powers[-1] not in where:
+            powers.append(table[powers[-1]][g])
+        m, at = len(powers) - 1, where[powers.pop()]
+        if m > 1:
+            elts = [table[h][p] for p in powers for h in elts]
+            chars = [[(v + i * t) % e for i in range(m) for v in chi]
+                     for chi in chars for t in range(chi[at] // m, e, e // m)]
+    # at a class of order o, zeta_e ** t is zeta_o ** (t * o / e): one-hot at that slot
+    one_hot = {o: [tuple(int(s == x) for x in range(o)) for s in range(o)]
+               for o in {cls.order for cls in classes}}
+    col = {x: j for j, x in enumerate(elts)}
+    slots = [(col[cls.members[0]], cls.order) for cls in classes]
+    return [tuple(one_hot[o][chi[j] * o // e] for j, o in slots) for chi in chars]
+
+
 def _dixon_schneider(group, classes, power_maps, inverse_map):
-    """Rows of eigenvalue multiplicity vectors, one tuple per class."""
+    """Rows of eigenvalue multiplicity vectors, one tuple per class, of a
+    non-trivial group (for exp(G) = 1 `_choose_prime` finds no prime)."""
     order = group.order()
     k = len(classes)
-    if k == 1:
-        return [((1,),)]
     exponent = group.exponent()
     l = _choose_prime(order, exponent)
     root = primitive_root(l)

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from parity_inductor import chartab
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import (
     CharacterTable,
     CharTableError,
+    _dixon_schneider,
+    _row_key,
     _terms,
     character_table,
     quotient_rows,
@@ -405,11 +408,22 @@ def test_rendering_matches_reference_on_catalog():
         _check_rendering(character_table(entry.group))
 
 
+# Abelian groups beyond the catalog, whose tables take the closed form.
+ABELIAN_LARGE = {
+    "C2^5": "(1 2), (3 4), (5 6), (7 8), (9 10)",
+    "C2^6": "(1 2), (3 4), (5 6), (7 8), (9 10), (11 12)",
+    "C2^7": "(1 2), (3 4), (5 6), (7 8), (9 10), (11 12), (13 14)",
+    "C4xC4xC2": "(1 2 3 4), (5 6 7 8), (9 10)",
+    "C3^3": "(1 2 3), (4 5 6), (7 8 9)",
+    "C6xC6": "(1 2 3 4 5 6), (7 8 9 10 11 12)",
+}
+
+
 @pytest.mark.large
 @pytest.mark.parametrize(
     "spec",
-    ["D64", "D128", "(1 2), (3 4), (5 6), (7 8), (9 10)"],
-    ids=["D64", "D128", "C2^5"],
+    ["D64", "D128", *ABELIAN_LARGE.values()],
+    ids=["D64", "D128", *ABELIAN_LARGE],
 )
 def test_rendering_matches_reference_large(spec):
     _check_rendering(table(spec))
@@ -435,3 +449,101 @@ def test_d256_table_exact_gram():
         for j in range(k):
             want = 256 if i == j else 0
             assert t._gram(terms[i], terms[j]) == want, (i, j)
+
+
+# The closed form for abelian groups against Dixon-Schneider, which builds
+# every other table and is the reference here: the same rows in the same
+# order, and the same rendering, determinants and conjugation.
+
+
+def _dixon_schneider_table(G):
+    """G's table assembled from Dixon-Schneider's rows instead of the closed form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chartab, "_abelian_rows", lambda group, classes, e: _dixon_schneider(
+            group, classes, *chartab._power_maps(group, classes, e)))
+        return CharacterTable(G)
+
+
+def _check_abelian_against_dixon_schneider(G):
+    t = CharacterTable(G)
+    assert t.class_count() == G.order()
+    if G.order() == 1:
+        # Dixon-Schneider needs exp(G) > 1 to choose its prime
+        assert t.vectors == (((1,),),)
+        return
+    rows = _dixon_schneider(G, t.classes, t.power_maps, t.inverse_map)
+    rows.sort(key=lambda row: _row_key(row, t.exponent))
+    assert t.vectors == tuple(rows)
+    ref = _dixon_schneider_table(G)
+    assert t.vectors == ref.vectors
+    assert t.formatted_rows() == ref.formatted_rows()
+    assert t.det_exponents == ref.det_exponents
+    assert t.conj_rows == ref.conj_rows
+
+
+def test_abelian_closed_form_matches_dixon_schneider_on_catalog():
+    checked = 0
+    for entry in load_bundled_catalog():
+        for rec in subgroup_lattice(entry.group).records:
+            H = rec.as_group()
+            if len(H.conjugacy_classes()) == H.order():
+                _check_abelian_against_dixon_schneider(H)
+                checked += 1
+    assert checked == 293, checked  # of the catalog's 372 subgroup classes
+    # generators that are no basis: a power of the second lands in the first's
+    # cyclic group away from the identity, so extensions start at t != 0
+    for spec in ["(1 2 3 4), (1 2 3 4)(5 6)", "(1 2 3 4 5 6), (1 2 3 4 5 6)(7 8 9)"]:
+        _check_abelian_against_dixon_schneider(parse_group_spec(spec))
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("spec", list(ABELIAN_LARGE.values()), ids=list(ABELIAN_LARGE))
+def test_abelian_closed_form_matches_dixon_schneider_large(spec):
+    _check_abelian_against_dixon_schneider(parse_group_spec(spec))
+
+
+def test_only_non_abelian_tables_take_dixon_schneider(monkeypatch):
+    calls = []
+    real = chartab._dixon_schneider
+
+    def counted(group, *args):
+        calls.append(group)
+        return real(group, *args)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", counted)
+    catalog = load_bundled_catalog()
+    abelian = 0
+    for entry in catalog:
+        G = entry.group
+        calls.clear()
+        character_table(G)
+        # is_abelian() multiplies the generators: independent of the class count
+        assert calls == ([] if G.is_abelian() else [G]), entry.name
+        abelian += G.is_abelian()
+    assert 30 < abelian < len(catalog)
+
+
+def _duplicate_row(rows):
+    rows[-1] = rows[-2]
+
+
+def _wrong_value(rows):
+    # move one root of unity one slot round its circle
+    row = list(rows[1])
+    row[-1] = row[-1][-1:] + row[-1][:-1]
+    rows[1] = tuple(row)
+
+
+@pytest.mark.parametrize("spec", ["C6", "(1 2), (3 4)"], ids=["C6", "C2xC2"])
+@pytest.mark.parametrize("fault", [_duplicate_row, _wrong_value], ids=["duplicate", "value"])
+def test_table_checks_refuse_a_faulty_closed_form(spec, fault, monkeypatch):
+    real = chartab._abelian_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        fault(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    with pytest.raises(CharTableError):
+        CharacterTable(parse_group_spec(spec))
