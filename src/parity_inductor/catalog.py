@@ -57,6 +57,8 @@ def _entry_from_record(record: dict, line_number: int) -> CatalogEntry:
     except GroupSpecError as exc:
         fail(str(exc))
     declared = record.get("order")
+    if "order" in record and type(declared) is not int:
+        fail("declared order %r is not an integer" % (declared,))
     if declared is not None and group.order() != declared:
         fail(
             "declared order %r but computed %d for %s"

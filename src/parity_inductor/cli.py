@@ -15,7 +15,8 @@ from .group import CayleyBoundError
 from .groupspec import GroupSpecError, _split_generators, group_from_cycles, parse_group_spec
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, membership_solve, verify_certificate
-from .parity import ParityError, ParityInput, full_assignment, parity_table, required_sha_primes
+from .parity import (ParityError, ParityInput, format_columns, full_assignment, parity_table,
+                     required_sha_primes)
 from .perm import format_perm
 from .spanreport import span_report
 from .structure import is_hyperelementary
@@ -188,12 +189,7 @@ def _cmd_subgroups(args) -> int:
         )
         for e in entries
     ]
-    widths = [max(len(line[c]) for line in table) for c in range(len(header))]
-    text = "\n".join(
-        "  ".join(line[c].ljust(widths[c]) for c in range(len(header))).rstrip()
-        for line in table
-    )
-    _emit(args, text, doc)
+    _emit(args, format_columns(table), doc)
     return 0
 
 

@@ -177,23 +177,15 @@ def irreducible_char(table: CharacterTable, i: int) -> GenChar:
 # ------------------------------------------------------- subgroup plumbing
 
 
-def _subgroup_of(G: PermGroup, H) -> PermGroup:
-    """H (record or group) as a group; ValueError unless it lies inside G."""
-    if isinstance(H, SubgroupRecord):
-        sub = H.as_group()
-    elif isinstance(H, PermGroup):
-        sub = H
-    else:
-        raise TypeError("subgroup must be a SubgroupRecord or PermGroup")
-    if not all(g in G for g in sub.generators):
-        raise ValueError("H is not a subgroup of G")
-    return sub
+def _check_record(G: PermGroup, H) -> None:
+    if not isinstance(H, SubgroupRecord) or H.parent is not G:
+        raise ValueError("H must be a SubgroupRecord of G")
 
 
 @per_group
-def _restriction(G: PermGroup, H):
+def _restriction(G: PermGroup, H: SubgroupRecord):
     """H's table and the restriction matrix: G's rows at H's classes, in H's coordinates."""
-    ht = character_table(_subgroup_of(G, H))
+    ht = character_table(H.as_group())
     fusion = [G.class_of(cls.rep) for cls in ht.classes]
     gt = character_table(G)
     return ht, tuple(ht.decompose([row[c] for c in fusion]) for row in gt.vectors)
@@ -225,7 +217,7 @@ def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
     tau with row i of the restriction matrix.
     """
     if not isinstance(H, SubgroupRecord):
-        raise TypeError("induction needs a SubgroupRecord (the parent fixes G)")
+        raise ValueError("induction needs a SubgroupRecord (the parent fixes G)")
     G = H.parent
     ht, rows = _restriction(G, H)
     if tau.table is not ht:
@@ -233,8 +225,9 @@ def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
     return GenChar(character_table(G), _apply(rows, tau.coeffs))
 
 
-def restrict(tau: GenChar, H) -> GenChar:
-    """Restriction of a virtual character of G to a subgroup H."""
+def restrict(tau: GenChar, H: SubgroupRecord) -> GenChar:
+    """Restriction of a virtual character of G to a subgroup record H of G."""
+    _check_record(tau.table.group, H)
     ht, rows = _restriction(tau.table.group, H)
     return GenChar(ht, _apply(zip(*rows), tau.coeffs))
 
@@ -269,18 +262,15 @@ def has_trivial_determinant(tau: GenChar) -> bool:
     return determinant(tau).is_trivial()
 
 
-def perm_char(G: PermGroup, H) -> GenChar:
+def perm_char(G: PermGroup, H: SubgroupRecord) -> GenChar:
     """Character of the action on right cosets of H, from class-fusion counts.
 
     The value at a class C is its fixed-point count |G| * |H & C| / (|H| * |C|).
     Conjugate subgroups give the same character, so a record of G is counted
     on its class representative: once per lattice class.
     """
-    if isinstance(H, SubgroupRecord) and H.parent is G:
-        positions = subgroup_lattice(G).records[H.class_id].positions
-    else:
-        positions = frozenset(G.element_index(h) for h in _subgroup_of(G, H).elements())
-    return _coset_char(G, positions)
+    _check_record(G, H)
+    return _coset_char(G, subgroup_lattice(G).records[H.class_id].positions)
 
 
 @per_group

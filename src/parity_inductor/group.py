@@ -43,6 +43,7 @@ _MISSING = object()
 def per_group(build):
     """Memoise ``build(G, *args)`` in ``G._cache`` under ``build.__name__``, or
     ``(build.__name__, *args)`` with arguments: the one way into a group's cache.
+    `table_group` pre-seeds ``order``, ``elements`` and ``cayley`` under those names.
     """
     name = build.__name__
 
@@ -173,18 +174,6 @@ class PermGroup:
             n *= len(lv["trans"])
         return n
 
-    def __contains__(self, p: Perm) -> bool:
-        if not isinstance(p, Perm) or p.degree != self.degree:
-            return False
-        g = p
-        for lv in self._chain():
-            q = g.images[lv["point"]]
-            u = lv["trans"].get(q)
-            if u is None:
-                return False
-            g = g * u.inverse()
-        return g.is_identity()
-
     # --------------------------------------------------------------- elements
 
     @per_group
@@ -236,11 +225,7 @@ class PermGroup:
                         rows[b] = tuple([left[x] for x in rows[a]])
                         new.append(b)
             frontier = new
-        return Cayley(
-            table=tuple(rows),
-            inverse=tuple(row.index(0) for row in rows),
-            orders=tuple(x.order() for x in elts),
-        )
+        return _cayley_of(rows, elts)
 
     # ---------------------------------------------------------------- classes
 
@@ -306,12 +291,25 @@ class PermGroup:
     def is_cyclic(self) -> bool:
         return any(c.order == self.order() for c in self.conjugacy_classes())
 
-    def subgroup(self, generators) -> "PermGroup":
-        """Group generated by the given elements, on the same points."""
-        return PermGroup(generators, degree=self.degree)
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order())
+
+
+def _cayley_of(rows, elements) -> Cayley:
+    """The `Cayley` of the sorted ``elements`` with multiplication table ``rows``."""
+    rows = tuple(rows)
+    return Cayley(rows, tuple(row.index(0) for row in rows), tuple(x.order() for x in elements))
+
+
+def table_group(generators, degree: int, elements, rows) -> PermGroup:
+    """The sorted ``elements`` as a group multiplying as ``rows`` says, with no
+    stabilizer chain and no `Perm` product: how subgroups and quotient images
+    are read off their parent's Cayley table.
+    """
+    G = PermGroup(generators, degree=degree)
+    elements = tuple(elements)
+    G._cache.update(order=len(elements), elements=elements, cayley=_cayley_of(rows, elements))
+    return G
 
 
 def conjugacy_classes(G: PermGroup):

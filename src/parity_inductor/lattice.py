@@ -7,7 +7,7 @@ from collections import deque
 from functools import cached_property
 from math import gcd
 
-from .group import PermGroup, per_group
+from .group import PermGroup, per_group, table_group
 
 DEFAULT_MAX_ORDER = 512
 MAX_SUBGROUPS = 2**15  # C2^7 has 29,212 subgroups, C2^8 has 417,199
@@ -53,8 +53,12 @@ class SubgroupRecord:
         return frozenset([elts[a] for a in self.positions])
 
     def as_group(self) -> PermGroup:
+        """The subgroup as a group, its Cayley table sliced from the parent's."""
         if self._group is None:
-            self._group = PermGroup(self.generators, degree=self.parent.degree)
+            table, elts, own = self.parent.cayley().table, self.parent.elements(), self._sorted
+            at = {a: i for i, a in enumerate(own)}
+            rows = [tuple([at[table[a][b]] for b in own]) for a in own]
+            self._group = table_group(self.generators, self.parent.degree, [elts[a] for a in own], rows)
         return self._group
 
     @cached_property

@@ -106,12 +106,21 @@ def _quadratic_row(key) -> int:
     return int(text)
 
 
+def format_columns(cells) -> str:
+    """Rows of strings as left-aligned columns two spaces apart, right-trimmed."""
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in cells)
+
+
 class ParityInput:
     """A (possibly partial) ±1 assignment to parity symbols."""
 
     __slots__ = ("base", "quadratic", "dihedral")
 
     def __init__(self, base=None, quadratic=None, dihedral=None):
+        for name, doc in (("quadratic", quadratic), ("dihedral", dihedral)):
+            if doc is not None and not isinstance(doc, dict):
+                raise ValueError("%s must be a JSON object or null, got %r" % (name, doc))
         self.base = None if base is None else _check_sign(base, "base")
         self.quadratic = {
             _quadratic_row(k): _check_sign(v, "quadratic[%s]" % k)
@@ -225,9 +234,7 @@ class ParityTable:
         for row in self.rows:
             value = "" if row.value is None else "%+d" % row.value
             cells.append((row.label, str(row.index), row.expression.format_text(), value))
-        widths = [max(len(line[c]) for line in cells) for c in range(4)]
-        lines = ["  ".join(line[c].ljust(widths[c]) for c in range(4)).rstrip() for line in cells]
-        return "\n".join(lines)
+        return format_columns(cells)
 
     def to_json(self) -> dict:
         return {

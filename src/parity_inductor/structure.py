@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._primes import is_prime, prime_factors
-from .group import PermGroup, per_group
+from .group import PermGroup, per_group, table_group
 from .lattice import SubgroupRecord, _greedy_generators, subgroup_lattice
 from .perm import Perm
 
@@ -87,8 +87,11 @@ class QuotientMap:
                 reps.append(g)
         images = [Perm(tuple(coset_of[table[r][g]] for r in reps)) for g in reps]
         gens = [images[coset_of[source.element_index(g)]] for g in source.generators]
-        self.image = PermGroup(gens, degree=len(reps))
-        position = [self.image.element_index(p) for p in images]
+        # the image lists these sorted; coset c times coset d is that of reps[c] * reps[d]
+        ranked = sorted(range(len(reps)), key=images.__getitem__)
+        position = {c: i for i, c in enumerate(ranked)}
+        rows = [tuple([position[coset_of[table[reps[c]][reps[d]]]] for d in ranked]) for c in ranked]
+        self.image = table_group(gens, len(reps), [images[c] for c in ranked], rows)
         self.image_of = [position[c] for c in coset_of]
 
 

@@ -130,9 +130,9 @@ def _dihedral_presentation(G, m: int) -> bool:
         for s in ss:
             if not (r * s * r * s).is_identity():
                 continue
-            if s in G.subgroup([r]).elements():
+            if s in PermGroup([r], degree=G.degree).elements():
                 continue
-            if G.subgroup([r, s]).order() == G.order():
+            if PermGroup([r, s], degree=G.degree).order() == G.order():
                 return True
     return False
 

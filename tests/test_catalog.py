@@ -67,6 +67,18 @@ def test_order_mismatch_rejected(tmp_path):
     assert "line 1" in str(err.value) and "order" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "spec, order", [("C1", True), ("C4", 4.0), ("C4", "4"), ("C4", None)],
+    ids=["bool", "float", "str", "null"],
+)
+def test_declared_order_must_be_an_integer(tmp_path, spec, order):
+    path = tmp_path / "bad.jsonl"
+    lines = [{"name": "C2", "spec": "C2", "order": 2}, {"name": spec, "spec": spec, "order": order}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    with pytest.raises(CatalogError, match="line 2: declared order .* is not an integer"):
+        load_catalog(str(path))
+
+
 def test_record_shape_validation(tmp_path):
     path = tmp_path / "bad.jsonl"
     cases = [

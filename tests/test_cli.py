@@ -373,6 +373,17 @@ def test_parity_cli_rejects_bool_and_float_signs(tmp_path):
         assert code == 2 and out == "" and "must be +1 or -1" in err, doc
 
 
+def test_parity_cli_rejects_symbol_maps_that_are_not_objects(tmp_path):
+    path = tmp_path / "maps.json"
+    for doc in ({"quadratic": [1]}, {"dihedral": "x"}, {"quadratic": []}, {"dihedral": False}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("parity", "D8", "--parities", str(path))
+        assert code == 2 and out == "", doc
+        assert "must be a JSON object or null" in err, doc
+    path.write_text(json.dumps({"base": 1, "quadratic": None, "dihedral": None}))
+    assert run_cli("parity", "D8", "--parities", str(path))[0] == 0
+
+
 def test_required_primes_cli():
     code, out, _ = run_cli("required-primes", "S4", "--format", "json")
     assert code == 0

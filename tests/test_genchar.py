@@ -156,6 +156,23 @@ def test_restrict_error_on_foreign_subgroup():
         restrict(trivial_char(t), alien)
 
 
+def test_subgroup_operations_take_only_records_of_the_group():
+    S3 = parse_group_spec("S3")
+    own = record_of_order(S3, 2)
+    H = own.as_group()
+    tau = trivial_char(character_table(H))
+    # the same subgroup as a group, as positions, and as a record of an equal group
+    other = record_of_order(parse_group_spec("S3"), 2)
+    for alien in (H, own.positions, list(own.positions), other):
+        with pytest.raises(ValueError):
+            restrict(trivial_char(character_table(S3)), alien)
+        with pytest.raises(ValueError):
+            perm_char(S3, alien)
+    with pytest.raises(ValueError):
+        induce(H, tau)
+    assert induce(own, tau) == perm_char(S3, own)
+
+
 def test_record_and_its_positions_give_one_quotient():
     # a character of either call's image inflates through the other
     G = parse_group_spec("D12")

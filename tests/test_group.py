@@ -17,10 +17,10 @@ from parity_inductor.group import (
     conjugacy_classes,
     per_group,
 )
-from parity_inductor.groupspec import parse_group_spec
+from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.membership import solomon_coefficients
-from parity_inductor.perm import identity, parse_perm
+from parity_inductor.perm import Perm, identity, parse_perm
 from parity_inductor.spanreport import span_report
 from parity_inductor.structure import dihedral_subquotients, quotient
 
@@ -68,9 +68,11 @@ def test_membership():
     S3 = parse_group_spec("S3")
     A3 = parse_group_spec("C3")
     t = parse_perm("(1 2)", 3)
-    assert t in S3
-    assert t not in A3
-    assert parse_perm("(1 2 3)", 3) in A3
+    assert S3.elements()[S3.element_index(t)] == t
+    with pytest.raises(KeyError, match="element not in group"):
+        A3.element_index(t)
+    c = parse_perm("(1 2 3)", 3)
+    assert A3.elements()[A3.element_index(c)] == c
 
 
 def test_s3_classes():
@@ -162,9 +164,10 @@ def test_q8_has_unique_involution():
 
 def test_subgroup():
     G = parse_group_spec("S4")
-    H = G.subgroup([parse_perm("(1 2 3)", 4)])
+    H = PermGroup([parse_perm("(1 2 3)", 4)], degree=4)
     assert H.order() == 3
-    assert all(h in G for h in H.elements())
+    rec = subgroup_lattice(G).record_for_set(G.element_index(h) for h in H.elements())
+    assert rec.order == 3 and rec.as_group().elements() == H.elements()
 
 
 def test_conjugacy_classes_contract_view():
@@ -276,3 +279,47 @@ def test_s7_is_below_the_cayley_bound():
 def test_per_group_calls_return_the_same_object(call):
     G = parse_group_spec("D8")
     assert call(G) is call(G)
+
+
+def _tree_kinds(G):
+    kinds = set()
+    for rec in subgroup_lattice(G).records:
+        kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+    return kinds
+
+
+def _families(G):
+    for flavor in ("thm12", "cor29"):
+        family_for(G, flavor)
+
+
+@pytest.mark.parametrize(
+    "gens, build",
+    [
+        (["(1 2 3 4)", "(1 3)", "(5 6)"], _families),
+        (["(1 2)", "(3 4)", "(5 6)", "(7 8)"], _families),
+        # D12: its trees inflate from quotients in Prop 2.6's cases 1 and 3
+        (["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"], _tree_kinds),
+        pytest.param(
+            ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"], _families, marks=pytest.mark.large
+        ),
+    ],
+    ids=["D8xC2-families", "C2^4-families", "D12-trees", "C2^5-families"],
+)
+def test_no_perm_products_below_the_group(monkeypatch, gens, build):
+    # subgroups and quotient images are read off G's Cayley table: once it
+    # exists, building families and trees multiplies no two permutations
+    G = group_from_cycles(gens)
+    G.cayley()
+    calls = []
+    mul = Perm.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    kinds = build(G)
+    if kinds is not None:
+        assert {"Prop2.6.case1", "Prop2.6.case3", "Inflated"} <= kinds
+    assert len(calls) == 0

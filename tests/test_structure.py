@@ -8,6 +8,7 @@ from _quotient_reference import (
 )
 
 from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.chartab import character_table
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice, subgroups_up_to_conjugacy
@@ -133,7 +134,8 @@ def test_quotient_rejects_kernel_that_is_not_a_subgroup(spec, kernel):
     G = parse_group_spec(spec)
     # positions in G; an element outside G gets the position past the end
     perms = [parse_perm(c, G.degree) for c in kernel]
-    n_set = [G.element_index(p) if p in G else G.order() for p in perms]
+    index = {g: a for a, g in enumerate(G.elements())}
+    n_set = [index.get(p, G.order()) for p in perms]
     with pytest.raises(ValueError, match="kernel is not a subgroup"):
         quotient(G, n_set)
     with pytest.raises(ValueError, match="kernel is not a subgroup"):
@@ -205,12 +207,22 @@ def _differential_groups():
     return groups
 
 
+def _assert_same_group(got, ref, where):
+    """A group read off a parent's table equals one built from its generators."""
+    assert got.generators == ref.generators, where
+    assert got.elements() == ref.elements(), where
+    assert got.cayley() == ref.cayley(), where
+    assert got.conjugacy_classes() == ref.conjugacy_classes(), where
+    assert character_table(got).vectors == character_table(ref).vectors, where
+
+
 def test_positions_match_perm_reference_on_catalog():
-    """Classes, tags and quotients on positions equal the `Perm`-product reference."""
+    """Subgroups, classes, tags and quotients on positions equal the `Perm`-product reference."""
     for name, G in _differential_groups():
         lattice = subgroup_lattice(G)
         for rec in lattice.records:
             H = rec.as_group()
+            _assert_same_group(H, PermGroup(rec.generators, degree=G.degree), (name, rec))
             assert identify_small_type(H) == identify_small_type_reference(H), (name, rec)
             classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
             assert classes == conjugacy_classes_reference(H), (name, rec)
@@ -220,7 +232,8 @@ def test_positions_match_perm_reference_on_catalog():
                 continue
             q = quotient(G, rec)
             ref = QuotientMapReference(G, rec)
-            assert q.image.generators == PermGroup(ref.generators, degree=q.image.degree).generators
+            built = PermGroup(ref.generators, degree=q.image.degree)
+            _assert_same_group(q.image, built, (name, rec))
             image = q.image.elements()
             elts = G.elements()
             for a, g in enumerate(elts):
