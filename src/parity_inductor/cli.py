@@ -242,6 +242,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise CliError("--samples must be at least 0, got %d" % args.samples)
+    if args.max_order < 1:
+        raise CliError("--max-order must be at least 1, got %d" % args.max_order)
     path = args.catalog or bundled_catalog_path()
     entries = load_catalog(path)
     selected = [e for e in entries if e.group.order() <= args.max_order]

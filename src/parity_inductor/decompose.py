@@ -94,9 +94,6 @@ class TreeNode:
         for child in self.children:
             yield from child.walk()
 
-    def kinds(self):
-        return sorted({node.kind for node in self.walk()})
-
     def __repr__(self):
         return "TreeNode(%s, %d children)" % (self.kind, len(self.children))
 

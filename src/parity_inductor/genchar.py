@@ -90,9 +90,6 @@ class GenChar:
         perm = self.table.conj_rows
         return GenChar(self.table, [self.coeffs[perm[j]] for j in range(len(perm))])
 
-    def is_real(self) -> bool:
-        return self.conj().coeffs == self.coeffs
-
 
 class LinearChar:
     """A degree-1 irreducible character, indexed by its table row."""
@@ -142,10 +139,6 @@ class LinearChar:
             if a == 0
             for m in cls.members
         )
-
-    def kernel_record(self) -> SubgroupRecord:
-        lat = subgroup_lattice(self.table.group)
-        return lat.record_for_set(self.kernel_positions())
 
     def __eq__(self, other):
         return (
@@ -202,12 +195,6 @@ def _apply(rows, coeffs):
 
 
 # ---------------------------------------------------------------- the ops
-
-
-def inner_product(alpha: GenChar, beta: GenChar):
-    if alpha.table is not beta.table:
-        raise ValueError("characters live on different tables")
-    return sum(a * b for a, b in zip(alpha.coeffs, beta.coeffs))
 
 
 def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
@@ -284,9 +271,14 @@ def _coset_char(G: PermGroup, positions: frozenset) -> GenChar:
     return GenChar(gt, gt.decompose(vals))
 
 
-@per_group
-def rho_H(G: PermGroup, H) -> GenChar:
+def rho_H(G: PermGroup, H: SubgroupRecord) -> GenChar:
     """Coset character minus its determinant, recentred to degree zero."""
+    _check_record(G, H)
+    return _rho_H(G, H)
+
+
+@per_group
+def _rho_H(G: PermGroup, H: SubgroupRecord) -> GenChar:
     perm = perm_char(G, H)
     det = determinant(perm)
     gt = perm.table

@@ -204,9 +204,6 @@ class GeneratorFamily:
     def by_id(self, gen_id: str) -> GeneratorDesc:
         return self._by_id[gen_id]
 
-    def ids(self):
-        return [g.gen_id for g in self.generators]
-
 
 @per_group
 def theorem_family(G: PermGroup) -> GeneratorFamily:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from ._primes import is_prime, primitive_root
-from .group import PermGroup
+from .group import MAX_CAYLEY_ORDER, PermGroup
 from .perm import Perm, PermError, format_perm, max_point, parse_perm
 
 _FAMILY_RE = re.compile(r"^([CDSAQF])(\d+)(?::(\d+))?$")
@@ -29,10 +29,17 @@ def parse_group_spec(text: str) -> PermGroup:
 
 
 def group_from_cycles(gen_texts, degree=None) -> PermGroup:
-    """Group generated by cycle-notation strings, on points 1..degree."""
+    """Group generated by cycle-notation strings, on points 1..degree.
+
+    A degree above MAX_CAYLEY_ORDER is refused before any permutation is built:
+    a group small enough for a Cayley table acts faithfully on its own elements,
+    so it never needs more points.
+    """
     gen_texts = list(gen_texts)
     if degree is None:
         degree = max([max_point(t) for t in gen_texts] + [1])
+    if degree > MAX_CAYLEY_ORDER:
+        raise GroupSpecError("degree %d exceeds the bound of %d points" % (degree, MAX_CAYLEY_ORDER))
     try:
         gens = [parse_perm(t, degree) for t in gen_texts]
     except PermError as exc:

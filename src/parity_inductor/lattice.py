@@ -257,12 +257,3 @@ class SubgroupLattice:
 def subgroup_lattice(G: PermGroup) -> SubgroupLattice:
     return SubgroupLattice(G)
 
-
-def subgroups_up_to_conjugacy(G: PermGroup):
-    """One SubgroupRecord per conjugacy class, ordered by (order, elements)."""
-    return list(subgroup_lattice(G).records)
-
-
-def normal_subgroups(G: PermGroup):
-    """The normal subgroups of G (each its own class), including 1 and G."""
-    return [r for r in subgroup_lattice(G).records if r.normal]

@@ -44,12 +44,6 @@ class MembershipCertificate:
         """The terms as text, e.g. "+1*t1:1 -2*t2:..." ("0" when empty)."""
         return " ".join("%+d*%s" % (c, g) for g, c in self.named_terms()) or "0"
 
-    def coefficient(self, gen_id: str) -> int:
-        return dict(self.named_terms()).get(gen_id, 0)
-
-    def generator_ids(self):
-        return [g for g, _ in self.named_terms()]
-
     def __repr__(self):
         return "MembershipCertificate(%s)" % self.format_terms()
 

@@ -86,11 +86,6 @@ class ParityExpression:
         return "ParityExpression(%s)" % self.format_text()
 
 
-def evaluate(expr: ParityExpression, assignment: "ParityInput") -> int:
-    """Product of the assigned ±1 values over the expression's symbols."""
-    return expr.evaluate(assignment)
-
-
 def _check_sign(value, where: str) -> int:
     if type(value) is not int or value not in (1, -1):
         raise ValueError("%s must be +1 or -1, got %r" % (where, value))
@@ -166,11 +161,6 @@ def full_assignment(G: PermGroup, flavor="thm12", default=1, base=None, quadrati
     return ParityInput(default if base is None else base, quad, twists)
 
 
-def quadratic_fields(G: PermGroup):
-    """Order-2 linear characters of G paired with their index-2 kernels."""
-    return tuple((lc, lc.kernel_record()) for lc in order2_linear_chars(G))
-
-
 def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", certificate=None) -> ParityExpression:
     """Symbolic parity over the fixed field of `record`, from its certificate."""
     if certificate is None:
@@ -220,13 +210,12 @@ class ParityRow:
 class ParityTable:
     """Parity expressions (and values, when inputs suffice) for every field row."""
 
-    __slots__ = ("group", "flavor", "rows", "assignment")
+    __slots__ = ("group", "flavor", "rows")
 
-    def __init__(self, group, flavor, rows, assignment):
+    def __init__(self, group, flavor, rows):
         self.group = group
         self.flavor = flavor
         self.rows = tuple(rows)
-        self.assignment = assignment
 
     def format_text(self) -> str:
         headers = ("field", "index", "expression", "value")
@@ -271,7 +260,7 @@ def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -
         cert_terms = tuple(cert.named_terms())
         label = "F(#%d)" % record.class_id
         rows.append(ParityRow(record, label, index, expression, cert_terms, value))
-    return ParityTable(G, flavor, rows, assignment)
+    return ParityTable(G, flavor, rows)
 
 
 def _check_row_shape(G, record, index, expression):

@@ -44,10 +44,6 @@ class Perm:
             inv[j] = i
         return Perm(inv)
 
-    def conjugate(self, h: "Perm") -> "Perm":
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
-
     def __pow__(self, k: int) -> "Perm":
         n = self.degree
         if k < 0:
@@ -84,10 +80,6 @@ class Perm:
     def order(self) -> int:
         cycs = self.cycles()
         return lcm(*(len(c) for c in cycs)) if cycs else 1
-
-    def sign(self) -> int:
-        swaps = sum(len(c) - 1 for c in self.cycles())
-        return -1 if swaps % 2 else 1
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

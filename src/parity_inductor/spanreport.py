@@ -65,10 +65,6 @@ class SpanReport:
         results = self.subgroup_results + self.sample_results
         return [r for r in results if not r.certified]
 
-    def used_kinds(self):
-        """Generator classes (type1 / type2 quotient tags) appearing in any certificate."""
-        return frozenset(self.usage)
-
     def format_text(self) -> str:
         lines = []
         lines.append(

@@ -1,4 +1,4 @@
-"""Quotient maps, small-group identification, structural queries."""
+"""Quotient maps, dihedral-type subquotients, structural queries."""
 
 from __future__ import annotations
 
@@ -12,32 +12,20 @@ from .perm import Perm
 
 @dataclass(frozen=True)
 class SmallTypeTag:
-    """Isomorphism-type tag: Cyclic(n), KleinFour, Dihedral8, Dihedral2p(p), Other."""
+    """Isomorphism-type tag of a subquotient: KleinFour, Dihedral8 or Dihedral2p(p)."""
 
     variant: str
     n: int | None = None
 
     def __str__(self):
-        if self.variant == "Cyclic":
-            return "Cyclic(%d)" % self.n
         if self.variant == "Dihedral2p":
             return "Dihedral2p(%d)" % self.n
         return self.variant
 
 
-CYCLIC = "Cyclic"
 KLEIN_FOUR = "KleinFour"
 DIHEDRAL_8 = "Dihedral8"
 DIHEDRAL_2P = "Dihedral2p"
-OTHER = "Other"
-
-
-def identify_small_type(G: PermGroup) -> SmallTypeTag:
-    """Classify G among the tagged small types."""
-    if G.is_cyclic():
-        return SmallTypeTag(CYCLIC, G.order())
-    roots = sum(c.size for c in G.conjugacy_classes() if c.order <= 2)
-    return _dihedral_tag(G.order(), roots) or SmallTypeTag(OTHER)
 
 
 def _dihedral_tag(order: int, roots: int):

@@ -12,15 +12,16 @@ from parity_inductor.group import PermGroup
 from parity_inductor.lattice import SubgroupRecord, subgroup_lattice
 from parity_inductor.perm import Perm
 from parity_inductor.structure import (
-    CYCLIC,
     DIHEDRAL_2P,
     DIHEDRAL_8,
     KLEIN_FOUR,
-    OTHER,
     SmallTypeTag,
     _allowed_ratios,
     _dihedral_tag,
 )
+
+CYCLIC = "Cyclic"
+OTHER = "Other"
 
 
 def _set_key(elements):
@@ -121,6 +122,12 @@ def identify_small_type_reference(G) -> SmallTypeTag:
     return SmallTypeTag(OTHER)
 
 
+def dihedral_tag_reference(G):
+    """G's reference tag when G is Klein-four, D8 or D2p, else None."""
+    tag = identify_small_type_reference(G)
+    return tag if tag.variant in (KLEIN_FOUR, DIHEDRAL_8, DIHEDRAL_2P) else None
+
+
 def _dihedral_presentation(G, m: int) -> bool:
     """Find r of order m and s of order 2 with (r*s)**2 = 1 generating G."""
     elts = G.elements()
@@ -140,11 +147,7 @@ def _dihedral_presentation(G, m: int) -> bool:
 def quotient_tag(H, n_set):
     """Tag of H/N from the quotient group built out of `Perm` cosets."""
     q = QuotientMapReference(H, n_set)
-    image = PermGroup(q.generators, degree=len(q._reps))
-    tag = identify_small_type_reference(image)
-    if tag.variant in (KLEIN_FOUR, DIHEDRAL_8, DIHEDRAL_2P):
-        return tag
-    return None
+    return dihedral_tag_reference(PermGroup(q.generators, degree=len(q._reps)))
 
 
 def square_count_tag(H, n_set):

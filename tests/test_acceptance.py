@@ -172,7 +172,7 @@ def _check_d42_usage():
     assert tags == allowed, tags
     report = span_report(G, "thm12", name="D42", samples=20, seed=0)
     assert report.all_certified
-    used = report.used_kinds()
+    used = set(report.usage)
     assert used <= allowed | {"type1"}, used
     assert allowed <= used, used
     return "usage %s" % ", ".join(sorted(used))

@@ -5,6 +5,7 @@ layer, ``GeneratorFamily.hnf`` or the fields of its result) would only show as
 a failed benchmark run.  These checks catch it in the test suite instead.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -46,6 +47,64 @@ def test_every_traced_layer_resolves_to_a_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def _dotted(node):
+    """The names of an attribute chain rooted at a plain name, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _package_chains(path):
+    """Every ``pi.<module>.<attr>...`` chain the file uses, as (module, attrs).
+
+    ``pi`` is the package namespace the workloads receive, also reached as
+    ``self.pi``; a local bound to ``pi.<module>`` (``genchar = pi.genchar``)
+    counts as that module.
+    """
+    tree = ast.parse(path.read_text())
+
+    def rooted(parts):
+        if parts and parts[0] == "self":
+            parts = parts[1:]
+        if parts and parts[0] == "pi":
+            return parts[1:]
+        if parts and parts[0] in aliases:
+            return [aliases[parts[0]], *parts[1:]]
+        return None
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+            rest = rooted(_dotted(node.value))
+            if rest is not None and len(rest) == 1:
+                aliases[node.targets[0].id] = rest[0]
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            rest = rooted(_dotted(node))
+            if rest is not None and len(rest) >= 2:
+                chains.add((rest[0], tuple(rest[1:])))
+    return chains
+
+
+def test_every_package_name_the_workloads_use_exists():
+    chains = _package_chains(PERFBENCH / "workloads.py")
+    # the scan sees the plain, the ``self.pi`` and the aliased spellings
+    assert {
+        ("membership", ("membership_solve",)),
+        ("genchar", ("GenChar",)),
+        ("genchar", ("induce",)),
+    } <= chains
+    for module, attrs in sorted(chains):
+        obj = importlib.import_module("parity_inductor." + module)
+        for attr in attrs:
+            assert hasattr(obj, attr), "pi.%s.%s" % (module, ".".join(attrs))
+            obj = getattr(obj, attr)
 
 
 def test_build_counters_on_an_empty_and_a_nonempty_family():

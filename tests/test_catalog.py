@@ -3,14 +3,13 @@
 import json
 
 import pytest
+from _catalog_records import build_catalog_records, render_catalog
 
 from parity_inductor.catalog import (
     CatalogError,
-    build_catalog_records,
     bundled_catalog_path,
     load_bundled_catalog,
     load_catalog,
-    render_catalog,
 )
 
 
@@ -93,6 +92,15 @@ def test_record_shape_validation(tmp_path):
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(CatalogError):
             load_catalog(str(path))
+
+
+def test_generators_above_the_degree_bound_rejected(tmp_path):
+    path = tmp_path / "big.jsonl"
+    records = [{"name": "C2", "spec": "C2"}, {"name": "big", "generators": ["(1 2)", "(3 10000000)"]}]
+    path.write_text(render_catalog(records))
+    with pytest.raises(CatalogError) as err:
+        load_catalog(str(path))
+    assert str(err.value) == "line 2: degree 10000000 exceeds the bound of 8192 points"
 
 
 def test_duplicate_names_rejected(tmp_path):

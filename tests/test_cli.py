@@ -10,12 +10,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from _catalog_records import render_catalog
 
-from parity_inductor.catalog import render_catalog
 from parity_inductor.cli import main
 from parity_inductor.generators import family_for
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import parse_group_spec
+from parity_inductor.perm import Perm
 from parity_inductor.membership import certificate_from_json, verify_certificate
 
 
@@ -143,6 +144,20 @@ def test_chartab_above_the_cayley_bound_exits_2_fast(monkeypatch):
     assert code == 2 and out == "" and "order 40320 exceeds the Cayley-table bound 8192" in err
 
 
+@pytest.mark.parametrize("spec", ["(1 10000000)", "(1 8193)", "C10000", "S9000"])
+def test_degree_above_the_cayley_bound_exits_2_fast(monkeypatch, spec):
+    # a group small enough for a Cayley table acts faithfully on at most 8,192
+    # points, so more points are refused before a single permutation is built
+    def unreachable(self, images):
+        raise AssertionError("a permutation of degree %d was built" % len(images))
+
+    monkeypatch.setattr(Perm, "__init__", unreachable)
+    started = time.perf_counter()
+    code, out, err = run_cli("group-info", spec)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == "" and "exceeds the bound of 8192 points" in err
+
+
 def test_verify_custom_catalog(tmp_path):
     path = tmp_path / "cat.jsonl"
     path.write_text(
@@ -196,6 +211,12 @@ def test_verify_empty_catalog(tmp_path):
 def test_verify_rejects_negative_samples():
     code, out, err = run_cli("verify", "--samples", "-3", "--format", "json")
     assert code == 2 and out == "" and "--samples must be at least 0" in err
+
+
+@pytest.mark.parametrize("max_order", ["0", "-1"])
+def test_verify_rejects_max_order_below_one(max_order):
+    code, out, err = run_cli("verify", "--max-order", max_order)
+    assert code == 2 and out == "" and "--max-order must be at least 1, got " + max_order in err
 
 
 def test_verify_malformed_catalog(tmp_path):

@@ -60,6 +60,10 @@ ZOO = [
 ]
 
 
+def _kinds(tree):
+    return {node.kind for node in tree.walk()}
+
+
 def all_leaves(tree):
     return [node for node in tree.walk() if node.kind == "Leaf"]
 
@@ -73,7 +77,7 @@ def test_s3_order_two_subgroup_is_a_single_twist_leaf():
     assert leaves[0].generator.gen_id == "t2:h3:n0:Dihedral2p(3):tau3"
     assert leaves[0].multiplicity == 1
     cert = flatten_to_certificate(tree)
-    assert cert.generator_ids() == ["t2:h3:n0:Dihedral2p(3):tau3"]
+    assert [g for g, _ in cert.named_terms()] == ["t2:h3:n0:Dihedral2p(3):tau3"]
     assert verify_certificate(cert)
 
 
@@ -93,7 +97,7 @@ def test_d8_non_normal_subgroup_uses_degree_two_twist():
     assert len(recs) == 2
     for rec in recs:
         tree = decompose_structural(G, rho_H(G, rec))
-        assert "Thm2.8.case4" in tree.kinds()
+        assert "Thm2.8.case4" in _kinds(tree)
         tags = {leaf.generator.tag for leaf in all_leaves(tree)}
         assert "Dihedral8" in tags
         assert verify_certificate(flatten_to_certificate(tree))
@@ -124,7 +128,7 @@ def test_two_group_trees_use_index_recursion():
         G = parse_group_spec(spec)
         kinds = set()
         for rec in subgroup_lattice(G).records:
-            kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+            kinds |= _kinds(decompose_structural(G, rho_H(G, rec)))
         assert any(k.startswith("Thm2.8") for k in kinds), spec
         assert not any(k.startswith("Prop2.6") for k in kinds), spec
 
@@ -165,7 +169,7 @@ def test_two_group_case_coverage():
     ]
     for G in groups:
         for rec in subgroup_lattice(G).records:
-            kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+            kinds |= _kinds(decompose_structural(G, rho_H(G, rec)))
     assert {
         "Thm2.8.case1",
         "Thm2.8.case2",
@@ -180,7 +184,7 @@ def test_hyperelementary_trees_use_normal_sylow_recursion():
         assert is_hyperelementary(G) is not None
         kinds = set()
         for rec in subgroup_lattice(G).records:
-            kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+            kinds |= _kinds(decompose_structural(G, rho_H(G, rec)))
         assert any(k.startswith("Prop2.6") for k in kinds), spec
 
 
@@ -189,7 +193,7 @@ def test_hyperelementary_case_coverage():
     for spec in ["S3", "C6", "C12", "D12", "F5:4"]:
         G = parse_group_spec(spec)
         for rec in subgroup_lattice(G).records:
-            kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+            kinds |= _kinds(decompose_structural(G, rho_H(G, rec)))
     assert {
         "Prop2.6.case1",
         "Prop2.6.case2",
@@ -235,7 +239,7 @@ def test_tree_kinds_match_wire_vocabulary():
         G = parse_group_spec(spec)
         for rec in subgroup_lattice(G).records:
             tree = decompose_structural(G, rho_H(G, rec))
-            assert set(tree.kinds()) <= WIRE_KINDS
+            assert _kinds(tree) <= WIRE_KINDS
 
 
 def test_tree_json_round_trips():

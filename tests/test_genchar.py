@@ -13,7 +13,6 @@ from parity_inductor.genchar import (
     determinant,
     induce,
     inflate,
-    inner_product,
     irreducible_char,
     order2_linear_chars,
     perm_char,
@@ -37,6 +36,12 @@ def record_of_order(G, n, which=0):
     return [r for r in records(G) if r.order == n][which]
 
 
+def inner_product(alpha, beta):
+    """<alpha, beta>: the irreducibles are orthonormal, so it is the coordinates' dot product."""
+    assert alpha.table is beta.table
+    return sum(a * b for a, b in zip(alpha.coeffs, beta.coeffs))
+
+
 def test_genchar_algebra():
     t = character_table(parse_group_spec("S3"))
     a = irreducible_char(t, 2)
@@ -55,11 +60,11 @@ def test_conjugation_and_reality():
     C4 = parse_group_spec("C4")
     t = character_table(C4)
     chi = irreducible_char(t, 1)
-    assert not chi.is_real()
+    assert chi.conj() != chi
     assert chi.conj().coeffs == (0, 0, 1, 0)
-    assert (chi + chi.conj()).is_real()
+    assert (chi + chi.conj()).conj() == chi + chi.conj()
     t3 = character_table(parse_group_spec("S3"))
-    assert irreducible_char(t3, 2).is_real()
+    assert irreducible_char(t3, 2).conj() == irreducible_char(t3, 2)
 
 
 def test_inner_product_regular_character():
@@ -168,6 +173,8 @@ def test_subgroup_operations_take_only_records_of_the_group():
             restrict(trivial_char(character_table(S3)), alien)
         with pytest.raises(ValueError):
             perm_char(S3, alien)
+        with pytest.raises(ValueError):
+            rho_H(S3, alien)
     with pytest.raises(ValueError):
         induce(H, tau)
     assert induce(own, tau) == perm_char(S3, own)
@@ -391,8 +398,8 @@ def test_determinant_of_induced_trivial_is_coset_sign():
                     coset_index[h * x] = i
             for ci, cls in enumerate(pc.table.classes):
                 images = [coset_index[x * cls.rep] for x in reps]
-                sign = Perm(tuple(images)).sign()
-                assert det[ci] == sign
+                swaps = sum(len(c) - 1 for c in Perm(tuple(images)).cycles())
+                assert det[ci] == (-1) ** swaps
 
 
 def test_even_degree_trivial_det_induction_law():
@@ -428,7 +435,7 @@ def test_rho_degree_zero_trivial_det_everywhere():
             r = rho_H(G, rec)
             assert r.degree == 0
             assert determinant(r).is_trivial()
-            assert r.is_real()
+            assert r.conj() == r
 
 
 def test_order2_linear_chars():
@@ -439,7 +446,7 @@ def test_order2_linear_chars():
     V = group_from_cycles(["(1 2)", "(3 4)"])
     vchars = order2_linear_chars(V)
     assert len(vchars) == 3
-    kernels = {c.kernel_record().class_id for c in vchars}
+    kernels = {subgroup_lattice(V).record_for_set(c.kernel_positions()).class_id for c in vchars}
     index2 = {r.class_id for r in records(V) if r.index == 2}
     assert kernels == index2
 
@@ -454,7 +461,7 @@ def test_linear_char_behaviour():
     assert eps.order() == 2
     assert (eps * eps).is_trivial()
     assert eps.conj() == eps
-    assert eps.kernel_record().order == 3
+    assert len(eps.kernel_positions()) == 3
     assert eps.genchar.coeffs == (0, 1, 0)
 
     C4 = parse_group_spec("C4")

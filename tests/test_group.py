@@ -201,7 +201,7 @@ def test_every_cache_key_names_a_per_group_builder():
     rec = subgroup_lattice(G).records[2]
     decompose_structural(G, rho_H(G, rec))
     names = _builder_names()
-    assert {"cayley", "character_table", "subgroup_lattice", "QuotientMap", "rho_H"} <= names
+    assert {"cayley", "character_table", "subgroup_lattice", "QuotientMap", "_rho_H"} <= names
     groups = [obj for obj in gc.get_objects() if isinstance(obj, PermGroup)]
     assert G in groups and len(groups) > 1
     for group in groups:
@@ -284,7 +284,7 @@ def test_per_group_calls_return_the_same_object(call):
 def _tree_kinds(G):
     kinds = set()
     for rec in subgroup_lattice(G).records:
-        kinds |= set(decompose_structural(G, rho_H(G, rec)).kinds())
+        kinds |= {node.kind for node in decompose_structural(G, rho_H(G, rec)).walk()}
     return kinds
 
 

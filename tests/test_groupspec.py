@@ -1,5 +1,6 @@
 import pytest
 
+from parity_inductor.group import MAX_CAYLEY_ORDER
 from parity_inductor.groupspec import GroupSpecError, group_from_cycles, parse_group_spec
 
 
@@ -62,3 +63,10 @@ def test_group_from_cycles_degree_override():
     G = group_from_cycles(["(1 2)"], degree=4)
     assert G.degree == 4
     assert G.order() == 2
+
+
+def test_degree_bound_is_the_cayley_bound():
+    assert group_from_cycles(["(1 8192)"]).degree == MAX_CAYLEY_ORDER == 8192
+    for texts, degree in ((["(1 8193)"], None), ([], 8193), (["(1 2)"], 10**7)):
+        with pytest.raises(GroupSpecError, match="exceeds the bound of 8192 points"):
+            group_from_cycles(texts, degree=degree)

@@ -5,9 +5,7 @@ from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import (
     LatticeBoundError,
     SubgroupLattice,
-    normal_subgroups,
     subgroup_lattice,
-    subgroups_up_to_conjugacy,
 )
 from parity_inductor.perm import identity, parse_perm
 
@@ -117,37 +115,41 @@ def pair_closure_subgroup_sets(G):
     return known
 
 
+def _normal_orders(G):
+    return [r.order for r in subgroup_lattice(G).records if r.normal]
+
+
 def test_s3_lattice():
     G = parse_group_spec("S3")
-    recs = subgroups_up_to_conjugacy(G)
+    recs = subgroup_lattice(G).records
     assert [r.order for r in recs] == [1, 2, 3, 6]
     assert [r.normal for r in recs] == [True, False, True, True]
-    assert [r.order for r in normal_subgroups(G)] == [1, 3, 6]
+    assert _normal_orders(G) == [1, 3, 6]
 
 
 def test_c4_lattice():
-    recs = subgroups_up_to_conjugacy(parse_group_spec("C4"))
+    recs = subgroup_lattice(parse_group_spec("C4")).records
     assert [r.order for r in recs] == [1, 2, 4]
     assert all(r.normal for r in recs)
 
 
 def test_klein_lattice():
-    recs = subgroups_up_to_conjugacy(parse_group_spec("D4"))
+    recs = subgroup_lattice(parse_group_spec("D4")).records
     assert [r.order for r in recs] == [1, 2, 2, 2, 4]
     assert all(r.normal for r in recs)
 
 
 def test_s4_has_11_classes():
-    recs = subgroups_up_to_conjugacy(parse_group_spec("S4"))
+    recs = subgroup_lattice(parse_group_spec("S4")).records
     assert len(recs) == 11
-    assert [r.order for r in normal_subgroups(parse_group_spec("S4"))] == [1, 4, 12, 24]
+    assert _normal_orders(parse_group_spec("S4")) == [1, 4, 12, 24]
 
 
 def test_a5_lattice():
     G = parse_group_spec("A5")
-    recs = subgroups_up_to_conjugacy(G)
+    recs = subgroup_lattice(G).records
     assert len(recs) == 9
-    assert [r.order for r in normal_subgroups(G)] == [1, 60]
+    assert _normal_orders(G) == [1, 60]
 
 
 def test_pair_closure_oracle_agrees():
@@ -164,7 +166,7 @@ def test_pair_closure_oracle_agrees():
 
 def test_record_fields():
     G = parse_group_spec("S4")
-    for r in subgroups_up_to_conjugacy(G):
+    for r in subgroup_lattice(G).records:
         assert G.order() % r.order == 0
         assert set(r.generators) <= set(G.elements())
         assert r.as_group().order() == r.order

@@ -56,7 +56,7 @@ def test_rho_s3_c2_hits_type2_generator():
     assert rho.coeffs == (-1, -1, 1)
     cert = membership_solve(rho, theorem_family(G))
     assert cert.terms == ((2, 1),)
-    assert cert.generator_ids() == ["t2:h3:n0:Dihedral2p(3):tau3"]
+    assert [g for g, _ in cert.named_terms()] == ["t2:h3:n0:Dihedral2p(3):tau3"]
     assert verify_certificate(cert)
 
 
@@ -65,7 +65,7 @@ def test_c4_conjugate_pair_certificate():
     target = GenChar(character_table(G), (-2, 1, 1, 0))
     cert = membership_solve(target, theorem_family(G))
     assert cert.terms == ((0, 1),)
-    assert cert.coefficient("t1:1") == 1
+    assert dict(cert.named_terms())["t1:1"] == 1
     assert verify_certificate(cert)
 
 

@@ -13,11 +13,9 @@ from parity_inductor.parity import (
     ParityExpression,
     ParityInput,
     dihedral_symbol,
-    evaluate,
     full_assignment,
     parity_expression,
     parity_table,
-    quadratic_fields,
     quadratic_symbol,
     required_sha_primes,
     symbol_name,
@@ -65,24 +63,24 @@ def test_s3_rows_match_hand_expansion():
 def test_s3_cubic_value_flips_with_twist():
     G = parse_group_spec("S3")
     cubic = parity_expression(G, record_of_order(G, 2))
-    assert evaluate(cubic, full_assignment(G)) == 1
+    assert cubic.evaluate(full_assignment(G)) == 1
     twist_id = [d.gen_id for d in theorem_family(G) if d.kind == "type2"][0]
     flipped = full_assignment(G, dihedral={twist_id: -1})
-    assert evaluate(cubic, flipped) == -1
+    assert cubic.evaluate(flipped) == -1
 
 
 def test_base_minus_one_flips_whole_group_row():
     G = parse_group_spec("D8")
     top = record_of_order(G, 8)
     expr = parity_expression(G, top)
-    assert evaluate(expr, full_assignment(G, base=-1)) == -1
+    assert expr.evaluate(full_assignment(G, base=-1)) == -1
 
 
 def test_evaluate_reports_missing_symbols():
     G = parse_group_spec("S3")
     expr = parity_expression(G, record_of_order(G, 1))
     with pytest.raises(ParityError) as err:
-        evaluate(expr, ParityInput(base=1))
+        expr.evaluate(ParityInput(base=1))
     assert "Quad(X" in str(err.value)
 
 
@@ -164,13 +162,14 @@ def test_quadratic_fields_counts_and_kernels():
     cases = {"S3": 1, "(1 2),(3 4)": 3, "D42": 1, "A4": 0, "Q8": 3, "C6": 1}
     for spec, count in cases.items():
         G = parse_group_spec(spec)
-        pairs = quadratic_fields(G)
-        assert len(pairs) == count == len(order2_linear_chars(G))
-        for lc, kernel in pairs:
+        chars = order2_linear_chars(G)
+        assert len(chars) == count
+        for lc in chars:
+            kernel = subgroup_lattice(G).record_for_set(lc.kernel_positions())
             assert kernel.order * 2 == G.order()
-            assert lc.kernel_positions() == kernel.positions
+            assert kernel.positions == lc.kernel_positions()
     D42 = parse_group_spec("D42")
-    assert quadratic_fields(D42)[0][1].order == 21
+    assert len(order2_linear_chars(D42)[0].kernel_positions()) == 21
 
 
 def test_required_sha_primes_quadruple():

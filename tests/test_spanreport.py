@@ -29,9 +29,9 @@ def test_d42_uses_only_small_dihedral_twists():
     G = parse_group_spec("D42")
     report = span_report(G, "thm12", name="D42", samples=8, seed=3)
     assert report.all_certified
-    assert report.used_kinds() <= {"type1", "Dihedral2p(3)", "Dihedral2p(7)"}
-    assert "Dihedral2p(3)" in report.used_kinds()
-    assert "Dihedral2p(7)" in report.used_kinds()
+    assert set(report.usage) <= {"type1", "Dihedral2p(3)", "Dihedral2p(7)"}
+    assert "Dihedral2p(3)" in set(report.usage)
+    assert "Dihedral2p(7)" in set(report.usage)
 
 
 def test_trivial_group_vacuous():
@@ -39,7 +39,7 @@ def test_trivial_group_vacuous():
     report = span_report(G, "thm12", name="C1", samples=3, seed=0)
     assert report.all_certified
     assert all(r.terms == () for r in report.subgroup_results + report.sample_results)
-    assert report.used_kinds() == frozenset()
+    assert set(report.usage) == frozenset()
 
 
 def test_corollary_flavor_certifies_s3():

@@ -3,7 +3,7 @@ from _quotient_reference import (
     QuotientMapReference,
     conjugacy_classes_reference,
     dihedral_subquotients_reference,
-    identify_small_type_reference,
+    dihedral_tag_reference,
     square_count_tag,
 )
 
@@ -11,12 +11,12 @@ from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
-from parity_inductor.lattice import subgroup_lattice, subgroups_up_to_conjugacy
+from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.perm import parse_perm
 from parity_inductor.structure import (
     QuotientMap,
+    _dihedral_tag,
     dihedral_subquotients,
-    identify_small_type,
     is_hyperelementary,
     quotient,
 )
@@ -27,28 +27,27 @@ def _set_key(elements):
 
 
 def record_of_order(G, n, normal=None):
-    for r in subgroups_up_to_conjugacy(G):
+    for r in subgroup_lattice(G).records:
         if r.order == n and (normal is None or r.normal == normal):
             return r
     raise AssertionError("no subgroup of order %d" % n)
 
 
-def test_identify_small_type():
-    assert str(identify_small_type(parse_group_spec("C4"))) == "Cyclic(4)"
-    assert str(identify_small_type(parse_group_spec("C6"))) == "Cyclic(6)"
-    assert str(identify_small_type(parse_group_spec("D4"))) == "KleinFour"
-    assert str(identify_small_type(parse_group_spec("D8"))) == "Dihedral8"
-    assert str(identify_small_type(parse_group_spec("Q8"))) == "Other"
-    assert str(identify_small_type(parse_group_spec("S3"))) == "Dihedral2p(3)"
-    assert str(identify_small_type(parse_group_spec("D14"))) == "Dihedral2p(7)"
-    assert str(identify_small_type(parse_group_spec("D12"))) == "Other"
-    assert str(identify_small_type(parse_group_spec("S4"))) == "Other"
+def _tag(G):
+    """`_dihedral_tag` of G, from its order and its count of x with x*x = 1."""
+    return _dihedral_tag(G.order(), sum(c.size for c in G.conjugacy_classes() if c.order <= 2))
+
+
+def test_dihedral_tag_of_small_groups():
+    for spec in ("C4", "C6", "Q8", "D12", "S4"):
+        assert _tag(parse_group_spec(spec)) is None, spec
+    assert str(_tag(parse_group_spec("D4"))) == "KleinFour"
+    assert str(_tag(parse_group_spec("D8"))) == "Dihedral8"
+    assert str(_tag(parse_group_spec("S3"))) == "Dihedral2p(3)"
+    assert str(_tag(parse_group_spec("D14"))) == "Dihedral2p(7)"
     # abelian, not cyclic: 4 and 8 square roots of 1
-    assert str(identify_small_type(group_from_cycles(["(1 2 3 4)", "(5 6)"]))) == "Other"
-    assert (
-        str(identify_small_type(group_from_cycles(["(1 2)", "(3 4)", "(5 6)"])))
-        == "Other"
-    )
+    assert _tag(group_from_cycles(["(1 2 3 4)", "(5 6)"])) is None
+    assert _tag(group_from_cycles(["(1 2)", "(3 4)", "(5 6)"])) is None
 
 
 def test_quotient_c4_by_c2():
@@ -62,7 +61,7 @@ def test_quotient_d42_by_c7():
     n = record_of_order(G, 7)
     q = quotient(G, n)
     assert q.image.order() == 6
-    assert str(identify_small_type(q.image)) == "Dihedral2p(3)"
+    assert str(_tag(q.image)) == "Dihedral2p(3)"
 
 
 def test_quotient_by_whole_group():
@@ -223,7 +222,7 @@ def test_positions_match_perm_reference_on_catalog():
         for rec in lattice.records:
             H = rec.as_group()
             _assert_same_group(H, PermGroup(rec.generators, degree=G.degree), (name, rec))
-            assert identify_small_type(H) == identify_small_type_reference(H), (name, rec)
+            assert _tag(H) == dihedral_tag_reference(H), (name, rec)
             classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
             assert classes == conjugacy_classes_reference(H), (name, rec)
         assert _subquotient_keys(G) == dihedral_subquotients_reference(G), name
