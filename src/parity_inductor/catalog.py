@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-from .group import PermGroup
+from .group import PermGroup, order_text
 from .groupspec import GroupSpecError, group_from_cycles, parse_group_spec
 
 
@@ -61,8 +61,8 @@ def _entry_from_record(record: dict, line_number: int) -> CatalogEntry:
         fail("declared order %r is not an integer" % (declared,))
     if declared is not None and group.order() != declared:
         fail(
-            "declared order %r but computed %d for %s"
-            % (declared, group.order(), name)
+            "declared order %r but computed %s for %s"
+            % (declared, order_text(group.order()), name)
         )
     return CatalogEntry(name, group)
 
@@ -80,6 +80,8 @@ def load_catalog(path: str):
                 record = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise CatalogError("line %d: %s" % (line_number, exc)) from None
+            except ValueError:  # json refuses integers over 4,300 digits
+                raise CatalogError("line %d: an integer has too many digits" % line_number) from None
             entry = _entry_from_record(record, line_number)
             if entry.name in seen:
                 raise CatalogError("line %d: duplicate name %s" % (line_number, entry.name))

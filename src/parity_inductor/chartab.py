@@ -10,9 +10,12 @@ over the power maps.  Both paths' rows pass the same exact checks.
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
 where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
-so rows are compared, conjugated (s -> -s) and read for determinants as
-integer tuples, and are rendered by reducing their lift to Z[x]/(x^e - 1),
-e = exp(G), modulo Phi_e: a polynomial in z = zeta_e of degree below phi(e).
+so rows are compared and conjugated (s -> -s) as integer tuples.  A table's
+value index holds, once per distinct vector, its nonzero terms, its
+determinant exponent and its key: its lift to Z[x]/(x^e - 1), e = exp(G),
+reduced modulo Phi_e to a polynomial in z = zeta_e of degree below phi(e),
+keyed (1, its integer) when rational and (e, its coordinates) otherwise.
+Rows are sorted by these keys and rendered from them.
 
 Orthogonality: sum_c |C_c| chi_i(c) conj(chi_j(c)) is accumulated as one
 integer vector in Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e once per
@@ -35,7 +38,7 @@ f = sum_j a_j * chi_j for any input, with no second path.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul, sub
 
 from ._primes import is_prime, primitive_root
@@ -167,8 +170,6 @@ def _poly_roots_mod(poly, p):
 @cache
 def cyclotomic_polynomial(n: int):
     """Coefficients of Phi_n, low degree first, monic."""
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
@@ -234,21 +235,24 @@ def _lift(m, n: int):
     return out
 
 
-def _terms(row):
-    """The nonzero (s, m_s) of a row at each class."""
-    return tuple(tuple((s, x) for s, x in enumerate(m) if x) for m in row)
+def _value_index(rows, e: int):
+    """The value index: each distinct vector m among the rows' values maps to
+    (its key, its nonzero (s, m_s), its determinant exponent mod e)."""
+    index = {}
+    for row in rows:
+        for m in row:
+            if m not in index:
+                red = _reduce_mod_phi(_lift(m, e), e)
+                index[m] = ((1, red[0]) if not any(red[1:]) else (e, *red),
+                            tuple((s, x) for s, x in enumerate(m) if x),
+                            e // len(m) * sum(s * x for s, x in enumerate(m)) % e)
+    return index
 
 
-def _row_key(row, e: int):
-    """(degree, not trivial, per class the value's key), a value keyed by
-    (1, its integer) when rational and by (e, its coordinates in the basis
-    1, zeta_e, ..., zeta_e ** (phi(e) - 1)) otherwise.
-    """
-    keys = []
-    for m in row:
-        red = _reduce_mod_phi(_lift(m, e), e)
-        keys.append((1, red[0]) if not any(red[1:]) else (e, *red))
-    return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, tuple(keys))
+def _row_key(row, index):
+    """(degree, not trivial, per class the value's key in the `_value_index`)."""
+    keys = tuple(index[m][0] for m in row)
+    return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, keys)
 
 
 def kernel_rows(table: "CharacterTable", positions):
@@ -283,15 +287,16 @@ def quotient_rows(table: "CharacterTable", qmap):
     if len(rows) != len(classes):
         raise CharTableError("the rows with N in their kernel do not fit H/N")
     steps = [(c, table.classes[c].order // cls.order) for c, cls in zip(over, classes)]
-    e = image.exponent()
-    rows.sort(key=lambda i: _row_key([table.vectors[i][c][::j] for c, j in steps], e))
+    folded = {i: [table.vectors[i][c][::j] for c, j in steps] for i in rows}
+    index = _value_index(folded.values(), image.exponent())
+    rows.sort(key=lambda i: _row_key(folded[i], index))
     return rows, over
 
 
-def _format_value(m, e: int) -> str:
-    """A value as an integer polynomial in z = zeta_e of degree below phi(e)."""
+def _format_value(key) -> str:
+    """A value's key as an integer polynomial in z = zeta_e of degree below phi(e)."""
     parts = []
-    for i, c in enumerate(_reduce_mod_phi(_lift(m, e), e)):
+    for i, c in enumerate(key[1:]):
         if c:
             mag = str(abs(c)) if i == 0 else "" if abs(c) == 1 else "%d*" % abs(c)
             term = mag + ("" if i == 0 else "z" if i == 1 else "z^%d" % i)
@@ -331,16 +336,14 @@ class CharacterTable:
             rows = _abelian_rows(group, self.classes, e)
         else:
             rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
-        rows.sort(key=lambda row: _row_key(row, e))
+        self._values = values = _value_index(rows, e)
+        rows.sort(key=lambda row: _row_key(row, values))
         # row i at class c: sum_s vectors[i][c][s] * zeta_o ** s, o = len(vectors[i][c])
         self.vectors = tuple(rows)
-        self._row_terms = [_terms(row) for row in rows]
+        self._row_terms = [tuple(values[m][1] for m in row) for row in rows]
         self.degrees = tuple(row[0][0] for row in rows)
         # det of row i at class c is zeta_exp ** det_exponents[i][c]
-        self.det_exponents = tuple(
-            tuple(e // len(m) * sum(s * x for s, x in enumerate(m)) % e for m in row)
-            for row in rows
-        )
+        self.det_exponents = tuple(tuple(values[m][2] for m in row) for row in rows)
         index = {row: i for i, row in enumerate(rows)}
         conj = [tuple(m[:1] + m[:0:-1] for m in row) for row in rows]
         if not all(row in index for row in conj):
@@ -371,7 +374,7 @@ class CharacterTable:
                     )
 
     def _gram(self, aterms, bterms) -> int:
-        """|G| * <a, b> for two rows given by `_terms`."""
+        """|G| * <a, b> for two rows given by their nonzero terms per class."""
         e = self.exponent
         acc = [0] * e
         for cls, ta, tb in zip(self.classes, aterms, bterms):
@@ -439,8 +442,8 @@ class CharacterTable:
 
     def formatted_rows(self):
         """Each row's values as integer polynomials in z = zeta_exp."""
-        e = self.exponent
-        return [[_format_value(m, e) for m in row] for row in self.vectors]
+        text = {m: _format_value(key) for m, (key, _, _) in self._values.items()}
+        return [[text[m] for m in row] for row in self.vectors]
 
     def format_text(self) -> str:
         headers = ["chi"] + [
@@ -599,13 +602,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         if s == 0:
             raise CharTableError("degree denominator vanished")
         d2 = order * pow(s, l - 2, l) % l
-        degree = None
-        d = 1
-        while d * d <= order:
-            if d * d % l == d2:
-                degree = d
-                break
-            d += 1
+        degree = next((d for d in range(1, isqrt(order) + 1) if d * d % l == d2), None)
         if degree is None:
             raise CharTableError("no integer degree matches modulo l")
         # character values mod l, then the exact multiplicities m_s of the

@@ -57,7 +57,8 @@ def _resolve_subgroup(G, text: str):
             % (text, len(lattice.records) - 1)
         )
     if text.isdigit():
-        matches = [r for r in lattice.records if r.order == int(text)]
+        # compared as digits: int() refuses over 4,300 of them
+        matches = [r for r in lattice.records if str(r.order) == text.lstrip("0")]
     elif text.startswith("("):
         try:
             K = group_from_cycles(_split_generators(text), degree=G.degree)
@@ -277,6 +278,8 @@ def _cmd_parity(args) -> int:
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise CliError("bad parity input file: %s" % exc) from None
+            except ValueError:  # json refuses integers over 4,300 digits
+                raise CliError("bad parity input file: an integer has too many digits") from None
         try:
             assignment = ParityInput.from_json(raw)
         except ValueError as exc:

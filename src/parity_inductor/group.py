@@ -19,6 +19,12 @@ class CayleyBoundError(ValueError):
     """The group is too large for a Cayley table."""
 
 
+def order_text(n: int) -> str:
+    """A group order for a message: str() refuses ints over 4,300 digits, and
+    a family token such as S2000 names a larger order."""
+    return str(n) if n.bit_length() <= 14000 else "about 10^%d" % (n.bit_length() * 0.30103)
+
+
 @dataclass(frozen=True)
 class ConjClass:
     """One conjugacy class: representative, size, element order, member indices."""
@@ -43,7 +49,8 @@ _MISSING = object()
 def per_group(build):
     """Memoise ``build(G, *args)`` in ``G._cache`` under ``build.__name__``, or
     ``(build.__name__, *args)`` with arguments: the one way into a group's cache.
-    `table_group` pre-seeds ``order``, ``elements`` and ``cayley`` under those names.
+    A group built with a known ``order`` is seeded with it, and `table_group`
+    seeds ``elements`` and ``cayley`` too, under those names.
     """
     name = build.__name__
 
@@ -65,7 +72,7 @@ class PermGroup:
     indices into that list.  The identity always has index 0.
     """
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, order=None):
         gens = []
         seen = set()
         for g in generators:
@@ -80,7 +87,7 @@ class PermGroup:
             raise ValueError("degree required for a trivial group")
         self.degree = degree
         self.generators = tuple(gens)
-        self._cache = {}
+        self._cache = {} if order is None else {"order": order}
 
     # ------------------------------------------------------------------ chain
 
@@ -202,8 +209,8 @@ class PermGroup:
         """Integer Cayley table, inverses and element orders, built once."""
         if self.order() > MAX_CAYLEY_ORDER:
             raise CayleyBoundError(
-                "group order %d exceeds the Cayley-table bound %d"
-                % (self.order(), MAX_CAYLEY_ORDER)
+                "group order %s exceeds the Cayley-table bound %d"
+                % (order_text(self.order()), MAX_CAYLEY_ORDER)
             )
         elts = self.elements()
         index = self._index()
@@ -292,7 +299,7 @@ class PermGroup:
         return any(c.order == self.order() for c in self.conjugacy_classes())
 
     def __repr__(self):
-        return "PermGroup(degree=%d, order=%d)" % (self.degree, self.order())
+        return "PermGroup(degree=%d, order=%s)" % (self.degree, order_text(self.order()))
 
 
 def _cayley_of(rows, elements) -> Cayley:
@@ -306,9 +313,9 @@ def table_group(generators, degree: int, elements, rows) -> PermGroup:
     stabilizer chain and no `Perm` product: how subgroups and quotient images
     are read off their parent's Cayley table.
     """
-    G = PermGroup(generators, degree=degree)
     elements = tuple(elements)
-    G._cache.update(order=len(elements), elements=elements, cayley=_cayley_of(rows, elements))
+    G = PermGroup(generators, degree=degree, order=len(elements))
+    G._cache.update(elements=elements, cayley=_cayley_of(rows, elements))
     return G
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from math import factorial
 
 from ._primes import is_prime, primitive_root
 from .group import MAX_CAYLEY_ORDER, PermGroup
@@ -22,20 +23,24 @@ def parse_group_spec(text: str) -> PermGroup:
         raise GroupSpecError("empty group spec")
     m = _FAMILY_RE.match(text)
     if m:
-        return _family(m.group(1), int(m.group(2)), m.group(3))
+        _refuse_long_numbers(text, "number")
+        # the token states the order, so bounds on it need no stabilizer chain
+        return group_from_cycles(*_family(m.group(1), int(m.group(2)), m.group(3)))
     if text[0] != "(":
         raise GroupSpecError("unknown family name: %r" % text)
     return group_from_cycles(_split_generators(text))
 
 
-def group_from_cycles(gen_texts, degree=None) -> PermGroup:
-    """Group generated by cycle-notation strings, on points 1..degree.
+def group_from_cycles(gen_texts, degree=None, order=None) -> PermGroup:
+    """Group generated by cycle-notation strings, on points 1..degree, of the
+    given order when the caller knows it.
 
     A degree above MAX_CAYLEY_ORDER is refused before any permutation is built:
     a group small enough for a Cayley table acts faithfully on its own elements,
     so it never needs more points.
     """
     gen_texts = list(gen_texts)
+    _refuse_long_numbers(" ".join(gen_texts), "degree" if degree is None else "point")
     if degree is None:
         degree = max([max_point(t) for t in gen_texts] + [1])
     if degree > MAX_CAYLEY_ORDER:
@@ -44,7 +49,16 @@ def group_from_cycles(gen_texts, degree=None) -> PermGroup:
         gens = [parse_perm(t, degree) for t in gen_texts]
     except PermError as exc:
         raise GroupSpecError(str(exc)) from None
-    return PermGroup(gens, degree=degree)
+    return PermGroup(gens, degree=degree, order=order)
+
+
+def _refuse_long_numbers(text: str, what: str) -> None:
+    """Refuse a digit run longer than MAX_CAYLEY_ORDER's before int() reads it:
+    no spec needs one, and int() refuses over 4,300 digits with a bare ValueError."""
+    run = max(re.findall(r"\d+", text), key=lambda run: (len(run), run), default="")
+    if len(run) > len(str(MAX_CAYLEY_ORDER)):
+        shown = run if len(run) <= 20 else "%s... (%d digits)" % (run[:10], len(run))
+        raise GroupSpecError("%s %s exceeds the bound of %d points" % (what, shown, MAX_CAYLEY_ORDER))
 
 
 def _split_generators(text: str):
@@ -73,46 +87,40 @@ def _cycle_text(points) -> str:
     return "(" + " ".join(str(p) for p in points) + ")"
 
 
-def _family(letter: str, n: int, extra) -> PermGroup:
+def _family(letter: str, n: int, extra):
+    """(generators, degree, order) of the group a family token names."""
     if extra is not None and letter != "F":
         raise GroupSpecError("unexpected ':' in %s%d:%s" % (letter, n, extra))
     if letter == "C":
         if n < 1:
             raise GroupSpecError("C%d is not a group" % n)
-        if n == 1:
-            return group_from_cycles([], degree=1)
-        return group_from_cycles([_cycle_text(range(1, n + 1))], degree=n)
+        return ([_cycle_text(range(1, n + 1))] if n > 1 else []), n, n
     if letter == "D":
         if n < 2 or n % 2:
             raise GroupSpecError("dihedral token D<m> needs even order m >= 2")
         half = n // 2
         if half == 1:
-            return group_from_cycles(["(1 2)"], degree=2)
+            return ["(1 2)"], 2, n
         if half == 2:
-            return group_from_cycles(["(1 2)", "(3 4)"], degree=4)
+            return ["(1 2)", "(3 4)"], 4, n
         rot = _cycle_text(range(1, half + 1))
         pairs = [(i, half + 2 - i) for i in range(2, half + 2) if i < half + 2 - i]
         refl = "".join(_cycle_text(p) for p in pairs)
-        return group_from_cycles([rot, refl], degree=half)
+        return [rot, refl], half, n
     if letter == "S":
         if n < 1:
             raise GroupSpecError("S%d is not a group" % n)
-        if n == 1:
-            return group_from_cycles([], degree=1)
-        if n == 2:
-            return group_from_cycles(["(1 2)"], degree=2)
-        return group_from_cycles(["(1 2)", _cycle_text(range(1, n + 1))], degree=n)
+        gens = [] if n == 1 else ["(1 2)"] if n == 2 else ["(1 2)", _cycle_text(range(1, n + 1))]
+        return gens, n, factorial(n)
     if letter == "A":
         if n < 1:
             raise GroupSpecError("A%d is not a group" % n)
-        if n <= 2:
-            return group_from_cycles([], degree=max(n, 1))
         gens = [_cycle_text((i, i + 1, i + 2)) for i in range(1, n - 1)]
-        return group_from_cycles(gens, degree=n)
+        return gens, max(n, 1), max(factorial(n) // 2, 1)
     if letter == "Q":
         if n != 8:
             raise GroupSpecError("only Q8 is supported")
-        return group_from_cycles(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], degree=8)
+        return ["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8, 8
     if letter == "F":
         p = n
         if extra is None:
@@ -124,11 +132,9 @@ def _family(letter: str, n: int, extra) -> PermGroup:
             raise GroupSpecError("F%d:%d needs k dividing p-1" % (p, k))
         trans = _cycle_text(range(1, p + 1))
         if k == 1:
-            return group_from_cycles([trans], degree=p)
+            return [trans], p, p
         g = primitive_root(p)
         h = pow(g, (p - 1) // k, p)
         images = [(h * x) % p for x in range(p)]
-        mult = format_perm(Perm(images))
-        return group_from_cycles([trans, mult], degree=p)
+        return [trans, format_perm(Perm(images))], p, p * k
     raise GroupSpecError("unknown family letter %r" % letter)
-

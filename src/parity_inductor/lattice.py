@@ -7,7 +7,7 @@ from collections import deque
 from functools import cached_property
 from math import gcd
 
-from .group import PermGroup, per_group, table_group
+from .group import PermGroup, order_text, per_group, table_group
 
 DEFAULT_MAX_ORDER = 512
 MAX_SUBGROUPS = 2**15  # C2^7 has 29,212 subgroups, C2^8 has 417,199
@@ -190,8 +190,8 @@ class SubgroupLattice:
     def __init__(self, G: PermGroup):
         if G.order() > DEFAULT_MAX_ORDER:
             raise LatticeBoundError(
-                "group order %d exceeds the subgroup-enumeration bound %d"
-                % (G.order(), DEFAULT_MAX_ORDER)
+                "group order %s exceeds the subgroup-enumeration bound %d"
+                % (order_text(G.order()), DEFAULT_MAX_ORDER)
             )
         self.group = G
         table, inverse, orders = G.cayley()

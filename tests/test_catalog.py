@@ -103,6 +103,16 @@ def test_generators_above_the_degree_bound_rejected(tmp_path):
     assert str(err.value) == "line 2: degree 10000000 exceeds the bound of 8192 points"
 
 
+def test_integers_too_long_for_int_rejected_naming_the_line(tmp_path):
+    # json refuses integers over 4,300 digits with a plain ValueError
+    path = tmp_path / "long.jsonl"
+    for record in ('{"name": "C3", "spec": "C3", "order": %s}', '{"name": "C3", "spec": "C%s"}',
+                   '{"name": "C3", "generators": ["(1 %s)"]}'):
+        path.write_text('{"name": "C2", "spec": "C2"}\n' + record % ("9" * 5000) + "\n")
+        with pytest.raises(CatalogError, match=r"^line 2: "):
+            load_catalog(str(path))
+
+
 def test_duplicate_names_rejected(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text(

@@ -12,8 +12,6 @@ from parity_inductor.chartab import (
     CharacterTable,
     CharTableError,
     _dixon_schneider,
-    _row_key,
-    _terms,
     character_table,
     quotient_rows,
 )
@@ -24,6 +22,7 @@ from parity_inductor.perm import format_perm
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
+from _chartab_reference import check_table, row_key, terms
 from _cyclo_reference import (
     Cyclo,
     conjugate_rows,
@@ -343,11 +342,11 @@ def _check_against_reference(G):
     t = character_table(G)
     k = t.class_count()
     vals, conj = reference_rows(t), conjugate_rows(t)
-    terms = [_terms(row) for row in t.vectors]
+    row_terms = [terms(row) for row in t.vectors]
     for i in range(k):
         assert vals[t.conj_rows[i]] == conj[i], i
         for j in range(i, k):
-            got = Fraction(t._gram(terms[i], terms[j]), G.order())
+            got = Fraction(t._gram(row_terms[i], row_terms[j]), G.order())
             assert got == inner_product_conj(t, vals[i], conj[j]), (i, j)
     for c, cls in enumerate(t.classes):
         assert t.inverse_map[c] == G.class_of(cls.rep.inverse())
@@ -444,11 +443,11 @@ def test_d256_table_exact_gram():
     t = table("D256")
     k = t.class_count()
     assert k == 67 and sum(d * d for d in t.degrees) == 256
-    terms = [_terms(row) for row in t.vectors]
+    row_terms = [terms(row) for row in t.vectors]
     for i in range(k):
         for j in range(k):
             want = 256 if i == j else 0
-            assert t._gram(terms[i], terms[j]) == want, (i, j)
+            assert t._gram(row_terms[i], row_terms[j]) == want, (i, j)
 
 
 # The closed form for abelian groups against Dixon-Schneider, which builds
@@ -472,7 +471,7 @@ def _check_abelian_against_dixon_schneider(G):
         assert t.vectors == (((1,),),)
         return
     rows = _dixon_schneider(G, t.classes, t.power_maps, t.inverse_map)
-    rows.sort(key=lambda row: _row_key(row, t.exponent))
+    rows.sort(key=lambda row: row_key(row, t.exponent))
     assert t.vectors == tuple(rows)
     ref = _dixon_schneider_table(G)
     assert t.vectors == ref.vectors
@@ -547,3 +546,56 @@ def test_table_checks_refuse_a_faulty_closed_form(spec, fault, monkeypatch):
     monkeypatch.setattr(chartab, "_abelian_rows", faulty)
     with pytest.raises(CharTableError):
         CharacterTable(parse_group_spec(spec))
+
+
+# The value index against the per-(row, class) reference it replaced: the
+# same row order, terms, determinants, conjugates and rendering.
+
+
+def test_value_index_matches_per_value_reference_on_catalog():
+    checked = 0
+    for entry in load_bundled_catalog():
+        check_table(character_table(entry.group))
+        for rec in subgroup_lattice(entry.group).records:
+            check_table(character_table(rec.as_group()))
+            checked += 1
+    assert checked == 372, checked
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec", [*ABELIAN_LARGE.values(), "D64", "D128"], ids=[*ABELIAN_LARGE, "D64", "D128"]
+)
+def test_value_index_matches_per_value_reference_large(spec):
+    check_table(table(spec))
+
+
+SL23 = "(1 4 7)(2 8 5), (1 6 2 3)(4 7 8 5)"
+
+
+@pytest.mark.parametrize(
+    "spec", ["D64", SL23, "C30", "(1 2), (3 4), (5 6), (7 8)"],
+    ids=["D64", "SL(2,3)", "C30", "C2^4"],
+)
+def test_values_are_reduced_once_per_distinct_vector(spec, monkeypatch):
+    # _verify's Gram matrix reduces once per pair of rows, by design: not counted
+    reductions, in_gram = [], []
+    real_reduce, real_gram = chartab._reduce_mod_phi, CharacterTable._gram
+
+    def counted(coeffs, n):
+        if not in_gram:
+            reductions.append(n)
+        return real_reduce(coeffs, n)
+
+    def gram(self, aterms, bterms):
+        in_gram.append(True)
+        try:
+            return real_gram(self, aterms, bterms)
+        finally:
+            in_gram.pop()
+
+    monkeypatch.setattr(chartab, "_reduce_mod_phi", counted)
+    monkeypatch.setattr(CharacterTable, "_gram", gram)
+    t = CharacterTable(parse_group_spec(spec))
+    distinct = {m for row in t.vectors for m in row}
+    assert 0 < len(reductions) <= len(distinct), (len(reductions), len(distinct))

@@ -158,6 +158,57 @@ def test_degree_above_the_cayley_bound_exits_2_fast(monkeypatch, spec):
     assert code == 2 and out == "" and "exceeds the bound of 8192 points" in err
 
 
+NINES = "9" * 5000  # int() refuses strings over 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group-info", "(1 %s)" % NINES],
+        ["group-info", "C" + NINES],
+        ["group-info", "F7:" + NINES],
+        ["decompose", "C4", "--subgroup", "(1 %s)" % NINES],
+        ["decompose", "C4", "--subgroup", NINES],
+    ],
+    ids=["cycles", "C", "F", "subgroup-cycles", "subgroup-order"],
+)
+def test_numbers_too_long_for_int_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_json_integers_too_long_for_int_exit_2(tmp_path):
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text('{"name": "C2", "spec": "C2"}\n{"name": "C3", "spec": "C3", "order": %s}\n' % NINES)
+    code, out, err = run_cli("verify", "--catalog", str(catalog))
+    assert (code, out, err) == (2, "", "error: line 2: an integer has too many digits\n")
+    parities = tmp_path / "parities.json"
+    parities.write_text('{"base": %s}' % NINES)
+    code, out, err = run_cli("parity", "C4", "--parities", str(parities))
+    assert (code, out) == (2, "") and "too many digits" in err
+
+
+@pytest.mark.parametrize("spec", ["C4000", "C8000", "D8000", "S2000"])
+def test_family_token_above_the_lattice_bound_exits_2_fast(monkeypatch, spec):
+    # the token gives the order, so the bound needs no stabilizer chain
+    def unreachable(G):
+        raise AssertionError("a stabilizer chain of degree %d was built" % G.degree)
+
+    monkeypatch.setattr(PermGroup, "_chain", unreachable)
+    started = time.perf_counter()
+    code, out, err = run_cli("group-info", spec)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == "" and "exceeds the subgroup-enumeration bound 512" in err
+
+
+def test_order_too_long_for_str_is_refused_by_size(monkeypatch):
+    # S2000 has order 2000!, 5,736 digits: more than str() prints
+    monkeypatch.setattr(PermGroup, "_chain", lambda G: pytest.fail("a stabilizer chain was built"))
+    code, out, err = run_cli("chartab", "S2000")
+    assert (code, out) == (2, "")
+    assert err == "error: group order about 10^5735 exceeds the Cayley-table bound 8192\n"
+
+
 def test_verify_custom_catalog(tmp_path):
     path = tmp_path / "cat.jsonl"
     path.write_text(

@@ -1,6 +1,7 @@
 import pytest
+from _catalog_records import build_catalog_records
 
-from parity_inductor.group import MAX_CAYLEY_ORDER
+from parity_inductor.group import MAX_CAYLEY_ORDER, PermGroup
 from parity_inductor.groupspec import GroupSpecError, group_from_cycles, parse_group_spec
 
 
@@ -70,3 +71,30 @@ def test_degree_bound_is_the_cayley_bound():
     for texts, degree in ((["(1 8193)"], None), ([], 8193), (["(1 2)"], 10**7)):
         with pytest.raises(GroupSpecError, match="exceeds the bound of 8192 points"):
             group_from_cycles(texts, degree=degree)
+
+
+def _family_tokens(limit):
+    """Every valid family token with its number at most limit."""
+    tokens = ["%s%d" % (letter, n) for letter in "CSA" for n in range(1, limit + 1)]
+    tokens += ["D%d" % n for n in range(2, limit + 1, 2)] + ["Q8"]
+    tokens += ["F%d:%d" % (p, k) for p in (3, 5, 7, 11) if p <= limit
+               for k in range(1, p) if (p - 1) % k == 0]
+    return tokens
+
+
+def test_family_tokens_seed_the_order_their_chain_computes():
+    tokens = _family_tokens(12)
+    assert {"A1", "A2", "S1", "D2", "D4", "F11:10"} <= set(tokens) and len(tokens) == 56
+    catalog = [r["spec"] for r in build_catalog_records() if "spec" in r]
+    assert len(catalog) == 58
+    for token in tokens + catalog:
+        G = parse_group_spec(token)
+        seeded = G._cache["order"]
+        assert PermGroup(G.generators, degree=G.degree).order() == seeded, token
+
+
+@pytest.mark.parametrize("spec", ["(1 %s)", "C%s", "F7:%s", "(1 2), (3 %s)"])
+def test_numbers_too_long_for_int_are_refused(spec):
+    # int() refuses strings over 4,300 digits with a bare ValueError
+    with pytest.raises(GroupSpecError, match=r"9999999999\.\.\. \(5000 digits\) exceeds the bound"):
+        parse_group_spec(spec % ("9" * 5000))
