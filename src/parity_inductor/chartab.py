@@ -17,29 +17,39 @@ reduced modulo Phi_e to a polynomial in z = zeta_e of degree below phi(e),
 keyed (1, its integer) when rational and (e, its coordinates) otherwise.
 Rows are sorted by these keys and rendered from them.
 
-Orthogonality: sum_c |C_c| chi_i(c) conj(chi_j(c)) is accumulated as one
-integer vector in Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e once per
-pair, and must be the constant |G| * delta_ij.
+Orthogonality: every entry sum_c |C_c| chi_i(c) conj(chi_j(c)) of the Gram
+matrix is checked.  A Gram sum is accumulated as one integer vector in
+Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e, and must be the constant
+|G| * delta_ij.  A row with one eigenvalue at every class (a linear row) is
+zeta_e ** det_i(c) there, so for two such rows the sum is
+sum_c |C_c| zeta_e ** (det_i(c) - det_j(c)): it depends only on the
+difference of their determinant exponents and is computed once per distinct
+difference.  The linear rows form a group, so an abelian table of order n
+makes n Gram sums, not n(n+1)/2.
 
-Decomposition: one path takes a class function as integer vectors (value
-sum_s a_s zeta_n ** s at a class, any n); put N = lcm(n, o).  By Hoelder's
-formula the normalized trace Tr(zeta_N ** k) / phi(N) is mu(N/g) / phi(N/g),
-g = gcd(k, N): the Ramanujan sum c_N(k) over phi(N).  So |G| * L times the
-rational part of <f, chi_j>, with L the lcm of the phi(N), is the integer
-sum over classes c, over the input's nonzero terms (s, a_s) and over row j's
-nonzero multiplicities (t, m_t) at c of |C_c| * (L / phi(N)) * a_s * m_t *
-c_N(s - t), slots lifted to Z[x]/(x^N - 1); a class where the input is zero
-adds nothing.  For a generalized character the inner products are rational,
-hence equal to their rational parts.  For other input they need not be, so
-the coordinates must be integers and sum_j a_j * chi_j must re-expand to the
-input at every class modulo Phi_N.  A return is then the exact identity
-f = sum_j a_j * chi_j for any input, with no second path.
+Decomposition: `CharacterTable.decompose` takes any number of class
+functions as integer vectors (value sum_s a_s zeta_n ** s at a class, any
+n); put N = lcm(n, o).  By Hoelder's formula the normalized trace
+Tr(zeta_N ** k) / phi(N) is mu(N/g) / phi(N/g), g = gcd(k, N): the Ramanujan
+sum c_N(k) over phi(N).  So |G| * L times the rational part of <f, chi_j>,
+with L the lcm of the phi(N) over every input, is the integer sum over
+classes c, over the input's nonzero terms (s, a_s) and over row j's nonzero
+multiplicities (t, m_t) at c of |C_c| * (L / phi(N)) * a_s * m_t * c_N(s - t),
+slots lifted to Z[x]/(x^N - 1); a class where the input is zero adds
+nothing.  The weights and the dot products with every row are computed once
+per distinct vector at a class, however many inputs share it, and each
+input sums its classes' dot products.  For a generalized character the
+inner products are rational, hence equal to their rational parts.  For
+other input they need not be, so the coordinates must be integers and
+sum_j a_j * chi_j must re-expand to each input at every class modulo Phi_N.
+A return is then the exact identity f = sum_j a_j * chi_j for every input,
+with no second path.
 """
 from __future__ import annotations
 
 from functools import cache
 from math import gcd, isqrt, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from ._primes import is_prime, primitive_root
 from .group import PermGroup, per_group
@@ -364,10 +374,22 @@ class CharacterTable:
             raise CharTableError("degree squares do not sum to the group order")
         if not all(m[0] == sum(m) == 1 for m in self.vectors[0]):
             raise CharTableError("first row is not the trivial character")
-        terms = self._row_terms
+        terms, dets, e = self._row_terms, self.det_exponents, self.exponent
+        # a row with one eigenvalue per class is zeta_e ** det there, so the
+        # Gram sum of two such rows depends only on their det difference
+        linear = [all(len(t) == 1 and t[0][1] == 1 for t in row) for row in terms]
+        one, shared = [((0, 1),)] * k, {}
         for i in range(k):
             for j in range(i, k):
-                got = self._gram(terms[i], terms[j])
+                if linear[i] and linear[j]:
+                    diff = tuple([(a - b) % e for a, b in zip(dets[i], dets[j])])
+                    got = shared.get(diff)
+                    if got is None:
+                        got = shared[diff] = self._gram(
+                            [((d * cls.order // e, 1),) for d, cls in zip(diff, self.classes)], one
+                        )
+                else:
+                    got = self._gram(terms[i], terms[j])
                 if got != (order if i == j else 0):
                     raise CharTableError(
                         "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order)
@@ -393,47 +415,65 @@ class CharacterTable:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def decompose(self, vectors):
-        """Integer coordinates over the irreducibles of a class function.
+    def decompose(self, functions):
+        """Integer coordinates over the irreducibles of each class function.
 
-        vectors[c] = (a_0, ..., a_{n-1}) stands for sum_s a_s * zeta_n ** s
+        functions[f][c] = (a_0, ..., a_{n-1}) stands for sum_s a_s * zeta_n ** s
         at class c, for any n >= 1.  Raises ValueError on malformed input and
-        CharTableError unless the class function is exactly an integer
+        CharTableError unless every class function is exactly an integer
         combination of the rows.
         """
-        k = len(self.classes)
-        if len(vectors) != k:
-            raise ValueError("%d values for %d classes" % (len(vectors), k))
-        for v, cls in zip(vectors, self.classes):
-            if not v or any(type(a) is not int for a in v):
-                raise ValueError("value at class %s: %r" % (format_perm(cls.rep), v))
-        lengths = [lcm(len(v), cls.order) for v, cls in zip(vectors, self.classes)]
-        phis = [len(cyclotomic_polynomial(n)) - 1 for n in lengths]
-        den = lcm(*phis)
-        nums = [0] * k
-        for c, (v, n, phi, cls) in enumerate(zip(vectors, lengths, phis, self.classes)):
-            scale, step, weights = cls.size * (den // phi), n // cls.order, _ramanujan(n)
-            given = [(s * n // len(v), a * scale) for s, a in enumerate(v) if a]
-            if given:
-                # the input's weight against slot t of a row's vector at c
-                at = [sum(a * weights[(s - t * step) % n] for s, a in given)
-                      for t in range(cls.order)]
-                for j, terms in enumerate(self._row_terms):
-                    nums[j] += sum(x * at[t] for t, x in terms[c])
+        k, classes, row_terms = len(self.classes), self.classes, self._row_terms
+        # per class, each distinct input vector's (N, its lift, its phi(N))
+        seen = [{} for _ in classes]
+        given = []
+        for vectors in functions:
+            if len(vectors) != k:
+                raise ValueError("%d values for %d classes" % (len(vectors), k))
+            keys = []
+            for value, cls, at in zip(vectors, classes, seen):
+                v = value if type(value) is tuple else tuple(value) if value else ()
+                if not v or not all(type(a) is int for a in v):
+                    raise ValueError("value at class %s: %r" % (format_perm(cls.rep), value))
+                if v not in at:
+                    n = lcm(len(v), cls.order)
+                    at[v] = (n, _lift(v, n), len(cyclotomic_polynomial(n)) - 1)
+                keys.append(v)
+            given.append(keys)
+        den = lcm(*(phi for at in seen for _, _, phi in at.values()))
+        # each distinct vector's dot products with the rows at its class: the
+        # input's weight against slot t of a row's vector at c, summed over t
+        dots = [{} for _ in classes]
+        for c, (cls, at) in enumerate(zip(classes, seen)):
+            for v, (n, _, phi) in at.items():
+                scale, step, weights = cls.size * (den // phi), n // cls.order, _ramanujan(n)
+                nonzero = [(s * n // len(v), a * scale) for s, a in enumerate(v) if a]
+                if nonzero:
+                    w = [sum(a * weights[(s - t * step) % n] for s, a in nonzero)
+                         for t in range(cls.order)]
+                    dots[c][v] = [sum(x * w[t] for t, x in terms[c]) for terms in row_terms]
         quotient = self.group.order() * den
-        if any(num % quotient for num in nums):
-            raise CharTableError("values are not a generalized character")
-        coords = [num // quotient for num in nums]
-        # re-expand sum_j a_j chi_j and compare with the input modulo Phi_N
-        for c, (v, n, cls) in enumerate(zip(vectors, lengths, self.classes)):
-            vec, acc = _lift(v, n), [0] * n
-            for a, terms in zip(coords, self._row_terms):
-                if a:
+        out = []
+        for keys in given:
+            nums = [0] * k
+            for v, at in zip(keys, dots):
+                if v in at:
+                    nums = list(map(add, nums, at[v]))
+            if any(num % quotient for num in nums):
+                raise CharTableError("values are not a generalized character")
+            coords = tuple(num // quotient for num in nums)
+            # re-expand sum_j a_j chi_j and compare with the input modulo Phi_N
+            used = [(a, terms) for a, terms in zip(coords, row_terms) if a]
+            for c, (v, cls, at) in enumerate(zip(keys, classes, seen)):
+                n, vec, _ = at[v]
+                acc = [0] * n
+                for a, terms in used:
                     for s, x in terms[c]:
                         acc[s * n // cls.order] += a * x
-            if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
-                raise CharTableError("values are not a generalized character")
-        return tuple(coords)
+                if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
+                    raise CharTableError("values are not a generalized character")
+            out.append(coords)
+        return tuple(out)
 
     def linear_row_indices(self):
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)

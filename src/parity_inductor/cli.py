@@ -12,7 +12,8 @@ from .decompose import DecomposeError, decompose_structural, flatten_to_certific
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
 from .group import CayleyBoundError
-from .groupspec import GroupSpecError, _split_generators, group_from_cycles, parse_group_spec
+from .groupspec import (GroupSpecError, _shorten_numbers, _split_generators, group_from_cycles,
+                        parse_group_spec)
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, membership_solve, verify_certificate
 from .parity import (ParityError, ParityInput, format_columns, full_assignment, parity_table,
@@ -48,13 +49,13 @@ def _resolve_subgroup(G, text: str):
         try:
             class_id = int(text[1:])
         except ValueError:
-            raise CliError("bad subgroup class id %r" % text) from None
+            raise CliError("bad subgroup class id %r" % _shorten_numbers(text)) from None
         for record in lattice.records:
             if record.class_id == class_id:
                 return record
         raise CliError(
             "no subgroup class %s; classes run #0..#%d"
-            % (text, len(lattice.records) - 1)
+            % (_shorten_numbers(text), len(lattice.records) - 1)
         )
     if text.isdigit():
         # compared as digits: int() refuses over 4,300 of them
@@ -69,7 +70,9 @@ def _resolve_subgroup(G, text: str):
                 lattice.class_of_set(G.element_index(k) for k in K.elements())
             ]
         except KeyError:
-            raise CliError("%r does not generate a subgroup of the group" % text) from None
+            raise CliError(
+                "%r does not generate a subgroup of the group" % _shorten_numbers(text)
+            ) from None
     else:
         try:
             K = parse_group_spec(text)
@@ -84,10 +87,10 @@ def _resolve_subgroup(G, text: str):
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise CliError("no subgroup class matches %r" % text)
+        raise CliError("no subgroup class matches %r" % _shorten_numbers(text))
     raise CliError(
         "subgroup spec %r is ambiguous; pick one of %s"
-        % (text, ", ".join(r.label for r in matches))
+        % (_shorten_numbers(text), ", ".join(r.label for r in matches))
     )
 
 

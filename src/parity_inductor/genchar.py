@@ -2,11 +2,13 @@
 
 A GenChar is a vector of integer coefficients over the irreducible rows of a
 CharacterTable, and the operations work on those coordinates.  Restriction and
-induction apply an integer matrix, decomposed once per pair of tables and
-cached in the larger group; inflation puts each coordinate of G/N on the row
-of G's table it names (`chartab.quotient_rows`); determinants are integer
-exponent vectors mod exp(G).  No class value is ever formed: the table keeps
-its rows as eigenvalue multiplicity vectors.
+induction apply an integer matrix, cached in the larger group: G's rows read
+at H's classes, all decomposed over H's table in one call.  Coset characters
+are decomposed the same way, every lattice class of G in one call.  Inflation
+puts each coordinate of G/N on the row of G's table it names
+(`chartab.quotient_rows`); determinants are integer exponent vectors mod
+exp(G).  No class value is ever formed: the table keeps its rows as
+eigenvalue multiplicity vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class GenChar:
     __slots__ = ("table", "coeffs")
 
     def __init__(self, table: CharacterTable, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != table.class_count():
             raise ValueError("coefficient count does not match the table")
         self.table = table
@@ -180,8 +182,7 @@ def _restriction(G: PermGroup, H: SubgroupRecord):
     """H's table and the restriction matrix: G's rows at H's classes, in H's coordinates."""
     ht = character_table(H.as_group())
     fusion = [G.class_of(cls.rep) for cls in ht.classes]
-    gt = character_table(G)
-    return ht, tuple(ht.decompose([row[c] for c in fusion]) for row in gt.vectors)
+    return ht, ht.decompose([[row[c] for c in fusion] for row in character_table(G).vectors])
 
 
 @per_group
@@ -231,15 +232,20 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     return GenChar(gt, coeffs)
 
 
+def _det_exponents(table: CharacterTable, coeffs):
+    """det(sum_i coeffs[i] * chi_i) at class c is zeta_exp ** exps[c]."""
+    exps = [0] * table.class_count()
+    for ci, dets in zip(coeffs, table.det_exponents):
+        if ci:
+            exps = [a + ci * d for a, d in zip(exps, dets)]
+    e = table.exponent
+    return [a % e for a in exps]
+
+
 def determinant(tau: GenChar) -> LinearChar:
     """Determinant character, extended to virtual characters multiplicatively."""
     table = tau.table
-    e = table.exponent
-    exps = [0] * table.class_count()
-    for ci, dets in zip(tau.coeffs, table.det_exponents):
-        if ci:
-            exps = [(a + ci * d) % e for a, d in zip(exps, dets)]
-    row = table.linear_row_of.get(tuple(exps))
+    row = table.linear_row_of.get(tuple(_det_exponents(table, tau.coeffs)))
     if row is None:
         raise CharTableError("determinant values do not match a linear character")
     return LinearChar(table, row)
@@ -252,23 +258,38 @@ def has_trivial_determinant(tau: GenChar) -> bool:
 def perm_char(G: PermGroup, H: SubgroupRecord) -> GenChar:
     """Character of the action on right cosets of H, from class-fusion counts.
 
-    The value at a class C is its fixed-point count |G| * |H & C| / (|H| * |C|).
     Conjugate subgroups give the same character, so a record of G is counted
     on its class representative: once per lattice class.
     """
     _check_record(G, H)
-    return _coset_char(G, subgroup_lattice(G).records[H.class_id].positions)
+    return _lattice_coset_chars(G)[H.class_id]
+
+
+@per_group
+def _lattice_coset_chars(G: PermGroup):
+    """The coset character of every lattice class of G, decomposed in one call."""
+    return _coset_chars(G, [rec.positions for rec in subgroup_lattice(G).records])
 
 
 @per_group
 def _coset_char(G: PermGroup, positions: frozenset) -> GenChar:
+    """The coset character of one subgroup of G, outside G's lattice."""
+    return _coset_chars(G, [positions])[0]
+
+
+def _coset_chars(G: PermGroup, subgroups):
+    """The coset characters of subgroups of G, each given by its positions in
+    G's ``elements()``.  The value at a class C is its fixed-point count
+    |G| * |H & C| / (|H| * |C|)."""
     gt = character_table(G)
-    counts = [0] * gt.class_count()
-    for a in positions:
-        counts[G.class_of_index(a)] += 1
-    scale = G.order() // len(positions)
-    vals = [(scale * n // c.size,) for n, c in zip(counts, gt.classes)]
-    return GenChar(gt, gt.decompose(vals))
+    functions = []
+    for positions in subgroups:
+        counts = [0] * gt.class_count()
+        for a in positions:
+            counts[G.class_of_index(a)] += 1
+        scale = G.order() // len(positions)
+        functions.append([(scale * n // c.size,) for n, c in zip(counts, gt.classes)])
+    return [GenChar(gt, coeffs) for coeffs in gt.decompose(functions)]
 
 
 def rho_H(G: PermGroup, H: SubgroupRecord) -> GenChar:

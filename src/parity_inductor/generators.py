@@ -1,16 +1,17 @@
-"""Generator families for the degree-zero, trivial-determinant lattice."""
+"""Generator families for the degree-zero, trivial-determinant lattice.
+
+An induced generator (type2, tagged, cyclic) is Ind_H^G of a core formed on
+H's table: tau - 1 - det tau, or the tagged or cyclic tau itself.  The core's
+degree and determinant are checked on H, which the transfer formula carries
+to G, and its expansion is the core times H's restriction matrix.
+"""
 
 from __future__ import annotations
 
+from operator import mul
+
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import (
-    GenChar,
-    determinant,
-    has_trivial_determinant,
-    induce,
-    irreducible_char,
-    trivial_char,
-)
+from .genchar import GenChar, _det_exponents, _restriction, determinant, irreducible_char
 from .group import PermGroup, per_group
 from .intlinalg import hnf
 from .lattice import subgroup_lattice
@@ -26,7 +27,10 @@ class GeneratorError(RuntimeError):
 
 
 class GeneratorDesc:
-    """One family generator with its cached expansion in the ambient group."""
+    """One family generator with its cached expansion in the ambient group.
+
+    The builders below check each generator's contract (degree 0, trivial
+    determinant) on the group its core lives on, before this is made."""
 
     __slots__ = (
         "kind",
@@ -52,22 +56,55 @@ class GeneratorDesc:
         self.tag = extra.get("tag")
         self.tau_index = extra.get("tau_index")
         self.tau = extra.get("tau")
-        if expansion.degree != 0:
-            raise GeneratorError("generator %s has nonzero degree" % gen_id)
-        if not has_trivial_determinant(expansion):
-            raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
 
     def __repr__(self):
         return "GeneratorDesc(%s)" % self.gen_id
 
 
-def _conjugate_pair_twist(table: CharacterTable, i: int) -> GenChar:
-    """The combination chi_i + conj(chi_i) - 2*deg(chi_i)*1."""
+def _check_core(table: CharacterTable, coeffs, gen_id):
+    """Degree 0 and trivial determinant on the table's group.
+
+    For a core psi on H this holds for Ind_H^G(psi) too: its degree is
+    |G : H| * psi(1), and by the transfer formula (Gallagher) det Ind psi is
+    the sign of G on the cosets of H to the psi(1), times det psi composed
+    with the transfer G -> H/H'.
+    """
+    if sum(map(mul, coeffs, table.degrees)):
+        raise GeneratorError("generator %s has nonzero degree" % gen_id)
+    if any(_det_exponents(table, coeffs)):
+        raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
+
+
+def _induced(record, cores, gen_ids):
+    """Ind_H^G of each core, H = record and a core its coefficients on H's table.
+
+    Each core's contract is checked on H.  The block is then one product with
+    the restriction matrix, whose column h is Ind of H's irreducible h
+    (Frobenius reciprocity), summed over each core's nonzero coefficients.
+    """
+    if not cores:
+        return []
+    ht, rows = _restriction(record.parent, record)
+    gt = character_table(record.parent)
+    columns = list(zip(*rows))
+    out = []
+    for core, gen_id in zip(cores, gen_ids):
+        _check_core(ht, core, gen_id)
+        coeffs = [0] * len(rows)
+        for a, column in zip(core, columns):
+            if a:
+                coeffs = [x + a * y for x, y in zip(coeffs, column)]
+        out.append(GenChar(gt, coeffs))
+    return out
+
+
+def _conjugate_pair_twist(table: CharacterTable, i: int):
+    """The coefficients of chi_i + conj(chi_i) - 2*deg(chi_i)*1."""
     coeffs = [0] * table.class_count()
     coeffs[i] += 1
     coeffs[table.conj_rows[i]] += 1
     coeffs[0] -= 2 * table.degrees[i]
-    return GenChar(table, coeffs)
+    return coeffs
 
 
 def enumerate_type1(G: PermGroup):
@@ -80,14 +117,12 @@ def enumerate_type1(G: PermGroup):
         if canonical in seen:
             continue
         seen.add(canonical)
-        expansion = _conjugate_pair_twist(table, canonical)
-        if expansion.is_zero():
+        coeffs = _conjugate_pair_twist(table, canonical)
+        if not any(coeffs):
             continue
-        out.append(
-            GeneratorDesc(
-                "type1", "t1:%d" % canonical, expansion, index=canonical
-            )
-        )
+        gen_id = "t1:%d" % canonical
+        _check_core(table, coeffs, gen_id)
+        out.append(GeneratorDesc("type1", gen_id, GenChar(table, coeffs), index=canonical))
     return out
 
 
@@ -98,19 +133,25 @@ def _subquotient_rows(dq):
     return (table, *quotient_rows(table, quotient(sub, dq.h_record.local(dq.n_positions))))
 
 
-def _subquotient_generator(kind, id_format, dq, index, tau, core):
-    """The generator Ind_H^G(core) built from the index-th tau of H/N."""
-    return GeneratorDesc(
-        kind,
-        id_format % (dq.h_record.class_id, dq.n_class_id, dq.tag, index),
-        induce(dq.h_record, core),
-        h_record=dq.h_record,
-        n_positions=dq.n_positions,
-        n_class_id=dq.n_class_id,
-        tag=str(dq.tag),
-        tau_index=index,
-        tau=tau,
-    )
+def _subquotient_generators(kind, id_format, dq, taus, cores):
+    """The generators Ind_H^G(core), one per tau of H/N and its core."""
+    ids = [id_format % (dq.h_record.class_id, dq.n_class_id, dq.tag, i) for i in range(len(taus))]
+    return [
+        GeneratorDesc(
+            kind,
+            gen_id,
+            expansion,
+            h_record=dq.h_record,
+            n_positions=dq.n_positions,
+            n_class_id=dq.n_class_id,
+            tag=str(dq.tag),
+            tau_index=index,
+            tau=tau,
+        )
+        for index, (gen_id, tau, expansion) in enumerate(
+            zip(ids, taus, _induced(dq.h_record, cores, ids))
+        )
+    ]
 
 
 def _degree2_characters(table: CharacterTable, rows):
@@ -130,13 +171,14 @@ def _degree2_characters(table: CharacterTable, rows):
 def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
     table, rows, _ = _subquotient_rows(dq)
-    one = trivial_char(table)
-    return [
-        _subquotient_generator(
-            "type2", "t2:h%d:n%d:%s:tau%d", dq, i, tau, tau - one - determinant(tau).genchar
-        )
-        for i, tau in enumerate(_degree2_characters(table, rows))
-    ]
+    taus = _degree2_characters(table, rows)
+    cores = []
+    for tau in taus:
+        core = list(tau.coeffs)
+        core[0] -= 1
+        core[determinant(tau).row] -= 1
+        cores.append(core)
+    return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, taus, cores)
 
 
 def _type2_sort_key(desc: GeneratorDesc):
@@ -250,30 +292,25 @@ def _real_zero_lattice_basis(table: CharacterTable, rows, over):
 
 def _cyclic_quotient_twists(record):
     """Induced twists psi + conj(psi) - 2*1 over linear characters of H."""
-    sub = record.as_group()
-    subtab = character_table(sub)
-    out = []
-    for i in subtab.linear_row_indices():
-        if i == 0 or subtab.conj_rows[i] < i:
-            continue
-        tau = _conjugate_pair_twist(subtab, i)
-        expansion = induce(record, tau)
-        gen_id = "cyc:h%d:chi%d" % (record.class_id, i)
-        out.append(
-            GeneratorDesc(
-                "cyclic", gen_id, expansion, h_record=record, index=i, tau=tau
-            )
+    subtab = character_table(record.as_group())
+    rows = [i for i in subtab.linear_row_indices() if i and subtab.conj_rows[i] >= i]
+    cores = [_conjugate_pair_twist(subtab, i) for i in rows]
+    ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
+    return [
+        GeneratorDesc(
+            "cyclic", gen_id, expansion, h_record=record, index=i, tau=GenChar(subtab, core)
         )
-    return out
+        for i, gen_id, core, expansion in zip(rows, ids, cores, _induced(record, cores, ids))
+    ]
 
 
 def _tagged_quotient_twists(dq):
     """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
     table, rows, over = _subquotient_rows(dq)
-    return [
-        _subquotient_generator("tagged", "tag:h%d:n%d:%s:b%d", dq, i, tau, tau)
-        for i, tau in enumerate(_real_zero_lattice_basis(table, rows, over))
-    ]
+    taus = _real_zero_lattice_basis(table, rows, over)
+    return _subquotient_generators(
+        "tagged", "tag:h%d:n%d:%s:b%d", dq, taus, [tau.coeffs for tau in taus]
+    )
 
 
 @per_group

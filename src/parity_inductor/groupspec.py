@@ -27,7 +27,7 @@ def parse_group_spec(text: str) -> PermGroup:
         # the token states the order, so bounds on it need no stabilizer chain
         return group_from_cycles(*_family(m.group(1), int(m.group(2)), m.group(3)))
     if text[0] != "(":
-        raise GroupSpecError("unknown family name: %r" % text)
+        raise GroupSpecError("unknown family name: %r" % _shorten_numbers(text))
     return group_from_cycles(_split_generators(text))
 
 
@@ -57,8 +57,14 @@ def _refuse_long_numbers(text: str, what: str) -> None:
     no spec needs one, and int() refuses over 4,300 digits with a bare ValueError."""
     run = max(re.findall(r"\d+", text), key=lambda run: (len(run), run), default="")
     if len(run) > len(str(MAX_CAYLEY_ORDER)):
-        shown = run if len(run) <= 20 else "%s... (%d digits)" % (run[:10], len(run))
-        raise GroupSpecError("%s %s exceeds the bound of %d points" % (what, shown, MAX_CAYLEY_ORDER))
+        raise GroupSpecError(
+            "%s %s exceeds the bound of %d points" % (what, _shorten_numbers(run), MAX_CAYLEY_ORDER)
+        )
+
+
+def _shorten_numbers(text: str) -> str:
+    """text with each digit run over 20 digits cut to its first ten and its length."""
+    return re.sub(r"\d{21,}", lambda m: "%s... (%d digits)" % (m[0][:10], len(m[0])), text)
 
 
 def _split_generators(text: str):
@@ -71,14 +77,14 @@ def _split_generators(text: str):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise GroupSpecError("unbalanced parentheses in %r" % text)
+                raise GroupSpecError("unbalanced parentheses in %r" % _shorten_numbers(text))
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise GroupSpecError("unbalanced parentheses in %r" % text)
+        raise GroupSpecError("unbalanced parentheses in %r" % _shorten_numbers(text))
     parts.append("".join(current))
     return [p for p in (part.strip() for part in parts) if p]
 

@@ -6,8 +6,10 @@ take its degree-2 characters (thm12) or a lattice basis of its real
 degree-0 trivial-determinant characters (cor29), and inflate each through
 the decomposed pull-back matrix of the quotient map (`_inflation_reference`,
 not the package's `inflate`, which reads H/N's rows off H's table too)
-before inducing to G.  It stays here as the independent side of the
-differential tests.
+before inducing to G.  Every twist here, the cyclic ones included, is
+induced through `induce` as a `GenChar` of H, where the package applies the
+restriction matrix to each core's coefficients.  It stays here as the
+independent side of the differential tests.
 """
 
 from parity_inductor.chartab import character_table
@@ -21,7 +23,6 @@ from parity_inductor.genchar import (
 from parity_inductor.generators import (
     GeneratorDesc,
     GeneratorError,
-    _cyclic_quotient_twists,
     _drop_zero_and_duplicate,
     _type2_sort_key,
     enumerate_type1,
@@ -116,6 +117,19 @@ def _tagged_quotient_twists(dq):
             dq.h_record.class_id, dq.n_class_id, dq.tag, b_index
         )
         out.append(_describe("tagged", gen_id, expansion, dq, b_index, tau))
+    return out
+
+
+def _cyclic_quotient_twists(record):
+    table = character_table(record.as_group())
+    out = []
+    for i in table.linear_row_indices():
+        if i == 0 or table.conj_rows[i] < i:
+            continue
+        tau = irreducible_char(table, i) + irreducible_char(table, table.conj_rows[i])
+        tau = tau - 2 * trivial_char(table)
+        gen_id = "cyc:h%d:chi%d" % (record.class_id, i)
+        out.append(GeneratorDesc("cyclic", gen_id, induce(record, tau), h_record=record, index=i, tau=tau))
     return out
 
 

@@ -13,10 +13,12 @@ from weakref import WeakKeyDictionary
 from parity_inductor.chartab import character_table
 from parity_inductor.genchar import GenChar, _apply
 
+from _chartab_reference import decompose_one
+
 
 def _pullback(src, dst, class_map):
     """Row i: src's irreducible i read at classes class_map, in dst coordinates."""
-    return tuple(dst.decompose([row[c] for c in class_map]) for row in src.vectors)
+    return tuple(decompose_one(dst, [row[c] for c in class_map]) for row in src.vectors)
 
 
 _INFLATIONS = WeakKeyDictionary()

@@ -15,14 +15,20 @@ from parity_inductor.chartab import (
     character_table,
     quotient_rows,
 )
-from parity_inductor.genchar import _restriction, inflate, irreducible_char, perm_char
+from parity_inductor.genchar import (
+    _coset_chars,
+    _restriction,
+    inflate,
+    irreducible_char,
+    perm_char,
+)
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.perm import format_perm
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
-from _chartab_reference import check_table, row_key, terms
+from _chartab_reference import check_table, decompose_one, row_key, terms
 from _cyclo_reference import (
     Cyclo,
     conjugate_rows,
@@ -38,6 +44,12 @@ from _decompose_reference import decompose_dense
 
 def table(spec):
     return character_table(parse_group_spec(spec))
+
+
+def decompose(t, vectors):
+    """One class function through the table's batched decomposition."""
+    (coords,) = t.decompose([vectors])
+    return coords
 
 
 def test_trivial_group():
@@ -191,25 +203,25 @@ def test_format_text_uses_exponent_root():
 def test_defect_on_bad_values():
     t = table("S3")
     with pytest.raises(CharTableError):
-        t.decompose([(1,), (0,), (0,)])
+        decompose(t, [(1,), (0,), (0,)])
 
 
 def test_value_count_must_match_class_count():
     t = table("C4")
     regular = [(4,), (0,), (0,), (0,)]
-    assert t.decompose(regular) == (1, 1, 1, 1)
+    assert decompose(t, regular) == (1, 1, 1, 1)
     for vals in ([(4,)], regular + [(99,)]):
         with pytest.raises(ValueError):
-            t.decompose(vals)
+            decompose(t, vals)
 
 
 def test_decompose_is_exact_on_non_characters():
     # zeta_3 - zeta_3^2 has rational part 0, so the trace form alone would
     # return the zero character; the re-expansion must refuse it
     t = table("C1")
-    assert t.decompose([(2,)]) == (2,)
+    assert decompose(t, [(2,)]) == (2,)
     with pytest.raises(CharTableError):
-        t.decompose([(0, 1, -1)])
+        decompose(t, [(0, 1, -1)])
 
 
 def test_decompose_rejects_malformed_values_naming_the_class():
@@ -222,7 +234,7 @@ def test_decompose_rejects_malformed_values_naming_the_class():
     ]
     for vals, name in cases:
         with pytest.raises(ValueError, match="class %s:" % re.escape(name)):
-            t.decompose(vals)
+            decompose(t, vals)
 
 
 def test_quotient_rows_fold_to_the_image_table_on_catalog():
@@ -312,12 +324,12 @@ def _check_decompose_against_dense(G, rng):
             qt = character_table(q.image)
             cases.extend((t, [row[c] for c in fusion]) for row in qt.vectors)
     for ct, vectors in cases:
-        got = ct.decompose(vectors)
+        got = decompose(ct, vectors)
         assert got == decompose_dense(ct, vectors), (ct.group, vectors)
     outcomes = []
     for vectors in _random_class_functions(t, rng, 6):
         want = decompose_reference(t, [value_of(v, len(v)) for v in vectors])
-        got = _outcome(CharacterTable.decompose, t, vectors)
+        got = _outcome(decompose, t, vectors)
         assert got == _outcome(decompose_dense, t, vectors) == want, vectors
         outcomes.append(got is None)
     return outcomes
@@ -330,6 +342,80 @@ def test_decompose_matches_dense_reference_on_catalog():
         outcomes += _check_decompose_against_dense(entry.group, rng)
     # both branches ran: characters decomposed, non-characters refused
     assert 100 < outcomes.count(True) and 100 < outcomes.count(False), outcomes.count(True)
+
+
+# Differential check of the batched decomposition against the per-function
+# loop it replaced (`_chartab_reference.decompose_one`): every restriction
+# matrix and coset character of every catalog group, and on every catalog
+# and subgroup table a batch of seeded functions at mixed lengths, as tuples
+# and as lists, plus malformed input.
+
+
+def _malformed(t):
+    """Class functions the per-function loop refuses with ValueError."""
+    k = t.class_count()
+    good = [(1,)] * k
+    return [
+        good[:-1],
+        good + [(1,)],
+        [()] + good[1:],
+        good[:-1] + [(1.0,)],
+        good[:-1] + [(True,)],
+        good[:-1] + [(0, "1")],
+        good[:-1] + [(0, [1])],
+    ]
+
+
+def _check_batched_decompose(G, rng):
+    gt = character_table(G)
+    tables = [gt]
+    for rec in subgroup_lattice(G).records:
+        ht, rows = _restriction(G, rec)
+        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        assert rows == tuple(decompose_one(ht, [row[c] for c in fusion]) for row in gt.vectors)
+        counts = [0] * gt.class_count()
+        for a in rec.positions:
+            counts[G.class_of_index(a)] += 1
+        values = [(G.order() // rec.order * n // cls.size,) for n, cls in zip(counts, gt.classes)]
+        assert perm_char(G, rec).coeffs == decompose_one(gt, values), rec.label
+        assert _coset_chars(G, [rec.positions]) == [perm_char(G, rec)], rec.label
+        tables.append(ht)
+    refused = 0
+    for t in tables:
+        batch = _random_class_functions(t, rng, 4)
+        want = [_outcome(decompose_one, t, f) for f in batch]
+        assert [_outcome(decompose, t, f) for f in batch] == want
+        good = [f for f, w in zip(batch, want) if w is not None]
+        expected = tuple(w for w in want if w is not None)
+        assert t.decompose(good) == expected
+        assert t.decompose([[list(v) for v in f] for f in good]) == expected
+        if len(good) < len(batch):
+            refused += 1
+            with pytest.raises(CharTableError):
+                t.decompose(batch)
+        for f in _malformed(t):
+            with pytest.raises(ValueError):
+                decompose_one(t, f)
+            with pytest.raises(ValueError):
+                t.decompose([f])
+            with pytest.raises(ValueError):
+                t.decompose(good + [f])
+            # after an equal well-formed vector: (1.0,) == (1,)
+            with pytest.raises(ValueError):
+                t.decompose([[(1,)] * t.class_count(), f])
+    return len(tables), refused
+
+
+def test_batched_decompose_matches_per_function_reference_on_catalog():
+    rng = random.Random(20261020)
+    tables = refused = 0
+    for entry in load_bundled_catalog():
+        counts = _check_batched_decompose(entry.group, rng)
+        tables += counts[0]
+        refused += counts[1]
+    assert tables == 61 + 372, tables
+    # batches with a non-character in them were refused as a whole
+    assert 100 < refused < tables, refused
 
 
 # Differential check of the integer paths against the Cyclo reference: the
@@ -548,6 +634,78 @@ def test_table_checks_refuse_a_faulty_closed_form(spec, fault, monkeypatch):
         CharacterTable(parse_group_spec(spec))
 
 
+# Two rows with one eigenvalue per class have a Gram sum that depends only on
+# the difference of their determinant exponents: `_verify` sums once per
+# difference and still checks every entry of the Gram matrix.
+
+
+def _gram_sums(G, monkeypatch):
+    """The number of Gram sums a fresh table of G makes, and the table."""
+    sums = []
+    real = CharacterTable._gram
+
+    def counted(self, aterms, bterms):
+        sums.append(1)
+        return real(self, aterms, bterms)
+
+    monkeypatch.setattr(CharacterTable, "_gram", counted)
+    t = CharacterTable(G)
+    monkeypatch.undo()
+    return len(sums), t
+
+
+def test_gram_sums_are_shared_across_linear_rows_on_catalog(monkeypatch):
+    abelian = 0
+    for entry in load_bundled_catalog():
+        G = entry.group
+        sums, t = _gram_sums(G, monkeypatch)
+        k, a = t.class_count(), len(t.linear_row_indices())
+        # the linear rows form a group of order a, so their differences are a
+        # rows; every pair with a row of higher degree is summed on its own
+        assert sums == a + k * (k + 1) // 2 - a * (a + 1) // 2, entry.name
+        if k == G.order():
+            assert sums == G.order(), entry.name
+            abelian += 1
+    assert abelian > 30
+
+
+def _sign_of_a_real_row(rows):
+    """A real nontrivial row of the closed form and a class where its value is -1."""
+    for i, row in enumerate(rows):
+        if all(m == m[:1] + m[:0:-1] for m in row) and (0, 1) in row:
+            return i, row.index((0, 1))
+
+
+def _flip(rows):
+    """That value becomes 1: one eigenvalue, in the wrong slot."""
+    i, c = _sign_of_a_real_row(rows)
+    rows[i] = rows[i][:c] + ((1, 0),) + rows[i][c + 1:]
+
+
+def _two_terms(rows):
+    """That value becomes 2 - 2 = 0: the row is no longer one eigenvalue per
+    class, so only the per-pair Gram sums see it."""
+    i, c = _sign_of_a_real_row(rows)
+    rows[i] = rows[i][:c] + ((2, 2),) + rows[i][c + 1:]
+
+
+@pytest.mark.parametrize(
+    "spec", ["C6", "(1 2), (3 4), (5 6)", "(1 2 3 4), (5 6)"], ids=["C6", "C2^3", "C4xC2"]
+)
+@pytest.mark.parametrize("fault", [_flip, _two_terms], ids=["flip", "two-terms"])
+def test_gram_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
+    real = chartab._abelian_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        fault(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    with pytest.raises(CharTableError, match="orthogonality|not rational"):
+        CharacterTable(parse_group_spec(spec))
+
+
 # The value index against the per-(row, class) reference it replaced: the
 # same row order, terms, determinants, conjugates and rendering.
 
@@ -578,7 +736,7 @@ SL23 = "(1 4 7)(2 8 5), (1 6 2 3)(4 7 8 5)"
     ids=["D64", "SL(2,3)", "C30", "C2^4"],
 )
 def test_values_are_reduced_once_per_distinct_vector(spec, monkeypatch):
-    # _verify's Gram matrix reduces once per pair of rows, by design: not counted
+    # _verify's Gram matrix reduces once per Gram sum, by design: not counted
     reductions, in_gram = [], []
     real_reduce, real_gram = chartab._reduce_mod_phi, CharacterTable._gram
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -175,6 +176,18 @@ NINES = "9" * 5000  # int() refuses strings over 4,300 digits
 def test_numbers_too_long_for_int_exit_2(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "subgroup",
+    ["#" + NINES, "#" + NINES[:1000], NINES, "X" + NINES, "(1 2" + NINES],
+    ids=["class-id", "class-id-int", "order", "family", "unbalanced"],
+)
+def test_subgroup_refusals_shorten_long_numbers(subgroup):
+    code, out, err = run_cli("decompose", "C4", "--subgroup", subgroup)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
+    assert re.search(r"\d{10}\.\.\. \(\d+ digits\)", err), err
 
 
 def test_json_integers_too_long_for_int_exit_2(tmp_path):

@@ -484,13 +484,13 @@ def test_from_values_round_trip():
             [sum(a * row[c][s] for a, row in zip(coeffs, t.vectors)) for s in range(cls.order)]
             for c, cls in enumerate(t.classes)
         ]
-        assert t.decompose(vectors) == g.coeffs
+        assert t.decompose([vectors]) == (g.coeffs,)
 
 
 def test_defect_on_non_integral_decomposition():
     G = parse_group_spec("S3")
     t = character_table(G)
     with pytest.raises(CharTableError):
-        t.decompose([(1,), (1,), (0,)])
+        t.decompose([[(1,), (1,), (0,)]])
     with pytest.raises(CharTableError):
-        t.decompose([(1,), (1,), (1, 1, 0)])
+        t.decompose([[(1,), (1,), (1, 1, 0)]])

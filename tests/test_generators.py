@@ -16,7 +16,9 @@ from parity_inductor.genchar import (
     trivial_char,
 )
 from parity_inductor.generators import (
+    GeneratorError,
     GeneratorFamily,
+    _induced,
     cor29_family,
     enumerate_type1,
     enumerate_type2,
@@ -202,8 +204,11 @@ def test_type2_expansion_matches_definition():
     assert determinant(sigma).row == 1
 
 
-# Differential check of the subquotient twists read off H's table against the
-# reference that builds each quotient image's own table and inflates.
+# The family contract on G, and a differential check of the subquotient twists
+# read off H's table against the reference that builds each quotient image's
+# own table, inflates, and induces each twist as a character of H.  The
+# families check each core's degree and determinant on H only; the transfer
+# formula carries both to G, and this is where G itself is asked.
 
 
 def _listing(generators):
@@ -211,8 +216,21 @@ def _listing(generators):
 
 
 def _check_against_quotient_tables(G):
+    for family in (theorem_family(G), cor29_family(G)):
+        for g in family:
+            assert g.expansion.degree == 0, g.gen_id
+            assert has_trivial_determinant(g.expansion), g.gen_id
     assert _listing(theorem_family(G)) == _listing(_family_reference.theorem_generators(G))
     assert _listing(cor29_family(G)) == _listing(_family_reference.cor29_generators(G))
+
+
+def test_cores_are_checked_on_the_subgroup():
+    G = parse_group_spec("S3")
+    record = next(r for r in subgroup_lattice(G).records if r.order == 2)
+    for core, what in (([1, 0], "nonzero degree"), ([-1, 1], "nontrivial determinant")):
+        with pytest.raises(GeneratorError, match=what):
+            _induced(record, [core], ["probe"])
+    assert _induced(record, [[0, 0]], ["probe"])[0].is_zero()
 
 
 def test_families_match_quotient_table_reference_on_catalog():
