@@ -10,8 +10,9 @@ over the power maps.  Both paths' rows pass the same exact checks.
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
 where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
-so rows are compared and conjugated (s -> -s) as integer tuples.  A table's
-value index holds, once per distinct vector, its nonzero terms, its
+so rows are compared and conjugated (s -> -s) as integer tuples; each is
+checked to have o entries, none negative, summing to the row's degree.  A
+table's value index holds, once per distinct vector, its nonzero terms, its
 determinant exponent and its key: its lift to Z[x]/(x^e - 1), e = exp(G),
 reduced modulo Phi_e to a polynomial in z = zeta_e of degree below phi(e),
 keyed (1, its integer) when rational and (e, its coordinates) otherwise.
@@ -394,6 +395,12 @@ class CharacterTable:
                     raise CharTableError(
                         "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order)
                     )
+        # the Gram sums see only values: each must also be a multiplicity
+        # vector, o(g) counts of eigenvalues summing to the row's degree
+        sums = {m: sum(m) if min(m, default=-1) >= 0 else -1 for m in self._values}
+        for row, d in zip(self.vectors, self.degrees):
+            if any(len(m) != cls.order or sums[m] != d for m, cls in zip(row, self.classes)):
+                raise CharTableError("a value is not a multiplicity vector of the row's degree")
 
     def _gram(self, aterms, bterms) -> int:
         """|G| * <a, b> for two rows given by their nonzero terms per class."""

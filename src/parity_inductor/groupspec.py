@@ -93,6 +93,15 @@ def _cycle_text(points) -> str:
     return "(" + " ".join(str(p) for p in points) + ")"
 
 
+def _alternating_generators(n: int, listable: bool):
+    """A_n's n - 2 three-cycles (i, i+1, i+2); or, when A_n is too large to
+    list and is only ever refused, two: (1 2 3) and the even one of
+    (1 2 ... n) and (2 3 ... n)."""
+    if listable:
+        return [_cycle_text((i, i + 1, i + 2)) for i in range(1, n - 1)]
+    return ["(1 2 3)", _cycle_text(range(2 - n % 2, n + 1))]
+
+
 def _family(letter: str, n: int, extra):
     """(generators, degree, order) of the group a family token names."""
     if extra is not None and letter != "F":
@@ -121,8 +130,8 @@ def _family(letter: str, n: int, extra):
     if letter == "A":
         if n < 1:
             raise GroupSpecError("A%d is not a group" % n)
-        gens = [_cycle_text((i, i + 1, i + 2)) for i in range(1, n - 1)]
-        return gens, max(n, 1), max(factorial(n) // 2, 1)
+        order = max(factorial(n) // 2, 1)
+        return _alternating_generators(n, order <= MAX_CAYLEY_ORDER), max(n, 1), order
     if letter == "Q":
         if n != 8:
             raise GroupSpecError("only Q8 is supported")

@@ -1,7 +1,8 @@
 """Exact integer matrix helpers: row HNF with transform, canonical lattice solves.
 
 Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
-Both the HNF and the solves' reduction run one elimination loop, `_echelon`.
+Both the HNF and the solves' reduction run one elimination loop, `_echelon`;
+a batch of solves shares one echelon of the kernel.
 """
 
 from __future__ import annotations
@@ -32,30 +33,37 @@ class HnfResult:
         return self.u[self.rank:]
 
     def solve(self, b):
-        """The canonical x with x @ a = b, or None if b is off the row lattice:
-        the unique solution with 0 <= x[c] < p at each pivot column c (pivot p)
-        of the kernel lattice, i.e. one solution reduced modulo its HNF."""
-        if self.h and len(b) != len(self.h[0]):
-            raise ValueError("dimension mismatch")
-        resid = list(b)
-        x = [0] * len(self.u)
-        for k, col in enumerate(self.pivot_cols):
-            q, r = divmod(resid[col], self.h[k][col])
-            if r:
-                return None
-            if q:
-                resid = [v - q * w for v, w in zip(resid, self.h[k])]
-                x = [xi + q * ui for xi, ui in zip(x, self.u[k])]
-        if any(resid):
-            return None
-        if not any(x):
-            return x
-        relations, pivot_cols = _echelon(self.kernel, len(x))
-        for row, col in zip(relations, pivot_cols):
-            q = x[col] // row[col]
-            if q:
-                x = [xi - q * v for xi, v in zip(x, row)]
-        return x
+        """The canonical x with x @ a = b, or None if b is off the row lattice."""
+        return self.solve_all([b])[0]
+
+    def solve_all(self, targets):
+        """Per target b, the canonical x with x @ a = b, or None if b is off the
+        row lattice: the unique solution with 0 <= x[c] < p at each pivot column
+        c (pivot p) of the kernel lattice, i.e. one solution reduced modulo its
+        HNF.  The kernel's echelon form is built at most once per call, and only
+        when some target has a nonzero solution."""
+        out, relations = [], None
+        for b in targets:
+            if self.h and len(b) != len(self.h[0]):
+                raise ValueError("dimension mismatch")
+            resid = list(b)
+            x = [0] * len(self.u)
+            for k, col in enumerate(self.pivot_cols):
+                q, r = divmod(resid[col], self.h[k][col])
+                if r:
+                    break  # off the lattice: resid stays nonzero
+                if q:
+                    resid = [v - q * w for v, w in zip(resid, self.h[k])]
+                    x = [xi + q * ui for xi, ui in zip(x, self.u[k])]
+            if any(x) and not any(resid):
+                if relations is None:
+                    relations = list(zip(*_echelon(self.kernel, len(x))))
+                for row, col in relations:
+                    q = x[col] // row[col]
+                    if q:
+                        x = [xi - q * v for xi, v in zip(x, row)]
+            out.append(None if any(resid) else x)
+        return out
 
 
 def _echelon(rows, width):

@@ -50,17 +50,25 @@ class MembershipCertificate:
 
 def membership_solve(rho: GenChar, family: GeneratorFamily):
     """Canonical integer solve of rho over the family, or None."""
+    return membership_solve_all([rho], family)[0]
+
+
+def check_target(rho: GenChar, family: GeneratorFamily) -> GenChar:
+    """rho, once it is known to live on the family's group (else ValueError)."""
     if rho.table is not family.table:
         raise ValueError("character and family live on different groups")
+    return rho
+
+
+def membership_solve_all(rhos, family: GeneratorFamily):
+    """`membership_solve` of each rho, in one batch over the family's lattice."""
+    for rho in rhos:
+        check_target(rho, family)
     if not family.generators:
-        if rho.is_zero():
-            return MembershipCertificate(family, rho, ())
-        return None
-    x = family.hnf().solve(rho.coeffs)
-    if x is None:
-        return None
-    terms = tuple((i, c) for i, c in enumerate(x) if c)
-    return MembershipCertificate(family, rho, terms)
+        return [MembershipCertificate(family, rho, ()) if rho.is_zero() else None for rho in rhos]
+    xs = family.hnf().solve_all([rho.coeffs for rho in rhos])
+    return [None if x is None else MembershipCertificate(family, rho, ((i, c) for i, c in enumerate(x) if c))
+            for rho, x in zip(rhos, xs)]
 
 
 def verify_certificate(cert: MembershipCertificate) -> bool:

@@ -6,7 +6,7 @@ from .genchar import determinant, order2_linear_chars, perm_char, rho_H
 from .generators import family_for
 from .group import PermGroup
 from .lattice import SubgroupRecord, subgroup_lattice
-from .membership import membership_solve
+from .membership import membership_solve_all
 
 BASE = ("base",)
 
@@ -164,7 +164,7 @@ def full_assignment(G: PermGroup, flavor="thm12", default=1, base=None, quadrati
 def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", certificate=None) -> ParityExpression:
     """Symbolic parity over the fixed field of `record`, from its certificate."""
     if certificate is None:
-        certificate = _certificate_for(G, record, flavor)
+        [certificate] = _certificates_for(G, [record], flavor)
     index = G.order() // record.order
     delta = determinant(perm_char(G, record))
     symbols = []
@@ -183,14 +183,15 @@ def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", cert
     return ParityExpression(symbols)
 
 
-def _certificate_for(G: PermGroup, record: SubgroupRecord, flavor: str):
-    family = family_for(G, flavor)
-    cert = membership_solve(rho_H(G, record), family)
-    if cert is None:
-        raise ParityError(
-            "no certificate for the degree-zero coset character of %s" % record.label
-        )
-    return cert
+def _certificates_for(G: PermGroup, records, flavor: str):
+    """The certificate of each record's rho_H, solved in one batch."""
+    certs = membership_solve_all([rho_H(G, rec) for rec in records], family_for(G, flavor))
+    for record, cert in zip(records, certs):
+        if cert is None:
+            raise ParityError(
+                "no certificate for the degree-zero coset character of %s" % record.label
+            )
+    return certs
 
 
 class ParityRow:
@@ -246,8 +247,7 @@ def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -
     """One row per subgroup class; rows evaluate when the assignment covers them."""
     records = sorted(subgroup_lattice(G).records, key=lambda r: (-r.order, r.class_id))
     rows = []
-    for record in records:
-        cert = _certificate_for(G, record, flavor)
+    for record, cert in zip(records, _certificates_for(G, records, flavor)):
         expression = parity_expression(G, record, flavor, cert)
         index = G.order() // record.order
         _check_row_shape(G, record, index, expression)

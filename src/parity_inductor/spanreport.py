@@ -7,7 +7,7 @@ from .genchar import rho_H
 from .generators import family_for
 from .group import PermGroup
 from .lattice import subgroup_lattice
-from .membership import membership_solve, random_S_element, verify_certificate
+from .membership import check_target, membership_solve_all, random_S_element, verify_certificate
 
 
 class TargetResult:
@@ -102,47 +102,55 @@ def _usage_key(desc) -> str:
     return desc.tag or "type2"
 
 
-def _solve_target(rho, family, label, usage, meta):
-    try:
-        cert = membership_solve(rho, family)
-    except (RuntimeError, ValueError) as exc:
-        return TargetResult(label, False, detail=str(exc), meta=meta)
+def _result(cert, family, label, usage, meta):
+    """The TargetResult of one target's outcome: its certificate, None, or the
+    exception that stopped it."""
+    if isinstance(cert, Exception):
+        return TargetResult(label, False, detail=str(cert), meta=meta)
     if cert is None:
         return TargetResult(label, False, detail="no integer combination found", meta=meta)
     if not verify_certificate(cert):
         return TargetResult(label, False, detail="certificate failed re-expansion", meta=meta)
     for index, _coeff in cert.terms:
-        usage[_usage_key(family.generators[index])] = (
-            usage.get(_usage_key(family.generators[index]), 0) + 1
-        )
+        key = _usage_key(family.generators[index])
+        usage[key] = usage.get(key, 0) + 1
     return TargetResult(label, True, terms=cert.named_terms(), meta=meta)
 
 
+def _attempt(call, *args):
+    """call(*args), or the RuntimeError or ValueError it raised."""
+    try:
+        return call(*args)
+    except (RuntimeError, ValueError) as exc:
+        return exc
+
+
 def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, bound=4):
-    """Certify every rho_H of G plus seeded random targets; failures are recorded."""
+    """Certify every rho_H of G plus seeded random targets, all solved in one
+    batch; failures are recorded."""
     group_name = name if name is not None else "order%d" % G.order()
     usage = {}
-    subgroup_results = []
-    sample_results = []
     try:
         family = family_for(G, flavor)
     except (RuntimeError, ValueError) as exc:
         result = TargetResult("family", False, detail=str(exc))
         return SpanReport(group_name, G.order(), flavor, [result], [], usage)
     character_table(G)
-    for record in subgroup_lattice(G).records:
-        rho = rho_H(G, record)
-        label = "%s ord %d" % (record.label, record.order)
-        meta = {"class_id": record.class_id}
-        subgroup_results.append(_solve_target(rho, family, label, usage, meta))
-    for i in range(samples):
-        sample_seed = seed + i
-        label = "sample seed %d" % sample_seed
-        meta = {"seed": sample_seed, "bound": bound}
-        try:
-            rho = random_S_element(G, sample_seed, bound)
-        except (RuntimeError, ValueError) as exc:
-            sample_results.append(TargetResult(label, False, detail=str(exc), meta=meta))
-            continue
-        sample_results.append(_solve_target(rho, family, label, usage, meta))
+    records = subgroup_lattice(G).records
+    targets = [rho_H(G, record) for record in records]
+    targets += [_attempt(random_S_element, G, seed + i, bound) for i in range(samples)]
+    # each target is checked alone, so that one bad target fails only itself
+    targets = [t if isinstance(t, Exception) else _attempt(check_target, t, family) for t in targets]
+    good = [t for t in targets if not isinstance(t, Exception)]
+    certs = _attempt(membership_solve_all, good, family)
+    certs = iter([certs] * len(good) if isinstance(certs, Exception) else certs)
+    outcomes = [t if isinstance(t, Exception) else next(certs) for t in targets]
+    subgroup_results = [
+        _result(cert, family, "%s ord %d" % (rec.label, rec.order), usage, {"class_id": rec.class_id})
+        for rec, cert in zip(records, outcomes)
+    ]
+    sample_results = [
+        _result(cert, family, "sample seed %d" % (seed + i), usage, {"seed": seed + i, "bound": bound})
+        for i, cert in enumerate(outcomes[len(records):])
+    ]
     return SpanReport(group_name, G.order(), flavor, subgroup_results, sample_results, usage)

@@ -706,6 +706,40 @@ def test_gram_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
         CharacterTable(parse_group_spec(spec))
 
 
+def _one_two(rows):
+    """That value's (0, 1) becomes (1, 2): still -1, so every Gram sum holds,
+    but three eigenvalues for a row of degree 1, and det reads 0 instead of 1."""
+    i, c = _sign_of_a_real_row(rows)
+    rows[i] = rows[i][:c] + ((1, 2),) + rows[i][c + 1:]
+
+
+def _negative(rows):
+    """At a class of order 6, every nontrivial row gains 1 - z + z^2 - z^3 +
+    z^4 - z^5 = 0: values, degrees and conjugate rows stay, but an entry of
+    each of those vectors falls below 0."""
+    c = next(c for c, m in enumerate(rows[0]) if len(m) == 6)
+    for i, row in enumerate(rows):
+        if any(m[0] != 1 for m in row):
+            m = tuple(x + (-1) ** s for s, x in enumerate(row[c]))
+            rows[i] = row[:c] + (m,) + row[c + 1:]
+
+
+@pytest.mark.parametrize(
+    "spec,fault", [("(1 2), (3 4)", _one_two), ("C6", _negative)], ids=["one-two", "negative"]
+)
+def test_multiplicity_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
+    real = chartab._abelian_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        fault(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    with pytest.raises(CharTableError, match="multiplicity vector"):
+        CharacterTable(parse_group_spec(spec))
+
+
 # The value index against the per-(row, class) reference it replaced: the
 # same row order, terms, determinants, conjugates and rendering.
 

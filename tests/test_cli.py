@@ -214,6 +214,26 @@ def test_family_token_above_the_lattice_bound_exits_2_fast(monkeypatch, spec):
     assert code == 2 and out == "" and "exceeds the subgroup-enumeration bound 512" in err
 
 
+@pytest.mark.parametrize("spec", ["A4000", "A8000"])
+def test_alternating_token_above_the_cayley_bound_is_refused_small_and_fast(spec):
+    # its n - 2 three-cycles of degree n once took A4000 3 s and 598 MB; a
+    # fresh parent process reads its one child's CPU time and peak RSS
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'parity_inductor.cli', 'group-info', %r],"
+        " capture_output=True, text=True)\n"
+        "use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr,"
+        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % spec
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    code, out, err, cpu_s, peak_kb = json.loads(proc.stdout)
+    digits = {"A4000": 12673, "A8000": 27752}[spec]
+    assert (code, out) == (2, "")
+    assert err == "error: group order about 10^%d exceeds the subgroup-enumeration bound 512\n" % digits
+    assert cpu_s < 0.5 and peak_kb < 100 * 1024, (cpu_s, peak_kb)
+
+
 def test_order_too_long_for_str_is_refused_by_size(monkeypatch):
     # S2000 has order 2000!, 5,736 digits: more than str() prints
     monkeypatch.setattr(PermGroup, "_chain", lambda G: pytest.fail("a stabilizer chain was built"))
@@ -387,6 +407,17 @@ def test_verify_deterministic_across_hash_seeds(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of `verify --format json --seed 0` over the bundled catalog: the
+# digest the benchmark's catalog_sweep workload pins for the same bytes
+VERIFY_SEED0_JSON = "db660aa3baf539b984b05487d5e28dd76bdf91ba72aa9ad6c9cded5dea8f2beb"
+
+
+def test_verify_json_bytes_are_pinned():
+    code, out, err = run_cli("verify", "--format", "json", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_JSON
 
 
 def test_parity_cli_with_assignment_file(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 from _catalog_records import build_catalog_records
 
+from parity_inductor import groupspec
 from parity_inductor.group import MAX_CAYLEY_ORDER, PermGroup
 from parity_inductor.groupspec import GroupSpecError, group_from_cycles, parse_group_spec
 
@@ -91,6 +92,25 @@ def test_family_tokens_seed_the_order_their_chain_computes():
         G = parse_group_spec(token)
         seeded = G._cache["order"]
         assert PermGroup(G.generators, degree=G.degree).order() == seeded, token
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_both_alternating_generator_sets_give_the_same_elements(n):
+    # the two-generator set serves only A_n above the Cayley bound (n >= 8)
+    many, two = (groupspec._alternating_generators(n, listable) for listable in (True, False))
+    assert (len(many), len(two)) == (n - 2, 2)
+    elements = [PermGroup(group_from_cycles(gens, degree=n).generators, degree=n).elements()
+                for gens in (many, two)]
+    assert elements[0] == elements[1] and len(elements[0]) == parse_group_spec("A%d" % n).order()
+    assert parse_group_spec("A%d" % n).generators == group_from_cycles(many).generators
+
+
+@pytest.mark.parametrize("n", [8, 9, 4000])
+def test_alternating_tokens_above_the_cayley_bound_take_two_generators(n):
+    G = parse_group_spec("A%d" % n)
+    assert G.order() > MAX_CAYLEY_ORDER and len(G.generators) == 2 and G.degree == n
+    # both even, so inside A_n
+    assert all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in G.generators)
 
 
 @pytest.mark.parametrize("spec", ["(1 %s)", "C%s", "F7:%s", "(1 2), (3 %s)"])

@@ -4,7 +4,7 @@ import pytest
 from _intlinalg_reference import hnf as reference_hnf
 from _intlinalg_reference import reduce_mod_lattice, solve_left_canonical
 
-from parity_inductor import decompose, membership
+from parity_inductor import decompose, intlinalg, membership
 from parity_inductor._primes import prime_factors
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
@@ -326,3 +326,69 @@ def test_solve_matches_reference_on_target_stream_groups(name, spec):
     one = list(trivial_char(character_table(G)).coeffs)
     assert family.hnf().solve(one) is None
     assert solve_left_canonical(family.matrix, one, ref) is None
+
+
+# Batched solves: one kernel echelon per call, each answer the reference's.
+
+
+def _mixed_batch(G, table):
+    """Every rho_H, 20 random targets, zero targets and off-lattice probes
+    (each shifted by the trivial character, so of degree 1), shuffled."""
+    targets = [list(rho_H(G, rec).coeffs) for rec in subgroup_lattice(G).records]
+    targets += [list(membership.random_S_element(G, seed, 4).coeffs) for seed in range(20)]
+    zero = [0] * table.class_count()
+    one = list(trivial_char(table).coeffs)
+    off = [[x + y for x, y in zip(b, one)] for b in targets[::7]]
+    batch = [zero, zero] + targets + off + [one]
+    random.Random(len(batch)).shuffle(batch)
+    return batch
+
+
+def _check_batch(res, matrix, batch, where):
+    ref = reference_hnf(matrix)
+    expected = [solve_left_canonical(matrix, b, ref) for b in batch]
+    assert res.solve_all(batch) == expected, where
+    return expected
+
+
+def test_solve_all_matches_reference_on_catalog_families(catalog_families):
+    groups, batches, offs = {}, {}, 0
+    for name, flavor, family in catalog_families:
+        G = groups.setdefault(name, family.group)
+        batch = batches.setdefault(name, _mixed_batch(G, family.table))
+        expected = _check_batch(family.hnf() or hnf([]), family.matrix, batch, (name, flavor))
+        offs += expected.count(None)
+    assert len(batches) == 61 and offs > 250, offs
+    for name, batch in batches.items():
+        _, chars, lattice = membership._perm_lattice(groups[name])
+        _check_batch(lattice, [list(ch.coeffs) for ch in chars], batch, (name, "perm"))
+
+
+def test_solve_all_of_an_empty_batch_is_empty():
+    assert hnf([]).solve_all([]) == []
+    assert hnf([[1, 1], [0, 2], [1, 3]]).solve_all([]) == []
+
+
+def test_solve_all_rejects_a_wrong_length_target():
+    res = hnf([[1, 1], [0, 2]])
+    for b in ([1], [1, 3, 0], []):
+        with pytest.raises(ValueError):
+            res.solve_all([[1, 1], b, [0, 2]])
+
+
+def test_solve_all_builds_the_kernel_echelon_only_when_a_target_needs_it(monkeypatch):
+    calls = []
+    real = intlinalg._echelon
+
+    def counted(rows, width):
+        calls.append(len(rows))
+        return real(rows, width)
+
+    res = hnf([[1, 0], [1, 0], [0, 2]])
+    monkeypatch.setattr(intlinalg, "_echelon", counted)
+    assert res.solve_all([[0, 0], [0, 1], [1, 1]]) == [[0, 0, 0], None, None]
+    assert calls == []
+    assert res.solve_all([[0, 0], [3, 0], [0, 1], [2, 4], [5, 2]]) == [
+        [0, 0, 0], [0, 3, 0], None, [0, 2, 2], [0, 5, 1],
+    ]
+    assert calls == [1]

@@ -29,6 +29,7 @@ from parity_inductor.membership import (
     hyperelementary_records,
     is_s_element,
     membership_solve,
+    membership_solve_all,
     perm_lattice_solve,
     random_S_element,
     solomon_coefficients,
@@ -74,6 +75,35 @@ def test_solve_rejects_foreign_table():
     H = parse_group_spec("C4")
     with pytest.raises(ValueError):
         membership_solve(zero_char(H), theorem_family(G))
+
+
+def test_solve_all_of_an_empty_batch_is_empty():
+    for spec in ("C1", "S3"):
+        assert membership_solve_all([], theorem_family(parse_group_spec(spec))) == []
+
+
+def test_solve_all_rejects_a_foreign_table_anywhere_in_the_batch():
+    G, H = parse_group_spec("S3"), parse_group_spec("C4")
+    family = theorem_family(G)
+    for batch in ([zero_char(H)], [zero_char(G), zero_char(H)], [zero_char(H), zero_char(G)]):
+        with pytest.raises(ValueError, match="different groups"):
+            membership_solve_all(batch, family)
+
+
+def test_solve_all_matches_one_solve_per_target():
+    for spec in ("C1", "C4", "S3", "D8", "A4"):
+        G = parse_group_spec(spec)
+        tab = character_table(G)
+        off = GenChar(tab, [1] + [0] * (tab.class_count() - 1))
+        targets = [rho_H(G, rec) for rec in subgroup_lattice(G).records]
+        targets += [zero_char(G), off] + [random_S_element(G, seed, 4) for seed in range(5)]
+        for family in (theorem_family(G), cor29_family(G)):
+            batch = membership_solve_all(targets, family)
+            singles = [membership_solve(rho, family) for rho in targets]
+            assert [c and (c.target, c.terms) for c in batch] == [
+                c and (c.target, c.terms) for c in singles
+            ], spec
+            assert batch[len(targets) - 6] is None and all(c is not None for c in batch[:-6])
 
 
 def test_perturbed_certificate_fails():

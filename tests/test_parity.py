@@ -1,7 +1,11 @@
 """Tests for parity expressions, tables, and required-prime scans."""
 
+import hashlib
+import json
+
 import pytest
 
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.genchar import determinant, order2_linear_chars, perm_char
 from parity_inductor.generators import theorem_family
 from parity_inductor.groupspec import parse_group_spec
@@ -251,3 +255,18 @@ def test_type1_symbols_never_appear():
                 assert symbol[0] in ("base", "quadratic", "dihedral")
                 if symbol[0] == "dihedral":
                     assert symbol[1].startswith("t2:")
+
+
+# sha256 of the catalog's parity tables under the all-(+1) assignment, as a
+# JSON object from group name to `ParityTable.to_json()` with sorted keys
+CATALOG_PARITY_TABLES = "f1d7d1fa3eb428956af746e3eb1ef6b8647759cd3611a32396af74d582f52ad2"
+
+
+def test_catalog_parity_tables_are_pinned():
+    doc = {
+        entry.name: parity_table(entry.group, full_assignment(entry.group)).to_json()
+        for entry in load_bundled_catalog()
+    }
+    assert len(doc) == 61
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == CATALOG_PARITY_TABLES

@@ -1,5 +1,11 @@
 """Tests for certification sweep reports."""
 
+import sys
+
+from parity_inductor import intlinalg, spanreport
+from parity_inductor.catalog import load_bundled_catalog
+from parity_inductor.chartab import character_table
+from parity_inductor.genchar import GenChar
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.spanreport import span_report
@@ -73,3 +79,53 @@ def test_json_shape_and_timing_flag():
     assert {entry["label"] for entry in doc["subgroups"]} == {
         r.label for r in report.subgroup_results
     }
+
+
+def test_a_cold_catalog_pass_makes_one_kernel_echelon_per_group(monkeypatch):
+    # fresh catalog groups, so nothing is cached: the `verify` defaults
+    calls = {}
+    real = intlinalg._echelon
+
+    def counted(rows, width):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return real(rows, width)
+
+    monkeypatch.setattr(intlinalg, "_echelon", counted)
+    for entry in load_bundled_catalog():
+        before = calls.get("solve_all", 0)
+        assert span_report(entry.group, "thm12", name=entry.name, samples=20, seed=0).all_certified
+        assert calls.get("solve_all", 0) - before <= 1, entry.name
+    assert calls == {"hnf": 242, "solve_all": 60}
+
+
+def test_a_failed_draw_fails_only_its_own_sample(monkeypatch):
+    real = spanreport.random_S_element
+
+    def faulty(G, seed, bound):
+        if seed == 13:
+            raise RuntimeError("draw %d refused" % seed)
+        return real(G, seed, bound)
+
+    monkeypatch.setattr(spanreport, "random_S_element", faulty)
+    report = span_report(parse_group_spec("S4"), "thm12", name="S4", samples=6, seed=10)
+    [failed] = report.failures()
+    assert failed is report.sample_results[3]
+    assert (failed.label, failed.detail, failed.meta) == (
+        "sample seed 13", "draw 13 refused", {"seed": 13, "bound": 4}
+    )
+    assert len(report.sample_results) == 6 and report.subgroup_results
+
+
+def test_a_foreign_target_fails_only_itself(monkeypatch):
+    real = spanreport.random_S_element
+    other = character_table(parse_group_spec("C4"))
+
+    def foreign(G, seed, bound):
+        return GenChar(other, [0] * other.class_count()) if seed == 1 else real(G, seed, bound)
+
+    monkeypatch.setattr(spanreport, "random_S_element", foreign)
+    report = span_report(parse_group_spec("D8"), "thm12", name="D8", samples=3, seed=0)
+    [failed] = report.failures()
+    assert failed is report.sample_results[1]
+    assert failed.detail == "character and family live on different groups"
