@@ -1,22 +1,24 @@
 """Exact character tables, by one of two paths.
 
-An abelian group's irreducibles are its |G| linear characters, built in
-closed form one generator at a time off the Cayley table.  Any other table
-is computed over F_l (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)) by
-Dixon-Schneider: the class algebra splits completely there into common
-eigenspaces, which are lifted to exact values by discrete Fourier inversion
-over the power maps.  Both paths' rows pass the same exact checks.
+A group with an abelian normal A and G/A cyclic, abelian groups included,
+gets closed-form irreducibles, each induced from a linear character of A
+extended to its stabilizer: every bundled catalog group and subgroup except
+S4, A5, S5, SL(2,3) and their copies.  Any other table is computed over F_l
+(l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)) by Dixon-Schneider: the class
+algebra splits there into common eigenspaces, lifted to exact values by
+Fourier inversion over the power maps.  Both paths' rows are sorted, then checked.
 
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
 where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
 so rows are compared and conjugated (s -> -s) as integer tuples; each is
-checked to have o entries, none negative, summing to the row's degree.  A
-table's value index holds, once per distinct vector, its nonzero terms, its
-determinant exponent and its key: its lift to Z[x]/(x^e - 1), e = exp(G),
-reduced modulo Phi_e to a polynomial in z = zeta_e of degree below phi(e),
-keyed (1, its integer) when rational and (e, its coordinates) otherwise.
-Rows are sorted by these keys and rendered from them.
+checked to have o entries, none negative, summing to the row's degree, and
+to map to the vector at g ** p by s -> s * p.  A table's value index holds,
+once per distinct vector, its nonzero terms, its determinant exponent and
+its key: its lift to Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e to a
+polynomial in z = zeta_e of degree below phi(e), keyed (1, its integer)
+when rational and (e, its coordinates) otherwise.  Rows are sorted by these
+keys and rendered from them.
 
 Orthogonality: every entry sum_c |C_c| chi_i(c) conj(chi_j(c)) of the Gram
 matrix is checked.  A Gram sum is accumulated as one integer vector in
@@ -48,12 +50,14 @@ with no second path.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
-from ._primes import is_prime, primitive_root
+from ._primes import is_prime, prime_factors, primitive_root
 from .group import PermGroup, per_group
+from .lattice import _extend
 from .perm import format_perm
 
 
@@ -343,9 +347,8 @@ class CharacterTable:
         self.classes = group.conjugacy_classes()
         self.exponent = e = group.exponent()
         self.power_maps, self.inverse_map = _power_maps(group, self.classes, e)
-        if len(self.classes) == group.order():
-            rows = _abelian_rows(group, self.classes, e)
-        else:
+        rows = _abelian_by_cyclic_rows(group, self.classes, e)
+        if rows is None:
             rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
         self._values = values = _value_index(rows, e)
         rows.sort(key=lambda row: _row_key(row, values))
@@ -401,6 +404,17 @@ class CharacterTable:
         for row, d in zip(self.vectors, self.degrees):
             if any(len(m) != cls.order or sums[m] != d for m, cls in zip(row, self.classes)):
                 raise CharTableError("a value is not a multiplicity vector of the row's degree")
+        # eigenvalues at g ** p are those at g to the p: slot s goes to s * p / gcd(p, o)
+        for p in sorted(prime_factors(order)):
+            pushed = {}
+            for m, (_, terms, _) in self._values.items():
+                out = [0] * (len(m) // gcd(p, len(m)))
+                for s, x in terms:
+                    out[s * p % len(m) * len(out) // len(m)] += x
+                pushed[m] = tuple(out)
+            at = self.power_maps[p]
+            if any(row[c] != pushed[m] for row in self.vectors for m, c in zip(row, at)):
+                raise CharTableError("a row does not follow the %d-power map" % p)
 
     def _gram(self, aterms, bterms) -> int:
         """|G| * <a, b> for two rows given by their nonzero terms per class."""
@@ -508,17 +522,15 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def _abelian_rows(group, classes, exponent):
-    """The |G| linear characters of an abelian group, one tuple per class.
+def _linear_chars(table, gens, e):
+    """Abelian A = <gens>: its elements (identity first) and chi_i(elts[j]) = zeta_e ** chars[i][j].
 
     A character chi of H extends to <H, g> in m = |<H, g> : H| ways (Isaacs,
     Ch. 2): chi'(g) = zeta_e ** t with m * t = chi(g ** m) mod e, e = exp(G),
     so t = chi(g ** m) / m + j * e / m, and chi'(h * g ** i) = chi(h) * chi'(g) ** i.
     """
-    table, e = group.cayley().table, exponent
-    # chars[i][j] = t where chi_i(elts[j]) = zeta_e ** t
     elts, chars = [0], [[0]]
-    for g in map(group.element_index, group.generators):
+    for g in gens:
         where = {x: j for j, x in enumerate(elts)}
         powers = [0, g]
         while powers[-1] not in where:
@@ -528,12 +540,100 @@ def _abelian_rows(group, classes, exponent):
             elts = [table[h][p] for p in powers for h in elts]
             chars = [[(v + i * t) % e for i in range(m) for v in chi]
                      for chi in chars for t in range(chi[at] // m, e, e // m)]
-    # at a class of order o, zeta_e ** t is zeta_o ** (t * o / e): one-hot at that slot
-    one_hot = {o: [tuple(int(s == x) for x in range(o)) for s in range(o)]
-               for o in {cls.order for cls in classes}}
-    col = {x: j for j, x in enumerate(elts)}
-    slots = [(col[cls.members[0]], cls.order) for cls in classes]
-    return [tuple(one_hot[o][chi[j] * o // e] for j, o in slots) for chi in chars]
+    return elts, chars
+
+
+def _abelian_by_cyclic(group):
+    """(generators of A, g, |G : A|) for an abelian normal A with G/A = <gA>, or None.
+
+    An abelian G is A = G with g = 1.  Otherwise A grows from G' = <[x, s]>,
+    s a generator, by each element in (descending element order, position)
+    order that commutes with it: maximal abelian over G', so normal.  g is
+    the first element in that order with <A, g> = G.
+    """
+    table, inverse, orders = group.cayley()
+    gens = list(map(group.element_index, group.generators))
+    if len(group.conjugacy_classes()) == len(table):
+        return gens, 0, 1
+    sub, derived = frozenset([0]), []
+    ranked = sorted(range(len(table)), key=orders.__getitem__, reverse=True)
+    commutators = [table[inverse[table[s][x]]][table[x][s]] for x in ranked for s in gens]
+    # sub stays abelian, so it holds all the commutators only if G' is abelian
+    for x in commutators + ranked:
+        if x not in sub and all(table[x][y] == table[y][x] for y in derived):
+            sub = _extend(table, sub, derived, x)
+            derived.append(x)
+    if not sub.issuperset(commutators):
+        return None
+    for x in ranked:
+        if x not in sub and len(_extend(table, sub, derived, x)) == len(table):
+            return derived, x, len(table) // len(sub)
+    return None
+
+
+def _abelian_by_cyclic_rows(group, classes, e):
+    """The rows of a group with an abelian normal A and G/A cyclic, one tuple
+    per class, or None when `_abelian_by_cyclic` finds no such A.
+
+    Write G/A = <gA> of order n and each element as a * g ** k, 0 <= k < n.
+    Let lambda in Irr(A) have a <g>-orbit of size t, and T = A<g ** t> its
+    stabilizer.  lambda extends to T in n/t ways, psi(a * g ** (t k)) =
+    lambda(a) * zeta_e ** (k u) with (n/t) * u = lambda(g ** n) mod e, and
+    each chi = Ind_T^G psi is irreducible, one per orbit and extension
+    (Isaacs, Thm 6.11 and Cor 11.22).  An x = a * g ** j of order o has
+    <x>-orbits of size r = t / gcd(j, t) on G/T, one through each g ** i
+    T, i < gcd(j, t) (Mackey); on that orbit rho(x) has the r-th roots of
+    psi(g ** -i * x ** r * g ** i) = zeta_o ** b as eigenvalues, so slots
+    b/r + k * o/r, k < r, each gain 1.
+    """
+    if (found := _abelian_by_cyclic(group)) is None:
+        return None
+    (gens, g, n), (table, inverse) = found, group.cayley()[:2]
+    elts, chars = _linear_chars(table, gens, e)
+    powers = list(accumulate(range(n), lambda p, _: table[p][g], initial=0))
+    coset = {table[a][p]: (j, k) for k, p in enumerate(powers[:n]) for j, a in enumerate(elts)}
+    # one lambda per <g>-orbit; a lambda is known by its values at A's generators
+    at = [coset[x][0] for x in gens]
+    moved = [coset[table[table[g][x]][inverse[g]]][0] for x in gens]
+    where = {tuple([chi[a] for a in at]): i for i, chi in enumerate(chars)}
+    orbits = []
+    for i, chi in enumerate(chars):
+        orbit = [i]
+        while (j := where[tuple([chars[orbit[-1]][a] for a in moved])]) != i:
+            orbit.append(j)
+        if i == min(orbit):
+            orbits.append((chi, len(orbit)))
+
+    @cache
+    def roots(o, r):
+        """Per b // r, the r-th roots of zeta_o ** b = zeta_e ** E at slots b/r mod o/r."""
+        return [((0,) * q + (1,) + (0,) * (o // r - q - 1)) * r for q in range(o // r)]
+
+    @cache
+    def points(t):
+        """Per class, (j, k / t, roots, e / o * r) of each g ** -i * x ** r * g ** i =
+        elts[j] * g ** k: every class's first point, then the classes with more."""
+        out = []
+        for cls in classes:
+            x, d = cls.members[0], gcd(coset[cls.members[0]][1], t)
+            y = reduce(lambda y, _: table[y][x], range(t // d - 1), x)
+            pts = [coset[table[table[inverse[p]][y]][p]] for p in powers[:d]]
+            f, step = roots(cls.order, t // d), e // cls.order * (t // d)
+            out.append([(j, k // t, f, step) for j, k in pts])
+        return [pts[0] for pts in out], [(c, pts) for c, pts in enumerate(out) if len(pts) > 1]
+
+    rows = []
+    for chi, t in orbits:
+        first, more = points(t)
+        for u in range(chi[coset[powers[n]][0]] // (n // t), e, e // (n // t)):
+            row = [f[(chi[j] + k * u) % e // step] for j, k, f, step in first]
+            for c, pts in more:
+                hist = [0] * len(pts[0][2])
+                for j, k, f, step in pts:
+                    hist[(chi[j] + k * u) % e // step] += 1
+                row[c] = tuple(hist) * (len(f[0]) // len(hist))  # r copies
+            rows.append(tuple(row))
+    return rows
 
 
 def _dixon_schneider(group, classes, power_maps, inverse_map):
@@ -623,19 +723,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         rows = tuple([powers[-j * s % o] for j in range(o)] for s in range(o))
         inversion[o] = (rows, pow(o, l - 2, l))
     cycles = [[power_maps[j][c] for j in range(cls.order)] for c, cls in enumerate(classes)]
-    # a class reached from an earlier one by a power j prime to the element
-    # order needs no inversion: the eigenvalues of g ** j are those of g,
-    # raised to the j, so m(g ** j)[s] = m(g)[s / j]
-    galois = [None] * k
-    for c0, cycle in enumerate(cycles):
-        o = len(cycle)
-        for j in range(2, o):
-            c = cycle[j]
-            if galois[c0] is None and c > c0 and galois[c] is None and gcd(j, o) == 1:
-                galois[c] = (c0, pow(j, -1, o))
-
     inv_mod = {x: pow(x, l - 2, l) for x in set(sizes)}
-    shared = {}  # one tuple object per distinct vector
     rows_out = []
     for (w,) in spaces:
         if w[0] == 0:
@@ -653,21 +741,13 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         if degree is None:
             raise CharTableError("no integer degree matches modulo l")
         # character values mod l, then the exact multiplicities m_s of the
-        # eigenvalues zeta_o ** s at each class
+        # eigenvalues zeta_o ** s at each class, which `_verify` checks
         chi_mod = [degree * w[c] * inv_mod[sizes[c]] % l for c in range(k)]
         row = []
-        for cycle, source in zip(cycles, galois):
-            o = len(cycle)
-            if source is not None:
-                c0, j_inv = source
-                m = tuple(row[c0][s * j_inv % o] for s in range(o))
-            else:
-                dft, inv_o = inversion[o]
-                along = [chi_mod[c] for c in cycle]
-                m = tuple(sum(map(mul, along, f)) * inv_o % l for f in dft)
-                if max(m) > degree or sum(m) != degree:
-                    raise CharTableError("eigenvalue multiplicities do not sum to the degree")
-            row.append(shared.setdefault(m, m))
+        for cycle in cycles:
+            dft, inv_o = inversion[len(cycle)]
+            m = tuple(sum(map(mul, [chi_mod[c] for c in cycle], f)) * inv_o % l for f in dft)
+            row.append(m)
         rows_out.append(tuple(row))
     return rows_out
 

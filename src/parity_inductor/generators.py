@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import mul
 
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, _restriction, determinant, irreducible_char
+from .genchar import GenChar, _det_exponents, _restriction, irreducible_char
 from .group import PermGroup, per_group
 from .intlinalg import hnf
 from .lattice import subgroup_lattice
@@ -155,28 +155,29 @@ def _subquotient_generators(kind, id_format, dq, taus, cores):
 
 
 def _degree2_characters(table: CharacterTable, rows):
-    """All degree-2 characters of H/N, on H's table, in canonical order."""
+    """All degree-2 characters of H/N on H's table, canonically ordered, and their det exponents."""
     linear = [i for i in rows if table.degrees[i] == 1]
+    d, e = table.det_exponents, table.exponent
     out = []
     for pos, a in enumerate(linear):
         for b in linear[pos:]:
             coeffs = [0] * table.class_count()
             coeffs[a] += 1
             coeffs[b] += 1
-            out.append(GenChar(table, coeffs))
-    out.extend(irreducible_char(table, i) for i in rows if table.degrees[i] == 2)
+            out.append((GenChar(table, coeffs), tuple([(x + y) % e for x, y in zip(d[a], d[b])])))
+    out.extend((irreducible_char(table, i), d[i]) for i in rows if table.degrees[i] == 2)
     return out
 
 
 def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
     table, rows, _ = _subquotient_rows(dq)
-    taus = _degree2_characters(table, rows)
-    cores = []
-    for tau in taus:
+    taus, cores = [], []
+    for tau, det in _degree2_characters(table, rows):
         core = list(tau.coeffs)
         core[0] -= 1
-        core[determinant(tau).row] -= 1
+        core[table.linear_row_of[det]] -= 1
+        taus.append(tau)
         cores.append(core)
     return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, taus, cores)
 
@@ -259,12 +260,10 @@ def _real_zero_lattice_basis(table: CharacterTable, rows, over):
     det}, on H's table: H/N's irreducibles are ``rows``, and ``over`` holds
     one class of H over each class of H/N."""
     k = len(rows)
-    det_bits = []
-    for i in rows:
-        delta = determinant(irreducible_char(table, i))
-        if not (delta * delta).is_trivial():
-            raise GeneratorError("tagged quotient with determinant of order > 2")
-        det_bits.append([1 if delta.exponents[c] else 0 for c in over])
+    dets = [table.det_exponents[i] for i in rows]
+    if any(2 * x % table.exponent for det in dets for x in det):
+        raise GeneratorError("tagged quotient with determinant of order > 2")
+    det_bits = [[1 if det[c] else 0 for c in over] for det in dets]
     nvars = 2 * k
     columns = [[table.degrees[i] for i in rows] + [0] * k]
     position = {row: i for i, row in enumerate(rows)}

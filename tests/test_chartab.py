@@ -11,6 +11,7 @@ from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import (
     CharacterTable,
     CharTableError,
+    _abelian_by_cyclic_rows,
     _dixon_schneider,
     character_table,
     quotient_rows,
@@ -25,6 +26,7 @@ from parity_inductor.genchar import (
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.perm import format_perm
+from parity_inductor.spanreport import span_report
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
@@ -536,16 +538,16 @@ def test_d256_table_exact_gram():
             assert t._gram(row_terms[i], row_terms[j]) == want, (i, j)
 
 
-# The closed form for abelian groups against Dixon-Schneider, which builds
-# every other table and is the reference here: the same rows in the same
-# order, and the same rendering, determinants and conjugation.
+# The closed form for abelian-by-cyclic groups, abelian ones included,
+# against Dixon-Schneider, which builds every other table and is the
+# reference here: the same rows in the same order, and the same rendering,
+# determinants and conjugation.
 
 
 def _dixon_schneider_table(G):
     """G's table assembled from Dixon-Schneider's rows instead of the closed form."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chartab, "_abelian_rows", lambda group, classes, e: _dixon_schneider(
-            group, classes, *chartab._power_maps(group, classes, e)))
+        mp.setattr(chartab, "_abelian_by_cyclic_rows", lambda group, classes, e: None)
         return CharacterTable(G)
 
 
@@ -587,6 +589,58 @@ def test_abelian_closed_form_matches_dixon_schneider_large(spec):
     _check_abelian_against_dixon_schneider(parse_group_spec(spec))
 
 
+def _check_closed_form_against_dixon_schneider(G):
+    """Whether G's table takes the closed form; if so, its rows sorted are
+    Dixon-Schneider's rows sorted, and the table is Dixon-Schneider's."""
+    t = CharacterTable(G)
+    rows = _abelian_by_cyclic_rows(G, t.classes, t.exponent)
+    if rows is None:
+        return False
+    reference = _dixon_schneider(G, t.classes, t.power_maps, t.inverse_map)
+    rows.sort(key=lambda row: row_key(row, t.exponent))
+    reference.sort(key=lambda row: row_key(row, t.exponent))
+    assert rows == reference
+    ref = _dixon_schneider_table(G)
+    assert t.vectors == ref.vectors == tuple(reference)
+    assert t.formatted_rows() == ref.formatted_rows()
+    assert t.det_exponents == ref.det_exponents
+    assert t.conj_rows == ref.conj_rows
+    return True
+
+
+def test_abelian_by_cyclic_closed_form_matches_dixon_schneider_on_catalog():
+    closed, fallback = 0, []
+    for entry in load_bundled_catalog():
+        for rec in subgroup_lattice(entry.group).records:
+            H = rec.as_group()
+            if len(H.conjugacy_classes()) < H.order():
+                if _check_closed_form_against_dixon_schneider(H):
+                    closed += 1
+                else:
+                    fallback.append((entry.name, H.order()))
+    # 79 of the 372 subgroup classes are non-abelian; only those with a
+    # non-abelian G' or no cyclic G/A over a maximal abelian A >= G' fall back
+    assert closed == 73, closed
+    assert sorted(fallback) == [
+        ("A5", 60), ("S4", 24), ("S5", 24), ("S5", 60), ("S5", 120), ("SL(2,3)", 24)
+    ]
+    # in every catalog group the <g>-orbits on Irr(A) have size 1 or |G : A|;
+    # these have a lambda whose stabilizer T lies strictly between A and G,
+    # and C15:C8 has g ** |G : A| != 1
+    for spec in [
+        "(1 2 3), (4 5 6 7 8), (2 3)(5 6 8 7)",  # C15:C4, |G : A| = 4
+        "(1 2 3), (4 5 6 7 8 9 10), (2 3)(5 7 6 10 8 9)",  # C21:C6, |G : A| = 6
+        "(1 2 3), (4 5 6 7 8), (2 3)(5 6 8 7)(9 10 11 12 13 14 15 16)",  # C15:C8
+    ]:
+        assert _check_closed_form_against_dixon_schneider(parse_group_spec(spec))
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("spec", ["D128", "D256"])
+def test_abelian_by_cyclic_closed_form_matches_dixon_schneider_large(spec):
+    assert _check_closed_form_against_dixon_schneider(parse_group_spec(spec))
+
+
 def test_only_non_abelian_tables_take_dixon_schneider(monkeypatch):
     calls = []
     real = chartab._dixon_schneider
@@ -602,10 +656,30 @@ def test_only_non_abelian_tables_take_dixon_schneider(monkeypatch):
         G = entry.group
         calls.clear()
         character_table(G)
-        # is_abelian() multiplies the generators: independent of the class count
-        assert calls == ([] if G.is_abelian() else [G]), entry.name
+        # the closed form covers every abelian-by-cyclic group: only groups
+        # with no abelian normal A and cyclic G/A take Dixon-Schneider
+        fallback = entry.name in ("S4", "A5", "S5", "SL(2,3)")
+        assert calls == ([G] if fallback else []), entry.name
+        assert not (fallback and G.is_abelian()), entry.name
         abelian += G.is_abelian()
     assert 30 < abelian < len(catalog)
+
+
+def test_a_cold_catalog_verify_makes_six_dixon_schneider_calls(monkeypatch):
+    # fresh catalog groups, so nothing is cached: the `verify` defaults
+    orders = []
+    real = chartab._dixon_schneider
+
+    def counted(group, *args):
+        orders.append(group.order())
+        return real(group, *args)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", counted)
+    for entry in load_bundled_catalog():
+        assert span_report(entry.group, "thm12", name=entry.name, samples=20, seed=0).all_certified
+    # A5, S5, SL(2,3), S4 twice (the group and its record as its own
+    # subgroup) and the S4 inside S5: 94 calls before the closed form
+    assert sorted(orders) == [24, 24, 24, 24, 60, 120]
 
 
 def _duplicate_row(rows):
@@ -622,14 +696,14 @@ def _wrong_value(rows):
 @pytest.mark.parametrize("spec", ["C6", "(1 2), (3 4)"], ids=["C6", "C2xC2"])
 @pytest.mark.parametrize("fault", [_duplicate_row, _wrong_value], ids=["duplicate", "value"])
 def test_table_checks_refuse_a_faulty_closed_form(spec, fault, monkeypatch):
-    real = chartab._abelian_rows
+    real = chartab._abelian_by_cyclic_rows
 
     def faulty(group, classes, e):
         rows = real(group, classes, e)
         fault(rows)
         return rows
 
-    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
     with pytest.raises(CharTableError):
         CharacterTable(parse_group_spec(spec))
 
@@ -694,14 +768,14 @@ def _two_terms(rows):
 )
 @pytest.mark.parametrize("fault", [_flip, _two_terms], ids=["flip", "two-terms"])
 def test_gram_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
-    real = chartab._abelian_rows
+    real = chartab._abelian_by_cyclic_rows
 
     def faulty(group, classes, e):
         rows = real(group, classes, e)
         fault(rows)
         return rows
 
-    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
     with pytest.raises(CharTableError, match="orthogonality|not rational"):
         CharacterTable(parse_group_spec(spec))
 
@@ -728,16 +802,39 @@ def _negative(rows):
     "spec,fault", [("(1 2), (3 4)", _one_two), ("C6", _negative)], ids=["one-two", "negative"]
 )
 def test_multiplicity_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
-    real = chartab._abelian_rows
+    real = chartab._abelian_by_cyclic_rows
 
     def faulty(group, classes, e):
         rows = real(group, classes, e)
         fault(rows)
         return rows
 
-    monkeypatch.setattr(chartab, "_abelian_rows", faulty)
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
     with pytest.raises(CharTableError, match="multiplicity vector"):
         CharacterTable(parse_group_spec(spec))
+
+
+def _swap_eigenvalues(rows):
+    """A degree-2 row's (0, 1, 0, 1) at the 4-cycle's class, eigenvalues i and
+    -i, becomes (1, 0, 1, 0), eigenvalues 1 and -1: the value stays 0, so the
+    Gram sums, the degree and the conjugate rows hold, but its square is no
+    longer the row's (0, 2) at the central involution's class."""
+    i = next(i for i, row in enumerate(rows) if row[0] == (2,))
+    c = rows[i].index((0, 1, 0, 1))
+    rows[i] = rows[i][:c] + ((1, 0, 1, 0),) + rows[i][c + 1:]
+
+
+def test_power_map_check_refuses_moved_eigenvalues(monkeypatch):
+    real = chartab._abelian_by_cyclic_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        _swap_eigenvalues(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
+    with pytest.raises(CharTableError, match="2-power map"):
+        CharacterTable(parse_group_spec("D8"))
 
 
 # The value index against the per-(row, class) reference it replaced: the

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from parity_inductor import genchar
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.genchar import (
@@ -272,6 +273,21 @@ def test_subquotient_taus_live_on_h_with_n_in_their_kernel():
             if g.kind == "type2":
                 core = g.tau - trivial_char(g.tau.table) - determinant(g.tau).genchar
             assert induce(g.h_record, core) == g.expansion, where
+
+
+def test_families_read_determinants_off_the_table(monkeypatch):
+    # det tau is the linear row at the sum of chi_a's and chi_b's determinant
+    # exponents, or at a degree-2 row's own; a tagged quotient's rows have
+    # theirs in det_exponents: neither family calls determinant
+    def refused(tau):
+        raise AssertionError("determinant called while building a family")
+
+    monkeypatch.setattr(genchar, "determinant", refused)
+    kinds = {}
+    for entry in load_bundled_catalog():
+        for g in list(theorem_family(entry.group)) + list(cor29_family(entry.group)):
+            kinds[g.kind] = kinds.get(g.kind, 0) + 1
+    assert kinds["type2"] > 100 and kinds["tagged"] > 10, kinds
 
 
 def test_families_build_tables_of_g_and_its_subgroups_only(monkeypatch):
