@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-from .group import PermGroup, order_text
+from .group import CayleyBoundError, PermGroup, order_text
 from .groupspec import GroupSpecError, group_from_cycles, parse_group_spec
 
 
@@ -54,7 +54,8 @@ def _entry_from_record(record: dict, line_number: int) -> CatalogEntry:
             if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
                 fail("\"generators\" must be a list of cycle strings")
             group = group_from_cycles(gens)
-    except GroupSpecError as exc:
+            group.order()  # lists the elements: refuses a group past the Cayley bound
+    except (GroupSpecError, CayleyBoundError) as exc:
         fail(str(exc))
     declared = record.get("order")
     if "order" in record and type(declared) is not int:

@@ -66,24 +66,24 @@ def _resolve_subgroup(G, text: str):
         except GroupSpecError as exc:
             raise CliError(str(exc)) from None
         try:
-            return lattice.records[
-                lattice.class_of_set(G.element_index(k) for k in K.elements())
-            ]
+            # a K with more elements than G is no subgroup, and is not listed
+            if not K.order_above(G.order()):
+                return lattice.records[
+                    lattice.class_of_set(G.element_index(k) for k in K.elements())
+                ]
         except KeyError:
-            raise CliError(
-                "%r does not generate a subgroup of the group" % _shorten_numbers(text)
-            ) from None
+            pass
+        raise CliError("%r does not generate a subgroup of the group" % _shorten_numbers(text))
     else:
         try:
             K = parse_group_spec(text)
         except GroupSpecError as exc:
             raise CliError(str(exc)) from None
-        signature = _iso_signature(K)
-        matches = [
-            r
-            for r in lattice.records
-            if r.order == K.order() and _iso_signature(r.as_group()) == signature
-        ]
+        # orders first: K's own classes are built only when some record matches
+        matches = [r for r in lattice.records if r.order == K.order()]
+        if matches:
+            signature = _iso_signature(K)
+            matches = [r for r in matches if _iso_signature(r.as_group()) == signature]
     if len(matches) == 1:
         return matches[0]
     if not matches:

@@ -1,13 +1,14 @@
-"""Finite permutation groups: stabilizer chain, elements, conjugacy classes."""
+"""Finite permutation groups: elements, Cayley tables, conjugacy classes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
-from .perm import Perm, identity
+from .perm import Perm
 
 # A Cayley table holds order ** 2 positions, about 8 bytes each in CPython
 # 3.11: `chartab S7` (order 5,040) peaks at 213 MB, so this bound keeps a
@@ -49,8 +50,9 @@ _MISSING = object()
 def per_group(build):
     """Memoise ``build(G, *args)`` in ``G._cache`` under ``build.__name__``, or
     ``(build.__name__, *args)`` with arguments: the one way into a group's cache.
-    A group built with a known ``order`` is seeded with it, and `table_group`
-    seeds ``elements`` and ``cayley`` too, under those names.
+    A group built with a known ``order`` is seeded with it, `table_group`
+    seeds ``elements`` and ``cayley`` too, and `PermGroup.order_above` seeds
+    ``elements`` and ``order`` from a listing that completes.
     """
     name = build.__name__
 
@@ -89,109 +91,32 @@ class PermGroup:
         self.generators = tuple(gens)
         self._cache = {} if order is None else {"order": order}
 
-    # ------------------------------------------------------------------ chain
+    # --------------------------------------------------------------- elements
 
-    @per_group
-    def _chain(self):
-        """Deterministic stabilizer chain: list of (point, gens, transversal)."""
-        levels = []
-
-        def first_moved(g):
-            for i, j in enumerate(g.images):
-                if i != j:
-                    return i
-            raise AssertionError("identity has no moved point")
-
-        def insert(g):
-            """Record g as a strong generator; returns its fixed-prefix depth."""
-            j = 0
-            while True:
-                if j == len(levels):
-                    levels.append({"point": first_moved(g), "gens": [], "trans": None})
-                    break
-                if g.images[levels[j]["point"]] == levels[j]["point"]:
-                    j += 1
-                else:
-                    break
-            for lvl in range(j + 1):
-                levels[lvl]["gens"].append(g)
-                levels[lvl]["trans"] = None
-            return j
-
-        def orbit(level):
-            if level["trans"] is not None:
-                return level["trans"]
-            b = level["point"]
-            trans = {b: identity(self.degree)}
-            frontier = [b]
-            while frontier:
-                new = []
-                for p in frontier:
-                    u = trans[p]
-                    for s in level["gens"]:
-                        q = s.images[p]
-                        if q not in trans:
-                            trans[q] = u * s
-                            new.append(q)
-                frontier = new
-            level["trans"] = trans
-            return trans
-
-        def strip(g, start):
-            for idx in range(start, len(levels)):
-                lv = levels[idx]
-                q = g.images[lv["point"]]
-                u = orbit(lv).get(q)
-                if u is None:
-                    return g
-                g = g * u.inverse()
-            return g
-
-        for g in self.generators:
-            insert(g)
-
-        i = len(levels) - 1
-        while i >= 0:
-            trans = orbit(levels[i])
-            new_depth = None
-            for p in sorted(trans):
-                u_p = trans[p]
-                for s in levels[i]["gens"]:
-                    q = s.images[p]
-                    schreier = u_p * s * trans[q].inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue = strip(schreier, i + 1)
-                    if residue.is_identity():
-                        continue
-                    new_depth = insert(residue)
-                    break
-                if new_depth is not None:
-                    break
-            if new_depth is None:
-                i -= 1
-            else:
-                i = new_depth
-        return levels
+    def order_above(self, bound: int) -> bool:
+        """Whether |G| > bound.  A known order answers at once; otherwise at
+        most min(bound, MAX_CAYLEY_ORDER) + 1 elements are listed, and a
+        listing that completes becomes the group's elements and order."""
+        if "order" not in self._cache:
+            listed = _closure(self, min(bound, MAX_CAYLEY_ORDER))
+            if listed is None and bound < MAX_CAYLEY_ORDER:
+                return True
+            if listed is None:
+                raise CayleyBoundError("group order more than %d exceeds the Cayley-table bound %d"
+                                       % (MAX_CAYLEY_ORDER, MAX_CAYLEY_ORDER))
+            self._cache.update(elements=listed, order=len(listed))
+        return self._cache["order"] > bound
 
     @per_group
     def order(self) -> int:
-        n = 1
-        for lv in self._chain():
-            n *= len(lv["trans"])
-        return n
-
-    # --------------------------------------------------------------- elements
+        """The order the group was built with, or else its number of elements."""
+        return len(self.elements())
 
     @per_group
     def elements(self):
         """All elements, sorted; the identity is first."""
-        elts = [identity(self.degree)]
-        for lv in reversed(self._chain()):
-            trans = [lv["trans"][p] for p in sorted(lv["trans"])]
-            elts = [h * u for h in elts for u in trans]
-        elts.sort()
-        return tuple(elts)
+        refuse_order_above(self, MAX_CAYLEY_ORDER, CayleyBoundError, "Cayley-table")
+        return self._cache.get("elements") or _closure(self, MAX_CAYLEY_ORDER)
 
     @per_group
     def _index(self):
@@ -207,11 +132,7 @@ class PermGroup:
     @per_group
     def cayley(self) -> Cayley:
         """Integer Cayley table, inverses and element orders, built once."""
-        if self.order() > MAX_CAYLEY_ORDER:
-            raise CayleyBoundError(
-                "group order %s exceeds the Cayley-table bound %d"
-                % (order_text(self.order()), MAX_CAYLEY_ORDER)
-            )
+        refuse_order_above(self, MAX_CAYLEY_ORDER, CayleyBoundError, "Cayley-table")
         elts = self.elements()
         index = self._index()
         # left multiplication by each generator, on positions
@@ -239,7 +160,6 @@ class PermGroup:
     @per_group
     def conjugacy_classes(self):
         """Conjugacy classes ordered by (element order, size, minimal rep)."""
-        # the table first: it refuses a group too large before any element is listed
         table, inverse, orders = self.cayley()
         elts = self.elements()
         gens = [self.element_index(g) for g in self.generators]
@@ -299,7 +219,37 @@ class PermGroup:
         return any(c.order == self.order() for c in self.conjugacy_classes())
 
     def __repr__(self):
-        return "PermGroup(degree=%d, order=%s)" % (self.degree, order_text(self.order()))
+        known = self._cache.get("order")  # never listed here: a repr must not raise
+        return "PermGroup(degree=%d, order=%s)" % (self.degree, known and order_text(known))
+
+
+def _closure(G: PermGroup, limit: int):
+    """G's sorted elements, or None as soon as more than ``limit`` are found:
+    a breadth-first closure over the generators, on image tuples."""
+    seen = {tuple(range(G.degree))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            # x * g; a group with generators has degree 2 or more, so a tuple
+            take = itemgetter(*x)
+            for g in G.generators:
+                y = take(g.images)
+                if y not in seen:
+                    if len(seen) == limit:
+                        return None
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(map(Perm, sorted(seen)))
+
+
+def refuse_order_above(G: PermGroup, bound: int, error, what: str) -> None:
+    """Raise ``error`` if |G| > bound, naming the order when it is known."""
+    if G.order_above(bound):
+        known = G._cache.get("order")
+        size = "more than %d" % bound if known is None else order_text(known)
+        raise error("group order %s exceeds the %s bound %d" % (size, what, bound))
 
 
 def _cayley_of(rows, elements) -> Cayley:
@@ -310,8 +260,8 @@ def _cayley_of(rows, elements) -> Cayley:
 
 def table_group(generators, degree: int, elements, rows) -> PermGroup:
     """The sorted ``elements`` as a group multiplying as ``rows`` says, with no
-    stabilizer chain and no `Perm` product: how subgroups and quotient images
-    are read off their parent's Cayley table.
+    `Perm` product: how subgroups and quotient images are read off their
+    parent's Cayley table.
     """
     elements = tuple(elements)
     G = PermGroup(generators, degree=degree, order=len(elements))

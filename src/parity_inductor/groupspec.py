@@ -24,7 +24,7 @@ def parse_group_spec(text: str) -> PermGroup:
     m = _FAMILY_RE.match(text)
     if m:
         _refuse_long_numbers(text, "number")
-        # the token states the order, so bounds on it need no stabilizer chain
+        # the token states the order, so bounds on it list no element
         return group_from_cycles(*_family(m.group(1), int(m.group(2)), m.group(3)))
     if text[0] != "(":
         raise GroupSpecError("unknown family name: %r" % _shorten_numbers(text))

@@ -7,7 +7,7 @@ from collections import deque
 from functools import cached_property
 from math import gcd
 
-from .group import PermGroup, order_text, per_group, table_group
+from .group import PermGroup, per_group, refuse_order_above, table_group
 
 DEFAULT_MAX_ORDER = 512
 MAX_SUBGROUPS = 2**15  # C2^7 has 29,212 subgroups, C2^8 has 417,199
@@ -53,7 +53,10 @@ class SubgroupRecord:
         return frozenset([elts[a] for a in self.positions])
 
     def as_group(self) -> PermGroup:
-        """The subgroup as a group, its Cayley table sliced from the parent's."""
+        """The subgroup as a group, its Cayley table sliced from the parent's;
+        the parent itself when the subgroup is all of it."""
+        if self._group is None and self.order == self.parent.order():
+            self._group = self.parent
         if self._group is None:
             table, elts, own = self.parent.cayley().table, self.parent.elements(), self._sorted
             at = {a: i for i, a in enumerate(own)}
@@ -188,11 +191,7 @@ class SubgroupLattice:
     """
 
     def __init__(self, G: PermGroup):
-        if G.order() > DEFAULT_MAX_ORDER:
-            raise LatticeBoundError(
-                "group order %s exceeds the subgroup-enumeration bound %d"
-                % (order_text(G.order()), DEFAULT_MAX_ORDER)
-            )
+        refuse_order_above(G, DEFAULT_MAX_ORDER, LatticeBoundError, "subgroup-enumeration")
         self.group = G
         table, inverse, orders = G.cayley()
         # conjugation x -> g^-1 * x * g by each generator g, on positions

@@ -60,10 +60,15 @@ def test_malformed_line_reports_line_number(tmp_path):
 
 def test_order_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"name": "C6", "spec": "C6", "order": 7}) + "\n")
-    with pytest.raises(CatalogError) as err:
-        load_catalog(str(path))
-    assert "line 1" in str(err.value) and "order" in str(err.value)
+    for record, text in [
+        ({"name": "C6", "spec": "C6", "order": 7}, "declared order 7 but computed 6 for C6"),
+        ({"name": "S3", "generators": ["(1 2)", "(1 2 3)"], "order": 5},
+         "declared order 5 but computed 6 for S3"),
+    ]:
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CatalogError) as err:
+            load_catalog(str(path))
+        assert str(err.value) == "line 1: " + text
 
 
 @pytest.mark.parametrize(
@@ -101,6 +106,17 @@ def test_generators_above_the_degree_bound_rejected(tmp_path):
     with pytest.raises(CatalogError) as err:
         load_catalog(str(path))
     assert str(err.value) == "line 2: degree 10000000 exceeds the bound of 8192 points"
+
+
+def test_generators_above_the_cayley_bound_rejected_naming_the_line(tmp_path):
+    # no command can serve such a group, so the catalog refuses it on loading,
+    # after listing one element past the bound
+    path = tmp_path / "big.jsonl"
+    records = [{"name": "C2", "spec": "C2"}, {"name": "S8", "generators": ["(1 2)", "(1 2 3 4 5 6 7 8)"]}]
+    path.write_text(render_catalog(records))
+    with pytest.raises(CatalogError) as err:
+        load_catalog(str(path))
+    assert str(err.value) == "line 2: group order more than 8192 exceeds the Cayley-table bound 8192"
 
 
 def test_integers_too_long_for_int_rejected_naming_the_line(tmp_path):

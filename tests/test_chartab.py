@@ -665,7 +665,7 @@ def test_only_non_abelian_tables_take_dixon_schneider(monkeypatch):
     assert 30 < abelian < len(catalog)
 
 
-def test_a_cold_catalog_verify_makes_six_dixon_schneider_calls(monkeypatch):
+def test_a_cold_catalog_verify_makes_five_dixon_schneider_calls(monkeypatch):
     # fresh catalog groups, so nothing is cached: the `verify` defaults
     orders = []
     real = chartab._dixon_schneider
@@ -677,9 +677,9 @@ def test_a_cold_catalog_verify_makes_six_dixon_schneider_calls(monkeypatch):
     monkeypatch.setattr(chartab, "_dixon_schneider", counted)
     for entry in load_bundled_catalog():
         assert span_report(entry.group, "thm12", name=entry.name, samples=20, seed=0).all_certified
-    # A5, S5, SL(2,3), S4 twice (the group and its record as its own
-    # subgroup) and the S4 inside S5: 94 calls before the closed form
-    assert sorted(orders) == [24, 24, 24, 24, 60, 120]
+    # A5, S5, SL(2,3), S4 and the S4 inside S5: 94 calls before the closed
+    # form, and S4's record as its own subgroup is S4 itself
+    assert sorted(orders) == [24, 24, 24, 60, 120]
 
 
 def _duplicate_row(rows):

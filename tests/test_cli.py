@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from _catalog_records import render_catalog
 
+from parity_inductor import group
 from parity_inductor.cli import main
 from parity_inductor.generators import family_for
 from parity_inductor.group import PermGroup
@@ -203,40 +204,83 @@ def test_json_integers_too_long_for_int_exit_2(tmp_path):
 
 @pytest.mark.parametrize("spec", ["C4000", "C8000", "D8000", "S2000"])
 def test_family_token_above_the_lattice_bound_exits_2_fast(monkeypatch, spec):
-    # the token gives the order, so the bound needs no stabilizer chain
-    def unreachable(G):
-        raise AssertionError("a stabilizer chain of degree %d was built" % G.degree)
+    # the token gives the order, so the bound lists no element
+    def unreachable(G, limit):
+        raise AssertionError("elements of a group of degree %d were listed" % G.degree)
 
-    monkeypatch.setattr(PermGroup, "_chain", unreachable)
+    monkeypatch.setattr(group, "_closure", unreachable)
     started = time.perf_counter()
     code, out, err = run_cli("group-info", spec)
     assert time.perf_counter() - started < 1
     assert code == 2 and out == "" and "exceeds the subgroup-enumeration bound 512" in err
 
 
-@pytest.mark.parametrize("spec", ["A4000", "A8000"])
-def test_alternating_token_above_the_cayley_bound_is_refused_small_and_fast(spec):
-    # its n - 2 three-cycles of degree n once took A4000 3 s and 598 MB; a
-    # fresh parent process reads its one child's CPU time and peak RSS
+def _refused_small_and_fast(argv, message):
+    """Run the CLI on argv in a fresh process, whose parent reads its one
+    child's CPU time and peak RSS: it must exit 2 with this message in under
+    0.5 s of CPU and 100 MB."""
     probe = (
         "import json, resource, subprocess, sys\n"
-        "proc = subprocess.run([sys.executable, '-m', 'parity_inductor.cli', 'group-info', %r],"
+        "proc = subprocess.run([sys.executable, '-m', 'parity_inductor.cli', *%r],"
         " capture_output=True, text=True)\n"
         "use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
         "print(json.dumps([proc.returncode, proc.stdout, proc.stderr,"
-        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % spec
+        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % (argv,)
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     code, out, err, cpu_s, peak_kb = json.loads(proc.stdout)
-    digits = {"A4000": 12673, "A8000": 27752}[spec]
-    assert (code, out) == (2, "")
-    assert err == "error: group order about 10^%d exceeds the subgroup-enumeration bound 512\n" % digits
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert cpu_s < 0.5 and peak_kb < 100 * 1024, (cpu_s, peak_kb)
+
+
+@pytest.mark.parametrize("spec", ["A4000", "A8000"])
+def test_alternating_token_above_the_cayley_bound_is_refused_small_and_fast(spec):
+    # its n - 2 three-cycles of degree n once took A4000 3 s and 598 MB
+    digits = {"A4000": 12673, "A8000": 27752}[spec]
+    message = "group order about 10^%d exceeds the subgroup-enumeration bound 512" % digits
+    _refused_small_and_fast(["group-info", spec], message)
+
+
+CYCLE_4000 = "(%s)" % " ".join(map(str, range(1, 4001)))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group-info", CYCLE_4000],
+         "group order more than 512 exceeds the subgroup-enumeration bound 512"),
+        (["decompose", "C12", "--subgroup", "(1 2),(1 2 3 4 5 6 7 8 9 10)"],
+         "'(1 2),(1 2 3 4 5 6 7 8 9 10)' does not generate a subgroup of the group"),
+        (["decompose", "C12", "--subgroup", "(1 2),(1 2 3 4 5 6 7 8 9 10 11 12)"],
+         "'(1 2),(1 2 3 4 5 6 7 8 9 10 11 12)' does not generate a subgroup of the group"),
+        (["decompose", "C4", "--subgroup", "S7"], "no subgroup class matches 'S7'"),
+    ],
+    ids=["cycle-4000", "subgroup-S10", "subgroup-S12", "subgroup-token-S7"],
+)
+def test_oversize_group_or_subgroup_is_refused_small_and_fast(argv, message):
+    # a group written as cycles is listed to one element past the bound at
+    # hand (512, or |G| for a subgroup); a token's table is built only once
+    # its order matches a subgroup class
+    _refused_small_and_fast(argv, message)
+
+
+@pytest.mark.parametrize("token", ["S7", "S8"])
+def test_subgroup_token_of_no_record_order_builds_no_table(monkeypatch, token):
+    # K's order matches no record of C4, so K's classes are never needed
+    cayley = PermGroup.cayley
+
+    def only_c4(G):
+        assert G.order() <= 4, "a Cayley table of order %d was built" % G.order()
+        return cayley(G)
+
+    monkeypatch.setattr(PermGroup, "cayley", only_c4)
+    code, out, err = run_cli("decompose", "C4", "--subgroup", token)
+    assert (code, out, err) == (2, "", "error: no subgroup class matches '%s'\n" % token)
 
 
 def test_order_too_long_for_str_is_refused_by_size(monkeypatch):
     # S2000 has order 2000!, 5,736 digits: more than str() prints
-    monkeypatch.setattr(PermGroup, "_chain", lambda G: pytest.fail("a stabilizer chain was built"))
+    monkeypatch.setattr(group, "_closure", lambda G, limit: pytest.fail("elements were listed"))
     code, out, err = run_cli("chartab", "S2000")
     assert (code, out) == (2, "")
     assert err == "error: group order about 10^5735 exceeds the Cayley-table bound 8192\n"

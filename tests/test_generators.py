@@ -308,5 +308,6 @@ def test_families_build_tables_of_g_and_its_subgroups_only(monkeypatch):
                 records = list(records.values())
             built.clear()
             family(G)
-            expected = [G] + [rec.as_group() for rec in records]
-            assert sorted(map(id, built)) == sorted(map(id, expected)), (spec, family)
+            # the record of G itself is G, whose table is built once
+            expected = {id(G)} | {id(rec.as_group()) for rec in records}
+            assert sorted(map(id, built)) == sorted(expected), (spec, family)

@@ -4,8 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from _group_reference import chain_elements, chain_order, family_tokens
 
 import parity_inductor
+from parity_inductor import group
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import character_table
 from parity_inductor.decompose import decompose_structural
 from parity_inductor.genchar import perm_char, rho_H
@@ -18,7 +21,7 @@ from parity_inductor.group import (
     per_group,
 )
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
-from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.lattice import LatticeBoundError, subgroup_lattice
 from parity_inductor.membership import solomon_coefficients
 from parity_inductor.perm import Perm, identity, parse_perm
 from parity_inductor.spanreport import span_report
@@ -48,6 +51,58 @@ def test_order_matches_bfs_closure():
         G = parse_group_spec(spec)
         assert G.order() == len(bfs_closure(G.generators, G.degree)), spec
         assert len(G.elements()) == G.order(), spec
+
+
+def _closure_matches_chain(G):
+    """The closure of G's generators, with no order given, against the chain."""
+    gens, degree = G.generators, G.degree
+    order = chain_order(gens, degree)
+    fresh = PermGroup(gens, degree=degree)
+    if order > MAX_CAYLEY_ORDER:
+        with pytest.raises(CayleyBoundError, match="^group order more than 8192 exceeds the Cayley-table bound 8192$"):
+            fresh.elements()
+        return
+    assert fresh.elements() == chain_elements(gens, degree) == G.elements()
+    assert fresh.order() == order == G.order()
+    assert PermGroup(gens, degree=degree).order_above(order - 1)
+    assert not PermGroup(gens, degree=degree).order_above(order)
+
+
+def test_closure_matches_reference_chain():
+    groups = [entry.group for entry in load_bundled_catalog()]
+    groups += [parse_group_spec(token) for token in family_tokens(12)]
+    assert len(groups) == 61 + 56
+    for G in groups:
+        _closure_matches_chain(G)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("spec", ["D128", "D256", "S7"])
+def test_closure_matches_reference_chain_large(spec):
+    _closure_matches_chain(parse_group_spec(spec))
+
+
+def test_closure_stops_one_element_past_its_limit():
+    for spec in ["C1", "C6", "S4", "(1 2 3 4 5 6 7 8 9 10)", "(1 2),(1 2 3 4 5 6 7 8 9)"]:
+        G = parse_group_spec(spec)
+        n = chain_order(G.generators, G.degree)
+        for limit in {1, min(n // 2, 512), min(n - 1, MAX_CAYLEY_ORDER)} - {0, n}:
+            assert group._closure(G, limit) is None, (spec, limit)
+        if n <= MAX_CAYLEY_ORDER:
+            assert group._closure(G, n) == G.elements()
+
+
+def test_an_unlisted_order_is_refused_as_more_than_the_bound():
+    G = parse_group_spec("(1 2),(1 2 3 4 5 6 7)")
+    assert repr(G) == "PermGroup(degree=7, order=None)"
+    assert G.order_above(512) and repr(G) == "PermGroup(degree=7, order=None)"
+    with pytest.raises(LatticeBoundError, match="^group order more than 512 exceeds the subgroup-enumeration bound 512$"):
+        subgroup_lattice(G)
+    assert not G.order_above(5040) and repr(G) == "PermGroup(degree=7, order=5040)"
+    H = parse_group_spec("(1 2),(1 2 3 4 5 6 7 8)")
+    with pytest.raises(CayleyBoundError, match="more than 8192"):
+        H.order_above(10**6)
+    assert repr(H) == "PermGroup(degree=8, order=None)"
 
 
 def test_known_orders():

@@ -1,5 +1,6 @@
 import pytest
 from _catalog_records import build_catalog_records
+from _group_reference import chain_order, family_tokens
 
 from parity_inductor import groupspec
 from parity_inductor.group import MAX_CAYLEY_ORDER, PermGroup
@@ -74,24 +75,15 @@ def test_degree_bound_is_the_cayley_bound():
             group_from_cycles(texts, degree=degree)
 
 
-def _family_tokens(limit):
-    """Every valid family token with its number at most limit."""
-    tokens = ["%s%d" % (letter, n) for letter in "CSA" for n in range(1, limit + 1)]
-    tokens += ["D%d" % n for n in range(2, limit + 1, 2)] + ["Q8"]
-    tokens += ["F%d:%d" % (p, k) for p in (3, 5, 7, 11) if p <= limit
-               for k in range(1, p) if (p - 1) % k == 0]
-    return tokens
-
-
 def test_family_tokens_seed_the_order_their_chain_computes():
-    tokens = _family_tokens(12)
+    tokens = family_tokens(12)
     assert {"A1", "A2", "S1", "D2", "D4", "F11:10"} <= set(tokens) and len(tokens) == 56
     catalog = [r["spec"] for r in build_catalog_records() if "spec" in r]
     assert len(catalog) == 58
     for token in tokens + catalog:
         G = parse_group_spec(token)
         seeded = G._cache["order"]
-        assert PermGroup(G.generators, degree=G.degree).order() == seeded, token
+        assert chain_order(G.generators, G.degree) == seeded, token
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

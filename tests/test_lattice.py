@@ -218,6 +218,15 @@ def test_local_and_lift_follow_the_sorted_elements():
             assert H.elements()[i] == G.elements()[a]
 
 
+def test_the_record_of_the_whole_group_is_the_group():
+    # its sorted positions are the identity map, so local and lift still hold
+    for spec in ["C1", "S4", "D8"]:
+        G = parse_group_spec(spec)
+        whole = subgroup_lattice(G).records[-1]
+        assert whole.order == G.order() and whole.as_group() is G
+        assert whole.local(whole.positions) == whole.lift(whole.positions) == whole.positions
+
+
 def test_bound_error():
     # S7 has order 5040: refused before any enumeration
     G = parse_group_spec("S7")

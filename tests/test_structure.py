@@ -221,7 +221,9 @@ def test_positions_match_perm_reference_on_catalog():
         lattice = subgroup_lattice(G)
         for rec in lattice.records:
             H = rec.as_group()
-            _assert_same_group(H, PermGroup(rec.generators, degree=G.degree), (name, rec))
+            # the record of G itself is G, with G's generators
+            gens = G.generators if rec.order == G.order() else rec.generators
+            _assert_same_group(H, PermGroup(gens, degree=G.degree), (name, rec))
             assert _tag(H) == dihedral_tag_reference(H), (name, rec)
             classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
             assert classes == conjugacy_classes_reference(H), (name, rec)
