@@ -11,24 +11,23 @@ Fourier inversion over the power maps.  Both paths' rows are sorted, then checke
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
 where m_s counts the eigenvalues zeta_o ** s.  These vectors are canonical,
-so rows are compared and conjugated (s -> -s) as integer tuples; each is
+so a table interns each distinct one once and holds its rows as tuples of
+value ids; the vector's conjugate (s -> -s), its nonzero terms, its
+determinant exponent and its key are found once per id.  Each vector is
 checked to have o entries, none negative, summing to the row's degree, and
-to map to the vector at g ** p by s -> s * p.  A table's value index holds,
-once per distinct vector, its nonzero terms, its determinant exponent and
-its key: its lift to Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e to a
-polynomial in z = zeta_e of degree below phi(e), keyed (1, its integer)
-when rational and (e, its coordinates) otherwise.  Rows are sorted by these
-keys and rendered from them.
+to map to the vector at g ** p by s -> s * p.  The key is the vector's lift
+to Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e to a polynomial in
+z = zeta_e of degree below phi(e), keyed (1, its integer) when rational and
+(e, its coordinates) otherwise.  Rows are sorted by these keys and rendered
+from them.
 
-Orthogonality: every entry sum_c |C_c| chi_i(c) conj(chi_j(c)) of the Gram
-matrix is checked.  A Gram sum is accumulated as one integer vector in
-Z[x]/(x^e - 1), e = exp(G), reduced modulo Phi_e, and must be the constant
-|G| * delta_ij.  A row with one eigenvalue at every class (a linear row) is
-zeta_e ** det_i(c) there, so for two such rows the sum is
-sum_c |C_c| zeta_e ** (det_i(c) - det_j(c)): it depends only on the
-difference of their determinant exponents and is computed once per distinct
-difference.  The linear rows form a group, so an abelian table of order n
-makes n Gram sums, not n(n+1)/2.
+Orthogonality: sum_c |C_c| chi_i(c) conj(chi_j(c)) = |G| * delta_ij is
+checked for every pair of rows, one of them not linear, as one integer
+vector in Z[x]/(x^e - 1) reduced modulo Phi_e.  A linear row, one
+eigenvalue at every class, is zeta_e ** det_i(c) there: it is checked to be
+a homomorphism on G's generators through the Cayley table, and no two
+linear rows to be equal.  Distinct linear characters are orthonormal, so
+their block of the Gram matrix needs no sum.
 
 Decomposition: `CharacterTable.decompose` takes any number of class
 functions as integer vectors (value sum_s a_s zeta_n ** s at a class, any
@@ -53,7 +52,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import accumulate
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from ._primes import is_prime, prime_factors, primitive_root
 from .group import PermGroup, per_group
@@ -251,23 +250,27 @@ def _lift(m, n: int):
 
 
 def _value_index(rows, e: int):
-    """The value index: each distinct vector m among the rows' values maps to
-    (its key, its nonzero (s, m_s), its determinant exponent mod e)."""
-    index = {}
-    for row in rows:
-        for m in row:
-            if m not in index:
-                red = _reduce_mod_phi(_lift(m, e), e)
-                index[m] = ((1, red[0]) if not any(red[1:]) else (e, *red),
-                            tuple((s, x) for s, x in enumerate(m) if x),
-                            e // len(m) * sum(s * x for s, x in enumerate(m)) % e)
-    return index
+    """Intern each distinct vector m among the rows' values once.  Returns the
+    rows as tuples of value ids, the index m -> id (ids in first-seen order),
+    and per id its key, its nonzero (s, m_s) and its determinant exponent mod e."""
+    index, objects = {}, {id(m): m for row in rows for m in row}
+    # a tuple that several entries share, as the closed form's are, is hashed once
+    objects = {i: index.setdefault(m, len(index)) for i, m in objects.items()}
+    ids = [tuple(map(objects.__getitem__, map(id, row))) for row in rows]
+    keys, terms, dets = [], [], []
+    for m in index:
+        red = _reduce_mod_phi(_lift(m, e), e)
+        keys.append((1, red[0]) if not any(red[1:]) else (e, *red))
+        terms.append(tuple((s, x) for s, x in enumerate(m) if x))
+        dets.append(e // len(m) * sum(s * x for s, x in enumerate(m)) % e)
+    return ids, index, keys, terms, dets
 
 
-def _row_key(row, index):
-    """(degree, not trivial, per class the value's key in the `_value_index`)."""
-    keys = tuple(index[m][0] for m in row)
-    return (row[0][0], 0 if all(key == (1, 1) for key in keys) else 1, keys)
+def _row_key(row, keys):
+    """(degree, not trivial, per class the value's key), for a row of value
+    ids: the identity's key is (1, degree)."""
+    row = tuple(map(keys.__getitem__, row))
+    return (row[0][1], 0 if all(key == (1, 1) for key in row) else 1, row)
 
 
 def kernel_rows(table: "CharacterTable", positions):
@@ -302,10 +305,10 @@ def quotient_rows(table: "CharacterTable", qmap):
     if len(rows) != len(classes):
         raise CharTableError("the rows with N in their kernel do not fit H/N")
     steps = [(c, table.classes[c].order // cls.order) for c, cls in zip(over, classes)]
-    folded = {i: [table.vectors[i][c][::j] for c, j in steps] for i in rows}
-    index = _value_index(folded.values(), image.exponent())
-    rows.sort(key=lambda i: _row_key(folded[i], index))
-    return rows, over
+    ids, _, keys, _, _ = _value_index(
+        [[table.vectors[i][c][::j] for c, j in steps] for i in rows], image.exponent())
+    order = sorted(range(len(rows)), key=lambda r: _row_key(ids[r], keys))
+    return [rows[r] for r in order], over
 
 
 def _format_value(key) -> str:
@@ -331,7 +334,7 @@ def _power_maps(group: PermGroup, classes, exponent: int):
             pos = table[pos][cls.members[0]]
         cycles.append(cycle)
     power_maps = tuple(
-        tuple(cycle[j % len(cycle)] for cycle in cycles) for j in range(exponent + 1)
+        tuple([cycle[j % len(cycle)] for cycle in cycles]) for j in range(exponent + 1)
     )
     return power_maps, tuple(class_of[inverse[cls.members[0]]] for cls in classes)
 
@@ -350,20 +353,24 @@ class CharacterTable:
         rows = _abelian_by_cyclic_rows(group, self.classes, e)
         if rows is None:
             rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
-        self._values = values = _value_index(rows, e)
-        rows.sort(key=lambda row: _row_key(row, values))
+        ids, self._index, self._keys, terms, dets = _value_index(rows, e)
+        ids.sort(key=lambda row: _row_key(row, self._keys))
+        self._ids = ids
+        vectors = list(self._index)
         # row i at class c: sum_s vectors[i][c][s] * zeta_o ** s, o = len(vectors[i][c])
-        self.vectors = tuple(rows)
-        self._row_terms = [tuple(values[m][1] for m in row) for row in rows]
-        self.degrees = tuple(row[0][0] for row in rows)
+        self.vectors = tuple(tuple(map(vectors.__getitem__, row)) for row in ids)
+        self._row_terms = [tuple(map(terms.__getitem__, row)) for row in ids]
+        self.degrees = tuple(row[0][0] for row in self.vectors)
         # det of row i at class c is zeta_exp ** det_exponents[i][c]
-        self.det_exponents = tuple(tuple(values[m][2] for m in row) for row in rows)
-        index = {row: i for i, row in enumerate(rows)}
-        conj = [tuple(m[:1] + m[:0:-1] for m in row) for row in rows]
-        if not all(row in index for row in conj):
+        self.det_exponents = tuple(tuple(map(dets.__getitem__, row)) for row in ids)
+        # each distinct vector is conjugated (s -> -s) once
+        flip = [self._index.get(m[:1] + m[:0:-1]) for m in vectors]
+        index = {row: i for i, row in enumerate(ids)}
+        conj = [index.get(tuple(map(flip.__getitem__, row))) for row in ids]
+        if None in conj:
             raise CharTableError("the conjugate of a row is not in the table")
-        self.conj_rows = tuple(index[row] for row in conj)
-        self._verify()
+        self.conj_rows = tuple(conj)
+        self._verify(terms)
         # a linear row is its own determinant
         self.linear_row_of = {
             self.det_exponents[i]: i for i in self.linear_row_indices()
@@ -371,50 +378,67 @@ class CharacterTable:
 
     # construction checks -------------------------------------------------
 
-    def _verify(self):
-        order = self.group.order()
+    def _verify(self, terms):
+        """Check the table; ``terms`` holds each value id's nonzero terms."""
+        order, ids = self.group.order(), self._ids
         k = len(self.classes)
         if sum(d * d for d in self.degrees) != order:
             raise CharTableError("degree squares do not sum to the group order")
         if not all(m[0] == sum(m) == 1 for m in self.vectors[0]):
             raise CharTableError("first row is not the trivial character")
-        terms, dets, e = self._row_terms, self.det_exponents, self.exponent
-        # a row with one eigenvalue per class is zeta_e ** det there, so the
-        # Gram sum of two such rows depends only on their det difference
-        linear = [all(len(t) == 1 and t[0][1] == 1 for t in row) for row in terms]
-        one, shared = [((0, 1),)] * k, {}
+        # a row with one eigenvalue per class is linear: distinct linear
+        # characters are orthonormal, so two such rows need no Gram sum
+        single = [len(t) == 1 and t[0][1] == 1 for t in terms]
+        linear = [all(map(single.__getitem__, row)) for row in ids]
+        self._check_linear_rows([i for i in range(k) if linear[i]])
         for i in range(k):
             for j in range(i, k):
-                if linear[i] and linear[j]:
-                    diff = tuple([(a - b) % e for a, b in zip(dets[i], dets[j])])
-                    got = shared.get(diff)
-                    if got is None:
-                        got = shared[diff] = self._gram(
-                            [((d * cls.order // e, 1),) for d, cls in zip(diff, self.classes)], one
-                        )
-                else:
-                    got = self._gram(terms[i], terms[j])
-                if got != (order if i == j else 0):
-                    raise CharTableError(
-                        "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order)
-                    )
+                if not (linear[i] and linear[j]):
+                    got = self._gram(self._row_terms[i], self._row_terms[j])
+                    if got != (order if i == j else 0):
+                        raise CharTableError(
+                            "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order))
         # the Gram sums see only values: each must also be a multiplicity
         # vector, o(g) counts of eigenvalues summing to the row's degree
-        sums = {m: sum(m) if min(m, default=-1) >= 0 else -1 for m in self._values}
-        for row, d in zip(self.vectors, self.degrees):
-            if any(len(m) != cls.order or sums[m] != d for m, cls in zip(row, self.classes)):
+        sums = [sum(m) if min(m, default=-1) >= 0 else -1 for m in self._index]
+        lengths, orders = [len(m) for m in self._index], tuple(cls.order for cls in self.classes)
+        for row, d in zip(ids, self.degrees):
+            if tuple(map(lengths.__getitem__, row)) != orders or {*map(sums.__getitem__, row)} != {d}:
                 raise CharTableError("a value is not a multiplicity vector of the row's degree")
         # eigenvalues at g ** p are those at g to the p: slot s goes to s * p / gcd(p, o)
         for p in sorted(prime_factors(order)):
-            pushed = {}
-            for m, (_, terms, _) in self._values.items():
+            pushed = []
+            for m, ts in zip(self._index, terms):
                 out = [0] * (len(m) // gcd(p, len(m)))
-                for s, x in terms:
+                for s, x in ts:
                     out[s * p % len(m) * len(out) // len(m)] += x
-                pushed[m] = tuple(out)
-            at = self.power_maps[p]
-            if any(row[c] != pushed[m] for row in self.vectors for m, c in zip(row, at)):
+                pushed.append(self._index.get(tuple(out)))
+            at = itemgetter(*self.power_maps[p])
+            if any(at(row) != tuple(map(pushed.__getitem__, row)) for row in ids):
                 raise CharTableError("a row does not follow the %d-power map" % p)
+
+    def _check_linear_rows(self, rows):
+        """Each of these rows, one eigenvalue per class, is a homomorphism to
+        the e-th roots of unity, and no two are equal.  Its det d is a class
+        function with d(x * s) = d(x) + d(s) mod e at every x and generator
+        s, so d(1) = 0 and d(x * y) = d(x) + d(y) (Serre, Linear
+        Representations of Finite Groups, 2.3)."""
+        G, e, dets = self.group, self.exponent, self.det_exponents
+        table = G.cayley()[0]
+        class_of = [G.class_of_index(x) for x in range(len(table))]
+        for s in G.generators:
+            g = G.element_index(s)
+            pairs = {(class_of[x], class_of[xs[g]]) for x, xs in enumerate(table)}
+            at, to = (itemgetter(*side) for side in zip(*pairs))  # two pairs at least
+            for i in rows:
+                d = dets[i]
+                if not {*map(sub, to(d), at(d))} <= {d[class_of[g]], d[class_of[g]] - e}:
+                    raise CharTableError(
+                        "linear row %d is not a homomorphism at generator %s" % (i, format_perm(s)))
+        seen = {}
+        for i in rows:
+            if seen.setdefault(dets[i], i) != i:
+                raise CharTableError("linear rows %d and %d are equal" % (seen[dets[i]], i))
 
     def _gram(self, aterms, bterms) -> int:
         """|G| * <a, b> for two rows given by their nonzero terms per class."""
@@ -503,8 +527,8 @@ class CharacterTable:
 
     def formatted_rows(self):
         """Each row's values as integer polynomials in z = zeta_exp."""
-        text = {m: _format_value(key) for m, (key, _, _) in self._values.items()}
-        return [[text[m] for m in row] for row in self.vectors]
+        text = [_format_value(key) for key in self._keys]
+        return [[text[v] for v in row] for row in self._ids]
 
     def format_text(self) -> str:
         headers = ["chi"] + [

@@ -7,6 +7,11 @@ class) pair, the way the table did before its value index, so the two can be
 compared value by value: the row order, the nonzero terms, the determinant
 exponents, the conjugate rows and the rendering.
 
+A table checks each linear row (one eigenvalue per class) as a homomorphism
+on the group's generators, and no two of them as equal.  `linear_gram_block`
+is the check it replaced: the Gram sum of every pair of linear rows, summed
+once per distinct difference of their determinant exponents.
+
 `CharacterTable.decompose` takes many class functions at once and weighs each
 distinct vector at a class once.  `decompose_one` is the loop it replaced: one
 class function per call, every class weighed afresh, its own denominator.
@@ -113,3 +118,32 @@ def decompose_one(table, vectors):
         if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
             raise CharTableError("values are not a generalized character")
     return tuple(coords)
+
+
+def linear_rows(table):
+    """The rows with one eigenvalue, of multiplicity 1, at every class."""
+    return [
+        i for i, row in enumerate(table._row_terms)
+        if all(len(t) == 1 and t[0][1] == 1 for t in row)
+    ]
+
+
+def linear_gram_block(table):
+    """Raise CharTableError unless |G| * <chi_i, chi_j> = |G| * delta_ij for
+    every pair of linear rows.  Such a row is zeta_e ** det_i(c) at class c,
+    so the sum depends only on det_i - det_j and is made once per difference."""
+    order, e, dets = table.group.order(), table.exponent, table.det_exponents
+    rows = linear_rows(table)
+    one, shared = [((0, 1),)] * len(table.classes), {}
+    for n, i in enumerate(rows):
+        for j in rows[n:]:
+            diff = tuple([(a - b) % e for a, b in zip(dets[i], dets[j])])
+            got = shared.get(diff)
+            if got is None:
+                got = shared[diff] = table._gram(
+                    [((d * cls.order // e, 1),) for d, cls in zip(diff, table.classes)], one
+                )
+            if got != (order if i == j else 0):
+                raise CharTableError(
+                    "row orthogonality fails at (%d, %d): %d/%d" % (i, j, got, order)
+                )

@@ -30,7 +30,14 @@ from parity_inductor.spanreport import span_report
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
-from _chartab_reference import check_table, decompose_one, row_key, terms
+from _chartab_reference import (
+    check_table,
+    decompose_one,
+    linear_gram_block,
+    linear_rows,
+    row_key,
+    terms,
+)
 from _cyclo_reference import (
     Cyclo,
     conjugate_rows,
@@ -708,24 +715,26 @@ def test_table_checks_refuse_a_faulty_closed_form(spec, fault, monkeypatch):
         CharacterTable(parse_group_spec(spec))
 
 
-# Two rows with one eigenvalue per class have a Gram sum that depends only on
-# the difference of their determinant exponents: `_verify` sums once per
-# difference and still checks every entry of the Gram matrix.
+# A linear row, one eigenvalue per class, is checked as a homomorphism on
+# the generators, and no two linear rows may be equal: distinct linear
+# characters are orthonormal, so `_verify` makes no Gram sum between two
+# linear rows and still checks every other entry of the Gram matrix.
 
 
 def _gram_sums(G, monkeypatch):
-    """The number of Gram sums a fresh table of G makes, and the table."""
+    """The Gram sums a fresh table of G makes, each as whether both of its
+    rows are linear, and the table."""
     sums = []
     real = CharacterTable._gram
 
     def counted(self, aterms, bterms):
-        sums.append(1)
+        sums.append(all(len(t) == 1 and t[0][1] == 1 for t in aterms + bterms))
         return real(self, aterms, bterms)
 
     monkeypatch.setattr(CharacterTable, "_gram", counted)
     t = CharacterTable(G)
     monkeypatch.undo()
-    return len(sums), t
+    return sums, t
 
 
 def test_gram_sums_are_shared_across_linear_rows_on_catalog(monkeypatch):
@@ -734,13 +743,47 @@ def test_gram_sums_are_shared_across_linear_rows_on_catalog(monkeypatch):
         G = entry.group
         sums, t = _gram_sums(G, monkeypatch)
         k, a = t.class_count(), len(t.linear_row_indices())
-        # the linear rows form a group of order a, so their differences are a
-        # rows; every pair with a row of higher degree is summed on its own
-        assert sums == a + k * (k + 1) // 2 - a * (a + 1) // 2, entry.name
+        # no sum between two linear rows; every pair with a row of higher
+        # degree is summed on its own
+        assert not any(sums), entry.name
+        assert len(sums) == k * (k + 1) // 2 - a * (a + 1) // 2, entry.name
         if k == G.order():
-            assert sums == G.order(), entry.name
+            assert not sums, entry.name
             abelian += 1
     assert abelian > 30
+
+
+def _linear_outcomes(t):
+    """The linear-row check and the reference pairwise Gram block on t's rows:
+    each None when it accepts, else its refusal."""
+    outcomes = []
+    for check in (lambda: t._check_linear_rows(linear_rows(t)), lambda: linear_gram_block(t)):
+        try:
+            check()
+            outcomes.append(None)
+        except CharTableError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_linear_row_check_matches_pairwise_gram_block_on_catalog():
+    checked = 0
+    for entry in load_bundled_catalog():
+        for rec in subgroup_lattice(entry.group).records:
+            t = character_table(rec.as_group())
+            assert _linear_outcomes(t) == [None, None], (entry.name, rec.label)
+            checked += len(linear_rows(t))
+    assert checked > 1000, checked
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec", [*ABELIAN_LARGE.values(), "D128", "D256"], ids=[*ABELIAN_LARGE, "D128", "D256"]
+)
+def test_linear_row_check_matches_pairwise_gram_block_large(spec):
+    t = table(spec)
+    assert linear_rows(t) == list(t.linear_row_indices())
+    assert _linear_outcomes(t) == [None, None]
 
 
 def _sign_of_a_real_row(rows):
@@ -776,7 +819,7 @@ def test_gram_check_refuses_a_corrupted_linear_row(spec, fault, monkeypatch):
         return rows
 
     monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
-    with pytest.raises(CharTableError, match="orthogonality|not rational"):
+    with pytest.raises(CharTableError, match="orthogonality|not rational|not a homomorphism"):
         CharacterTable(parse_group_spec(spec))
 
 
@@ -835,6 +878,84 @@ def test_power_map_check_refuses_moved_eigenvalues(monkeypatch):
     monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
     with pytest.raises(CharTableError, match="2-power map"):
         CharacterTable(parse_group_spec("D8"))
+
+
+def _minus_one_at_identity(rows):
+    """That row's value at the identity becomes -1, one eigenvalue in a slot
+    the identity has not got: its det at the identity is no longer 0."""
+    i, _ = _sign_of_a_real_row(rows)
+    rows[i] = ((0, 1),) + rows[i][1:]
+
+
+def _negated(rows):
+    """That row of an elementary abelian 2-group becomes its negative: one
+    eigenvalue everywhere, and det(x * s) - det(x) is the same at every x,
+    but not det(s)."""
+    i, _ = _sign_of_a_real_row(rows)
+    rows[i] = ((0, 1),) + tuple(m[::-1] for m in rows[i][1:])
+
+
+# Both linear-row checks on every corruption above, with the table's own
+# checks off: the same accept or refuse each time.  Only a corrupted value
+# that stays one eigenvalue leaves a row linear, and then both refuse.  On
+# C6 a duplicate or moved value already fails the conjugate rows, so those
+# two run on C2xC2, whose rows are real.
+
+
+@pytest.mark.parametrize(
+    "spec,fault,refused",
+    [
+        ("C6", _flip, True), ("(1 2), (3 4), (5 6)", _flip, True),
+        ("(1 2 3 4), (5 6)", _flip, True),
+        ("C6", _two_terms, False), ("(1 2), (3 4), (5 6)", _two_terms, False),
+        ("(1 2 3 4), (5 6)", _two_terms, False),
+        ("(1 2), (3 4)", _one_two, False), ("C6", _negative, False),
+        ("D8", _swap_eigenvalues, False),
+        ("(1 2), (3 4)", _duplicate_row, True), ("(1 2), (3 4)", _wrong_value, True),
+        ("(1 2), (3 4)", _negated, True),
+    ],
+    ids=["flip-C6", "flip-C2^3", "flip-C4xC2", "two-terms-C6", "two-terms-C2^3",
+         "two-terms-C4xC2", "one-two", "negative", "power-map", "duplicate", "value",
+         "negated"],
+)
+def test_linear_row_check_matches_pairwise_gram_block_on_corruptions(
+    spec, fault, refused, monkeypatch
+):
+    real = chartab._abelian_by_cyclic_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        fault(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
+    monkeypatch.setattr(CharacterTable, "_verify", lambda self, terms: None)
+    got, want = _linear_outcomes(CharacterTable(parse_group_spec(spec)))
+    assert (got is not None, want is not None) == (refused, refused), (got, want)
+    if fault in (_flip, _wrong_value, _negated):
+        # the refusal names the row and the generator
+        assert re.fullmatch(r"linear row \d+ is not a homomorphism at generator \(.*\)", got)
+    elif fault is _duplicate_row:
+        assert re.fullmatch(r"linear rows \d+ and \d+ are equal", got)
+
+
+def test_linear_row_check_sees_a_det_the_pairwise_block_does_not(monkeypatch):
+    # the pairwise block reads det d at a class of order o only through the
+    # slot d * o / e, so a det off those slots escapes it; the table still
+    # refuses the row (its degree reads 0), and the homomorphism check names it
+    real = chartab._abelian_by_cyclic_rows
+
+    def faulty(group, classes, e):
+        rows = real(group, classes, e)
+        _minus_one_at_identity(rows)
+        return rows
+
+    monkeypatch.setattr(chartab, "_abelian_by_cyclic_rows", faulty)
+    with pytest.raises(CharTableError):
+        CharacterTable(parse_group_spec("(1 2), (3 4)"))
+    monkeypatch.setattr(CharacterTable, "_verify", lambda self, terms: None)
+    got, want = _linear_outcomes(CharacterTable(parse_group_spec("(1 2), (3 4)")))
+    assert want is None and re.fullmatch(r"linear row 0 is not a homomorphism at generator \(.*\)", got)
 
 
 # The value index against the per-(row, class) reference it replaced: the

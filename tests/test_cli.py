@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from _catalog_records import render_catalog
+from output_digest import commands, total_digest
 
 from parity_inductor import group
 from parity_inductor.cli import main
@@ -262,6 +263,56 @@ def test_oversize_group_or_subgroup_is_refused_small_and_fast(argv, message):
     # hand (512, or |G| for a subgroup); a token's table is built only once
     # its order matches a subgroup class
     _refused_small_and_fast(argv, message)
+
+
+def _chartab_in_a_fresh_process(spec):
+    """Run `chartab` on spec in a fresh process, whose parent streams its
+    stdout into a sha256 and reads its one child's CPU time and peak RSS."""
+    probe = (
+        "import hashlib, json, resource, subprocess, sys\n"
+        "proc = subprocess.Popen([sys.executable, '-m', 'parity_inductor.cli', 'chartab', %r],"
+        " stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "digest = hashlib.sha256()\n"
+        "for chunk in iter(lambda: proc.stdout.read(1 << 20), b''):\n"
+        "    digest.update(chunk)\n"
+        "err, code = proc.stderr.read().decode(), proc.wait()\n"
+        "use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "print(json.dumps([code, digest.hexdigest(), err,"
+        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % (spec,)
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    return json.loads(proc.stdout)
+
+
+C2_9 = ", ".join("(%d %d)" % (i, i + 1) for i in range(1, 19, 2))
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "spec, digest, cpu_bound, mb_bound",
+    [
+        (C2_9, "5b7a5f3ffc7421ac01d80db2c1dfccc76e5359eaf9a46a45470f6604f35be5a0", 1.0, 100),
+        # every column pads to its class representative, a 512-cycle's
+        # power: 512 MB of text
+        ("C512", "a1e93551ea1d3b5cd1a6b24271e27a3da4107bfcfc6900aa8e7e4d2fe443c912", 4.0, 2000),
+    ],
+    ids=["C2^9", "C512"],
+)
+def test_large_abelian_chartab_is_fast(spec, digest, cpu_bound, mb_bound):
+    # on a shared 2-core host, with Gram sums between linear rows these took
+    # 4.0 s (C2^9) and 12.3-13.1 s (C512) of CPU; the bounds are about twice
+    # the 0.45-0.54 s and 1.75-1.96 s they take with the homomorphism check
+    code, got, err, cpu_s, peak_kb = _chartab_in_a_fresh_process(spec)
+    assert (code, got, err) == (0, digest, "")
+    assert cpu_s < cpu_bound and peak_kb < mb_bound * 1024, (cpu_s, peak_kb)
+
+
+@pytest.mark.large
+def test_catalog_outputs_match_the_pinned_digest():
+    # `tests/output_digest.py`: every catalog command's (argv, exit code,
+    # stdout, stderr), hashed; a change to any byte of them moves the digest
+    assert len(commands()) == 1301
+    assert total_digest() == "a02c35aa82918692c9a04471e645079b7feeb35ed5f39c62c6ba1c8a163cdf32"
 
 
 @pytest.mark.parametrize("token", ["S7", "S8"])
