@@ -94,11 +94,13 @@ def _resolve_subgroup(G, text: str):
     )
 
 
-def _emit(args, text: str, doc) -> None:
+def _emit(args, text, doc) -> None:
+    """Write ``text()`` or ``doc()``, as ``--format`` asks: only that one is built."""
     if args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json.dumps(doc(), indent=2) + "\n"
     else:
-        payload = text if text.endswith("\n") else text + "\n"
+        payload = text()
+        payload = payload if payload.endswith("\n") else payload + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -146,14 +148,14 @@ def _cmd_group_info(args) -> int:
             % (hyper[0], hyper[1].order)
         ),
     ]
-    _emit(args, "\n".join(lines), doc)
+    _emit(args, lambda: "\n".join(lines), lambda: doc)
     return 0
 
 
 def _cmd_chartab(args) -> int:
     G = _load_group(args.groupspec)
     table = character_table(G)
-    doc = {
+    _emit(args, table.format_text, lambda: {
         "spec": args.groupspec,
         "order": G.order(),
         "class_reps": [format_perm(c.rep) for c in table.classes],
@@ -161,8 +163,7 @@ def _cmd_chartab(args) -> int:
         "class_orders": [c.order for c in table.classes],
         "degrees": list(table.degrees),
         "rows": table.formatted_rows(),
-    }
-    _emit(args, table.format_text(), doc)
+    })
     return 0
 
 
@@ -193,7 +194,7 @@ def _cmd_subgroups(args) -> int:
         )
         for e in entries
     ]
-    _emit(args, format_columns(table), doc)
+    _emit(args, lambda: format_columns(table), lambda: doc)
     return 0
 
 
@@ -207,7 +208,7 @@ def _cmd_decompose(args) -> int:
         tree = decompose_structural(G, rho)
         flatten_to_certificate(tree)  # must verify; raises on defect
         doc = tree_to_json(tree)
-        _emit(args, json.dumps(doc, indent=2), doc)
+        _emit(args, lambda: json.dumps(doc, indent=2), lambda: doc)
         return 0
     flavor = args.flavor or "thm12"
     family = family_for(G, flavor)
@@ -239,7 +240,7 @@ def _cmd_decompose(args) -> int:
             "verified: yes",
         ]
     )
-    _emit(args, text, doc)
+    _emit(args, lambda: text, lambda: doc)
     return 0
 
 
@@ -257,9 +258,7 @@ def _cmd_verify(args) -> int:
     ]
     certified = sum(1 for r in reports if r.all_certified)
     summary = "certified %d/%d groups" % (certified, len(reports))
-    text = "\n\n".join(r.format_text() for r in reports)
-    text = (text + "\n\n" + summary) if reports else summary
-    doc = {
+    _emit(args, lambda: "\n\n".join([r.format_text() for r in reports] + [summary]), lambda: {
         "flavor": args.flavor,
         "max_order": args.max_order,
         "samples": args.samples,
@@ -267,8 +266,7 @@ def _cmd_verify(args) -> int:
         "reports": [r.to_json() for r in reports],
         "certified_groups": certified,
         "total_groups": len(reports),
-    }
-    _emit(args, text, doc)
+    })
     return 0 if certified == len(reports) else 1
 
 
@@ -294,8 +292,7 @@ def _cmd_parity(args) -> int:
             raise CliError("%s has no parity symbols %s under flavor %s"
                            % (args.groupspec, ", ".join(unknown), args.flavor))
     table = parity_table(G, assignment, args.flavor)
-    doc = {"group": args.groupspec, **table.to_json()}
-    _emit(args, table.format_text(), doc)
+    _emit(args, table.format_text, lambda: {"group": args.groupspec, **table.to_json()})
     return 0
 
 
@@ -310,7 +307,7 @@ def _cmd_required_primes(args) -> int:
             "needs 2: %s" % _yes(needs2),
         ]
     )
-    _emit(args, text, doc)
+    _emit(args, lambda: text, lambda: doc)
     return 0
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 from math import gcd
 
@@ -24,14 +23,18 @@ class SubgroupRecord:
     ``parent.elements()``.  Both element lists are sorted by images, so the
     i-th element of ``as_group()`` is the parent's i-th smallest position:
     ``local`` and ``lift`` translate between the two numberings.
+    A class representative's ``normalizer`` holds positions that generate
+    its normalizer together with it; a conjugate's is None.
     """
 
-    def __init__(self, parent: PermGroup, positions: frozenset, class_id: int, normal: bool):
+    def __init__(self, parent: PermGroup, positions: frozenset, class_id: int, normal: bool,
+                 normalizer=None):
         self.parent = parent
         self.positions = positions
         self.order = len(positions)
         self.class_id = class_id
         self.normal = normal
+        self.normalizer = normalizer
         self._group = None
 
     @cached_property
@@ -123,63 +126,96 @@ def _extend(table, sub, gens, g) -> frozenset:
     return frozenset(members)
 
 
-def _mark_double_coset(table, sub, gens, y, marks):
-    """Mark S*y*S, for S = <gens> listed as ``sub``, one right coset at a time.
+def _subgroup_classes(table, inverse, orders, gens) -> list:
+    """Every subgroup class of the group with this Cayley table and these
+    generator positions, as (orbit, normalizer) pairs: the class's members
+    sorted, and positions that generate the normalizer of ``orbit[0]``
+    together with it.
 
-    Marks only ever cover whole double cosets, so a marked y means S*y*S is.
-    """
-    if marks[y]:
-        return
-    stack = [y]
-    for s in sub:
-        marks[table[s][y]] = 1
-    while stack:
-        row = table[stack.pop()]
-        for x in gens:
-            z = row[x]
-            if not marks[z]:
-                stack.append(z)
-                for s in sub:
-                    marks[table[s][z]] = 1
-
-
-def _all_subgroups(table, orders) -> set:
-    """Every subgroup of the group with this Cayley table, as position sets.
-
-    Each known subgroup S is extended by every element g outside it, which
-    reaches every subgroup (any subgroup is built from the trivial one
-    element by element).  Since <S, s*g^k*t> = <S, g> for s, t in S and k
-    prime to the order of g, one g per such family of double cosets
-    S*g^k*S is enough.  Subgroups are extended in the order they are found,
-    so the small ones come first and a group with more than MAX_SUBGROUPS
-    subgroups raises LatticeBoundError early, before memory runs away.
+    Cyclic extension up to conjugacy (Neubüser, Numer. Math. 2, 1960): only
+    ``orbit[0]`` of each class, S, is extended by elements g outside it.
+    <S, g> is the same subgroup for every g in S*g^k*S with k prime to the
+    order of g, and a conjugate of it for g's conjugates under N(S), so one
+    g per such family is enough.  Every class is reached, since a subgroup
+    <K, g> with K = S^t is the conjugate by t of <S, t*g*t^-1>.  Classes are
+    extended in the order they are found, so the small ones come first, and
+    each class's orbit is built when it is found and counted at once: a
+    group with more than MAX_SUBGROUPS subgroups raises LatticeBoundError
+    early, before memory runs away.
     """
     n = len(table)
-    trivial = frozenset({0})
-    known = {trivial}
-    work = deque([(trivial, ())])
-    while work:
-        sub, gens = work.popleft()
+
+    def conjugate(x, t):
+        return table[inverse[t]][table[x][t]]
+
+    central = [all(table[x][g] == table[g][x] for g in gens) for x in range(n)]
+    outer = [(g, [conjugate(x, g) for x in range(n)]) for g in gens if not central[g]]
+    # high orders first: the powers of g mark many lower-order double cosets
+    by_order = sorted(range(n), key=lambda a: (-orders[a], a))
+    known = set()
+    classes = []  # (orbit, generators of orbit[0]), then (orbit, normalizer)
+
+    def found(sub, sub_gens):
+        transversal = {sub: 0}  # each conjugate sub^t, with its t
+        orbit = [sub]
+        for cur in orbit:
+            for g, conj in outer:
+                image = frozenset([conj[x] for x in cur])
+                if image not in transversal:
+                    transversal[image] = table[transversal[cur]][g]
+                    orbit.append(image)
+        known.update(orbit)
+        if len(known) > MAX_SUBGROUPS:
+            raise LatticeBoundError(
+                "group has more than %d subgroups, the enumeration bound" % MAX_SUBGROUPS
+            )
+        if len(orbit) > 1:
+            orbit.sort(key=sorted)
+            t = transversal[orbit[0]]
+            sub_gens = tuple([conjugate(x, t) for x in sub_gens])
+        classes.append((orbit, sub_gens))
+
+    found(frozenset({0}), ())
+    for i, (orbit, sub_gens) in enumerate(classes):
+        sub = orbit[0]
+        if len(orbit) == 1:
+            normalizer = gens
+        else:
+            normalizer = []
+            members = sub
+            for g in range(n):
+                if len(members) * len(orbit) == n:
+                    break
+                if g not in members and all(conjugate(x, g) in sub for x in sub_gens):
+                    members = _extend(table, members, sub_gens + tuple(normalizer), g)
+                    normalizer.append(g)
+        movers = [h for h in normalizer if not central[h]]  # the others fix every g
         done = bytearray(n)
-        _mark_double_coset(table, sub, gens, 0, done)
-        for g in range(n):
+        for s in sub:
+            done[s] = 1
+        for g in by_order:
             if done[g]:
                 continue
-            T = _extend(table, sub, gens, g)
+            T = _extend(table, sub, sub_gens, g)
+            stack = [g]
             power = g
-            for k in range(1, orders[g]):
-                if gcd(k, orders[g]) == 1:
-                    _mark_double_coset(table, sub, gens, power, done)
+            for k in range(2, orders[g]):
                 power = table[power][g]
+                if gcd(k, orders[g]) == 1:
+                    stack.append(power)
+            # mark S*y*S right coset by right coset, and its images under N(S)
+            while stack:
+                y = stack.pop()
+                if not done[y]:
+                    for s in sub:
+                        done[table[s][y]] = 1
+                    row = table[y]
+                    stack += [row[x] for x in sub_gens]
+                    stack += [conjugate(y, h) for h in movers]
             if T not in known:
-                known.add(T)
-                if len(known) > MAX_SUBGROUPS:
-                    raise LatticeBoundError(
-                        "group has more than %d subgroups, the enumeration bound"
-                        % MAX_SUBGROUPS
-                    )
-                work.append((T, gens + (g,)))
-    return known
+                found(T, sub_gens + (g,))
+        classes[i] = (orbit, tuple(normalizer))
+    return classes
 
 
 class SubgroupLattice:
@@ -194,36 +230,14 @@ class SubgroupLattice:
         refuse_order_above(G, DEFAULT_MAX_ORDER, LatticeBoundError, "subgroup-enumeration")
         self.group = G
         table, inverse, orders = G.cayley()
-        # conjugation x -> g^-1 * x * g by each generator g, on positions
-        conjugations = []
-        for g in G.generators:
-            gi = G.element_index(g)
-            left = table[inverse[gi]]
-            conjugations.append([left[row[gi]] for row in table])
-        classes = []
-        seen = set()
-        for fs in _all_subgroups(table, orders):
-            if fs in seen:
-                continue
-            orbit = {fs}
-            frontier = [fs]
-            while frontier:
-                new = []
-                for cur in frontier:
-                    for conj in conjugations:
-                        image = frozenset([conj[x] for x in cur])
-                        if image not in orbit:
-                            orbit.add(image)
-                            new.append(image)
-                frontier = new
-            seen |= orbit
-            classes.append(sorted(orbit, key=sorted))
+        gens = tuple(G.element_index(g) for g in G.generators)
+        classes = _subgroup_classes(table, inverse, orders, gens)
         # positions follow the images' order, so this is (order, sorted elements)
-        classes.sort(key=lambda orbit: (len(orbit[0]), sorted(orbit[0])))
-        self.class_sets = tuple(tuple(orbit) for orbit in classes)
+        classes.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))
+        self.class_sets = tuple(tuple(orbit) for orbit, _ in classes)
         self.records = tuple(
-            SubgroupRecord(G, orbit[0], class_id=i, normal=len(orbit) == 1)
-            for i, orbit in enumerate(self.class_sets)
+            SubgroupRecord(G, orbit[0], class_id=i, normal=len(orbit) == 1, normalizer=normalizer)
+            for i, (orbit, normalizer) in enumerate(classes)
         )
         self._set_to_class = {
             fs: i for i, orbit in enumerate(self.class_sets) for fs in orbit

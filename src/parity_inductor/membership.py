@@ -124,7 +124,8 @@ def _integer(value, where: str) -> int:
 
 @per_group
 def _perm_lattice(G: PermGroup):
-    """(records, perm chars, HNF of their rows) for the permutation lattice."""
+    """(records, perm chars, HNF of their rows) for the permutation lattice:
+    only a solve over it takes the HNF."""
     records = subgroup_lattice(G).records
     chars = [perm_char(G, rec) for rec in records]
     return records, chars, hnf([list(ch.coeffs) for ch in chars])
@@ -152,11 +153,12 @@ def is_s_element(rho: GenChar) -> bool:
 @per_group
 def _admissible_lattice(G: PermGroup):
     """Basis of integer subgroup-multiplicity vectors landing inside S_G."""
-    records, chars, _ = _perm_lattice(G)
+    records = subgroup_lattice(G).records
     k = character_table(G).class_count()
     m = len(records)
     rows = []
-    for rec, ch in zip(records, chars):
+    for rec in records:
+        ch = perm_char(G, rec)
         delta = determinant(ch)
         rows.append([ch.degree] + [1 if a else 0 for a in delta.exponents])
     for c in range(k):
@@ -177,6 +179,15 @@ def _draw(rows, coeffs, bound: int):
     for c, row in zip(coeffs, rows):
         x = [xi + c * ri for xi, ri in zip(x, row)]
     return x if any(x) and max(map(abs, x)) <= bound else None
+
+
+@per_group
+def _basis_rows(G: PermGroup):
+    """Per row of `_admissible_lattice`: its largest entry in absolute value,
+    and the coefficients of its combination of permutation characters."""
+    chars = [perm_char(G, rec).coeffs for rec in subgroup_lattice(G).records]
+    return [(max(map(abs, row)), [sum(map(mul, row, c)) for c in zip(*chars)])
+            for row in _admissible_lattice(G)]
 
 
 @per_group
@@ -204,17 +215,23 @@ def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
     zero = GenChar(table, [0] * table.class_count())
     if bound <= 0:
         return zero
-    _, chars, _ = _perm_lattice(G)
     basis = _admissible_lattice(G)
     if not basis or not _has_target(G, bound):
         return zero
+    rows = _basis_rows(G)
     rng = random.Random(seed)
     for _ in range(_DRAWS):
-        rows = rng.sample(basis, rng.randint(1, min(3, len(basis))))
-        x = _draw(rows, [rng.choice(_COEFFS) for _ in rows], bound)
-        if x is not None:
-            columns = zip(*(ch.coeffs for ch in chars))
-            return GenChar(table, [sum(map(mul, x, column)) for column in columns])
+        # sample() reads only the population's length: the draws of sample(basis, k)
+        picks = rng.sample(range(len(basis)), rng.randint(1, min(3, len(basis))))
+        coeffs = [rng.choice(_COEFFS) for _ in picks]
+        # a basis row is nonzero, so only its largest entry can reject it alone
+        if (abs(coeffs[0]) * rows[picks[0]][0] > bound if len(picks) == 1
+                else _draw([basis[i] for i in picks], coeffs, bound) is None):
+            continue
+        total = zero.coeffs
+        for c, i in zip(coeffs, picks):
+            total = [t + c * v for t, v in zip(total, rows[i][1])]
+        return GenChar(table, total)
     return zero
 
 

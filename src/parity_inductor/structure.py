@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ._primes import is_prime, prime_factors
 from .group import PermGroup, per_group, table_group
-from .lattice import SubgroupRecord, _greedy_generators, subgroup_lattice
+from .lattice import SubgroupRecord, subgroup_lattice
 from .perm import Perm
 
 
@@ -140,10 +140,11 @@ def dihedral_subquotients(G: PermGroup):
 
     H runs over lattice class representatives; N-choices within one H are
     deduplicated under conjugation by the normalizer of H, which realises
-    G-conjugacy of pairs: each N's orbit is closed under generators of the
-    normalizer.  Normality, normalizers, orbits and the count of
-    h in H with h*h in N, which decides the tag, are computed on element
-    positions through the Cayley table.
+    G-conjugacy of pairs: each N's orbit is closed under the elements that
+    generate the normalizer together with H, as the lattice keeps them (H
+    itself fixes every normal subgroup of H).  Normality, orbits and the
+    count of h in H with h*h in N, which decides the tag, are computed on
+    element positions through the Cayley table.
     """
     lattice = subgroup_lattice(G)
     table, inverse, _ = G.cayley()
@@ -172,10 +173,6 @@ def dihedral_subquotients(G: PermGroup):
         )
         if not candidates:
             continue
-        normalizer = [
-            g for g in range(len(table)) if all(conjugate(x, g) in h_set for x in h_gens)
-        ]
-        n_gens = _greedy_generators(G, normalizer)
         seen = set()
         for n_set, class_id in candidates:
             if n_set in seen:
@@ -183,7 +180,7 @@ def dihedral_subquotients(G: PermGroup):
             seen.add(n_set)
             orbit = [n_set]
             for cur in orbit:
-                for g in n_gens:
+                for g in h_rec.normalizer:
                     image = frozenset([conjugate(x, g) for x in cur])
                     if image not in seen:
                         seen.add(image)

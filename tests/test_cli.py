@@ -265,12 +265,12 @@ def test_oversize_group_or_subgroup_is_refused_small_and_fast(argv, message):
     _refused_small_and_fast(argv, message)
 
 
-def _chartab_in_a_fresh_process(spec):
+def _chartab_in_a_fresh_process(spec, *flags):
     """Run `chartab` on spec in a fresh process, whose parent streams its
     stdout into a sha256 and reads its one child's CPU time and peak RSS."""
     probe = (
         "import hashlib, json, resource, subprocess, sys\n"
-        "proc = subprocess.Popen([sys.executable, '-m', 'parity_inductor.cli', 'chartab', %r],"
+        "proc = subprocess.Popen([sys.executable, '-m', 'parity_inductor.cli', 'chartab', %r, *%r],"
         " stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
         "digest = hashlib.sha256()\n"
         "for chunk in iter(lambda: proc.stdout.read(1 << 20), b''):\n"
@@ -278,7 +278,7 @@ def _chartab_in_a_fresh_process(spec):
         "err, code = proc.stderr.read().decode(), proc.wait()\n"
         "use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
         "print(json.dumps([code, digest.hexdigest(), err,"
-        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % (spec,)
+        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % (spec, flags)
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
     return json.loads(proc.stdout)
@@ -305,6 +305,17 @@ def test_large_abelian_chartab_is_fast(spec, digest, cpu_bound, mb_bound):
     code, got, err, cpu_s, peak_kb = _chartab_in_a_fresh_process(spec)
     assert (code, got, err) == (0, digest, "")
     assert cpu_s < cpu_bound and peak_kb < mb_bound * 1024, (cpu_s, peak_kb)
+
+
+@pytest.mark.large
+def test_json_chartab_builds_no_text():
+    # the 512 MB text table is never formatted for --format json: with it,
+    # this peaked at 1.05 GB; the document alone takes 0.9 s of CPU and 65 MB
+    code, got, err, cpu_s, peak_kb = _chartab_in_a_fresh_process("C512", "--format", "json")
+    assert (code, got, err) == (
+        0, "04898181b3cdef4829d5171db103a652f1066e18f6ca35973c2b13e1e60ab2c3", ""
+    )
+    assert peak_kb < 100 * 1024, peak_kb
 
 
 @pytest.mark.large

@@ -1,10 +1,14 @@
 import pytest
+from _lattice_reference import class_sets as reference_lattice_class_sets
 
+from parity_inductor import lattice as lattice_module
 from parity_inductor.catalog import load_bundled_catalog
-from parity_inductor.groupspec import parse_group_spec
+from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import (
     LatticeBoundError,
     SubgroupLattice,
+    _extend,
+    _greedy_generators,
     subgroup_lattice,
 )
 from parity_inductor.perm import identity, parse_perm
@@ -269,3 +273,64 @@ def test_known_lattice_counts(spec, subgroups, classes, normal):
     assert sum(len(orbit) for orbit in lattice.class_sets) == subgroups
     assert len(lattice.records) == classes
     assert sum(r.normal for r in lattice.records) == normal
+
+
+C2_6 = ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)", "(11 12)"]
+
+
+def _assert_matches_every_subgroup_reference(G, name):
+    lattice = SubgroupLattice(G)
+    reference = reference_lattice_class_sets(G)
+    assert lattice.class_sets == reference, name
+    table, inverse, _ = G.cayley()
+    for record, orbit in zip(lattice.records, reference):
+        assert record.positions == orbit[0] and record.normal == (len(orbit) == 1), name
+        assert record.generators == tuple(
+            G.elements()[a] for a in _greedy_generators(G, orbit[0])
+        ), name
+        # each kept element normalizes H, and with H they span all of N(H),
+        # whose order is |G| over the class size
+        h_gens = [G.element_index(g) for g in record.generators]
+        gens = list(h_gens)
+        span = record.positions
+        for h in record.normalizer:
+            assert all(table[inverse[h]][table[x][h]] in orbit[0] for x in h_gens), name
+            if h not in span:
+                span = _extend(table, span, gens, h)
+                gens.append(h)
+        assert len(span) * len(orbit) == G.order(), name
+
+
+def test_class_extension_matches_every_subgroup_reference_on_catalog():
+    for entry in load_bundled_catalog():
+        _assert_matches_every_subgroup_reference(entry.group, entry.name)
+
+
+@pytest.mark.parametrize("spec", ["S5", "A6", "D128"])
+def test_class_extension_matches_every_subgroup_reference(spec):
+    _assert_matches_every_subgroup_reference(parse_group_spec(spec), spec)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("spec", ["D256", "C2^6"])
+def test_class_extension_matches_every_subgroup_reference_large(spec):
+    G = group_from_cycles(C2_6) if spec == "C2^6" else parse_group_spec(spec)
+    _assert_matches_every_subgroup_reference(G, spec)
+
+
+@pytest.mark.parametrize("spec, share", [("S5", 10), ("A6", 40)])
+def test_class_extension_extends_a_fraction_of_the_reference(monkeypatch, spec, share):
+    # one representative per class, and one element per N(S)-family of double
+    # cosets: S5 makes 97 extensions against 1,285, A6 132 against 7,210
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _extend(*args)
+
+    monkeypatch.setattr(lattice_module, "_extend", counted)
+    G = parse_group_spec(spec)
+    SubgroupLattice(G)
+    ours = len(calls)
+    reference_lattice_class_sets(G)
+    assert ours * share <= len(calls) - ours, (ours, len(calls) - ours)

@@ -1,6 +1,7 @@
 """Tests for membership certificates, random targets, and induction bases."""
 
 import random
+from operator import mul
 
 import pytest
 
@@ -244,9 +245,53 @@ def reference_random_S_element(G, seed, bound):
     return None
 
 
+def drawn_random_S_element(G, seed, bound):
+    """random_S_element as it drew before it sampled positions: each draw's
+    multiplicities built by `_draw`, then combined with the permutation
+    characters."""
+    table = character_table(G)
+    zero = GenChar(table, [0] * table.class_count())
+    if bound <= 0:
+        return zero
+    _, chars, _ = membership._perm_lattice(G)
+    basis = membership._admissible_lattice(G)
+    if not basis or not membership._has_target(G, bound):
+        return zero
+    rng = random.Random(seed)
+    for _ in range(membership._DRAWS):
+        rows = rng.sample(basis, rng.randint(1, min(3, len(basis))))
+        x = membership._draw(rows, [rng.choice(membership._COEFFS) for _ in rows], bound)
+        if x is not None:
+            columns = zip(*(ch.coeffs for ch in chars))
+            return GenChar(table, [sum(map(mul, x, column)) for column in columns])
+    return zero
+
+
 @pytest.fixture(scope="module")
 def catalog():
     return load_bundled_catalog()
+
+
+def test_random_element_matches_drawn_reference(catalog):
+    for entry in catalog:
+        G = entry.group
+        for bound in (1, 3, 4, 8):
+            for seed in range(20):
+                assert random_S_element(G, seed, bound).coeffs == drawn_random_S_element(
+                    G, seed, bound
+                ).coeffs, (entry.name, bound, seed)
+
+
+def test_random_element_takes_no_hnf_of_the_permutation_characters(catalog, monkeypatch):
+    # only a solve over the permutation lattice needs its HNF
+    def refuse(G):
+        raise AssertionError("permutation-lattice HNF taken")
+
+    monkeypatch.setattr(membership, "_perm_lattice", refuse)
+    for entry in catalog:
+        G = entry.group
+        for seed in range(3):
+            random_S_element(G, seed, 4)
 
 
 def test_random_element_matches_rejection_reference(catalog):
