@@ -7,7 +7,6 @@ from .chartab import character_table, kernel_rows
 from .genchar import (
     GenChar,
     LinearChar,
-    _coset_char,
     determinant,
     induce,
     inflate,
@@ -17,7 +16,7 @@ from .genchar import (
     rho_H,
     trivial_char,
 )
-from .generators import THEOREM_FLAVOR, GeneratorFamily, theorem_family
+from .generators import THEOREM_FLAVOR, TYPE1_ID, GeneratorFamily, theorem_family
 from .group import PermGroup, per_group
 from .lattice import subgroup_lattice
 from .membership import (
@@ -28,7 +27,7 @@ from .membership import (
     solomon_coefficients,
     verify_certificate,
 )
-from .structure import is_hyperelementary, quotient
+from .structure import DIHEDRAL_2P, SmallTypeTag, is_hyperelementary, quotient
 
 _MAX_DEPTH = 100
 
@@ -154,7 +153,7 @@ def _lemma23_family(G) -> GeneratorFamily:
 @per_group
 def _prop26_family(G, q) -> GeneratorFamily:
     """The conjugate pairs plus the dihedral twists of order 2q."""
-    tag = "Dihedral2p(%d)" % q
+    tag = str(SmallTypeTag(DIHEDRAL_2P, q))
     return _subfamily(G, lambda g: g.kind == "type1" or g.tag == tag)
 
 
@@ -191,7 +190,7 @@ def _type1_leaves(G, tau: GenChar):
     for i, c in enumerate(tau.coeffs):
         if not c or i == 0:
             continue
-        gen_id = "t1:%d" % min(i, table.conj_rows[i])
+        gen_id = TYPE1_ID % min(i, table.conj_rows[i])
         mults[gen_id] = mults.get(gen_id, 0) + c
     leaves = []
     total = _zero(table)
@@ -325,7 +324,8 @@ def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
     if sorted(vtab.degrees[i] for i in rows) != [1, 1, 1, 1, 2]:
         raise DecomposeError("non-normal step quotient is not of order-8 type")
     sigma = irreducible_char(vtab, next(i for i in rows if vtab.degrees[i] == 2))
-    coset = _coset_char(vtab.group, v_rec.local(h_set))
+    V = vtab.group
+    coset = perm_char(V, subgroup_lattice(V).record_for_set(v_rec.local(h_set)))
     lam_row = next(
         i for i, c in enumerate(coset.coeffs) if c == 1 and i != 0 and vtab.degrees[i] == 1
     )

@@ -2,9 +2,11 @@
 
 A GenChar is a vector of integer coefficients over the irreducible rows of a
 CharacterTable, and the operations work on those coordinates.  Restriction and
-induction apply an integer matrix, cached in the larger group: G's rows read
-at H's classes, all decomposed over H's table in one call.  Coset characters
-are decomposed the same way, every lattice class of G in one call.  Inflation
+induction share one integer matrix per subgroup H, cached in the larger group
+as its columns: column h is Ind of H's irreducible h, read off G's rows at H's
+classes, all decomposed over H's table in one call.  Induction sums columns
+and restriction takes one dot product per column.  Coset characters are
+decomposed the same way, every lattice class of G in one call.  Inflation
 puts each coordinate of G/N on the row of G's table it names
 (`chartab.quotient_rows`); determinants are integer exponent vectors mod
 exp(G).  No class value is ever formed: the table keeps its rows as
@@ -18,6 +20,7 @@ from operator import mul
 
 from .chartab import CharacterTable, CharTableError, character_table, quotient_rows
 from .group import PermGroup, per_group
+from .intlinalg import linear_combination
 from .lattice import SubgroupRecord, subgroup_lattice
 from .structure import QuotientMap
 
@@ -178,11 +181,13 @@ def _check_record(G: PermGroup, H) -> None:
 
 
 @per_group
-def _restriction(G: PermGroup, H: SubgroupRecord):
-    """H's table and the restriction matrix: G's rows at H's classes, in H's coordinates."""
+def _induction(G: PermGroup, H: SubgroupRecord):
+    """H's table and the induction matrix's columns: column h is Ind of H's
+    irreducible h in G's coordinates, by Frobenius reciprocity."""
     ht = character_table(H.as_group())
     fusion = [G.class_of(cls.rep) for cls in ht.classes]
-    return ht, ht.decompose([[row[c] for c in fusion] for row in character_table(G).vectors])
+    rows = ht.decompose([[row[c] for c in fusion] for row in character_table(G).vectors])
+    return ht, tuple(zip(*rows))
 
 
 @per_group
@@ -191,33 +196,31 @@ def _inflation_rows(G: PermGroup, qmap: QuotientMap):
     return quotient_rows(character_table(G), qmap)[0]
 
 
-def _apply(rows, coeffs):
-    return [sum(map(mul, row, coeffs)) for row in rows]
-
-
 # ---------------------------------------------------------------- the ops
 
 
 def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
-    """Induction of a virtual character of H up to its parent group.
-
-    Frobenius reciprocity: <Ind tau, X_i> = <tau, Res X_i>, the dot product of
-    tau with row i of the restriction matrix.
-    """
+    """Induction of a virtual character of H up to its parent group: the
+    induction matrix's columns summed over tau's nonzero coefficients."""
     if not isinstance(H, SubgroupRecord):
         raise ValueError("induction needs a SubgroupRecord (the parent fixes G)")
     G = H.parent
-    ht, rows = _restriction(G, H)
+    ht, columns = _induction(G, H)
     if tau.table is not ht:
         raise ValueError("character does not live on the subgroup's table")
-    return GenChar(character_table(G), _apply(rows, tau.coeffs))
+    gt = character_table(G)
+    return GenChar(gt, linear_combination(zip(tau.coeffs, columns), gt.class_count()))
 
 
 def restrict(tau: GenChar, H: SubgroupRecord) -> GenChar:
-    """Restriction of a virtual character of G to a subgroup record H of G."""
+    """Restriction of a virtual character of G to a subgroup record H of G.
+
+    Frobenius reciprocity: <Res tau, Y_h> = <tau, Ind Y_h>, the dot product of
+    tau with column h of the induction matrix.
+    """
     _check_record(tau.table.group, H)
-    ht, rows = _restriction(tau.table.group, H)
-    return GenChar(ht, _apply(zip(*rows), tau.coeffs))
+    ht, columns = _induction(tau.table.group, H)
+    return GenChar(ht, [sum(map(mul, column, tau.coeffs)) for column in columns])
 
 
 def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
@@ -234,12 +237,8 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
 
 def _det_exponents(table: CharacterTable, coeffs):
     """det(sum_i coeffs[i] * chi_i) at class c is zeta_exp ** exps[c]."""
-    exps = [0] * table.class_count()
-    for ci, dets in zip(coeffs, table.det_exponents):
-        if ci:
-            exps = [a + ci * d for a, d in zip(exps, dets)]
-    e = table.exponent
-    return [a % e for a in exps]
+    exps = linear_combination(zip(coeffs, table.det_exponents), table.class_count())
+    return [a % table.exponent for a in exps]
 
 
 def determinant(tau: GenChar) -> LinearChar:
@@ -269,12 +268,6 @@ def perm_char(G: PermGroup, H: SubgroupRecord) -> GenChar:
 def _lattice_coset_chars(G: PermGroup):
     """The coset character of every lattice class of G, decomposed in one call."""
     return _coset_chars(G, [rec.positions for rec in subgroup_lattice(G).records])
-
-
-@per_group
-def _coset_char(G: PermGroup, positions: frozenset) -> GenChar:
-    """The coset character of one subgroup of G, outside G's lattice."""
-    return _coset_chars(G, [positions])[0]
 
 
 def _coset_chars(G: PermGroup, subgroups):

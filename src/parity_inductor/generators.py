@@ -3,15 +3,13 @@
 An induced generator (type2, tagged, cyclic) is Ind_H^G of a core formed on
 H's table: tau - 1 - det tau, or the tagged or cyclic tau itself.  The core's
 degree and determinant are checked on H, which the transfer formula carries
-to G, and its expansion is the core times H's restriction matrix.
+to G, and its expansion is `genchar.induce` of the core.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, _restriction, irreducible_char
+from .genchar import GenChar, _det_exponents, induce, irreducible_char
 from .group import PermGroup, per_group
 from .intlinalg import hnf
 from .lattice import subgroup_lattice
@@ -20,6 +18,8 @@ from .structure import dihedral_subquotients, quotient
 THEOREM_FLAVOR = "thm12"
 COROLLARY_FLAVOR = "cor29"
 FLAVORS = (THEOREM_FLAVOR, COROLLARY_FLAVOR)
+
+TYPE1_ID = "t1:%d"  # a conjugate-pair twist's id, by the lesser of its pair's rows
 
 
 class GeneratorError(RuntimeError):
@@ -61,41 +61,26 @@ class GeneratorDesc:
         return "GeneratorDesc(%s)" % self.gen_id
 
 
-def _check_core(table: CharacterTable, coeffs, gen_id):
-    """Degree 0 and trivial determinant on the table's group.
+def _check_core(core: GenChar, gen_id):
+    """Degree 0 and trivial determinant on the core's group.
 
     For a core psi on H this holds for Ind_H^G(psi) too: its degree is
     |G : H| * psi(1), and by the transfer formula (Gallagher) det Ind psi is
     the sign of G on the cosets of H to the psi(1), times det psi composed
     with the transfer G -> H/H'.
     """
-    if sum(map(mul, coeffs, table.degrees)):
+    if core.degree:
         raise GeneratorError("generator %s has nonzero degree" % gen_id)
-    if any(_det_exponents(table, coeffs)):
+    if any(_det_exponents(core.table, core.coeffs)):
         raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
 
 
 def _induced(record, cores, gen_ids):
-    """Ind_H^G of each core, H = record and a core its coefficients on H's table.
-
-    Each core's contract is checked on H.  The block is then one product with
-    the restriction matrix, whose column h is Ind of H's irreducible h
-    (Frobenius reciprocity), summed over each core's nonzero coefficients.
-    """
-    if not cores:
-        return []
-    ht, rows = _restriction(record.parent, record)
-    gt = character_table(record.parent)
-    columns = list(zip(*rows))
-    out = []
+    """Ind_H^G of each core, a virtual character of H = record, once every
+    core's contract is checked on H."""
     for core, gen_id in zip(cores, gen_ids):
-        _check_core(ht, core, gen_id)
-        coeffs = [0] * len(rows)
-        for a, column in zip(core, columns):
-            if a:
-                coeffs = [x + a * y for x, y in zip(coeffs, column)]
-        out.append(GenChar(gt, coeffs))
-    return out
+        _check_core(core, gen_id)
+    return [induce(record, core) for core in cores]
 
 
 def _conjugate_pair_twist(table: CharacterTable, i: int):
@@ -120,9 +105,10 @@ def enumerate_type1(G: PermGroup):
         coeffs = _conjugate_pair_twist(table, canonical)
         if not any(coeffs):
             continue
-        gen_id = "t1:%d" % canonical
-        _check_core(table, coeffs, gen_id)
-        out.append(GeneratorDesc("type1", gen_id, GenChar(table, coeffs), index=canonical))
+        gen_id = TYPE1_ID % canonical
+        expansion = GenChar(table, coeffs)
+        _check_core(expansion, gen_id)
+        out.append(GeneratorDesc("type1", gen_id, expansion, index=canonical))
     return out
 
 
@@ -178,7 +164,7 @@ def _dihedral_twists(dq):
         core[0] -= 1
         core[table.linear_row_of[det]] -= 1
         taus.append(tau)
-        cores.append(core)
+        cores.append(GenChar(table, core))
     return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, taus, cores)
 
 
@@ -293,12 +279,10 @@ def _cyclic_quotient_twists(record):
     """Induced twists psi + conj(psi) - 2*1 over linear characters of H."""
     subtab = character_table(record.as_group())
     rows = [i for i in subtab.linear_row_indices() if i and subtab.conj_rows[i] >= i]
-    cores = [_conjugate_pair_twist(subtab, i) for i in rows]
+    cores = [GenChar(subtab, _conjugate_pair_twist(subtab, i)) for i in rows]
     ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
     return [
-        GeneratorDesc(
-            "cyclic", gen_id, expansion, h_record=record, index=i, tau=GenChar(subtab, core)
-        )
+        GeneratorDesc("cyclic", gen_id, expansion, h_record=record, index=i, tau=core)
         for i, gen_id, core, expansion in zip(rows, ids, cores, _induced(record, cores, ids))
     ]
 
@@ -307,9 +291,7 @@ def _tagged_quotient_twists(dq):
     """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
     table, rows, over = _subquotient_rows(dq)
     taus = _real_zero_lattice_basis(table, rows, over)
-    return _subquotient_generators(
-        "tagged", "tag:h%d:n%d:%s:b%d", dq, taus, [tau.coeffs for tau in taus]
-    )
+    return _subquotient_generators("tagged", "tag:h%d:n%d:%s:b%d", dq, taus, taus)
 
 
 @per_group

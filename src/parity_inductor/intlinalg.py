@@ -1,4 +1,5 @@
-"""Exact integer matrix helpers: row HNF with transform, canonical lattice solves.
+"""Exact integer vector and matrix helpers: integer combinations of vectors,
+row HNF with transform, canonical lattice solves.
 
 Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
 Both the HNF and the solves' reduction run one elimination loop, `_echelon`;
@@ -8,6 +9,16 @@ a batch of solves shares one echelon of the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+def linear_combination(pairs, width: int):
+    """The sum of c * v over the (c, v) pairs, as a list of ``width`` ints;
+    zero coefficients are skipped."""
+    total = [0] * width
+    for c, v in pairs:
+        if c:
+            total = [t + c * x for t, x in zip(total, v)]
+    return total
 
 
 def identity_matrix(n: int):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 from math import comb
-from operator import mul
 
 from .chartab import character_table
 from .genchar import (
@@ -17,7 +16,7 @@ from .genchar import (
 )
 from .generators import GeneratorFamily
 from .group import PermGroup, per_group
-from .intlinalg import hnf
+from .intlinalg import hnf, linear_combination
 from .lattice import subgroup_lattice
 from .structure import is_hyperelementary
 
@@ -73,11 +72,9 @@ def membership_solve_all(rhos, family: GeneratorFamily):
 
 def verify_certificate(cert: MembershipCertificate) -> bool:
     """Re-expand the certificate over irreducible coordinates; exact compare."""
-    total = [0] * cert.family.table.class_count()
-    for index, coeff in cert.terms:
-        expansion = cert.family.generators[index].expansion
-        total = [t + coeff * e for t, e in zip(total, expansion.coeffs)]
-    return tuple(total) == cert.target.coeffs
+    generators = cert.family.generators
+    terms = ((c, generators[i].expansion.coeffs) for i, c in cert.terms)
+    return tuple(linear_combination(terms, cert.family.table.class_count())) == cert.target.coeffs
 
 
 def certificate_to_json(cert: MembershipCertificate, group_name: str) -> dict:
@@ -93,24 +90,30 @@ def certificate_to_json(cert: MembershipCertificate, group_name: str) -> dict:
 
 
 def certificate_from_json(doc: dict, family: GeneratorFamily) -> MembershipCertificate:
-    """Rebuild a certificate emitted by certificate_to_json, ready to re-verify."""
+    """Rebuild a certificate emitted by certificate_to_json, ready to re-verify;
+    a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a certificate must be an object, got %r" % (doc,))
     if doc.get("flavor") != family.flavor:
         raise ValueError(
             "certificate flavor %r does not match family %r"
             % (doc.get("flavor"), family.flavor)
         )
     table = family.table
-    target_coeffs = doc["target"]
-    if len(target_coeffs) != table.class_count():
-        raise ValueError("target length does not match the character table")
+    target_coeffs = doc.get("target")
+    if not isinstance(target_coeffs, list) or len(target_coeffs) != table.class_count():
+        raise ValueError("target must be a list of %d entries" % table.class_count())
     target = GenChar(table, [_integer(c, "target entry") for c in target_coeffs])
     position = {desc.gen_id: i for i, desc in enumerate(family.generators)}
+    term_docs = doc.get("terms")
+    if not isinstance(term_docs, list):
+        raise ValueError("terms must be a list, got %r" % (term_docs,))
     terms = []
-    for term in doc["terms"]:
-        gen_id = term["generator"]
-        if gen_id not in position:
-            raise ValueError("unknown generator id %r" % gen_id)
-        terms.append((position[gen_id], _integer(term["coefficient"], "coefficient")))
+    for term in term_docs:
+        gen_id = term.get("generator") if isinstance(term, dict) else None
+        if not isinstance(gen_id, str) or gen_id not in position:
+            raise ValueError("term %r has no known generator id" % (term,))
+        terms.append((position[gen_id], _integer(term.get("coefficient"), "coefficient")))
     if len({i for i, _ in terms}) != len(terms):
         raise ValueError("a generator id appears in more than one term")
     return MembershipCertificate(family, target, terms)
@@ -175,9 +178,7 @@ _COEFFS = (-2, -1, 1, 2)
 
 def _draw(rows, coeffs, bound: int):
     """The multiplicities of one draw, or None when random_S_element rejects it."""
-    x = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        x = [xi + c * ri for xi, ri in zip(x, row)]
+    x = linear_combination(zip(coeffs, rows), len(rows[0]))
     return x if any(x) and max(map(abs, x)) <= bound else None
 
 
@@ -186,7 +187,8 @@ def _basis_rows(G: PermGroup):
     """Per row of `_admissible_lattice`: its largest entry in absolute value,
     and the coefficients of its combination of permutation characters."""
     chars = [perm_char(G, rec).coeffs for rec in subgroup_lattice(G).records]
-    return [(max(map(abs, row)), [sum(map(mul, row, c)) for c in zip(*chars)])
+    width = character_table(G).class_count()
+    return [(max(map(abs, row)), linear_combination(zip(row, chars), width))
             for row in _admissible_lattice(G)]
 
 
@@ -228,10 +230,8 @@ def random_S_element(G: PermGroup, seed: int, bound: int) -> GenChar:
         if (abs(coeffs[0]) * rows[picks[0]][0] > bound if len(picks) == 1
                 else _draw([basis[i] for i in picks], coeffs, bound) is None):
             continue
-        total = zero.coeffs
-        for c, i in zip(coeffs, picks):
-            total = [t + c * v for t, v in zip(total, rows[i][1])]
-        return GenChar(table, total)
+        picked = ((c, rows[i][1]) for c, i in zip(coeffs, picks))
+        return GenChar(table, linear_combination(picked, table.class_count()))
     return zero
 
 
@@ -262,9 +262,7 @@ def solomon_coefficients(G: PermGroup):
                 "no hyperelementary expression of the trivial character"
             )
         result = [(rec, c) for rec, c in zip(records, x) if c]
-    total = [0] * character_table(G).class_count()
-    for rec, c in result:
-        total = [t + c * v for t, v in zip(total, perm_char(G, rec).coeffs)]
-    if tuple(total) != one.coeffs:
+    terms = ((c, perm_char(G, rec).coeffs) for rec, c in result)
+    if tuple(linear_combination(terms, len(one.coeffs))) != one.coeffs:
         raise MembershipError("induction identity failed to re-verify")
     return result

@@ -50,8 +50,8 @@ class QuotientMap:
 
     ``kernel`` is N as positions in ``G.elements()``.  Right cosets N*g are
     numbered by their smallest position and found through G's Cayley table;
-    ``image_of[a]`` is the position in ``image.elements()`` of the image of
-    the element at position a.
+    ``image_of[a]`` is the number of the coset of the element at position a,
+    which is also the position of its image in ``image.elements()``.
     """
 
     def __init__(self, source: PermGroup, kernel):
@@ -73,14 +73,13 @@ class QuotientMap:
                 for x in members:
                     coset_of[table[x][g]] = len(reps)
                 reps.append(g)
-        images = [Perm(tuple(coset_of[table[r][g]] for r in reps)) for g in reps]
+        # coset c times coset d is that of reps[c] * reps[d]; coset d acts by column d
+        rows = [tuple([coset_of[table[r][s]] for s in reps]) for r in reps]
+        # reps[0] is the identity, so action c sends coset 0 to c: the actions are sorted
+        images = list(map(Perm, zip(*rows)))
         gens = [images[coset_of[source.element_index(g)]] for g in source.generators]
-        # the image lists these sorted; coset c times coset d is that of reps[c] * reps[d]
-        ranked = sorted(range(len(reps)), key=images.__getitem__)
-        position = {c: i for i, c in enumerate(ranked)}
-        rows = [tuple([position[coset_of[table[reps[c]][reps[d]]]] for d in ranked]) for c in ranked]
-        self.image = table_group(gens, len(reps), [images[c] for c in ranked], rows)
-        self.image_of = [position[c] for c in coset_of]
+        self.image = table_group(gens, len(reps), images, rows)
+        self.image_of = coset_of
 
 
 def _kernel_positions(G: PermGroup, N) -> frozenset:

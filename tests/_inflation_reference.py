@@ -8,12 +8,17 @@ so it never calls `chartab.quotient_rows`.  The matrices are cached per
 quotient map outside the groups' own caches.
 """
 
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from parity_inductor.chartab import character_table
-from parity_inductor.genchar import GenChar, _apply
+from parity_inductor.genchar import GenChar
 
 from _chartab_reference import decompose_one
+
+
+def _apply(rows, coeffs):
+    return [sum(map(mul, row, coeffs)) for row in rows]
 
 
 def _pullback(src, dst, class_map):

@@ -18,7 +18,7 @@ from parity_inductor.chartab import (
 )
 from parity_inductor.genchar import (
     _coset_chars,
-    _restriction,
+    _induction,
     inflate,
     irreducible_char,
     perm_char,
@@ -379,9 +379,10 @@ def _check_batched_decompose(G, rng):
     gt = character_table(G)
     tables = [gt]
     for rec in subgroup_lattice(G).records:
-        ht, rows = _restriction(G, rec)
+        ht, columns = _induction(G, rec)
         fusion = [G.class_of(cls.rep) for cls in ht.classes]
-        assert rows == tuple(decompose_one(ht, [row[c] for c in fusion]) for row in gt.vectors)
+        rows = tuple(decompose_one(ht, [row[c] for c in fusion]) for row in gt.vectors)
+        assert columns == tuple(zip(*rows))
         counts = [0] * gt.class_count()
         for a in rec.positions:
             counts[G.class_of_index(a)] += 1
@@ -456,10 +457,10 @@ def _check_against_reference(G):
             for n, cls in zip(counts, t.classes)
         ]
         assert perm_char(G, rec).coeffs == decompose_reference(t, fixed), rec.label
-        ht, rows = _restriction(G, rec)
+        ht, columns = _induction(G, rec)
         fusion = [G.class_of(cls.rep) for cls in ht.classes]
         want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in vals)
-        assert rows == want, rec.label
+        assert columns == tuple(zip(*want)), rec.label
         if rec.normal:
             q = quotient(G, rec)
             qt = character_table(q.image)

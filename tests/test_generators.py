@@ -228,10 +228,11 @@ def _check_against_quotient_tables(G):
 def test_cores_are_checked_on_the_subgroup():
     G = parse_group_spec("S3")
     record = next(r for r in subgroup_lattice(G).records if r.order == 2)
+    table = character_table(record.as_group())
     for core, what in (([1, 0], "nonzero degree"), ([-1, 1], "nontrivial determinant")):
         with pytest.raises(GeneratorError, match=what):
-            _induced(record, [core], ["probe"])
-    assert _induced(record, [[0, 0]], ["probe"])[0].is_zero()
+            _induced(record, [GenChar(table, core)], ["probe"])
+    assert _induced(record, [GenChar(table, [0, 0])], ["probe"])[0].is_zero()
 
 
 def test_families_match_quotient_table_reference_on_catalog():

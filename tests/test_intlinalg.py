@@ -11,7 +11,7 @@ from parity_inductor.chartab import character_table
 from parity_inductor.genchar import rho_H, trivial_char
 from parity_inductor.generators import family_for
 from parity_inductor.groupspec import parse_group_spec
-from parity_inductor.intlinalg import hnf, identity_matrix
+from parity_inductor.intlinalg import hnf, identity_matrix, linear_combination
 from parity_inductor.lattice import subgroup_lattice
 
 
@@ -53,6 +53,16 @@ def bareiss_det(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def test_linear_combination_is_the_row_vector_times_the_matrix():
+    rng = random.Random(11)
+    for _ in range(50):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        x = [rng.choice([0, 0, -3, 1, 2]) for _ in range(m)]
+        assert linear_combination(zip(x, a), n) == mat_mul([x], a)[0]
+    assert linear_combination([], 3) == [0, 0, 0]
 
 
 def test_hnf_small_example():

@@ -166,6 +166,24 @@ def test_certificate_from_json_rejects_non_integers(path, value):
         certificate_from_json(doc, family)
 
 
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        lambda doc: {k: v for k, v in doc.items() if k != "target"},
+        lambda doc: {k: v for k, v in doc.items() if k != "terms"},
+        lambda doc: dict(doc, terms=None),
+        lambda doc: dict(doc, terms=[5]),
+        lambda doc: dict(doc, terms=[dict(doc["terms"][0], generator=["t1:1"])]),
+        lambda doc: [doc],
+    ],
+    ids=["no-target", "no-terms", "terms-null", "term-not-object", "generator-list", "not-object"],
+)
+def test_certificate_from_json_refuses_a_malformed_document(malformed):
+    doc, family = _s3_certificate_doc()
+    with pytest.raises(ValueError):
+        certificate_from_json(malformed(doc), family)
+
+
 def test_certificate_from_json_rejects_a_repeated_generator():
     # terms 3 and -2 on one generator verify as its net 1, while
     # `coefficient` would report one of them

@@ -12,7 +12,7 @@ from parity_inductor.chartab import character_table
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
-from parity_inductor.perm import parse_perm
+from parity_inductor.perm import Perm, parse_perm
 from parity_inductor.structure import (
     QuotientMap,
     _dihedral_tag,
@@ -118,6 +118,24 @@ def test_quotient_preimage_set():
     assert sorted(q.image_of) == sorted(list(range(q.image.order())) * n.order)
     assert q.image.elements()[0].is_identity()
     assert frozenset(a for a, c in enumerate(q.image_of) if c == 0) == n.positions
+
+
+def test_quotient_image_lists_the_coset_actions_in_coset_order():
+    """Image element c is the action of coset c, the cosets numbered by their
+    least position: the image's sorted order is the cosets' order."""
+    for entry in load_bundled_catalog():
+        G = entry.group
+        table = G.cayley().table
+        for rec in subgroup_lattice(G).records:
+            if not rec.normal:
+                continue
+            least = [min(table[x][a] for x in rec.positions) for a in range(G.order())]
+            reps = sorted(set(least))
+            number = [reps.index(m) for m in least]
+            actions = [Perm([number[table[r][g]] for r in reps]) for g in reps]
+            q = quotient(G, rec)
+            assert q.image.elements() == tuple(actions), (entry.name, rec.label)
+            assert q.image_of == number, (entry.name, rec.label)
 
 
 @pytest.mark.parametrize(
