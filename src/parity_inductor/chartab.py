@@ -285,28 +285,38 @@ def kernel_rows(table: "CharacterTable", positions):
     ]
 
 
-def quotient_rows(table: "CharacterTable", qmap):
-    """H/N's irreducibles: the `kernel_rows` of H's table, for qmap mapping
-    H = table.group onto H/N, so that the image's row i inflates to rows[i].
+def quotient_rows(table: "CharacterTable", kernel):
+    """H/N's irreducibles: the `kernel_rows` of H's table, for N normal in
+    H = table.group given as positions in its ``elements()``, so that row i
+    of H/N's own table inflates to rows[i].
 
-    Returns the rows in the order the image's own table sorts them, keyed by
-    `_row_key` over the image's classes, and one class of H over each class
-    of the image.  At an h of order o_h whose image has order o, a row folds
-    to the image as m_image[s] = m_H[s * o_h / o].
+    Returns those rows in the order H/N's table sorts them, and the last
+    class of H over each class of H/N, with no quotient group built.  The
+    class of H/N over H's class c with representative r covers the classes
+    r*N meets, and its order is the least k with r ** k in N.  They sort as
+    `PermGroup.conjugacy_classes` sorts the image, by (order, size, least
+    position), since cosets are numbered by their least position.  At an h
+    of order o_h whose image has order o, a row folds to H/N as
+    m_image[s] = m_H[s * o_h / o].
     """
-    if qmap.source is not table.group:
-        raise ValueError("the quotient map does not start at the table's group")
-    image = qmap.image
-    classes = image.conjugacy_classes()
-    under = [image.class_of_index(qmap.image_of[cls.members[0]]) for cls in table.classes]
-    over = {s: c for c, s in enumerate(under)}
-    over = [over[s] for s in range(len(classes))]
-    rows = kernel_rows(table, qmap.kernel)
-    if len(rows) != len(classes):
+    group, classes = table.group, table.classes
+    cayley = group.cayley()[0]
+    in_n = {group.class_of_index(a) for a in kernel}
+    over = {}
+    for c, cls in enumerate(classes):
+        met = {group.class_of_index(cayley[cls.members[0]][n]) for n in kernel}
+        o = next(k for k in range(1, cls.order + 1) if table.power_maps[k][c] in in_n)
+        size = sum(classes[d].size for d in met) // len(kernel)
+        over[o, size, min(classes[d].members[0] for d in met)] = c
+    image_classes = sorted(over)
+    over = [over[key] for key in image_classes]
+    rows = kernel_rows(table, kernel)
+    if len(rows) != len(over):
         raise CharTableError("the rows with N in their kernel do not fit H/N")
-    steps = [(c, table.classes[c].order // cls.order) for c, cls in zip(over, classes)]
+    orders = [o for o, _, _ in image_classes]
+    steps = [(c, classes[c].order // o) for c, o in zip(over, orders)]
     ids, _, keys, _, _ = _value_index(
-        [[table.vectors[i][c][::j] for c, j in steps] for i in rows], image.exponent())
+        [[table.vectors[i][c][::j] for c, j in steps] for i in rows], lcm(*orders))
     order = sorted(range(len(rows)), key=lambda r: _row_key(ids[r], keys))
     return [rows[r] for r in order], over
 

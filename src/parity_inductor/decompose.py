@@ -1,4 +1,8 @@
-"""Structural decomposition trees over the generator family."""
+"""Structural decomposition trees over the generator family.
+
+Each Lemma 2.5, Thm 2.8 and Prop 2.6 step is built by `_step`, which adds a
+Lemma 2.3 leaf-solve for the linear remainder its children leave.
+"""
 
 from __future__ import annotations
 
@@ -84,8 +88,7 @@ class TreeNode:
             if total is None or self.genchar != _carry(self, total):
                 raise DecomposeError("%s node does not match its children" % self.kind.lower())
             return
-        total = sum((child.genchar for child in self.children), _zero(self.genchar.table))
-        if total != self.genchar:
+        if _total(self.children, self.genchar.table) != self.genchar:
             raise DecomposeError("node %s does not match its children" % self.kind)
 
     def walk(self):
@@ -106,11 +109,12 @@ def _child_sum(children):
     """The children's characters summed, or None unless they share one table."""
     if not children or any(c.genchar.table is not children[0].genchar.table for c in children):
         return None
-    return sum((child.genchar for child in children), _zero(children[0].genchar.table))
+    return _total(children, children[0].genchar.table)
 
 
-def _zero(table) -> GenChar:
-    return GenChar(table, [0] * table.class_count())
+def _total(children, table) -> GenChar:
+    zero = GenChar(table, [0] * table.class_count())
+    return sum((child.genchar for child in children), zero)
 
 
 def _scale(node: TreeNode, m: int) -> TreeNode:
@@ -193,17 +197,22 @@ def _type1_leaves(G, tau: GenChar):
         gen_id = TYPE1_ID % min(i, table.conj_rows[i])
         mults[gen_id] = mults.get(gen_id, 0) + c
     leaves = []
-    total = _zero(table)
     for gen_id, m in sorted(mults.items()):
         if not m:
             continue
         g = fam.by_id(gen_id)
         leaves.append(TreeNode(LEAF, m * g.expansion, generator=g, multiplicity=m))
-        total = total + m * g.expansion
-    target = tau + tau.conj() - 2 * tau.degree * trivial_char(table)
-    if total != target:
+    if _total(leaves, table) != tau + tau.conj() - 2 * tau.degree * trivial_char(table):
         raise DecomposeError("conjugate-pair expansion mismatch")
-    return leaves, target
+    return leaves
+
+
+def _step(G, kind, rho, children) -> TreeNode:
+    """A proof step: Lemma 2.3 covers the linear remainder its children leave."""
+    remainder = rho - _total(children, rho.table)
+    if not remainder.is_zero():
+        children.append(_lemma23(G, remainder))
+    return TreeNode(kind, rho, children)
 
 
 def _supersets(G, h_set, order):
@@ -240,14 +249,8 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
         terms = [
             (rec, c) for rec, c in zip(records, x) if c and rec.order < order
         ]
-    children = []
-    remainder = rho
-    for rec, c in terms:
-        children.append(_scale(handler(rec, depth), c))
-        remainder = remainder - c * rho_H(G, rec)
-    if not remainder.is_zero():
-        children.append(_lemma23(G, remainder))
-    return TreeNode("Lemma2.5", rho, children)
+    children = [_scale(handler(rec, depth), c) for rec, c in terms]
+    return _step(G, "Lemma2.5", rho, children)
 
 
 def _two_group(G, rho, depth) -> TreeNode:
@@ -290,12 +293,8 @@ def _thm28_cyclic_chain(G, rho, h_set, u_set, v_set, depth) -> TreeNode:
         i for i in kernel_rows(vtab, v_rec.local(h_set)) if vtab.conj_rows[i] != i
     )
     tau = induce(v_rec, irreducible_char(vtab, faithful))
-    leaves, twist = _type1_leaves(G, tau)
-    children = [_thm28_rho(G, u_set, depth + 1)] + leaves
-    remainder = rho - _rho_of_set(G, u_set) - twist
-    if not remainder.is_zero():
-        children.append(_lemma23(G, remainder))
-    return TreeNode("Thm2.8.case2", rho, children)
+    children = [_thm28_rho(G, u_set, depth + 1)] + _type1_leaves(G, tau)
+    return _step(G, "Thm2.8.case2", rho, children)
 
 
 def _thm28_klein_chain(G, rho, h_set, v_set, depth) -> TreeNode:
@@ -305,13 +304,7 @@ def _thm28_klein_chain(G, rho, h_set, v_set, depth) -> TreeNode:
         raise DecomposeError("Klein chain without three intermediates")
     children = [_thm28_rho(G, s, depth + 1) for s in mids]
     children.append(_scale(_thm28_rho(G, v_set, depth + 1), -2))
-    remainder = rho
-    for s in mids:
-        remainder = remainder - _rho_of_set(G, s)
-    remainder = remainder + 2 * _rho_of_set(G, v_set)
-    if not remainder.is_zero():
-        children.append(_lemma23(G, remainder))
-    return TreeNode("Thm2.8.case3", rho, children)
+    return _step(G, "Thm2.8.case3", rho, children)
 
 
 def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
@@ -343,12 +336,7 @@ def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
         _thm28_rho(G, k_lam, depth + 1),
         _thm28_rho(G, k_det, depth + 1),
     ]
-    remainder = (
-        rho - expansion - _rho_of_set(G, k_lam) - _rho_of_set(G, k_det)
-    )
-    if not remainder.is_zero():
-        children.append(_lemma23(G, remainder))
-    return TreeNode("Thm2.8.case4", rho, children)
+    return _step(G, "Thm2.8.case4", rho, children)
 
 
 def _find_family_generator(G, expansion):
@@ -409,29 +397,22 @@ def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
     h_rec_sub = subgroup_lattice(sub).record_for_set(vh_rec.local(h_set))
     rho0 = rho_H(sub, h_rec_sub)
     subtree = _dispatch(sub, rho0, depth + 1)
-    induced_char = induce(vh_rec, rho0)
-    children = [TreeNode(INDUCED, induced_char, [subtree], subgroup=vh_rec)]
-    remainder = rho - induced_char
+    children = [TreeNode(INDUCED, induce(vh_rec, rho0), [subtree], subgroup=vh_rec)]
     delta = determinant(perm_char(sub, h_rec_sub))
     if delta.is_trivial():
         children.append(
             _scale(_prop26_rho(G, v_set, q, vh_set, depth + 1), q)
         )
-        remainder = remainder - q * _rho_of_set(G, vh_set)
     else:
         k_set = vh_rec.lift(delta.kernel_positions())
         if not v_set <= k_set:
             raise DecomposeError("determinant kernel misses the Sylow base")
         children.append(_prop26_rho(G, v_set, q, k_set, depth + 1))
-        remainder = remainder - _rho_of_set(G, k_set)
         if q > 2:
             children.append(
                 _scale(_prop26_rho(G, v_set, q, vh_set, depth + 1), q - 2)
             )
-            remainder = remainder - (q - 2) * _rho_of_set(G, vh_set)
-    if not remainder.is_zero():
-        children.append(_lemma23(G, remainder))
-    return TreeNode("Prop2.6.case2", rho, children)
+    return _step(G, "Prop2.6.case2", rho, children)
 
 
 def _prop26_faithful(G, rho, q) -> TreeNode:

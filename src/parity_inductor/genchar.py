@@ -193,7 +193,7 @@ def _induction(G: PermGroup, H: SubgroupRecord):
 @per_group
 def _inflation_rows(G: PermGroup, qmap: QuotientMap):
     """The row of G's table that each row of the image's table inflates to."""
-    return quotient_rows(character_table(G), qmap)[0]
+    return quotient_rows(character_table(G), qmap.kernel)[0]
 
 
 # ---------------------------------------------------------------- the ops

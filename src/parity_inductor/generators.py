@@ -13,7 +13,7 @@ from .genchar import GenChar, _det_exponents, induce, irreducible_char
 from .group import PermGroup, per_group
 from .intlinalg import hnf
 from .lattice import subgroup_lattice
-from .structure import dihedral_subquotients, quotient
+from .structure import dihedral_subquotients
 
 THEOREM_FLAVOR = "thm12"
 COROLLARY_FLAVOR = "cor29"
@@ -113,10 +113,9 @@ def enumerate_type1(G: PermGroup):
 
 
 def _subquotient_rows(dq):
-    """H's table and `chartab.quotient_rows` of H -> H/N on it."""
-    sub = dq.h_record.as_group()
-    table = character_table(sub)
-    return (table, *quotient_rows(table, quotient(sub, dq.h_record.local(dq.n_positions))))
+    """H's table and `chartab.quotient_rows` of H/N on it."""
+    table = character_table(dq.h_record.as_group())
+    return (table, *quotient_rows(table, dq.h_record.local(dq.n_positions)))
 
 
 def _subquotient_generators(kind, id_format, dq, taus, cores):

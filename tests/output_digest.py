@@ -4,12 +4,14 @@ Usage (from the repository root):
 
     PYTHONPATH=src python3 tests/output_digest.py
 
-It runs 1,301 commands in one process:
+It runs 1,673 commands in one process:
 - `verify` in text and json, in both flavors, at seeds 0 and 1;
 - for every catalog group, `chartab`, `group-info`, `parity` and
   `required-primes` in text and json, and `subgroups --format json`;
 - `decompose --subgroup #i --format json` for every subgroup class of every
-  catalog group, in both flavors.
+  catalog group, in both flavors;
+- `decompose --subgroup #i --structural --format json` for every subgroup
+  class of every catalog group.
 
 Each command prints one line: the sha256 of
 ``json.dumps([argv, exit code, stdout, stderr])``, then the argv.  The last
@@ -47,10 +49,13 @@ def commands():
         for command in ("chartab", "group-info", "parity", "required-primes"):
             out += [[command, spec, "--format", fmt] for fmt in ("text", "json")]
         out.append(["subgroups", spec, "--format", "json"])
-    for spec, entry in zip(specs, load_bundled_catalog()):
-        classes = len(subgroup_lattice(entry.group).records)
+    classes = [len(subgroup_lattice(entry.group).records) for entry in load_bundled_catalog()]
+    for spec, n in zip(specs, classes):
         out += [["decompose", spec, "--subgroup", "#%d" % i, "--flavor", flavor, "--format", "json"]
-                for flavor in FLAVORS for i in range(classes)]
+                for flavor in FLAVORS for i in range(n)]
+    for spec, n in zip(specs, classes):
+        out += [["decompose", spec, "--subgroup", "#%d" % i, "--structural", "--format", "json"]
+                for i in range(n)]
     return out
 
 

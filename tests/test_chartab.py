@@ -179,14 +179,23 @@ def test_matches_burnside_oracle_up_to_24():
     groups += [group_from_cycles(c) for c in extra]
     for G in groups:
         assert G.order() <= 24
-        t = character_table(G)
-        oracle = burnside_character_rows(G, seed=7)
-        unmatched = list(oracle)
-        for row in reference_rows(t):
-            hits = [o for o in unmatched if all(a == b for a, b in zip(row, o))]
-            assert len(hits) == 1, "table row missing from oracle"
-            unmatched.remove(hits[0])
-        assert not unmatched
+        _assert_matches_burnside_oracle(G)
+
+
+def test_dixon_schneider_catalog_tables_match_burnside_oracle():
+    # only Dixon-Schneider builds these three catalog tables
+    groups = {e.name: e.group for e in load_bundled_catalog()}
+    for name in ("A5", "S5", "SL(2,3)"):
+        _assert_matches_burnside_oracle(groups[name])
+
+
+def _assert_matches_burnside_oracle(G):
+    unmatched = list(burnside_character_rows(G, seed=7))
+    for row in reference_rows(character_table(G)):
+        hits = [o for o in unmatched if all(a == b for a, b in zip(row, o))]
+        assert len(hits) == 1, "table row missing from oracle"
+        unmatched.remove(hits[0])
+    assert not unmatched
 
 
 def test_values_are_algebraic_integers_at_identity():
@@ -247,32 +256,28 @@ def test_decompose_rejects_malformed_values_naming_the_class():
 
 
 def test_quotient_rows_fold_to_the_image_table_on_catalog():
-    # Lemma 2.22 read off G's table: the rows with N in their kernel, folded
-    # to the image's element orders, are the image's own table, in its order
+    # Lemma 2.22 read off H's table: the rows with N in their kernel, folded
+    # to the image's element orders, are the image's own table, in its order;
+    # H runs over every lattice class of every catalog group, as the
+    # generator families use it
     for entry in load_bundled_catalog():
-        G = entry.group
-        t = character_table(G)
-        for rec in subgroup_lattice(G).records:
-            if not rec.normal:
-                continue
-            q = quotient(G, rec)
-            qt = character_table(q.image)
-            rows, over = quotient_rows(t, q)
-            for s, c in enumerate(over):
-                assert q.image.class_of_index(q.image_of[t.classes[c].members[0]]) == s
-            folded = [
-                tuple(t.vectors[i][c][:: t.classes[c].order // cls.order]
-                      for c, cls in zip(over, qt.classes))
-                for i in rows
-            ]
-            assert folded == list(qt.vectors), (entry.name, rec.label)
-
-
-def test_quotient_rows_need_the_map_from_the_tables_group():
-    G = parse_group_spec("S4")
-    q = quotient(G, subgroup_lattice(G).records[-2])
-    with pytest.raises(ValueError):
-        quotient_rows(table("S4"), q)
+        for h_rec in subgroup_lattice(entry.group).records:
+            H = h_rec.as_group()
+            t = character_table(H)
+            for rec in subgroup_lattice(H).records:
+                if not rec.normal:
+                    continue
+                q = quotient(H, rec)
+                qt = character_table(q.image)
+                rows, over = quotient_rows(t, q.kernel)
+                for s, c in enumerate(over):
+                    assert q.image.class_of_index(q.image_of[t.classes[c].members[0]]) == s
+                folded = [
+                    tuple(t.vectors[i][c][:: t.classes[c].order // cls.order]
+                          for c, cls in zip(over, qt.classes))
+                    for i in rows
+                ]
+                assert folded == list(qt.vectors), (entry.name, h_rec.label, rec.label)
 
 
 # Differential check of the sparse decomposition against the dense-dual
