@@ -72,13 +72,17 @@ def load_catalog(path: str):
     """Parse a JSONL catalog; every group is rebuilt and checked against its record."""
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 decode to lone surrogates, found line by line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
+                text.encode("utf-8")
                 record = json.loads(text)
+            except UnicodeEncodeError:
+                raise CatalogError("line %d: not valid UTF-8" % line_number) from None
             except json.JSONDecodeError as exc:
                 raise CatalogError("line %d: %s" % (line_number, exc)) from None
             except ValueError:  # json refuses integers over 4,300 digits

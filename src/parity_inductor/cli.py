@@ -279,6 +279,8 @@ def _cmd_parity(args) -> int:
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise CliError("bad parity input file: %s" % exc) from None
+            except UnicodeDecodeError:
+                raise CliError("bad parity input file: not valid UTF-8") from None
             except ValueError:  # json refuses integers over 4,300 digits
                 raise CliError("bad parity input file: an integer has too many digits") from None
         try:

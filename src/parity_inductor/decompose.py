@@ -84,8 +84,7 @@ class TreeNode:
                 raise DecomposeError("leaf does not account for its generator")
             return
         if self.kind in (INDUCED, INFLATED):
-            total = _child_sum(self.children)
-            if total is None or self.genchar != _carry(self, total):
+            if len(self.children) != 1 or self.genchar != _carry(self, self.children[0].genchar):
                 raise DecomposeError("%s node does not match its children" % self.kind.lower())
             return
         if _total(self.children, self.genchar.table) != self.genchar:
@@ -103,13 +102,6 @@ class TreeNode:
 def _carry(node, char) -> GenChar:
     """A character of an Induced or Inflated node's children, on the node's group."""
     return induce(node.subgroup, char) if node.kind == INDUCED else inflate(node.qmap, char)
-
-
-def _child_sum(children):
-    """The children's characters summed, or None unless they share one table."""
-    if not children or any(c.genchar.table is not children[0].genchar.table for c in children):
-        return None
-    return _total(children, children[0].genchar.table)
 
 
 def _total(children, table) -> GenChar:

@@ -4,6 +4,14 @@ An induced generator (type2, tagged, cyclic) is Ind_H^G of a core formed on
 H's table: tau - 1 - det tau, or the tagged or cyclic tau itself.  The core's
 degree and determinant are checked on H, which the transfer formula carries
 to G, and its expansion is `genchar.induce` of the core.
+
+Each family is built in its final order, and that order is an output
+contract: it fixes every generator id and the term order of every
+certificate.  thm12 lists its conjugate-pair twists by row, then its
+dihedral twists; cor29 lists its cyclic twists, then its tagged ones.  The
+twists through subquotients H/N come larger H first, then in the order of
+`dihedral_subquotients` (H's class, N's class, N's positions), then by tau;
+the cyclic twists come larger H first, then by H's class and by row.
 """
 
 from __future__ import annotations
@@ -36,12 +44,9 @@ class GeneratorDesc:
         "kind",
         "gen_id",
         "expansion",
-        "index",
         "h_record",
         "n_positions",
-        "n_class_id",
         "tag",
-        "tau_index",
         "tau",
     )
 
@@ -49,12 +54,9 @@ class GeneratorDesc:
         self.kind = kind
         self.gen_id = gen_id
         self.expansion = expansion
-        self.index = extra.get("index")
         self.h_record = extra.get("h_record")
         self.n_positions = extra.get("n_positions")
-        self.n_class_id = extra.get("n_class_id")
         self.tag = extra.get("tag")
-        self.tau_index = extra.get("tau_index")
         self.tau = extra.get("tau")
 
     def __repr__(self):
@@ -93,22 +95,17 @@ def _conjugate_pair_twist(table: CharacterTable, i: int):
 
 
 def enumerate_type1(G: PermGroup):
-    """One conjugate-pair twist per irreducible, zero expansions dropped."""
+    """One conjugate-pair twist per pair of rows, by its lesser row, zero expansions dropped."""
     table = character_table(G)
     out = []
-    seen = set()
     for i in range(table.class_count()):
-        canonical = min(i, table.conj_rows[i])
-        if canonical in seen:
+        coeffs = _conjugate_pair_twist(table, i)
+        if table.conj_rows[i] < i or not any(coeffs):
             continue
-        seen.add(canonical)
-        coeffs = _conjugate_pair_twist(table, canonical)
-        if not any(coeffs):
-            continue
-        gen_id = TYPE1_ID % canonical
+        gen_id = TYPE1_ID % i
         expansion = GenChar(table, coeffs)
         _check_core(expansion, gen_id)
-        out.append(GeneratorDesc("type1", gen_id, expansion, index=canonical))
+        out.append(GeneratorDesc("type1", gen_id, expansion))
     return out
 
 
@@ -128,14 +125,10 @@ def _subquotient_generators(kind, id_format, dq, taus, cores):
             expansion,
             h_record=dq.h_record,
             n_positions=dq.n_positions,
-            n_class_id=dq.n_class_id,
             tag=str(dq.tag),
-            tau_index=index,
             tau=tau,
         )
-        for index, (gen_id, tau, expansion) in enumerate(
-            zip(ids, taus, _induced(dq.h_record, cores, ids))
-        )
+        for gen_id, tau, expansion in zip(ids, taus, _induced(dq.h_record, cores, ids))
     ]
 
 
@@ -167,17 +160,6 @@ def _dihedral_twists(dq):
     return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, taus, cores)
 
 
-def _type2_sort_key(desc: GeneratorDesc):
-    return (
-        -desc.h_record.order,
-        desc.h_record.class_id,
-        len(desc.n_positions),
-        desc.n_class_id,
-        desc.tag,
-        desc.tau_index,
-    )
-
-
 def _drop_zero_and_duplicate(descs):
     out = []
     seen = set()
@@ -192,13 +174,14 @@ def _drop_zero_and_duplicate(descs):
     return out
 
 
+def _larger_h_first(G: PermGroup):
+    """G's tagged subquotients in family order: a stable sort by descending |H|."""
+    return sorted(dihedral_subquotients(G), key=lambda dq: -dq.h_record.order)
+
+
 def enumerate_type2(G: PermGroup):
     """Dihedral induction twists over all tagged subquotients, deduplicated."""
-    descs = []
-    for dq in dihedral_subquotients(G):
-        descs.extend(_dihedral_twists(dq))
-    descs.sort(key=_type2_sort_key)
-    return _drop_zero_and_duplicate(descs)
+    return _drop_zero_and_duplicate([g for dq in _larger_h_first(G) for g in _dihedral_twists(dq)])
 
 
 class GeneratorFamily:
@@ -281,8 +264,8 @@ def _cyclic_quotient_twists(record):
     cores = [GenChar(subtab, _conjugate_pair_twist(subtab, i)) for i in rows]
     ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
     return [
-        GeneratorDesc("cyclic", gen_id, expansion, h_record=record, index=i, tau=core)
-        for i, gen_id, core, expansion in zip(rows, ids, cores, _induced(record, cores, ids))
+        GeneratorDesc("cyclic", gen_id, expansion, h_record=record, tau=core)
+        for gen_id, core, expansion in zip(ids, cores, _induced(record, cores, ids))
     ]
 
 
@@ -296,14 +279,9 @@ def _tagged_quotient_twists(dq):
 @per_group
 def cor29_family(G: PermGroup) -> GeneratorFamily:
     """Induced real twists through cyclic or tagged quotients."""
-    cyclic = []
-    for record in subgroup_lattice(G).records:
-        cyclic.extend(_cyclic_quotient_twists(record))
-    cyclic.sort(key=lambda d: (-d.h_record.order, d.h_record.class_id, d.index))
-    tagged = []
-    for dq in dihedral_subquotients(G):
-        tagged.extend(_tagged_quotient_twists(dq))
-    tagged.sort(key=_type2_sort_key)
+    records = sorted(subgroup_lattice(G).records, key=lambda record: -record.order)
+    cyclic = [g for record in records for g in _cyclic_quotient_twists(record)]
+    tagged = [g for dq in _larger_h_first(G) for g in _tagged_quotient_twists(dq)]
     descs = _drop_zero_and_duplicate(cyclic + tagged)
     return GeneratorFamily(G, COROLLARY_FLAVOR, descs)
 

@@ -7,6 +7,7 @@ from .generators import family_for
 from .group import PermGroup
 from .lattice import SubgroupRecord, subgroup_lattice
 from .membership import membership_solve_all
+from .structure import dihedral_subquotients
 
 BASE = ("base",)
 
@@ -277,8 +278,6 @@ def _check_row_shape(G, record, index, expression):
 
 def required_sha_primes(G: PermGroup):
     """Odd primes with a dihedral subquotient, and whether Klein-four forces 2."""
-    from .structure import dihedral_subquotients
-
     primes = set()
     needs2 = False
     for dq in dihedral_subquotients(G):

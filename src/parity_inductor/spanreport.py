@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .chartab import character_table
 from .genchar import rho_H
 from .generators import family_for
 from .group import PermGroup
@@ -135,7 +134,6 @@ def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, boun
     except (RuntimeError, ValueError) as exc:
         result = TargetResult("family", False, detail=str(exc))
         return SpanReport(group_name, G.order(), flavor, [result], [], usage)
-    character_table(G)
     records = subgroup_lattice(G).records
     targets = [rho_H(G, record) for record in records]
     targets += [_attempt(random_S_element, G, seed + i, bound) for i in range(samples)]

@@ -137,6 +137,12 @@ class DihedralSubquotient:
 def dihedral_subquotients(G: PermGroup):
     """All (H, N, tag) pairs up to G-conjugacy with H/N Klein-four, D8, or D2p.
 
+    The list is ordered by H's class, then N's class, then N's sorted
+    positions; the generator families walk it in this order, so it fixes
+    their generator ids and every certificate's term order.  For one H the
+    tag follows from |H/N|, and class ids rise with subgroup order, so N's
+    class also orders the tags.
+
     H runs over lattice class representatives; N-choices within one H are
     deduplicated under conjugation by the normalizer of H, which realises
     G-conjugacy of pairs: each N's orbit is closed under the elements that
@@ -168,10 +174,8 @@ def dihedral_subquotients(G: PermGroup):
                 if cand[0] <= h_set
                 and all(conjugate(x, g) in cand[0] for g in h_gens for x in cand[0])
             ),
-            key=lambda cand: sorted(cand[0]),
+            key=lambda cand: (cand[1], sorted(cand[0])),
         )
-        if not candidates:
-            continue
         seen = set()
         for n_set, class_id in candidates:
             if n_set in seen:
@@ -196,14 +200,6 @@ def dihedral_subquotients(G: PermGroup):
                     tag=tag,
                 )
             )
-    out.sort(
-        key=lambda d: (
-            d.h_record.class_id,
-            d.n_class_id,
-            str(d.tag),
-            sorted(d.n_positions),
-        )
-    )
     return out
 
 

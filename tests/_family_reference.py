@@ -10,6 +10,11 @@ before inducing to G.  Every twist here, the cyclic ones included, is
 induced through `induce` as a `GenChar` of H, where the package applies the
 restriction matrix to each core's coefficients.  It stays here as the
 independent side of the differential tests.
+
+The package builds each family in its final order; this reference still
+builds its twists in walk order and sorts them with the keys the package
+once sorted by, so the differential tests also show that the two orders
+agree.
 """
 
 from parity_inductor.chartab import character_table
@@ -24,7 +29,6 @@ from parity_inductor.generators import (
     GeneratorDesc,
     GeneratorError,
     _drop_zero_and_duplicate,
-    _type2_sort_key,
     enumerate_type1,
 )
 from parity_inductor.intlinalg import hnf
@@ -54,18 +58,40 @@ def _subquotient(dq):
     return qmap, character_table(qmap.image)
 
 
+def _type2_sort_key(dq, tau_index):
+    """Larger H first, then H's class, |N|, N's class, the tag and tau's index."""
+    return (
+        -dq.h_record.order,
+        dq.h_record.class_id,
+        len(dq.n_positions),
+        dq.n_class_id,
+        str(dq.tag),
+        tau_index,
+    )
+
+
+def _cyclic_sort_key(record, row):
+    """Larger H first, then H's class and the row of the linear character."""
+    return (-record.order, record.class_id, row)
+
+
+def _sorted_descs(keyed):
+    """The descriptors of (key, descriptor) pairs, stably sorted by key."""
+    return [desc for _, desc in sorted(keyed, key=lambda pair: pair[0])]
+
+
 def _describe(kind, gen_id, expansion, dq, index, tau):
-    return GeneratorDesc(
+    """A twist through dq with its sort key."""
+    desc = GeneratorDesc(
         kind,
         gen_id,
         expansion,
         h_record=dq.h_record,
         n_positions=dq.n_positions,
-        n_class_id=dq.n_class_id,
         tag=str(dq.tag),
-        tau_index=index,
         tau=tau,
     )
+    return _type2_sort_key(dq, index), desc
 
 
 def _dihedral_twists(dq):
@@ -129,23 +155,20 @@ def _cyclic_quotient_twists(record):
         tau = irreducible_char(table, i) + irreducible_char(table, table.conj_rows[i])
         tau = tau - 2 * trivial_char(table)
         gen_id = "cyc:h%d:chi%d" % (record.class_id, i)
-        out.append(GeneratorDesc("cyclic", gen_id, induce(record, tau), h_record=record, index=i, tau=tau))
+        desc = GeneratorDesc("cyclic", gen_id, induce(record, tau), h_record=record, tau=tau)
+        out.append((_cyclic_sort_key(record, i), desc))
     return out
 
 
 def theorem_generators(G):
     """The thm12 family's generators, in family order."""
-    type2 = [d for dq in dihedral_subquotients(G) for d in _dihedral_twists(dq)]
-    type2.sort(key=_type2_sort_key)
+    type2 = _sorted_descs(d for dq in dihedral_subquotients(G) for d in _dihedral_twists(dq))
     return _drop_zero_and_duplicate(enumerate_type1(G) + _drop_zero_and_duplicate(type2))
 
 
 def cor29_generators(G):
     """The cor29 family's generators, in family order."""
-    cyclic = []
-    for record in subgroup_lattice(G).records:
-        cyclic.extend(_cyclic_quotient_twists(record))
-    cyclic.sort(key=lambda d: (-d.h_record.order, d.h_record.class_id, d.index))
-    tagged = [d for dq in dihedral_subquotients(G) for d in _tagged_quotient_twists(dq)]
-    tagged.sort(key=_type2_sort_key)
+    records = subgroup_lattice(G).records
+    cyclic = _sorted_descs(d for record in records for d in _cyclic_quotient_twists(record))
+    tagged = _sorted_descs(d for dq in dihedral_subquotients(G) for d in _tagged_quotient_twists(dq))
     return _drop_zero_and_duplicate(cyclic + tagged)

@@ -203,6 +203,20 @@ def test_json_integers_too_long_for_int_exit_2(tmp_path):
     assert (code, out) == (2, "") and "too many digits" in err
 
 
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (("verify", "--catalog"), b'{"name": "C2", "spec": "C2"}\n\xff\xfe\n', "line 2: not valid UTF-8"),
+        (("parity", "S3", "--parities"), b'{"base": 1}\xff\n', "bad parity input file: not valid UTF-8"),
+    ],
+    ids=["catalog", "parities"],
+)
+def test_files_not_utf8_exit_2(tmp_path, argv, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert run_cli(*argv, str(path)) == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("spec", ["C4000", "C8000", "D8000", "S2000"])
 def test_family_token_above_the_lattice_bound_exits_2_fast(monkeypatch, spec):
     # the token gives the order, so the bound lists no element

@@ -213,7 +213,7 @@ def test_type2_expansion_matches_definition():
 
 
 def _listing(generators):
-    return [(g.gen_id, g.kind, g.expansion.coeffs) for g in generators]
+    return [(g.gen_id, g.kind, g.expansion.coeffs, g.n_positions) for g in generators]
 
 
 def _check_against_quotient_tables(G):
