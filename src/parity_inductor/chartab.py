@@ -6,7 +6,8 @@ extended to its stabilizer: every bundled catalog group and subgroup except
 S4, A5, S5, SL(2,3) and their copies.  Any other table is computed over F_l
 (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)) by Dixon-Schneider: the class
 algebra splits there into common eigenspaces, lifted to exact values by
-Fourier inversion over the power maps.  Both paths' rows are sorted, then checked.
+Fourier inversion over the power maps, kept as one cycle per class c (the
+classes of rep_c ** j, j < o(c)).  Both paths' rows are sorted, then checked.
 
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
@@ -305,7 +306,7 @@ def quotient_rows(table: "CharacterTable", kernel):
     over = {}
     for c, cls in enumerate(classes):
         met = {group.class_of_index(cayley[cls.members[0]][n]) for n in kernel}
-        o = next(k for k in range(1, cls.order + 1) if table.power_maps[k][c] in in_n)
+        o = next(k for k in range(1, cls.order + 1) if table.power_cycles[c][k % cls.order] in in_n)
         size = sum(classes[d].size for d in met) // len(kernel)
         over[o, size, min(classes[d].members[0] for d in met)] = c
     image_classes = sorted(over)
@@ -332,21 +333,17 @@ def _format_value(key) -> str:
     return " ".join(parts) or "0"
 
 
-def _power_maps(group: PermGroup, classes, exponent: int):
-    """power_maps[j][c] = class of rep_c ** j, and the inverse map, off the Cayley table."""
-    table, inverse = group.cayley()[:2]
-    class_of = [group.class_of_index(i) for i in range(len(table))]
+def _power_cycles(group: PermGroup, classes):
+    """cycles[c][j] = class of rep_c ** j for 0 <= j < o(c), off the Cayley table."""
+    table, class_of = group.cayley()[0], group._class_of()
     cycles = []
     for cls in classes:
         pos, cycle = 0, []
         for _ in range(cls.order):
             cycle.append(class_of[pos])
             pos = table[pos][cls.members[0]]
-        cycles.append(cycle)
-    power_maps = tuple(
-        tuple([cycle[j % len(cycle)] for cycle in cycles]) for j in range(exponent + 1)
-    )
-    return power_maps, tuple(class_of[inverse[cls.members[0]]] for cls in classes)
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 # ----------------------------------------------------------------- the table
@@ -359,10 +356,10 @@ class CharacterTable:
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = e = group.exponent()
-        self.power_maps, self.inverse_map = _power_maps(group, self.classes, e)
+        self.power_cycles = _power_cycles(group, self.classes)
         rows = _abelian_by_cyclic_rows(group, self.classes, e)
         if rows is None:
-            rows = _dixon_schneider(group, self.classes, self.power_maps, self.inverse_map)
+            rows = _dixon_schneider(group, self.classes, self.power_cycles)
         ids, self._index, self._keys, terms, dets = _value_index(rows, e)
         ids.sort(key=lambda row: _row_key(row, self._keys))
         self._ids = ids
@@ -423,7 +420,7 @@ class CharacterTable:
                 for s, x in ts:
                     out[s * p % len(m) * len(out) // len(m)] += x
                 pushed.append(self._index.get(tuple(out)))
-            at = itemgetter(*self.power_maps[p])
+            at = itemgetter(*[cycle[p % len(cycle)] for cycle in self.power_cycles])
             if any(at(row) != tuple(map(pushed.__getitem__, row)) for row in ids):
                 raise CharTableError("a row does not follow the %d-power map" % p)
 
@@ -434,8 +431,7 @@ class CharacterTable:
         s, so d(1) = 0 and d(x * y) = d(x) + d(y) (Serre, Linear
         Representations of Finite Groups, 2.3)."""
         G, e, dets = self.group, self.exponent, self.det_exponents
-        table = G.cayley()[0]
-        class_of = [G.class_of_index(x) for x in range(len(table))]
+        table, class_of = G.cayley()[0], G._class_of()
         for s in G.generators:
             g = G.element_index(s)
             pairs = {(class_of[x], class_of[xs[g]]) for x, xs in enumerate(table)}
@@ -670,9 +666,10 @@ def _abelian_by_cyclic_rows(group, classes, e):
     return rows
 
 
-def _dixon_schneider(group, classes, power_maps, inverse_map):
+def _dixon_schneider(group, classes, cycles):
     """Rows of eigenvalue multiplicity vectors, one tuple per class, of a
-    non-trivial group (for exp(G) = 1 `_choose_prime` finds no prime)."""
+    non-trivial group (for exp(G) = 1 `_choose_prime` finds no prime), given
+    its power cycles: cycles[c][-1] is the class of rep_c's inverse."""
     order = group.order()
     k = len(classes)
     exponent = group.exponent()
@@ -682,7 +679,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
 
     cayley = group.cayley()
     table, inverse = cayley.table, cayley.inverse
-    class_of = [group.class_of_index(i) for i in range(order)]
+    class_of = group._class_of()
     reps = [c.members[0] for c in classes]
     sizes = [c.size for c in classes]
 
@@ -756,7 +753,6 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         powers = [pow(zgen, exponent // o * i, l) for i in range(o)]
         rows = tuple([powers[-j * s % o] for j in range(o)] for s in range(o))
         inversion[o] = (rows, pow(o, l - 2, l))
-    cycles = [[power_maps[j][c] for j in range(cls.order)] for c, cls in enumerate(classes)]
     inv_mod = {x: pow(x, l - 2, l) for x in set(sizes)}
     rows_out = []
     for (w,) in spaces:
@@ -767,7 +763,7 @@ def _dixon_schneider(group, classes, power_maps, inverse_map):
         # degree from sum over classes of w(c) w(c*) / |C_c|
         s = 0
         for c in range(k):
-            s = (s + w[c] * w[inverse_map[c]] * inv_mod[sizes[c]]) % l
+            s = (s + w[c] * w[cycles[c][-1]] * inv_mod[sizes[c]]) % l
         if s == 0:
             raise CharTableError("degree denominator vanished")
         d2 = order * pow(s, l - 2, l) % l

@@ -15,7 +15,7 @@ from .group import CayleyBoundError
 from .groupspec import (GroupSpecError, _shorten_numbers, _split_generators, group_from_cycles,
                         parse_group_spec)
 from .lattice import LatticeBoundError, subgroup_lattice
-from .membership import MembershipError, membership_solve, verify_certificate
+from .membership import MembershipError, certificate_to_json, membership_solve, verify_certificate
 from .parity import (ParityError, ParityInput, format_columns, full_assignment, parity_table,
                      required_sha_primes)
 from .perm import format_perm
@@ -50,9 +50,8 @@ def _resolve_subgroup(G, text: str):
             class_id = int(text[1:])
         except ValueError:
             raise CliError("bad subgroup class id %r" % _shorten_numbers(text)) from None
-        for record in lattice.records:
-            if record.class_id == class_id:
-                return record
+        if 0 <= class_id < len(lattice.records):
+            return lattice.records[class_id]
         raise CliError(
             "no subgroup class %s; classes run #0..#%d"
             % (_shorten_numbers(text), len(lattice.records) - 1)
@@ -177,7 +176,7 @@ def _cmd_subgroups(args) -> int:
                 "label": record.label,
                 "class_id": record.class_id,
                 "order": record.order,
-                "index": G.order() // record.order,
+                "index": record.index,
                 "normal": record.normal,
                 "conjugates": len(lattice.class_sets[record.class_id]),
             }
@@ -224,11 +223,8 @@ def _cmd_decompose(args) -> int:
         "group": args.groupspec,
         "subgroup": record.label,
         "subgroup_order": record.order,
-        "index": G.order() // record.order,
-        "flavor": flavor,
-        "target": list(cert.target.coeffs),
-        "terms": [{"generator": g, "coefficient": c} for g, c in cert.named_terms()],
-        "verified": True,
+        "index": record.index,
+        **certificate_to_json(cert, args.groupspec),
     }
     text = "\n".join(
         [

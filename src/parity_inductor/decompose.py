@@ -456,7 +456,6 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
     if family is None:
         family = theorem_family(G)
     merged = {}
-    gen_ids = {g.gen_id: i for i, g in enumerate(family.generators)}
 
     def add_solved(char, mult):
         cert = membership_solve(char, family)
@@ -467,8 +466,8 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
 
     def walk(node, lifts):
         if node.kind == LEAF:
-            if not lifts and node.generator.gen_id in gen_ids:
-                j = gen_ids[node.generator.gen_id]
+            if not lifts and node.generator.gen_id in family.position:
+                j = family.position[node.generator.gen_id]
                 merged[j] = merged.get(j, 0) + node.multiplicity
                 return
             char = node.generator.expansion

@@ -31,9 +31,9 @@ class GenChar:
     __slots__ = ("table", "coeffs")
 
     def __init__(self, table: CharacterTable, coeffs):
-        coeffs = tuple(map(int, coeffs))
-        if len(coeffs) != table.class_count():
-            raise ValueError("coefficient count does not match the table")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != table.class_count() or {*map(type, coeffs)} - {int}:
+            raise ValueError("coefficients must be %d integers, got %r" % (table.class_count(), coeffs))
         self.table = table
         self.coeffs = coeffs
 

@@ -17,9 +17,9 @@ the cyclic twists come larger H first, then by H's class and by row.
 from __future__ import annotations
 
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, induce, irreducible_char
+from .genchar import GenChar, _det_exponents, induce, irreducible_char, trivial_char
 from .group import PermGroup, per_group
-from .intlinalg import hnf
+from .intlinalg import hnf, kernel_mod2
 from .lattice import subgroup_lattice
 from .structure import dihedral_subquotients
 
@@ -77,12 +77,15 @@ def _check_core(core: GenChar, gen_id):
         raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
 
 
-def _induced(record, cores, gen_ids):
-    """Ind_H^G of each core, a virtual character of H = record, once every
-    core's contract is checked on H."""
-    for core, gen_id in zip(cores, gen_ids):
+def _induced(kind, record, ids, taus, cores, **extra):
+    """The generators Ind_H^G(core) of H = record, one per id, tau and core
+    (a virtual character of H), once every core's contract is checked on H."""
+    for core, gen_id in zip(cores, ids):
         _check_core(core, gen_id)
-    return [induce(record, core) for core in cores]
+    return [
+        GeneratorDesc(kind, gen_id, induce(record, core), h_record=record, tau=tau, **extra)
+        for gen_id, tau, core in zip(ids, taus, cores)
+    ]
 
 
 def _conjugate_pair_twist(table: CharacterTable, i: int):
@@ -118,18 +121,7 @@ def _subquotient_rows(dq):
 def _subquotient_generators(kind, id_format, dq, taus, cores):
     """The generators Ind_H^G(core), one per tau of H/N and its core."""
     ids = [id_format % (dq.h_record.class_id, dq.n_class_id, dq.tag, i) for i in range(len(taus))]
-    return [
-        GeneratorDesc(
-            kind,
-            gen_id,
-            expansion,
-            h_record=dq.h_record,
-            n_positions=dq.n_positions,
-            tag=str(dq.tag),
-            tau=tau,
-        )
-        for gen_id, tau, expansion in zip(ids, taus, _induced(dq.h_record, cores, ids))
-    ]
+    return _induced(kind, dq.h_record, ids, taus, cores, n_positions=dq.n_positions, tag=str(dq.tag))
 
 
 def _degree2_characters(table: CharacterTable, rows):
@@ -150,14 +142,10 @@ def _degree2_characters(table: CharacterTable, rows):
 def _dihedral_twists(dq):
     """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
     table, rows, _ = _subquotient_rows(dq)
-    taus, cores = [], []
-    for tau, det in _degree2_characters(table, rows):
-        core = list(tau.coeffs)
-        core[0] -= 1
-        core[table.linear_row_of[det]] -= 1
-        taus.append(tau)
-        cores.append(GenChar(table, core))
-    return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, taus, cores)
+    pairs = _degree2_characters(table, rows)
+    one = trivial_char(table)
+    cores = [tau - one - irreducible_char(table, table.linear_row_of[det]) for tau, det in pairs]
+    return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, [tau for tau, _ in pairs], cores)
 
 
 def _drop_zero_and_duplicate(descs):
@@ -196,7 +184,10 @@ class GeneratorFamily:
         self.generators = tuple(generators)
         self.matrix = [list(g.expansion.coeffs) for g in self.generators]
         self._hnf = None
-        self._by_id = {g.gen_id: g for g in self.generators}
+        self.position = {}  # gen_id -> its index in generators
+        for i, g in enumerate(self.generators):
+            if self.position.setdefault(g.gen_id, i) != i:
+                raise GeneratorError("generator id %s repeats" % g.gen_id)
 
     def __len__(self):
         return len(self.generators)
@@ -213,7 +204,7 @@ class GeneratorFamily:
         return self._hnf
 
     def by_id(self, gen_id: str) -> GeneratorDesc:
-        return self._by_id[gen_id]
+        return self.generators[self.position[gen_id]]
 
 
 @per_group
@@ -227,33 +218,23 @@ def _real_zero_lattice_basis(table: CharacterTable, rows, over):
     """Basis of {real generalized characters of H/N of degree 0 with trivial
     det}, on H's table: H/N's irreducibles are ``rows``, and ``over`` holds
     one class of H over each class of H/N."""
-    k = len(rows)
     dets = [table.det_exponents[i] for i in rows]
     if any(2 * x % table.exponent for det in dets for x in det):
         raise GeneratorError("tagged quotient with determinant of order > 2")
-    det_bits = [[1 if det[c] else 0 for c in over] for det in dets]
-    nvars = 2 * k
-    columns = [[table.degrees[i] for i in rows] + [0] * k]
     position = {row: i for i, row in enumerate(rows)}
-    for i, row in enumerate(rows):
-        j = position[table.conj_rows[row]]
-        if j > i:
-            col = [0] * nvars
-            col[i] = 1
-            col[j] = -1
-            columns.append(col)
-    for c in range(k):
-        col = [det_bits[i][c] for i in range(k)] + [0] * k
-        col[k + c] = 2
-        columns.append(col)
-    matrix = [[col[i] for col in columns] for i in range(nvars)]
+    pairs = [(i, j) for i, row in enumerate(rows) if (j := position[table.conj_rows[row]]) > i]
+    matrix = [
+        [table.degrees[row]]
+        + [1 if i == a else -1 if i == b else 0 for a, b in pairs]
+        + [1 if det[c] else 0 for c in over]
+        for i, (row, det) in enumerate(zip(rows, dets))
+    ]
     basis = []
-    for x in hnf(matrix).kernel:
-        if any(x[:k]):
-            coeffs = [0] * table.class_count()
-            for row, a in zip(rows, x):
-                coeffs[row] = a
-            basis.append(GenChar(table, coeffs))
+    for x in kernel_mod2(matrix, 1 + len(pairs)):
+        coeffs = [0] * table.class_count()
+        for row, a in zip(rows, x):
+            coeffs[row] = a
+        basis.append(GenChar(table, coeffs))
     return basis
 
 
@@ -263,10 +244,7 @@ def _cyclic_quotient_twists(record):
     rows = [i for i in subtab.linear_row_indices() if i and subtab.conj_rows[i] >= i]
     cores = [GenChar(subtab, _conjugate_pair_twist(subtab, i)) for i in rows]
     ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
-    return [
-        GeneratorDesc("cyclic", gen_id, expansion, h_record=record, tau=core)
-        for gen_id, core, expansion in zip(ids, cores, _induced(record, cores, ids))
-    ]
+    return _induced("cyclic", record, ids, cores, cores)
 
 
 def _tagged_quotient_twists(dq):

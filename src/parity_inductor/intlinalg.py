@@ -1,5 +1,6 @@
 """Exact integer vector and matrix helpers: integer combinations of vectors,
-row HNF with transform, canonical lattice solves.
+row HNF with transform, canonical lattice solves, and left kernels that are
+exact in some columns and mod 2 in the rest (`kernel_mod2`).
 
 Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
 Both the HNF and the solves' reduction run one elimination loop, `_echelon`;
@@ -118,3 +119,13 @@ def hnf(a) -> HnfResult:
                 rows[k] = [x - q * y for x, y in zip(rows[k], rows[r])]
     h, u = [row[:n] for row in rows], [row[n:] for row in rows]
     return HnfResult(h=h, u=u, rank=len(pivot_cols), pivot_cols=pivot_cols)
+
+
+def kernel_mod2(rows, exact: int):
+    """Basis of the integer x with x @ rows zero in the first ``exact`` columns
+    and even in the others: the left kernel of ``rows`` over 2 * I in those
+    columns, cut to len(rows) entries, zero rows dropped."""
+    width = len(rows[0])
+    evens = [[2 if j == c else 0 for j in range(width)] for c in range(exact, width)]
+    cut = (x[:len(rows)] for x in hnf(list(rows) + evens).kernel)
+    return [x for x in cut if any(x)]

@@ -16,7 +16,7 @@ from .genchar import (
 )
 from .generators import GeneratorFamily
 from .group import PermGroup, per_group
-from .intlinalg import hnf, linear_combination
+from .intlinalg import hnf, kernel_mod2, linear_combination
 from .lattice import subgroup_lattice
 from .structure import is_hyperelementary
 
@@ -104,16 +104,15 @@ def certificate_from_json(doc: dict, family: GeneratorFamily) -> MembershipCerti
     if not isinstance(target_coeffs, list) or len(target_coeffs) != table.class_count():
         raise ValueError("target must be a list of %d entries" % table.class_count())
     target = GenChar(table, [_integer(c, "target entry") for c in target_coeffs])
-    position = {desc.gen_id: i for i, desc in enumerate(family.generators)}
     term_docs = doc.get("terms")
     if not isinstance(term_docs, list):
         raise ValueError("terms must be a list, got %r" % (term_docs,))
     terms = []
     for term in term_docs:
         gen_id = term.get("generator") if isinstance(term, dict) else None
-        if not isinstance(gen_id, str) or gen_id not in position:
+        if not isinstance(gen_id, str) or gen_id not in family.position:
             raise ValueError("term %r has no known generator id" % (term,))
-        terms.append((position[gen_id], _integer(term.get("coefficient"), "coefficient")))
+        terms.append((family.position[gen_id], _integer(term.get("coefficient"), "coefficient")))
     if len({i for i, _ in terms}) != len(terms):
         raise ValueError("a generator id appears in more than one term")
     return MembershipCertificate(family, target, terms)
@@ -156,19 +155,9 @@ def is_s_element(rho: GenChar) -> bool:
 @per_group
 def _admissible_lattice(G: PermGroup):
     """Basis of integer subgroup-multiplicity vectors landing inside S_G."""
-    records = subgroup_lattice(G).records
-    k = character_table(G).class_count()
-    m = len(records)
-    rows = []
-    for rec in records:
-        ch = perm_char(G, rec)
-        delta = determinant(ch)
-        rows.append([ch.degree] + [1 if a else 0 for a in delta.exponents])
-    for c in range(k):
-        aux = [0] * (k + 1)
-        aux[1 + c] = 2
-        rows.append(aux)
-    projected = [row[:m] for row in hnf(rows).kernel if any(row[:m])]
+    chars = [perm_char(G, rec) for rec in subgroup_lattice(G).records]
+    rows = [[ch.degree] + [1 if a else 0 for a in determinant(ch).exponents] for ch in chars]
+    projected = kernel_mod2(rows, 1)
     return [row for row in hnf(projected).h if any(row)] if projected else []
 
 

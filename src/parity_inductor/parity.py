@@ -166,7 +166,7 @@ def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", cert
     """Symbolic parity over the fixed field of `record`, from its certificate."""
     if certificate is None:
         [certificate] = _certificates_for(G, [record], flavor)
-    index = G.order() // record.order
+    index = record.index
     delta = determinant(perm_char(G, record))
     symbols = []
     family = certificate.family
@@ -250,7 +250,7 @@ def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -
     rows = []
     for record, cert in zip(records, _certificates_for(G, records, flavor)):
         expression = parity_expression(G, record, flavor, cert)
-        index = G.order() // record.order
+        index = record.index
         _check_row_shape(G, record, index, expression)
         value = None
         if assignment is not None:

@@ -147,11 +147,12 @@ def test_column_orthogonality_exact():
 def test_power_maps():
     t = table("D12")
     k = t.class_count()
-    assert t.power_maps[1] == tuple(range(k))
+    assert tuple(cycle[1 % len(cycle)] for cycle in t.power_cycles) == tuple(range(k))
     for c in range(k):
         o = t.classes[c].order
-        assert t.power_maps[o][c] == 0
-        assert t.power_maps[0][c] == 0
+        # a cycle of length o: rep_c ** o is rep_c ** 0, the identity
+        assert len(t.power_cycles[c]) == o
+        assert t.power_cycles[c][0] == 0
 
 
 def test_conjugate_rows_form_involution():
@@ -450,9 +451,9 @@ def _check_against_reference(G):
             got = Fraction(t._gram(row_terms[i], row_terms[j]), G.order())
             assert got == inner_product_conj(t, vals[i], conj[j]), (i, j)
     for c, cls in enumerate(t.classes):
-        assert t.inverse_map[c] == G.class_of(cls.rep.inverse())
+        assert t.power_cycles[c][-1] == G.class_of(cls.rep.inverse())
         for j in range(t.exponent + 1):
-            assert t.power_maps[j][c] == G.class_of(cls.rep**j)
+            assert t.power_cycles[c][j % cls.order] == G.class_of(cls.rep**j)
     for rec in subgroup_lattice(G).records:
         counts = [0] * k
         for h in rec.element_set():
@@ -571,7 +572,7 @@ def _check_abelian_against_dixon_schneider(G):
         # Dixon-Schneider needs exp(G) > 1 to choose its prime
         assert t.vectors == (((1,),),)
         return
-    rows = _dixon_schneider(G, t.classes, t.power_maps, t.inverse_map)
+    rows = _dixon_schneider(G, t.classes, t.power_cycles)
     rows.sort(key=lambda row: row_key(row, t.exponent))
     assert t.vectors == tuple(rows)
     ref = _dixon_schneider_table(G)
@@ -609,7 +610,7 @@ def _check_closed_form_against_dixon_schneider(G):
     rows = _abelian_by_cyclic_rows(G, t.classes, t.exponent)
     if rows is None:
         return False
-    reference = _dixon_schneider(G, t.classes, t.power_maps, t.inverse_map)
+    reference = _dixon_schneider(G, t.classes, t.power_cycles)
     rows.sort(key=lambda row: row_key(row, t.exponent))
     reference.sort(key=lambda row: row_key(row, t.exponent))
     assert rows == reference

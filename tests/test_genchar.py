@@ -161,6 +161,14 @@ def test_restrict_error_on_foreign_subgroup():
         restrict(trivial_char(t), alien)
 
 
+def test_genchar_refuses_coefficients_that_are_not_ints():
+    t = character_table(parse_group_spec("S3"))
+    for coeffs in ([1.9, -0.5, 1], [1, 0, True], ["2", 0, 0], [Fraction(2), 0, 0]):
+        with pytest.raises(ValueError, match="must be 3 integers"):
+            GenChar(t, coeffs)
+    assert GenChar(t, (2, -1, 0)).coeffs == (2, -1, 0)
+
+
 def test_subgroup_operations_take_only_records_of_the_group():
     S3 = parse_group_spec("S3")
     own = record_of_order(S3, 2)
@@ -236,9 +244,9 @@ def _newton_determinant_row(table, i):
         return i
     rows = reference_rows(table)
     vals = []
-    for c in range(table.class_count()):
+    for cycle in table.power_cycles:
         powers = [None] + [
-            rows[i][table.power_maps[j][c]] for j in range(1, d + 1)
+            rows[i][cycle[j % len(cycle)]] for j in range(1, d + 1)
         ]
         es = [Cyclo.rational(1)]
         for m in range(1, d + 1):

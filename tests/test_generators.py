@@ -129,6 +129,25 @@ def test_generator_soundness_zoo():
                 assert has_trivial_determinant(g.expansion), (name, g.gen_id)
 
 
+def test_a_family_refuses_a_repeated_generator_id():
+    G = parse_group_spec("S3")
+    first, second = enumerate_type1(G)
+    with pytest.raises(GeneratorError, match="t1:1 repeats"):
+        GeneratorFamily(G, "thm12", [first, second, first])
+    family = GeneratorFamily(G, "thm12", [first, second])
+    assert family.position == {"t1:1": 0, "t1:2": 1}
+    assert family.by_id("t1:2") is second
+
+
+@pytest.mark.large
+def test_families_on_d8xd8_have_unique_ids():
+    # four (H class, N class) pairs of D8 x D8 carry two subquotients each,
+    # whose N share a G-class without being N_G(H)-conjugate
+    G = parse_group_spec("(1 2 3 4),(1 3),(5 6 7 8),(5 7)")
+    for family, size in ((theorem_family(G), 1423), (cor29_family(G), 1935)):
+        assert len(family) == len(family.position) == size
+
+
 def test_family_order_deterministic_across_instances():
     a = theorem_family(parse_group_spec("D8"))
     b = theorem_family(parse_group_spec("D8"))
@@ -231,8 +250,9 @@ def test_cores_are_checked_on_the_subgroup():
     table = character_table(record.as_group())
     for core, what in (([1, 0], "nonzero degree"), ([-1, 1], "nontrivial determinant")):
         with pytest.raises(GeneratorError, match=what):
-            _induced(record, [GenChar(table, core)], ["probe"])
-    assert _induced(record, [GenChar(table, [0, 0])], ["probe"])[0].is_zero()
+            _induced("probe", record, ["probe"], [None], [GenChar(table, core)])
+    [desc] = _induced("probe", record, ["probe"], [None], [GenChar(table, [0, 0])])
+    assert desc.expansion.is_zero()
 
 
 def test_families_match_quotient_table_reference_on_catalog():
