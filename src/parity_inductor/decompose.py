@@ -28,6 +28,7 @@ from .membership import (
     _perm_lattice,
     is_s_element,
     membership_solve,
+    membership_solve_all,
     solomon_coefficients,
     verify_certificate,
 )
@@ -455,14 +456,7 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
     G = root.genchar.table.group
     if family is None:
         family = theorem_family(G)
-    merged = {}
-
-    def add_solved(char, mult):
-        cert = membership_solve(char, family)
-        if cert is None:
-            raise DecomposeError("lifted leaf left the family lattice")
-        for j, d in cert.terms:
-            merged[j] = merged.get(j, 0) + mult * d
+    merged, lifted = {}, []
 
     def walk(node, lifts):
         if node.kind == LEAF:
@@ -473,7 +467,7 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
             char = node.generator.expansion
             for carrier in reversed(lifts):
                 char = _carry(carrier, char)
-            add_solved(char, node.multiplicity)
+            lifted.append((char, node.multiplicity))
             return
         if node.kind in (INDUCED, INFLATED):
             lifts = lifts + [node]
@@ -481,6 +475,13 @@ def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate
             walk(child, lifts)
 
     walk(root, [])
+    # every lifted leaf in one batch: one kernel echelon per flatten
+    certs = membership_solve_all([char for char, _ in lifted], family)
+    if None in certs:
+        raise DecomposeError("lifted leaf left the family lattice")
+    for cert, (_, mult) in zip(certs, lifted):
+        for j, d in cert.terms:
+            merged[j] = merged.get(j, 0) + mult * d
     terms = [(j, d) for j, d in sorted(merged.items()) if d]
     cert = MembershipCertificate(family, root.genchar, terms)
     if not verify_certificate(cert):

@@ -167,8 +167,14 @@ def trivial_char(table: CharacterTable) -> GenChar:
 
 
 def irreducible_char(table: CharacterTable, i: int) -> GenChar:
+    return sum_of_rows(table, [(i, 1)])
+
+
+def sum_of_rows(table: CharacterTable, pairs) -> GenChar:
+    """The sum of c * chi_i over the (row i, coefficient c) pairs."""
     coeffs = [0] * table.class_count()
-    coeffs[i] = 1
+    for i, c in pairs:
+        coeffs[i] += c
     return GenChar(table, coeffs)
 
 
@@ -228,11 +234,7 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     if rho.table is not character_table(qmap.image):
         raise ValueError("character does not live on the quotient's table")
     G = qmap.source
-    gt = character_table(G)
-    coeffs = [0] * gt.class_count()
-    for row, c in zip(_inflation_rows(G, qmap), rho.coeffs):
-        coeffs[row] = c
-    return GenChar(gt, coeffs)
+    return sum_of_rows(character_table(G), zip(_inflation_rows(G, qmap), rho.coeffs))
 
 
 def _det_exponents(table: CharacterTable, coeffs):

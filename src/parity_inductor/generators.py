@@ -17,7 +17,7 @@ the cyclic twists come larger H first, then by H's class and by row.
 from __future__ import annotations
 
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, induce, irreducible_char, trivial_char
+from .genchar import GenChar, _det_exponents, induce, irreducible_char, sum_of_rows, trivial_char
 from .group import PermGroup, per_group
 from .intlinalg import hnf, kernel_mod2
 from .lattice import subgroup_lattice
@@ -88,13 +88,9 @@ def _induced(kind, record, ids, taus, cores, **extra):
     ]
 
 
-def _conjugate_pair_twist(table: CharacterTable, i: int):
-    """The coefficients of chi_i + conj(chi_i) - 2*deg(chi_i)*1."""
-    coeffs = [0] * table.class_count()
-    coeffs[i] += 1
-    coeffs[table.conj_rows[i]] += 1
-    coeffs[0] -= 2 * table.degrees[i]
-    return coeffs
+def _conjugate_pair_twist(table: CharacterTable, i: int) -> GenChar:
+    """chi_i + conj(chi_i) - 2*deg(chi_i)*1."""
+    return sum_of_rows(table, [(i, 1), (table.conj_rows[i], 1), (0, -2 * table.degrees[i])])
 
 
 def enumerate_type1(G: PermGroup):
@@ -102,11 +98,10 @@ def enumerate_type1(G: PermGroup):
     table = character_table(G)
     out = []
     for i in range(table.class_count()):
-        coeffs = _conjugate_pair_twist(table, i)
-        if table.conj_rows[i] < i or not any(coeffs):
+        expansion = _conjugate_pair_twist(table, i)
+        if table.conj_rows[i] < i or expansion.is_zero():
             continue
         gen_id = TYPE1_ID % i
-        expansion = GenChar(table, coeffs)
         _check_core(expansion, gen_id)
         out.append(GeneratorDesc("type1", gen_id, expansion))
     return out
@@ -131,10 +126,7 @@ def _degree2_characters(table: CharacterTable, rows):
     out = []
     for pos, a in enumerate(linear):
         for b in linear[pos:]:
-            coeffs = [0] * table.class_count()
-            coeffs[a] += 1
-            coeffs[b] += 1
-            out.append((GenChar(table, coeffs), tuple([(x + y) % e for x, y in zip(d[a], d[b])])))
+            out.append((sum_of_rows(table, [(a, 1), (b, 1)]), tuple([(x + y) % e for x, y in zip(d[a], d[b])])))
     out.extend((irreducible_char(table, i), d[i]) for i in rows if table.degrees[i] == 2)
     return out
 
@@ -229,20 +221,14 @@ def _real_zero_lattice_basis(table: CharacterTable, rows, over):
         + [1 if det[c] else 0 for c in over]
         for i, (row, det) in enumerate(zip(rows, dets))
     ]
-    basis = []
-    for x in kernel_mod2(matrix, 1 + len(pairs)):
-        coeffs = [0] * table.class_count()
-        for row, a in zip(rows, x):
-            coeffs[row] = a
-        basis.append(GenChar(table, coeffs))
-    return basis
+    return [sum_of_rows(table, zip(rows, x)) for x in kernel_mod2(matrix, 1 + len(pairs))]
 
 
 def _cyclic_quotient_twists(record):
     """Induced twists psi + conj(psi) - 2*1 over linear characters of H."""
     subtab = character_table(record.as_group())
     rows = [i for i in subtab.linear_row_indices() if i and subtab.conj_rows[i] >= i]
-    cores = [GenChar(subtab, _conjugate_pair_twist(subtab, i)) for i in rows]
+    cores = [_conjugate_pair_twist(subtab, i) for i in rows]
     ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
     return _induced("cyclic", record, ids, cores, cores)
 

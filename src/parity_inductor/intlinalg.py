@@ -3,8 +3,11 @@ row HNF with transform, canonical lattice solves, and left kernels that are
 exact in some columns and mod 2 in the rest (`kernel_mod2`).
 
 Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
-Both the HNF and the solves' reduction run one elimination loop, `_echelon`;
-a batch of solves shares one echelon of the kernel.
+Both the HNF and the solves' reduction run one elimination loop, `_echelon`,
+on sparse rows ``{column: nonzero entry}``, since the rows it meets (a family
+matrix beside the identity, a kernel of a few nonzeros per row) are mostly
+zero; `HnfResult` holds its ``h`` and ``u`` dense.  A batch of solves shares
+one echelon of the kernel.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ def linear_combination(pairs, width: int):
         if c:
             total = [t + c * x for t, x in zip(total, v)]
     return total
-
-
-def identity_matrix(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -69,38 +68,55 @@ class HnfResult:
                     x = [xi + q * ui for xi, ui in zip(x, self.u[k])]
             if any(x) and not any(resid):
                 if relations is None:
-                    relations = list(zip(*_echelon(self.kernel, len(x))))
+                    relations = list(zip(*_echelon([_sparse(row) for row in self.kernel], len(x))))
                 for row, col in relations:
                     q = x[col] // row[col]
                     if q:
-                        x = [xi - q * v for xi, v in zip(x, row)]
+                        for c, v in row.items():
+                            x[c] -= q * v
             out.append(None if any(resid) else x)
         return out
 
 
+def _sparse(row):
+    """The nonzero entries of a dense row, as ``{column: entry}``."""
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _subtract(row, q, other):
+    """row -= q * other on sparse rows, dropping the entries that cancel."""
+    for c, y in other.items():
+        x = row.get(c, 0) - q * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
 def _echelon(rows, width):
     """(rows, pivot_cols): an echelon form by integer row operations, pivoting
-    in the first `width` columns; pivots positive, entries above them as left."""
-    rows = list(rows)  # rows are replaced, never mutated in place
+    in the first `width` columns; pivots positive, entries above them as left.
+    The rows are sparse, ``{column: nonzero entry}``, and are reduced in place;
+    the steps are those of the dense loop, so the result is the same."""
     m = len(rows)
     r = 0
     pivot_cols = []
     for col in range(width):
-        live = [i for i in range(r, m) if rows[i][col]]
+        live = [i for i in range(r, m) if col in rows[i]]
         while len(live) > 1:
             live.sort(key=lambda i: abs(rows[i][col]))
             base = rows[live[0]]
             for i in live[1:]:
                 q = rows[i][col] // base[col]
                 if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], base)]
-            live = [i for i in live if rows[i][col]]
+                    _subtract(rows[i], q, base)
+            live = [i for i in live if col in rows[i]]
         if not live:
             continue
         i = live[0]
         rows[i], rows[r] = rows[r], rows[i]
         if rows[r][col] < 0:
-            rows[r] = [-x for x in rows[r]]
+            rows[r] = {c: -x for c, x in rows[r].items()}
         pivot_cols.append(col)
         r += 1
     return rows, pivot_cols
@@ -109,15 +125,16 @@ def _echelon(rows, width):
 def hnf(a) -> HnfResult:
     m = len(a)
     n = len(a[0]) if m else 0
-    # u rides along as the last m columns: the same row operations as on a.
-    rows, pivot_cols = _echelon([list(row) + e for row, e in zip(a, identity_matrix(m))], n)
+    # u rides along as columns n.. (one entry per row to start): the same row operations as on a.
+    rows, pivot_cols = _echelon([_sparse(row) | {n + i: 1} for i, row in enumerate(a)], n)
     for r, col in enumerate(pivot_cols):
         piv = rows[r][col]
         for k in range(r):
-            q = rows[k][col] // piv
+            q = rows[k].get(col, 0) // piv
             if q:
-                rows[k] = [x - q * y for x, y in zip(rows[k], rows[r])]
-    h, u = [row[:n] for row in rows], [row[n:] for row in rows]
+                _subtract(rows[k], q, rows[r])
+    h = [[row.get(c, 0) for c in range(n)] for row in rows]
+    u = [[row.get(c, 0) for c in range(n, n + m)] for row in rows]
     return HnfResult(h=h, u=u, rank=len(pivot_cols), pivot_cols=pivot_cols)
 
 

@@ -1,6 +1,7 @@
-"""Reference HNF and lattice solves, each solve taking its own HNF of the matrix.
+"""Reference HNF, echelon and lattice solves, each solve taking its own HNF of the matrix.
 
-`hnf` is the row HNF that updates h and its transform u in parallel, and the
+`hnf` is the row HNF that updates h and its transform u in parallel, `echelon`
+is the dense elimination loop `src/` ran before its rows went sparse, and the
 solves are the ones `src/` used before `HnfResult.solve`.  Only the result
 container comes from `src/`; they stay here as the independent side of the
 differential tests.
@@ -8,7 +9,40 @@ differential tests.
 
 from __future__ import annotations
 
-from parity_inductor.intlinalg import HnfResult, identity_matrix
+from parity_inductor.intlinalg import HnfResult
+
+
+def identity_matrix(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def echelon(rows, width):
+    """(rows, pivot_cols): an echelon form by integer row operations on dense
+    rows, pivoting in the first `width` columns; pivots positive, entries above
+    them as left."""
+    rows = list(rows)  # rows are replaced, never mutated in place
+    m = len(rows)
+    r = 0
+    pivot_cols = []
+    for col in range(width):
+        live = [i for i in range(r, m) if rows[i][col]]
+        while len(live) > 1:
+            live.sort(key=lambda i: abs(rows[i][col]))
+            base = rows[live[0]]
+            for i in live[1:]:
+                q = rows[i][col] // base[col]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], base)]
+            live = [i for i in live if rows[i][col]]
+        if not live:
+            continue
+        i = live[0]
+        rows[i], rows[r] = rows[r], rows[i]
+        if rows[r][col] < 0:
+            rows[r] = [-x for x in rows[r]]
+        pivot_cols.append(col)
+        r += 1
+    return rows, pivot_cols
 
 
 def hnf(a) -> HnfResult:

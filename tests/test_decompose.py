@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from parity_inductor import intlinalg
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.decompose import (
@@ -111,6 +112,28 @@ def test_every_subgroup_tree_flattens_to_verified_certificate():
             assert tree.genchar == rho_H(G, rec)
             cert = flatten_to_certificate(tree)
             assert verify_certificate(cert), (spec, rec.class_id)
+
+
+def test_a_flatten_makes_at_most_one_kernel_echelon(monkeypatch):
+    # the lifted leaves are solved in one batch over the root family
+    calls, lifted = [], 0
+    real = intlinalg._echelon
+
+    def counted(rows, width):
+        calls.append(len(rows))
+        return real(rows, width)
+
+    monkeypatch.setattr(intlinalg, "_echelon", counted)
+    for spec in ZOO:
+        G = parse_group_spec(spec)
+        theorem_family(G).hnf()
+        for rec in subgroup_lattice(G).records:
+            tree = decompose_structural(G, rho_H(G, rec))
+            calls.clear()
+            assert verify_certificate(flatten_to_certificate(tree))
+            assert len(calls) <= 1, (spec, rec.class_id)
+            lifted += len(calls)
+    assert lifted > 20, lifted
 
 
 def test_random_targets_decompose():

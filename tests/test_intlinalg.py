@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
+from _intlinalg_reference import echelon as reference_echelon
 from _intlinalg_reference import hnf as reference_hnf
-from _intlinalg_reference import reduce_mod_lattice, solve_left_canonical
+from _intlinalg_reference import identity_matrix, reduce_mod_lattice, solve_left_canonical
 
 from parity_inductor import decompose, intlinalg, membership
 from parity_inductor._primes import prime_factors
@@ -11,7 +13,7 @@ from parity_inductor.chartab import character_table
 from parity_inductor.genchar import rho_H, trivial_char
 from parity_inductor.generators import family_for
 from parity_inductor.groupspec import parse_group_spec
-from parity_inductor.intlinalg import hnf, identity_matrix, linear_combination
+from parity_inductor.intlinalg import hnf, linear_combination
 from parity_inductor.lattice import subgroup_lattice
 
 
@@ -259,6 +261,38 @@ def test_hnf_matches_reference_on_random_matrices():
     assert tall > 500 and deficient > 200
 
 
+# The sparse elimination loop against the dense reference: written out dense,
+# the same rows in the same order, and the same pivot columns.
+
+
+def _echelon_matches_reference(dense, width):
+    total = len(dense[0]) if dense else 0
+    rows, pivot_cols = intlinalg._echelon([{c: x for c, x in enumerate(row) if x} for row in dense], width)
+    written = [[row.get(c, 0) for c in range(total)] for row in rows]
+    return (written, pivot_cols) == reference_echelon(dense, width)
+
+
+def _with_identity(a):
+    """[a | I], the rows `hnf` eliminates."""
+    return [list(row) + e for row, e in zip(a, identity_matrix(len(a)))]
+
+
+def test_sparse_echelon_matches_reference_on_random_matrices():
+    """Counted on each matrix's first column: a lone negative entry (a sign
+    flip), entries of equal size (the sort's ties) and entries the smallest
+    does not divide (more than one Euclid round)."""
+    negative = ties = rounds = 0
+    for a in _random_matrices():
+        width = len(a[0]) if a else 0
+        assert _echelon_matches_reference(a, width), a
+        assert _echelon_matches_reference(_with_identity(a), width), a
+        live = [row[0] for row in a if row and row[0]]
+        negative += len(live) == 1 and live[0] < 0
+        ties += len({abs(x) for x in live}) < len(live)
+        rounds += bool(live) and any(x % min(live, key=abs) for x in live)
+    assert negative > 150 and ties > 1000 and rounds > 300, (negative, ties, rounds)
+
+
 @pytest.fixture(scope="module")
 def catalog_families():
     return [
@@ -272,6 +306,42 @@ def test_hnf_matches_reference_on_catalog_families(catalog_families):
     for name, flavor, family in catalog_families:
         if len(family):
             assert _fields(family.hnf()) == _fields(reference_hnf(family.matrix)), (name, flavor)
+
+
+def test_sparse_echelon_matches_reference_on_catalog_lattices(catalog_families):
+    """Every family's kernel and [a | I], and [a | I] of the permutation lattice."""
+    groups = {}
+    for name, flavor, family in catalog_families:
+        groups[name] = family.group
+        if len(family):
+            assert _echelon_matches_reference(family.hnf().kernel, len(family)), (name, flavor)
+            width = family.table.class_count()
+            assert _echelon_matches_reference(_with_identity(family.matrix), width), (name, flavor)
+    for name, G in groups.items():
+        _, chars, _ = membership._perm_lattice(G)
+        matrix = [list(ch.coeffs) for ch in chars]
+        assert _echelon_matches_reference(_with_identity(matrix), len(matrix[0])), name
+
+
+def test_sparse_echelon_matches_reference_on_the_even_kernels(monkeypatch):
+    """The [a | I] of every `kernel_mod2` call on fresh catalog groups: their row
+    order fixes S_G's random targets and cor29's tagged generators."""
+    seen = {}
+    real = intlinalg.hnf
+
+    def recorded(a):
+        builder = sys._getframe(2).f_code.co_name
+        seen[builder] = seen.get(builder, 0) + 1
+        width = len(a[0])
+        assert _echelon_matches_reference(_with_identity(a), width), (builder, a)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "hnf", recorded)
+    for entry in load_bundled_catalog():
+        family_for(entry.group, "cor29")
+        membership._admissible_lattice(entry.group)
+    assert set(seen) == {"_admissible_lattice", "_real_zero_lattice_basis"}, seen
+    assert seen["_admissible_lattice"] == 61 and seen["_real_zero_lattice_basis"] > 100, seen
 
 
 def test_zero_target_gives_the_zero_solution(catalog_families):
