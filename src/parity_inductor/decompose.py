@@ -1,7 +1,11 @@
 """Structural decomposition trees over the generator family.
 
 Each Lemma 2.5, Thm 2.8 and Prop 2.6 step is built by `_step`, which adds a
-Lemma 2.3 leaf-solve for the linear remainder its children leave.
+Lemma 2.3 leaf-solve for the linear remainder its children leave.  Conjugate
+pairs, in the odd case and in Thm 2.8's cyclic step alike, come from the
+Lemma 2.4 leaf-solve; a Lemma 2.5 split's subgroup terms come from
+`perm_lattice_solve`.  A tree flattens to a certificate over its root group's
+theorem family.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from .genchar import (
     rho_H,
     trivial_char,
 )
-from .generators import THEOREM_FLAVOR, TYPE1_ID, GeneratorFamily, theorem_family
+from .generators import THEOREM_FLAVOR, GeneratorFamily, theorem_family
 from .group import PermGroup, per_group
 from .lattice import subgroup_lattice
 from .membership import (
     MembershipCertificate,
-    _perm_lattice,
     is_s_element,
     membership_solve,
     membership_solve_all,
+    perm_lattice_solve,
     solomon_coefficients,
     verify_certificate,
 )
@@ -180,24 +184,9 @@ def _lemma23(G, rho) -> TreeNode:
 
 
 def _type1_leaves(G, tau: GenChar):
-    """Leaves expanding tau + conj(tau) - 2 deg(tau) * 1 over conjugate pairs."""
-    fam = theorem_family(G)
-    table = tau.table
-    mults = {}
-    for i, c in enumerate(tau.coeffs):
-        if not c or i == 0:
-            continue
-        gen_id = TYPE1_ID % min(i, table.conj_rows[i])
-        mults[gen_id] = mults.get(gen_id, 0) + c
-    leaves = []
-    for gen_id, m in sorted(mults.items()):
-        if not m:
-            continue
-        g = fam.by_id(gen_id)
-        leaves.append(TreeNode(LEAF, m * g.expansion, generator=g, multiplicity=m))
-    if _total(leaves, table) != tau + tau.conj() - 2 * tau.degree * trivial_char(table):
-        raise DecomposeError("conjugate-pair expansion mismatch")
-    return leaves
+    """Leaves expanding tau + conj(tau) - 2 deg(tau) * 1 over conjugate pairs, by id."""
+    twist = tau + tau.conj() - 2 * tau.degree * trivial_char(tau.table)
+    return sorted(_lemma24(G, twist).children, key=lambda leaf: leaf.generator.gen_id)
 
 
 def _step(G, kind, rho, children) -> TreeNode:
@@ -228,20 +217,17 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
     """Split rho into subgroup terms rho_H plus a linear-character remainder."""
     if rho.is_zero():
         return TreeNode("Lemma2.5", rho)
-    records, _, lattice = _perm_lattice(G)
     order = G.order()
     terms = None
-    for rec in records:
+    for rec in subgroup_lattice(G).records:
         if rec.order < order and rho == rho_H(G, rec):
             terms = [(rec, 1)]
             break
     if terms is None:
-        x = lattice.solve(rho.coeffs)
-        if x is None:
+        solved = perm_lattice_solve(rho)
+        if solved is None:
             raise DecomposeError("target left the permutation lattice")
-        terms = [
-            (rec, c) for rec, c in zip(records, x) if c and rec.order < order
-        ]
+        terms = [(rec, c) for rec, c in solved if c and rec.order < order]
     children = [_scale(handler(rec, depth), c) for rec, c in terms]
     return _step(G, "Lemma2.5", rho, children)
 
@@ -320,7 +306,9 @@ def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
         raise DecomposeError("coset character is not 1 + lambda + sigma")
     det_sigma = determinant(sigma)
     expansion = induce(v_rec, sigma - one - det_sigma.genchar)
-    gen = _find_family_generator(G, expansion)
+    gen = next((g for g in theorem_family(G) if g.expansion.coeffs == expansion.coeffs), None)
+    if gen is None:
+        raise DecomposeError("expansion is not a family generator")
     leaf = TreeNode(LEAF, expansion, generator=gen, multiplicity=1)
     k_lam = v_rec.lift(LinearChar(vtab, lam_row).kernel_positions())
     k_det = v_rec.lift(det_sigma.kernel_positions())
@@ -330,13 +318,6 @@ def _thm28_non_normal(G, rho, h_set, v_set, core, depth) -> TreeNode:
         _thm28_rho(G, k_det, depth + 1),
     ]
     return _step(G, "Thm2.8.case4", rho, children)
-
-
-def _find_family_generator(G, expansion):
-    for g in theorem_family(G):
-        if g.expansion.coeffs == expansion.coeffs:
-            return g
-    raise DecomposeError("expansion is not a family generator")
 
 
 def _hyperelementary(G, rho, depth) -> TreeNode:
@@ -371,7 +352,7 @@ def _prop26_rho(G, v_set, q, h_set, depth) -> TreeNode:
     )
     if len(kernel) > 1:
         return _prop26_inflation(G, rho, kernel, h_set, "Prop2.6.case3", depth)
-    return _prop26_faithful(G, rho, q)
+    return _leaf_solve(rho, _prop26_family(G, q), "Prop2.6.case4")
 
 
 def _prop26_inflation(G, rho, kernel_set, h_set, kind, depth) -> TreeNode:
@@ -406,10 +387,6 @@ def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
                 _scale(_prop26_rho(G, v_set, q, vh_set, depth + 1), q - 2)
             )
     return _step(G, "Prop2.6.case2", rho, children)
-
-
-def _prop26_faithful(G, rho, q) -> TreeNode:
-    return _leaf_solve(rho, _prop26_family(G, q), "Prop2.6.case4")
 
 
 def _solomon_root(G, rho, depth) -> TreeNode:
@@ -451,11 +428,9 @@ def decompose_structural(G: PermGroup, rho: GenChar) -> TreeNode:
     return root
 
 
-def flatten_to_certificate(root: TreeNode, family=None) -> MembershipCertificate:
-    """Collapse a tree's leaves into one certificate over the root family."""
-    G = root.genchar.table.group
-    if family is None:
-        family = theorem_family(G)
+def flatten_to_certificate(root: TreeNode) -> MembershipCertificate:
+    """Collapse a tree's leaves into one certificate over the root group's theorem family."""
+    family = theorem_family(root.genchar.table.group)
     merged, lifted = {}, []
 
     def walk(node, lifts):

@@ -27,9 +27,6 @@ THEOREM_FLAVOR = "thm12"
 COROLLARY_FLAVOR = "cor29"
 FLAVORS = (THEOREM_FLAVOR, COROLLARY_FLAVOR)
 
-TYPE1_ID = "t1:%d"  # a conjugate-pair twist's id, by the lesser of its pair's rows
-
-
 class GeneratorError(RuntimeError):
     """A generator violates its construction contract."""
 
@@ -101,7 +98,7 @@ def enumerate_type1(G: PermGroup):
         expansion = _conjugate_pair_twist(table, i)
         if table.conj_rows[i] < i or expansion.is_zero():
             continue
-        gen_id = TYPE1_ID % i
+        gen_id = "t1:%d" % i
         _check_core(expansion, gen_id)
         out.append(GeneratorDesc("type1", gen_id, expansion))
     return out

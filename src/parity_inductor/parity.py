@@ -118,10 +118,12 @@ class ParityInput:
             if doc is not None and not isinstance(doc, dict):
                 raise ValueError("%s must be a JSON object or null, got %r" % (name, doc))
         self.base = None if base is None else _check_sign(base, "base")
-        self.quadratic = {
-            _quadratic_row(k): _check_sign(v, "quadratic[%s]" % k)
-            for k, v in (quadratic or {}).items()
-        }
+        self.quadratic = {}
+        for k, v in (quadratic or {}).items():
+            row = _quadratic_row(k)
+            if row in self.quadratic:
+                raise ValueError("quadratic character X%d is named twice" % row)
+            self.quadratic[row] = _check_sign(v, "quadratic[%s]" % k)
         self.dihedral = {
             str(k): _check_sign(v, "dihedral[%s]" % k)
             for k, v in (dihedral or {}).items()

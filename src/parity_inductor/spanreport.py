@@ -95,12 +95,6 @@ class SpanReport:
         }
 
 
-def _usage_key(desc) -> str:
-    if desc.kind == "type1":
-        return "type1"
-    return desc.tag or "type2"
-
-
 def _result(cert, family, label, usage, meta):
     """The TargetResult of one target's outcome: its certificate, None, or the
     exception that stopped it."""
@@ -111,7 +105,8 @@ def _result(cert, family, label, usage, meta):
     if not verify_certificate(cert):
         return TargetResult(label, False, detail="certificate failed re-expansion", meta=meta)
     for index, _coeff in cert.terms:
-        key = _usage_key(family.generators[index])
+        desc = family.generators[index]
+        key = desc.tag or desc.kind
         usage[key] = usage.get(key, 0) + 1
     return TargetResult(label, True, terms=cert.named_terms(), meta=meta)
 

@@ -99,6 +99,7 @@ def quotient(G: PermGroup, N) -> QuotientMap:
     return _quotient_map(G, _kernel_positions(G, N))
 
 
+@per_group
 def is_hyperelementary(G: PermGroup):
     """Smallest prime p and largest normal cyclic N, coprime to p, with G/N a p-group."""
     order = G.order()

@@ -337,7 +337,7 @@ def test_catalog_outputs_match_the_pinned_digest():
     # `tests/output_digest.py`: every catalog command's (argv, exit code,
     # stdout, stderr), hashed; a change to any byte of them moves the digest
     assert len(commands()) == 1673
-    assert total_digest() == "6e6d4e4e0c6752498a7bb4c730272836fc9bd48ebba1782c327b6c62dc8aeee6"
+    assert total_digest() == "a16ac2a58128d273819eb38d4a9a8f704b52b0e266db17c52a79b94c12f23166"
 
 
 @pytest.mark.parametrize("token", ["S7", "S8"])
@@ -540,6 +540,17 @@ def test_verify_json_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_JSON
 
 
+# sha256 of `verify --flavor cor29 --format json --seed 0`: its usage labels
+# name each generator by its tag, else its kind ("cyclic", never "type2")
+VERIFY_COR29_SEED0_JSON = "02e844fe5049981f2b75ba21390cddf00704663719f29ae6091e3389e1c76d48"
+
+
+def test_verify_cor29_json_bytes_are_pinned():
+    code, out, err = run_cli("verify", "--flavor", "cor29", "--format", "json", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_COR29_SEED0_JSON
+
+
 def test_parity_cli_with_assignment_file(tmp_path):
     path = tmp_path / "parities.json"
     path.write_text(
@@ -594,6 +605,15 @@ def test_parity_cli_rejects_unknown_symbols(tmp_path):
     assert run_cli("parity", "S3", "--parities", str(path))[0] == 0
     code, out, err = run_cli("parity", "S3", "--parities", str(path), "--flavor", "cor29")
     assert code == 2 and out == "" and "t2:h3:n0:Dihedral2p(3):tau3" in err
+
+
+@pytest.mark.parametrize("quadratic", [{"X1": 1, "1": -1}, {"1": -1, "X1": 1}])
+def test_parity_cli_rejects_a_row_named_twice(tmp_path, quadratic):
+    # "X1", "1" and "X01" all name row 1: neither spelling may silently win
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"base": 1, "quadratic": quadratic}))
+    code, out, err = run_cli("parity", "S3", "--parities", str(path))
+    assert code == 2 and out == "" and "X1" in err, err
 
 
 def test_parity_cli_rejects_bool_and_float_signs(tmp_path):

@@ -380,12 +380,3 @@ def test_leaf_accounting_is_exact():
         for leaf in all_leaves(tree):
             assert leaf.genchar == leaf.multiplicity * leaf.generator.expansion
 
-
-def test_flatten_accepts_prebuilt_family():
-    G = parse_group_spec("D10")
-    fam = theorem_family(G)
-    rec = next(r for r in subgroup_lattice(G).records if r.order == 2)
-    tree = decompose_structural(G, rho_H(G, rec))
-    cert = flatten_to_certificate(tree, fam)
-    assert cert.family is fam
-    assert verify_certificate(cert)

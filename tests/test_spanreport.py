@@ -40,6 +40,16 @@ def test_d42_uses_only_small_dihedral_twists():
     assert "Dihedral2p(7)" in set(report.usage)
 
 
+def test_usage_keys_are_a_generators_tag_else_its_kind():
+    # cor29 has no type-2 generators: C4's are all untagged cyclic twists
+    C4 = parse_group_spec("C4")
+    cor29 = span_report(C4, "cor29", name="C4")
+    assert "cyclic" in cor29.usage and "type2" not in cor29.usage
+    assert set(span_report(C4, "thm12", name="C4").usage) == {"type1"}
+    d8 = span_report(parse_group_spec("D8"), "thm12", name="D8", samples=4, seed=0)
+    assert set(d8.usage) == {"KleinFour", "Dihedral8"}
+
+
 def test_trivial_group_vacuous():
     G = parse_group_spec("C1")
     report = span_report(G, "thm12", name="C1", samples=3, seed=0)
