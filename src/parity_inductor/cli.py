@@ -16,7 +16,7 @@ from .groupspec import (GroupSpecError, _shorten_numbers, _split_generators, gro
                         parse_group_spec)
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, certificate_to_json, membership_solve, verify_certificate
-from .parity import (ParityError, ParityInput, format_columns, full_assignment, parity_table,
+from .parity import (ParityError, ParityInput, format_columns, parity_symbols, parity_table,
                      required_sha_primes)
 from .perm import format_perm
 from .spanreport import span_report
@@ -46,17 +46,17 @@ def _resolve_subgroup(G, text: str):
     lattice = subgroup_lattice(G)
     text = text.strip()
     if text.startswith("#"):
-        try:
-            class_id = int(text[1:])
-        except ValueError:
-            raise CliError("bad subgroup class id %r" % _shorten_numbers(text)) from None
-        if 0 <= class_id < len(lattice.records):
-            return lattice.records[class_id]
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise CliError("bad subgroup class id %r" % _shorten_numbers(text))
+        for record in lattice.records:
+            if str(record.class_id) == (digits.lstrip("0") or "0"):
+                return record
         raise CliError(
             "no subgroup class %s; classes run #0..#%d"
             % (_shorten_numbers(text), len(lattice.records) - 1)
         )
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         # compared as digits: int() refuses over 4,300 of them
         matches = [r for r in lattice.records if str(r.order) == text.lstrip("0")]
     elif text.startswith("("):
@@ -283,9 +283,9 @@ def _cmd_parity(args) -> int:
             assignment = ParityInput.from_json(raw)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        known = full_assignment(G, args.flavor)
-        unknown = ["X%d" % r for r in assignment.quadratic if r not in known.quadratic]
-        unknown += [k for k in assignment.dihedral if k not in known.dihedral]
+        known = set(parity_symbols(G, args.flavor))
+        unknown = ["X%d" % s[1] if s[0] == "quadratic" else s[1]
+                   for s in assignment.values if s not in known]
         if unknown:
             raise CliError("%s has no parity symbols %s under flavor %s"
                            % (args.groupspec, ", ".join(unknown), args.flavor))

@@ -15,7 +15,6 @@ eigenvalue multiplicity vectors.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 
 from .chartab import CharacterTable, CharTableError, character_table, quotient_rows
@@ -118,23 +117,6 @@ class LinearChar:
 
     def is_trivial(self) -> bool:
         return self.row == 0
-
-    def order(self) -> int:
-        e = self.table.exponent
-        return e // gcd(e, *self.exponents)
-
-    def conj(self) -> "LinearChar":
-        return LinearChar(self.table, self.table.conj_rows[self.row])
-
-    def __mul__(self, other: "LinearChar") -> "LinearChar":
-        if not isinstance(other, LinearChar) or self.table is not other.table:
-            return NotImplemented
-        e = self.table.exponent
-        exps = tuple((a + b) % e for a, b in zip(self.exponents, other.exponents))
-        row = self.table.linear_row_of.get(exps)
-        if row is None:
-            raise CharTableError("product of linear characters missing from table")
-        return LinearChar(self.table, row)
 
     def kernel_positions(self) -> frozenset:
         """Positions in the group's ``elements()`` where the value is 1."""

@@ -9,7 +9,7 @@ from ._primes import is_prime, primitive_root
 from .group import MAX_CAYLEY_ORDER, PermGroup
 from .perm import Perm, PermError, format_perm, max_point, parse_perm
 
-_FAMILY_RE = re.compile(r"^([CDSAQF])(\d+)(?::(\d+))?$")
+_FAMILY_RE = re.compile(r"^([CDSAQF])([0-9]+)(?::([0-9]+))?$")
 
 
 class GroupSpecError(ValueError):
@@ -48,14 +48,14 @@ def group_from_cycles(gen_texts, degree=None, order=None) -> PermGroup:
     try:
         gens = [parse_perm(t, degree) for t in gen_texts]
     except PermError as exc:
-        raise GroupSpecError(str(exc)) from None
+        raise GroupSpecError(_shorten_numbers(str(exc))) from None
     return PermGroup(gens, degree=degree, order=order)
 
 
 def _refuse_long_numbers(text: str, what: str) -> None:
     """Refuse a digit run longer than MAX_CAYLEY_ORDER's before int() reads it:
     no spec needs one, and int() refuses over 4,300 digits with a bare ValueError."""
-    run = max(re.findall(r"\d+", text), key=lambda run: (len(run), run), default="")
+    run = max(re.findall(r"[0-9]+", text), key=lambda run: (len(run), run), default="")
     if len(run) > len(str(MAX_CAYLEY_ORDER)):
         raise GroupSpecError(
             "%s %s exceeds the bound of %d points" % (what, _shorten_numbers(run), MAX_CAYLEY_ORDER)

@@ -1,6 +1,10 @@
-"""Rank-parity propagation to intermediate fields from certified twist data."""
+"""Rank-parity propagation to intermediate fields from certified twist data.
+
+An assignment is one map from parity symbols (Base, Quad(Xr), Twist(id)) to ±1."""
 
 from __future__ import annotations
+
+from math import prod
 
 from .genchar import determinant, order2_linear_chars, perm_char, rho_H
 from .generators import family_for
@@ -75,10 +79,7 @@ class ParityExpression:
         missing = [symbol_name(s) for s in self.support() if assignment.value(s) is None]
         if missing:
             raise ParityError("missing parity assignments: %s" % ", ".join(missing))
-        sign = 1
-        for symbol in self.symbols:
-            sign *= assignment.value(symbol)
-        return sign
+        return prod(assignment.value(symbol) for symbol in self.symbols)
 
     def format_text(self) -> str:
         return " * ".join(self.symbol_names()) or "1"
@@ -94,12 +95,13 @@ def _check_sign(value, where: str) -> int:
 
 
 def _quadratic_row(key) -> int:
+    """Row r of a key "Xr" or "r": at most four ASCII digits, as in a group spec."""
     text = str(key)
-    if text.startswith("X"):
-        text = text[1:]
-    if not text.isdigit():
-        raise ValueError("bad quadratic character id %r (expected e.g. \"X3\")" % key)
-    return int(text)
+    digits = text[1:] if text.startswith("X") else text
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4):
+        shown = key if len(text) <= 40 else text[:40] + "..."
+        raise ValueError("bad quadratic character id %r (expected e.g. \"X3\")" % shown)
+    return int(digits)
 
 
 def format_columns(cells) -> str:
@@ -109,25 +111,22 @@ def format_columns(cells) -> str:
 
 
 class ParityInput:
-    """A (possibly partial) ±1 assignment to parity symbols."""
+    """A (possibly partial) ±1 assignment: ``values`` maps each given symbol to its sign."""
 
-    __slots__ = ("base", "quadratic", "dihedral")
+    __slots__ = ("values",)
 
     def __init__(self, base=None, quadratic=None, dihedral=None):
         for name, doc in (("quadratic", quadratic), ("dihedral", dihedral)):
             if doc is not None and not isinstance(doc, dict):
                 raise ValueError("%s must be a JSON object or null, got %r" % (name, doc))
-        self.base = None if base is None else _check_sign(base, "base")
-        self.quadratic = {}
+        self.values = {} if base is None else {BASE: _check_sign(base, "base")}
         for k, v in (quadratic or {}).items():
-            row = _quadratic_row(k)
-            if row in self.quadratic:
-                raise ValueError("quadratic character X%d is named twice" % row)
-            self.quadratic[row] = _check_sign(v, "quadratic[%s]" % k)
-        self.dihedral = {
-            str(k): _check_sign(v, "dihedral[%s]" % k)
-            for k, v in (dihedral or {}).items()
-        }
+            symbol = quadratic_symbol(_quadratic_row(k))
+            if symbol in self.values:
+                raise ValueError("quadratic character X%d is named twice" % symbol[1])
+            self.values[symbol] = _check_sign(v, "quadratic[%s]" % k)
+        for k, v in (dihedral or {}).items():
+            self.values[dihedral_symbol(str(k))] = _check_sign(v, "dihedral[%s]" % k)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ParityInput":
@@ -139,29 +138,26 @@ class ParityInput:
         return cls(doc.get("base"), doc.get("quadratic"), doc.get("dihedral"))
 
     def value(self, symbol):
-        if symbol[0] == "base":
-            return self.base
-        if symbol[0] == "quadratic":
-            return self.quadratic.get(symbol[1])
-        return self.dihedral.get(symbol[1])
+        return self.values.get(symbol)
 
     def __repr__(self):
-        return "ParityInput(base=%r, quadratic=%r, dihedral=%r)" % (
-            self.base,
-            self.quadratic,
-            self.dihedral,
-        )
+        return "ParityInput(%r)" % self.values
 
 
-def full_assignment(G: PermGroup, flavor="thm12", default=1, base=None, quadratic=None, dihedral=None):
-    """Total assignment for G's symbols: `default` everywhere, overrides applied."""
-    quad = {lc.row: default for lc in order2_linear_chars(G)}
-    quad.update({_quadratic_row(k): v for k, v in (quadratic or {}).items()})
-    twists = {
-        desc.gen_id: default for desc in family_for(G, flavor) if desc.kind == "type2"
-    }
-    twists.update({str(k): v for k, v in (dihedral or {}).items()})
-    return ParityInput(default if base is None else base, quad, twists)
+def parity_symbols(G: PermGroup, flavor="thm12"):
+    """G's symbols: Base, one Quad per order-2 linear character, one Twist per
+    type2 generator of the flavor's family."""
+    quads = [quadratic_symbol(lc.row) for lc in order2_linear_chars(G)]
+    twists = [dihedral_symbol(desc.gen_id) for desc in family_for(G, flavor) if desc.kind == "type2"]
+    return [BASE] + quads + twists
+
+
+def full_assignment(G: PermGroup, flavor="thm12", base=None, quadratic=None, dihedral=None):
+    """Total assignment for G's symbols: the overrides given, +1 everywhere else."""
+    assignment = ParityInput(base, quadratic, dihedral)
+    for symbol in parity_symbols(G, flavor):
+        assignment.values.setdefault(symbol, 1)
+    return assignment
 
 
 def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", certificate=None) -> ParityExpression:
@@ -254,12 +250,8 @@ def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -
         expression = parity_expression(G, record, flavor, cert)
         index = record.index
         _check_row_shape(G, record, index, expression)
-        value = None
-        if assignment is not None:
-            try:
-                value = expression.evaluate(assignment)
-            except ParityError:
-                value = None
+        covered = assignment is not None and expression.symbols <= assignment.values.keys()
+        value = expression.evaluate(assignment) if covered else None
         cert_terms = tuple(cert.named_terms())
         label = "F(#%d)" % record.class_id
         rows.append(ParityRow(record, label, index, expression, cert_terms, value))

@@ -99,7 +99,7 @@ def identity(degree: int) -> Perm:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_TOKEN_RE = re.compile(r"^[\s\d(),]+$")
+_TOKEN_RE = re.compile(r"^[\s0-9(),]+$")
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -134,7 +134,7 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 def max_point(text: str) -> int:
     """Largest 1-based point mentioned in a cycle-notation string (0 if none)."""
-    pts = [int(p) for p in re.findall(r"\d+", text)]
+    pts = [int(p) for p in re.findall(r"[0-9]+", text)]
     return max(pts) if pts else 0
 
 

@@ -113,7 +113,7 @@ def _real_zero_lattice_basis(qtab):
     det_bits = []
     for i in range(k):
         delta = determinant(irreducible_char(qtab, i))
-        if not (delta * delta).is_trivial():
+        if any(2 * a % qtab.exponent for a in delta.exponents):
             raise GeneratorError("tagged quotient with determinant of order > 2")
         det_bits.append([1 if a else 0 for a in delta.exponents])
     nvars = 2 * k

@@ -33,7 +33,7 @@ from parity_inductor.lattice import subgroup_lattice
 FLAVORS = ("thm12", "cor29")
 
 
-def _specs():
+def catalog_specs():
     """Each catalog group's GROUPSPEC: its token, or its generators as cycles."""
     with open(bundled_catalog_path()) as f:
         records = [json.loads(line) for line in f if line.strip()]
@@ -44,7 +44,7 @@ def commands():
     """The argv of every command, in the order they run."""
     out = [["verify", "--flavor", flavor, "--seed", seed, "--format", fmt]
            for fmt in ("text", "json") for flavor in FLAVORS for seed in ("0", "1")]
-    specs = _specs()
+    specs = catalog_specs()
     for spec in specs:
         for command in ("chartab", "group-info", "parity", "required-primes"):
             out += [[command, spec, "--format", fmt] for fmt in ("text", "json")]

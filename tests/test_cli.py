@@ -12,10 +12,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from _catalog_records import render_catalog
-from output_digest import commands, total_digest
+from output_digest import catalog_specs, commands, total_digest
 
 from parity_inductor import group
+from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.cli import main
+from parity_inductor.genchar import order2_linear_chars
 from parity_inductor.generators import family_for
 from parity_inductor.group import PermGroup
 from parity_inductor.groupspec import parse_group_spec
@@ -178,6 +180,33 @@ NINES = "9" * 5000  # int() refuses strings over 4,300 digits
 def test_numbers_too_long_for_int_exit_2(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, quadratic, message",
+    [
+        (["group-info", "C١٢"], None, "unknown family name"),
+        (["group-info", "(١ ٢ ٣)"], None, "bad cycle notation"),
+        (["group-info", "(1 %s)" % ("١" * 5000)], None, "bad cycle notation"),
+        (["decompose", "S3", "--subgroup", "#١"], None, "bad subgroup class id"),
+        (["decompose", "S3", "--subgroup", "٢"], None, "unknown family name"),
+        (["decompose", "S3", "--subgroup", "(١ ٢)"], None, "bad cycle notation"),
+        (["parity", "S3"], {"X²": -1}, "bad quadratic character id"),
+        (["parity", "S3"], {"X١": -1}, "bad quadratic character id"),
+        (["parity", "S3"], {"X" + NINES: -1}, "bad quadratic character id"),
+    ],
+    ids=["family", "cycles", "long-cycles", "class-id", "order", "subgroup-cycles",
+         "superscript-key", "arabic-indic-key", "long-key"],
+)
+def test_numbers_are_read_in_ascii_digits_only(tmp_path, argv, quadratic, message):
+    # int(), str.isdigit and a regex's \d all read other scripts' digits too
+    if quadratic is not None:
+        path = tmp_path / "parities.json"
+        path.write_text(json.dumps({"quadratic": quadratic}))
+        argv = argv + ["--parities", str(path)]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.startswith("error: " + message), err[:300]
+    assert len(err) < 200, err[:300]
 
 
 @pytest.mark.parametrize(
@@ -605,6 +634,34 @@ def test_parity_cli_rejects_unknown_symbols(tmp_path):
     assert run_cli("parity", "S3", "--parities", str(path))[0] == 0
     code, out, err = run_cli("parity", "S3", "--parities", str(path), "--flavor", "cor29")
     assert code == 2 and out == "" and "t2:h3:n0:Dihedral2p(3):tau3" in err
+
+
+# sha256 over (spec, format, exit code, stdout, stderr), one JSON line each, of
+# `parity <spec> --parities FILE --format text|json` for every catalog group of
+# order <= 24, FILE setting every thm12 symbol of the group to -1
+PARITY_ALL_MINUS_ONE = "86cf9aa4fcdeff33a1a07aa22a34be12460d95e9612a842f19cf1a3d61b50baf"
+
+
+def test_parity_cli_with_every_symbol_set_is_pinned(tmp_path):
+    path = tmp_path / "parities.json"
+    total = hashlib.sha256()
+    runs = 0
+    for spec, entry in zip(catalog_specs(), load_bundled_catalog()):
+        G = entry.group
+        if G.order() > 24:
+            continue
+        path.write_text(json.dumps({
+            "base": -1,
+            "quadratic": {"X%d" % lc.row: -1 for lc in order2_linear_chars(G)},
+            "dihedral": {d.gen_id: -1 for d in family_for(G, "thm12") if d.kind == "type2"},
+        }))
+        for fmt in ("text", "json"):
+            code, out, err = run_cli("parity", spec, "--parities", str(path), "--format", fmt)
+            assert (code, err) == (0, ""), (spec, err)
+            total.update((json.dumps([spec, fmt, code, out, err]) + "\n").encode())
+            runs += 1
+    assert runs == 86
+    assert total.hexdigest() == PARITY_ALL_MINUS_ONE
 
 
 @pytest.mark.parametrize("quadratic", [{"X1": 1, "1": -1}, {"1": -1, "X1": 1}])

@@ -9,7 +9,6 @@ from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharTableError, character_table
 from parity_inductor.genchar import (
     GenChar,
-    LinearChar,
     determinant,
     induce,
     inflate,
@@ -464,19 +463,9 @@ def test_order2_linear_chars():
 
 def test_linear_char_behaviour():
     S3 = parse_group_spec("S3")
-    t = character_table(S3)
     eps = order2_linear_chars(S3)[0]
-    assert eps.order() == 2
-    assert (eps * eps).is_trivial()
-    assert eps.conj() == eps
     assert len(eps.kernel_positions()) == 3
     assert eps.genchar.coeffs == (0, 1, 0)
-
-    C4 = parse_group_spec("C4")
-    t4 = character_table(C4)
-    chi = LinearChar(t4, 1)
-    assert chi.order() == 4
-    assert chi.conj().row == 2
 
 
 def test_from_values_round_trip():

@@ -19,6 +19,7 @@ from parity_inductor.parity import (
     dihedral_symbol,
     full_assignment,
     parity_expression,
+    parity_symbols,
     parity_table,
     quadratic_symbol,
     required_sha_primes,
@@ -132,7 +133,7 @@ def test_index_two_rows_echo_quadratic_inputs():
                 continue
             saw_index2 = True
             delta = determinant(perm_char(G, row.record))
-            product = assignment.base * assignment.quadratic[delta.row]
+            product = assignment.value(BASE) * assignment.value(quadratic_symbol(delta.row))
             assert row.value == product
             assert row.expression.support() == (BASE, quadratic_symbol(delta.row))
         assert saw_index2
@@ -244,7 +245,23 @@ def test_input_validation():
     with pytest.raises(ValueError):
         ParityInput.from_json({"base": 1, "extra": {}})
     ok = ParityInput.from_json({"base": -1, "quadratic": {"X1": 1}, "dihedral": {}})
-    assert ok.base == -1 and ok.quadratic == {1: 1}
+    assert ok.values == {BASE: -1, quadratic_symbol(1): 1}
+
+
+@pytest.mark.parametrize("quadratic", [{"X1": 1, "1": -1}, {"1": -1, "X1": 1}])
+def test_full_assignment_rejects_a_row_named_twice(quadratic):
+    # "X1" and "1" both name row 1: neither key order may silently win
+    with pytest.raises(ValueError, match="X1"):
+        full_assignment(parse_group_spec("S3"), quadratic=quadratic)
+
+
+@pytest.mark.parametrize("flavor", ["thm12", "cor29"])
+def test_every_row_symbol_is_a_parity_symbol(flavor):
+    # so the CLI's unknown-symbol check never refuses a symbol a row names
+    for entry in load_bundled_catalog():
+        symbols = set(parity_symbols(entry.group, flavor))
+        for row in parity_table(entry.group, flavor=flavor).rows:
+            assert row.expression.symbols <= symbols, (entry.name, row.label)
 
 
 def test_type1_symbols_never_appear():
