@@ -7,12 +7,12 @@ import json
 import sys
 
 from .catalog import CatalogError, bundled_catalog_path, load_catalog
-from .chartab import character_table
+from .chartab import CharTableError, character_table
 from .decompose import DecomposeError, decompose_structural, flatten_to_certificate, tree_to_json
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
 from .group import CayleyBoundError
-from .groupspec import (GroupSpecError, _shorten_numbers, _split_generators, group_from_cycles,
+from .groupspec import (GroupSpecError, _shorten, _split_generators, group_from_cycles,
                         parse_group_spec)
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, certificate_to_json, membership_solve, verify_certificate
@@ -23,7 +23,7 @@ from .spanreport import span_report
 from .structure import is_hyperelementary
 
 _INPUT_ERRORS = (GroupSpecError, CatalogError, LatticeBoundError, CayleyBoundError, OSError)
-_WORK_ERRORS = (DecomposeError, GeneratorError, MembershipError, ParityError)
+_WORK_ERRORS = (CharTableError, DecomposeError, GeneratorError, MembershipError, ParityError)
 
 
 class CliError(Exception):
@@ -48,13 +48,13 @@ def _resolve_subgroup(G, text: str):
     if text.startswith("#"):
         digits = text[1:]
         if not (digits.isascii() and digits.isdigit()):
-            raise CliError("bad subgroup class id %r" % _shorten_numbers(text))
+            raise CliError("bad subgroup class id %r" % _shorten(text))
         for record in lattice.records:
             if str(record.class_id) == (digits.lstrip("0") or "0"):
                 return record
         raise CliError(
             "no subgroup class %s; classes run #0..#%d"
-            % (_shorten_numbers(text), len(lattice.records) - 1)
+            % (_shorten(text), len(lattice.records) - 1)
         )
     if text.isascii() and text.isdigit():
         # compared as digits: int() refuses over 4,300 of them
@@ -72,7 +72,7 @@ def _resolve_subgroup(G, text: str):
                 ]
         except KeyError:
             pass
-        raise CliError("%r does not generate a subgroup of the group" % _shorten_numbers(text))
+        raise CliError("%r does not generate a subgroup of the group" % _shorten(text))
     else:
         try:
             K = parse_group_spec(text)
@@ -86,10 +86,10 @@ def _resolve_subgroup(G, text: str):
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise CliError("no subgroup class matches %r" % _shorten_numbers(text))
+        raise CliError("no subgroup class matches %r" % _shorten(text))
     raise CliError(
         "subgroup spec %r is ambiguous; pick one of %s"
-        % (_shorten_numbers(text), ", ".join(r.label for r in matches))
+        % (_shorten(text), ", ".join(r.label for r in matches))
     )
 
 

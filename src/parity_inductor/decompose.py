@@ -4,8 +4,10 @@ Each Lemma 2.5, Thm 2.8 and Prop 2.6 step is built by `_step`, which adds a
 Lemma 2.3 leaf-solve for the linear remainder its children leave.  Conjugate
 pairs, in the odd case and in Thm 2.8's cyclic step alike, come from the
 Lemma 2.4 leaf-solve; a Lemma 2.5 split's subgroup terms come from
-`perm_lattice_solve`.  A tree flattens to a certificate over its root group's
-theorem family.
+`perm_lattice_solve`.  Every Induced or Inflated step, Lemma 2.7's and
+Prop 2.6's alike, is one `_carried` call over its carrier: the subtree is
+built on the smaller group and carried up by induction or inflation.  A tree
+flattens to a certificate over its root group's theorem family.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ class TreeNode:
         "children",
         "generator",
         "multiplicity",
-        "subgroup",
-        "qmap",
+        "carrier",
     )
 
     def __init__(
@@ -69,16 +70,14 @@ class TreeNode:
         children=(),
         generator=None,
         multiplicity=0,
-        subgroup=None,
-        qmap=None,
+        carrier=None,
     ):
         self.kind = kind
         self.genchar = genchar
         self.children = tuple(children)
         self.generator = generator
         self.multiplicity = multiplicity
-        self.subgroup = subgroup
-        self.qmap = qmap
+        self.carrier = carrier
         self._check()
 
     def _check(self):
@@ -89,7 +88,8 @@ class TreeNode:
                 raise DecomposeError("leaf does not account for its generator")
             return
         if self.kind in (INDUCED, INFLATED):
-            if len(self.children) != 1 or self.genchar != _carry(self, self.children[0].genchar):
+            carried = [_carry(self.kind, self.carrier, child.genchar) for child in self.children]
+            if carried != [self.genchar]:
                 raise DecomposeError("%s node does not match its children" % self.kind.lower())
             return
         if _total(self.children, self.genchar.table) != self.genchar:
@@ -104,9 +104,15 @@ class TreeNode:
         return "TreeNode(%s, %d children)" % (self.kind, len(self.children))
 
 
-def _carry(node, char) -> GenChar:
-    """A character of an Induced or Inflated node's children, on the node's group."""
-    return induce(node.subgroup, char) if node.kind == INDUCED else inflate(node.qmap, char)
+def _carry(kind, carrier, char) -> GenChar:
+    """char carried up by an Induced node's subgroup or an Inflated node's quotient map."""
+    return induce(carrier, char) if kind == INDUCED else inflate(carrier, char)
+
+
+def _carried(kind, carrier, target, depth, m=1) -> TreeNode:
+    """The Induced or Inflated node over m times target's tree on its smaller group."""
+    subtree = _scale(_dispatch(target.table.group, target, depth + 1), m)
+    return TreeNode(kind, _carry(kind, carrier, subtree.genchar), [subtree], carrier=carrier)
 
 
 def _total(children, table) -> GenChar:
@@ -123,8 +129,7 @@ def _scale(node: TreeNode, m: int) -> TreeNode:
         [_scale(child, m) for child in node.children],
         generator=node.generator,
         multiplicity=node.multiplicity * m,
-        subgroup=node.subgroup,
-        qmap=node.qmap,
+        carrier=node.carrier,
     )
 
 
@@ -160,8 +165,6 @@ def _prop26_family(G, q) -> GeneratorFamily:
 
 def _leaf_solve(rho, family, kind) -> TreeNode:
     """Leaf-solve rho over a lemma-prescribed subfamily of the full family."""
-    if rho.is_zero():
-        return TreeNode(kind, rho)
     cert = membership_solve(rho, family)
     if cert is None:
         raise DecomposeError("%s leaf-solve failed" % kind)
@@ -209,11 +212,13 @@ def _supersets(G, h_set, order):
     )
 
 
-def _rho_of_set(G, h_set) -> GenChar:
+def _rho_of_set(G, h_set, depth) -> GenChar:
+    if depth > _MAX_DEPTH:
+        raise DecomposeError("recursion depth exceeded")
     return rho_H(G, subgroup_lattice(G).record_for_set(h_set))
 
 
-def _lemma25_split(G, rho, handler, depth) -> TreeNode:
+def _lemma25_split(G, rho, handler) -> TreeNode:
     """Split rho into subgroup terms rho_H plus a linear-character remainder."""
     if rho.is_zero():
         return TreeNode("Lemma2.5", rho)
@@ -228,22 +233,13 @@ def _lemma25_split(G, rho, handler, depth) -> TreeNode:
         if solved is None:
             raise DecomposeError("target left the permutation lattice")
         terms = [(rec, c) for rec, c in solved if c and rec.order < order]
-    children = [_scale(handler(rec, depth), c) for rec, c in terms]
+    children = [_scale(handler(rec), c) for rec, c in terms]
     return _step(G, "Lemma2.5", rho, children)
-
-
-def _two_group(G, rho, depth) -> TreeNode:
-    def handler(rec, depth):
-        return _thm28_rho(G, rec.positions, depth + 1)
-
-    return _lemma25_split(G, rho, handler, depth)
 
 
 def _thm28_rho(G, h_set, depth) -> TreeNode:
     """Index recursion for rho_H inside a 2-group."""
-    if depth > _MAX_DEPTH:
-        raise DecomposeError("recursion depth exceeded")
-    rho = _rho_of_set(G, h_set)
+    rho = _rho_of_set(G, h_set, depth)
     index = G.order() // len(h_set)
     if index <= 2:
         if not rho.is_zero():
@@ -329,18 +325,12 @@ def _hyperelementary(G, rho, depth) -> TreeNode:
     orders = G.cayley().orders
     # the order-q part of the cyclic N
     v_set = frozenset(x for x in n_rec.positions if q % orders[x] == 0)
-
-    def handler(rec, depth):
-        return _prop26_rho(G, v_set, q, rec.positions, depth + 1)
-
-    return _lemma25_split(G, rho, handler, depth)
+    return _lemma25_split(G, rho, lambda rec: _prop26_rho(G, v_set, q, rec.positions, depth + 1))
 
 
 def _prop26_rho(G, v_set, q, h_set, depth) -> TreeNode:
     """Normal cyclic Sylow recursion for rho_H."""
-    if depth > _MAX_DEPTH:
-        raise DecomposeError("recursion depth exceeded")
-    rho = _rho_of_set(G, h_set)
+    rho = _rho_of_set(G, h_set, depth)
     if v_set <= h_set:
         return _prop26_inflation(G, rho, v_set, h_set, "Prop2.6.case1", depth)
     table = G.cayley().table
@@ -360,18 +350,14 @@ def _prop26_inflation(G, rho, kernel_set, h_set, kind, depth) -> TreeNode:
     quo = qmap.image
     h_image = frozenset(qmap.image_of[a] for a in h_set)
     rho_quo = rho_H(quo, subgroup_lattice(quo).record_for_set(h_image))
-    subtree = _dispatch(quo, rho_quo, depth + 1)
-    inflated = TreeNode(INFLATED, rho, [subtree], qmap=qmap)
-    return TreeNode(kind, rho, [inflated])
+    return TreeNode(kind, rho, [_carried(INFLATED, qmap, rho_quo, depth)])
 
 
 def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
     vh_rec = subgroup_lattice(G).record_for_set(vh_set)
     sub = vh_rec.as_group()
     h_rec_sub = subgroup_lattice(sub).record_for_set(vh_rec.local(h_set))
-    rho0 = rho_H(sub, h_rec_sub)
-    subtree = _dispatch(sub, rho0, depth + 1)
-    children = [TreeNode(INDUCED, induce(vh_rec, rho0), [subtree], subgroup=vh_rec)]
+    children = [_carried(INDUCED, vh_rec, rho_H(sub, h_rec_sub), depth)]
     delta = determinant(perm_char(sub, h_rec_sub))
     if delta.is_trivial():
         children.append(
@@ -390,14 +376,10 @@ def _prop26_intermediate(G, rho, v_set, q, h_set, vh_set, depth) -> TreeNode:
 
 
 def _solomon_root(G, rho, depth) -> TreeNode:
-    children = []
-    for rec, n in solomon_coefficients(G):
-        sub = rec.as_group()
-        res = restrict(rho, rec)
-        subtree = _scale(_dispatch(sub, res, depth + 1), n)
-        children.append(
-            TreeNode(INDUCED, n * induce(rec, res), [subtree], subgroup=rec)
-        )
+    children = [
+        _carried(INDUCED, rec, restrict(rho, rec), depth, n)
+        for rec, n in solomon_coefficients(G)
+    ]
     return TreeNode("Lemma2.7", rho, children)
 
 
@@ -408,7 +390,7 @@ def _dispatch(G, rho, depth) -> TreeNode:
     if order % 2 == 1:
         return _lemma24(G, rho)
     if prime_factors(order) <= {2}:
-        return _two_group(G, rho, depth)
+        return _lemma25_split(G, rho, lambda rec: _thm28_rho(G, rec.positions, depth + 1))
     if is_hyperelementary(G) is not None:
         return _hyperelementary(G, rho, depth)
     return _solomon_root(G, rho, depth)
@@ -440,8 +422,8 @@ def flatten_to_certificate(root: TreeNode) -> MembershipCertificate:
                 merged[j] = merged.get(j, 0) + node.multiplicity
                 return
             char = node.generator.expansion
-            for carrier in reversed(lifts):
-                char = _carry(carrier, char)
+            for lift in reversed(lifts):
+                char = _carry(lift.kind, lift.carrier, char)
             lifted.append((char, node.multiplicity))
             return
         if node.kind in (INDUCED, INFLATED):
@@ -474,8 +456,8 @@ def tree_to_json(node: TreeNode) -> dict:
         doc["generator"] = node.generator.gen_id
         doc["multiplicity"] = node.multiplicity
     if node.kind == INDUCED:
-        doc["subgroup_order"] = node.subgroup.order
-        doc["subgroup"] = node.subgroup.label
+        doc["subgroup_order"] = node.carrier.order
+        doc["subgroup"] = node.carrier.label
     if node.kind == INFLATED:
-        doc["kernel_order"] = len(node.qmap.kernel)
+        doc["kernel_order"] = len(node.carrier.kernel)
     return doc

@@ -11,7 +11,7 @@ from .generators import family_for
 from .group import PermGroup
 from .lattice import SubgroupRecord, subgroup_lattice
 from .membership import membership_solve_all
-from .structure import dihedral_subquotients
+from .structure import DIHEDRAL_2P, KLEIN_FOUR, dihedral_subquotients
 
 BASE = ("base",)
 
@@ -126,7 +126,9 @@ class ParityInput:
                 raise ValueError("quadratic character X%d is named twice" % symbol[1])
             self.values[symbol] = _check_sign(v, "quadratic[%s]" % k)
         for k, v in (dihedral or {}).items():
-            self.values[dihedral_symbol(str(k))] = _check_sign(v, "dihedral[%s]" % k)
+            if not isinstance(k, str):
+                raise ValueError("dihedral generator id must be a string, got %r" % (k,))
+            self.values[dihedral_symbol(k)] = _check_sign(v, "dihedral[%s]" % k)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ParityInput":
@@ -275,8 +277,8 @@ def required_sha_primes(G: PermGroup):
     primes = set()
     needs2 = False
     for dq in dihedral_subquotients(G):
-        if dq.tag.variant == "Dihedral2p":
+        if dq.tag.variant == DIHEDRAL_2P:
             primes.add(dq.tag.n)
-        elif dq.tag.variant == "KleinFour":
+        elif dq.tag.variant == KLEIN_FOUR:
             needs2 = True
     return frozenset(primes), needs2

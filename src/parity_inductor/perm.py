@@ -28,9 +28,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Perm") -> "Perm":
         # left-to-right composition: (p * q)(x) = q(p(x))
         if other.degree != self.degree:

@@ -14,7 +14,8 @@ import pytest
 from _catalog_records import render_catalog
 from output_digest import catalog_specs, commands, total_digest
 
-from parity_inductor import group
+from parity_inductor import cli, group
+from parity_inductor.chartab import CharTableError
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.cli import main
 from parity_inductor.genchar import order2_linear_chars
@@ -219,6 +220,23 @@ def test_subgroup_refusals_shorten_long_numbers(subgroup):
     assert code == 2 and out == "" and err.startswith("error: ")
     assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
     assert re.search(r"\d{10}\.\.\. \(\d+ digits\)", err), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group-info", "Y" * 1000], "unknown family name"),
+        (["group-info", "(" * 1000 + "(1 2)"], "unbalanced parentheses"),
+        (["group-info", "(1 2" + "a" * 1000 + ")"], "bad cycle notation"),
+        (["group-info", "(%s)" % " ".join(["1"] * 1000)], "repeated point"),
+        (["decompose", "S3", "--subgroup", "x" * 1000], "unknown family name"),
+    ],
+    ids=["family", "unbalanced", "cycles", "repeated-point", "subgroup"],
+)
+def test_error_lines_do_not_grow_with_the_input(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == "" and err.startswith("error: " + message), err[:300]
+    assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]
 
 
 def test_json_integers_too_long_for_int_exit_2(tmp_path):
@@ -695,6 +713,16 @@ def test_parity_cli_rejects_symbol_maps_that_are_not_objects(tmp_path):
         assert "must be a JSON object or null" in err, doc
     path.write_text(json.dumps({"base": 1, "quadratic": None, "dihedral": None}))
     assert run_cli("parity", "D8", "--parities", str(path))[0] == 0
+
+
+def test_table_defect_exits_1(monkeypatch):
+    def defect(G):
+        raise CharTableError("degree squares do not sum to the group order")
+
+    monkeypatch.setattr(cli, "character_table", defect)
+    code, out, err = run_cli("chartab", "S3")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: degree squares do not sum to the group order\n"
 
 
 def test_required_primes_cli():

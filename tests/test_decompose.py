@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from parity_inductor import intlinalg
+from parity_inductor import decompose, intlinalg
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.decompose import (
@@ -361,16 +361,25 @@ def test_induced_and_inflated_nodes_record_their_carriers():
     induced = [n for n in tree.walk() if n.kind == "Induced"]
     assert induced
     for node in induced:
-        assert node.subgroup is not None
-        assert node.subgroup.order < G.order()
+        assert node.carrier is not None
+        assert node.carrier.order < G.order()
     G2 = parse_group_spec("C12")
     rec2 = next(r for r in subgroup_lattice(G2).records if r.order == 3)
     tree2 = decompose_structural(G2, rho_H(G2, rec2))
     inflated = [n for n in tree2.walk() if n.kind == "Inflated"]
     assert inflated
     for node in inflated:
-        assert node.qmap is not None
-        assert len(node.qmap.kernel) > 1
+        assert node.carrier is not None
+        assert len(node.carrier.kernel) > 1
+
+
+@pytest.mark.parametrize("spec", ["D16", "C12", "S4"], ids=["thm28", "prop26", "lemma27"])
+def test_recursion_depth_guard(monkeypatch, spec):
+    G = parse_group_spec(spec)
+    rho = rho_H(G, subgroup_lattice(G).records[0])
+    monkeypatch.setattr(decompose, "_MAX_DEPTH", 0)
+    with pytest.raises(DecomposeError, match="recursion depth exceeded"):
+        decompose_structural(G, rho)
 
 
 def test_leaf_accounting_is_exact():

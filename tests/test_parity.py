@@ -248,6 +248,13 @@ def test_input_validation():
     assert ok.values == {BASE: -1, quadratic_symbol(1): 1}
 
 
+@pytest.mark.parametrize("dihedral", [{1: -1, "1": 1}, {"1": 1, 1: -1}])
+def test_dihedral_ids_must_be_strings(dihedral):
+    # 1 and "1" would both name the twist "1": neither key order may silently win
+    with pytest.raises(ValueError, match="must be a string"):
+        ParityInput(dihedral=dihedral)
+
+
 @pytest.mark.parametrize("quadratic", [{"X1": 1, "1": -1}, {"1": -1, "X1": 1}])
 def test_full_assignment_rejects_a_row_named_twice(quadratic):
     # "X1" and "1" both name row 1: neither key order may silently win
