@@ -5,9 +5,11 @@ gets closed-form irreducibles, each induced from a linear character of A
 extended to its stabilizer: every bundled catalog group and subgroup except
 S4, A5, S5, SL(2,3) and their copies.  Any other table is computed over F_l
 (l prime, l = 1 mod exp(G), l > 2*sqrt(|G|)) by Dixon-Schneider: the class
-algebra splits there into common eigenspaces, lifted to exact values by
-Fourier inversion over the power maps, kept as one cycle per class c (the
-classes of rep_c ** j, j < o(c)).  Both paths' rows are sorted, then checked.
+algebra splits there into common eigenspaces (on each, a class matrix's
+eigenvalues are the lam in F_l at which it minus lam*I has a nonzero
+kernel), lifted to exact values by Fourier inversion over the power maps,
+kept as one cycle per class c (the classes of rep_c ** j, j < o(c)).  Both
+paths' rows are sorted, then checked.
 
 Representation: at a class of element order o, a row's value is its integer
 multiplicity vector m in Z[x]/(x^o - 1), chi(c) = sum_s m_s * zeta_o ** s,
@@ -121,62 +123,6 @@ def _kernel_mod(m, p):
             v[pc] = (-rows[r][fc]) % p
         basis.append(v)
     return basis
-
-
-def _charpoly_mod(a, p):
-    """Characteristic polynomial det(xI - a) over F_p, low degree first."""
-    n = len(a)
-    h = [row[:] for row in a]
-    # similarity reduction to upper Hessenberg form
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if h[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for r in range(n):
-                h[r][piv], h[r][j + 1] = h[r][j + 1], h[r][piv]
-        inv = pow(h[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            f = h[i][j] * inv % p
-            if f:
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
-                for r in range(n):
-                    h[r][j + 1] = (h[r][j + 1] + f * h[r][i]) % p
-    # recurrence on leading principal minors of a Hessenberg matrix
-    polys = [[1]]
-    for k in range(1, n + 1):
-        # p_k = (x - h[k-1][k-1]) p_{k-1} - sum_m h[m-1][k-1] * prod(subdiag) p_{m-1}
-        prev = polys[k - 1]
-        cur = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] = (cur[i + 1] + c) % p
-            cur[i] = (cur[i] - h[k - 1][k - 1] * c) % p
-        prod = 1
-        for m in range(k - 1, 0, -1):
-            prod = prod * h[m][m - 1] % p
-            coeff = h[m - 1][k - 1] * prod % p
-            if coeff:
-                pm = polys[m - 1]
-                for i, c in enumerate(pm):
-                    cur[i] = (cur[i] - coeff * c) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def _poly_roots_mod(poly, p):
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
 
 
 # ------------------------------------------------------------ integer values
@@ -722,8 +668,10 @@ def _dixon_schneider(group, classes, cycles):
                     raise CharTableError("class matrix does not preserve eigenspace")
                 b.append(coords)
             bt = [[b[r][c] for r in range(len(b))] for c in range(len(b))]
-            poly = _charpoly_mod(bt, l)
-            for lam in _poly_roots_mod(poly, l):
+            # the eigenvalues are the lam in F_l whose B - lam*I has a
+            # nonzero kernel, taken in increasing order until they fill it
+            found = 0
+            for lam in range(l):
                 shifted = [
                     [(bt[r][c] - (lam if r == c else 0)) % l for c in range(len(bt))]
                     for r in range(len(bt))
@@ -736,9 +684,11 @@ def _dixon_schneider(group, classes, cycles):
                             for idx in range(k):
                                 vec[idx] = (vec[idx] + coord * row[idx]) % l
                     eigenspace.append(vec)
-                if not eigenspace:
-                    raise CharTableError("charpoly root has empty eigenspace")
-                new_spaces.append(eigenspace)
+                if eigenspace:
+                    new_spaces.append(eigenspace)
+                    found += len(eigenspace)
+                    if found == len(bt):
+                        break
         total = sum(len(s) for s in new_spaces)
         if total != k:
             raise CharTableError("eigenspace splitting does not cover the space")

@@ -12,8 +12,8 @@ from .decompose import DecomposeError, decompose_structural, flatten_to_certific
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
 from .group import CayleyBoundError
-from .groupspec import (GroupSpecError, _shorten, _split_generators, group_from_cycles,
-                        parse_group_spec)
+from .groupspec import (GroupSpecError, _split_generators, group_from_cycles, parse_group_spec,
+                        shorten)
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, certificate_to_json, membership_solve, verify_certificate
 from .parity import (ParityError, ParityInput, format_columns, parity_symbols, parity_table,
@@ -48,13 +48,13 @@ def _resolve_subgroup(G, text: str):
     if text.startswith("#"):
         digits = text[1:]
         if not (digits.isascii() and digits.isdigit()):
-            raise CliError("bad subgroup class id %r" % _shorten(text))
+            raise CliError("bad subgroup class id %r" % shorten(text))
         for record in lattice.records:
             if str(record.class_id) == (digits.lstrip("0") or "0"):
                 return record
         raise CliError(
             "no subgroup class %s; classes run #0..#%d"
-            % (_shorten(text), len(lattice.records) - 1)
+            % (shorten(text), len(lattice.records) - 1)
         )
     if text.isascii() and text.isdigit():
         # compared as digits: int() refuses over 4,300 of them
@@ -72,7 +72,7 @@ def _resolve_subgroup(G, text: str):
                 ]
         except KeyError:
             pass
-        raise CliError("%r does not generate a subgroup of the group" % _shorten(text))
+        raise CliError("%r does not generate a subgroup of the group" % shorten(text))
     else:
         try:
             K = parse_group_spec(text)
@@ -86,10 +86,10 @@ def _resolve_subgroup(G, text: str):
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise CliError("no subgroup class matches %r" % _shorten(text))
+        raise CliError("no subgroup class matches %r" % shorten(text))
     raise CliError(
         "subgroup spec %r is ambiguous; pick one of %s"
-        % (_shorten(text), ", ".join(r.label for r in matches))
+        % (shorten(text), ", ".join(r.label for r in matches))
     )
 
 
@@ -209,13 +209,12 @@ def _cmd_decompose(args) -> int:
         doc = tree_to_json(tree)
         _emit(args, lambda: json.dumps(doc, indent=2), lambda: doc)
         return 0
-    flavor = args.flavor or "thm12"
-    family = family_for(G, flavor)
+    family = family_for(G, args.flavor)
     cert = membership_solve(rho, family)
     if cert is None or not verify_certificate(cert):
         print(
             "verification failed: rho[%s] of %s has no certificate over %s"
-            % (record.label, args.groupspec, flavor),
+            % (record.label, args.groupspec, args.flavor),
             file=sys.stderr,
         )
         return 1
@@ -231,7 +230,7 @@ def _cmd_decompose(args) -> int:
             "group: %s (order %d)" % (args.groupspec, G.order()),
             "subgroup: %s (order %d, index %d)"
             % (record.label, record.order, doc["index"]),
-            "flavor: %s" % flavor,
+            "flavor: %s" % args.flavor,
             "certificate: %s" % cert.format_terms(),
             "verified: yes",
         ]
@@ -288,7 +287,7 @@ def _cmd_parity(args) -> int:
                    for s in assignment.values if s not in known]
         if unknown:
             raise CliError("%s has no parity symbols %s under flavor %s"
-                           % (args.groupspec, ", ".join(unknown), args.flavor))
+                           % (shorten(args.groupspec), shorten(", ".join(unknown)), args.flavor))
     table = parity_table(G, assignment, args.flavor)
     _emit(args, table.format_text, lambda: {"group": args.groupspec, **table.to_json()})
     return 0
@@ -355,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="subgroup class: '#3', an order, a family token, or cycle generators",
     )
-    p.add_argument("--flavor", choices=["thm12", "cor29"])
+    p.add_argument("--flavor", choices=["thm12", "cor29"], default="thm12")
     p.add_argument(
         "--structural",
         action="store_true",

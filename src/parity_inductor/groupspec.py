@@ -27,7 +27,7 @@ def parse_group_spec(text: str) -> PermGroup:
         # the token states the order, so bounds on it list no element
         return group_from_cycles(*_family(m.group(1), int(m.group(2)), m.group(3)))
     if text[0] != "(":
-        raise GroupSpecError("unknown family name: %r" % _shorten(text))
+        raise GroupSpecError("unknown family name: %r" % shorten(text))
     return group_from_cycles(_split_generators(text))
 
 
@@ -48,7 +48,7 @@ def group_from_cycles(gen_texts, degree=None, order=None) -> PermGroup:
     try:
         gens = [parse_perm(t, degree) for t in gen_texts]
     except PermError as exc:
-        raise GroupSpecError(_shorten(str(exc))) from None
+        raise GroupSpecError(shorten(str(exc))) from None
     return PermGroup(gens, degree=degree, order=order)
 
 
@@ -58,11 +58,11 @@ def _refuse_long_numbers(text: str, what: str) -> None:
     run = max(re.findall(r"[0-9]+", text), key=lambda run: (len(run), run), default="")
     if len(run) > len(str(MAX_CAYLEY_ORDER)):
         raise GroupSpecError(
-            "%s %s exceeds the bound of %d points" % (what, _shorten(run), MAX_CAYLEY_ORDER)
+            "%s %s exceeds the bound of %d points" % (what, shorten(run), MAX_CAYLEY_ORDER)
         )
 
 
-def _shorten(text: str) -> str:
+def shorten(text: str) -> str:
     """text for an error line: each digit run over 20 digits cut to its first ten
     and its length, then the whole cut to its first 60 characters and its length."""
     short = re.sub(r"\d{21,}", lambda m: "%s... (%d digits)" % (m[0][:10], len(m[0])), text)
@@ -79,14 +79,14 @@ def _split_generators(text: str):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise GroupSpecError("unbalanced parentheses in %r" % _shorten(text))
+                raise GroupSpecError("unbalanced parentheses in %r" % shorten(text))
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise GroupSpecError("unbalanced parentheses in %r" % _shorten(text))
+        raise GroupSpecError("unbalanced parentheses in %r" % shorten(text))
     parts.append("".join(current))
     return [p for p in (part.strip() for part in parts) if p]
 

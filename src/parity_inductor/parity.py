@@ -9,6 +9,7 @@ from math import prod
 from .genchar import determinant, order2_linear_chars, perm_char, rho_H
 from .generators import family_for
 from .group import PermGroup
+from .groupspec import shorten
 from .lattice import SubgroupRecord, subgroup_lattice
 from .membership import membership_solve_all
 from .structure import DIHEDRAL_2P, KLEIN_FOUR, dihedral_subquotients
@@ -90,7 +91,7 @@ class ParityExpression:
 
 def _check_sign(value, where: str) -> int:
     if type(value) is not int or value not in (1, -1):
-        raise ValueError("%s must be +1 or -1, got %r" % (where, value))
+        raise ValueError("%s must be +1 or -1, got %s" % (where, shorten(repr(value))))
     return value
 
 
@@ -99,8 +100,7 @@ def _quadratic_row(key) -> int:
     text = str(key)
     digits = text[1:] if text.startswith("X") else text
     if not (digits.isascii() and digits.isdigit() and len(digits) <= 4):
-        shown = key if len(text) <= 40 else text[:40] + "..."
-        raise ValueError("bad quadratic character id %r (expected e.g. \"X3\")" % shown)
+        raise ValueError("bad quadratic character id %r (expected e.g. \"X3\")" % shorten(text))
     return int(digits)
 
 
@@ -118,7 +118,9 @@ class ParityInput:
     def __init__(self, base=None, quadratic=None, dihedral=None):
         for name, doc in (("quadratic", quadratic), ("dihedral", dihedral)):
             if doc is not None and not isinstance(doc, dict):
-                raise ValueError("%s must be a JSON object or null, got %r" % (name, doc))
+                raise ValueError(
+                    "%s must be a JSON object or null, got %s" % (name, shorten(repr(doc)))
+                )
         self.values = {} if base is None else {BASE: _check_sign(base, "base")}
         for k, v in (quadratic or {}).items():
             symbol = quadratic_symbol(_quadratic_row(k))
@@ -128,7 +130,7 @@ class ParityInput:
         for k, v in (dihedral or {}).items():
             if not isinstance(k, str):
                 raise ValueError("dihedral generator id must be a string, got %r" % (k,))
-            self.values[dihedral_symbol(k)] = _check_sign(v, "dihedral[%s]" % k)
+            self.values[dihedral_symbol(k)] = _check_sign(v, "dihedral[%s]" % shorten(k))
 
     @classmethod
     def from_json(cls, doc: dict) -> "ParityInput":
@@ -136,7 +138,7 @@ class ParityInput:
             raise ValueError("parity input must be a JSON object")
         unknown = set(doc) - {"base", "quadratic", "dihedral"}
         if unknown:
-            raise ValueError("unknown parity input keys: %s" % ", ".join(sorted(unknown)))
+            raise ValueError("unknown parity input keys: %s" % shorten(", ".join(sorted(unknown))))
         return cls(doc.get("base"), doc.get("quadratic"), doc.get("dihedral"))
 
     def value(self, symbol):

@@ -190,6 +190,20 @@ def test_dixon_schneider_catalog_tables_match_burnside_oracle():
         _assert_matches_burnside_oracle(groups[name])
 
 
+@pytest.mark.large
+@pytest.mark.parametrize("spec", ["A6", "S6"])
+def test_dixon_schneider_tables_match_burnside_oracle_large(spec):
+    # l = 61 with 7 and 11 classes: each split scans the most eigenvalues
+    _assert_matches_burnside_oracle(parse_group_spec(spec))
+
+
+def test_split_refuses_eigenspaces_that_miss_part_of_the_space(monkeypatch):
+    real = chartab._kernel_mod
+    monkeypatch.setattr(chartab, "_kernel_mod", lambda m, p: real(m, p)[1:])
+    with pytest.raises(CharTableError, match="^eigenspace splitting does not cover the space$"):
+        CharacterTable(parse_group_spec("S4"))
+
+
 def _assert_matches_burnside_oracle(G):
     unmatched = list(burnside_character_rows(G, seed=7))
     for row in reference_rows(character_table(G)):

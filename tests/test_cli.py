@@ -64,8 +64,10 @@ def test_subgroups_listing():
 def test_decompose_text_matches_known_certificate():
     code, out, _ = run_cli("decompose", "S3", "--subgroup", "C2")
     assert code == 0
+    assert "flavor: thm12" in out
     assert "certificate: +1*t2:h3:n0:Dihedral2p(3):tau3" in out
     assert "verified: yes" in out
+    assert run_cli("decompose", "S3", "--subgroup", "C2", "--flavor", "thm12") == (code, out, "")
 
 
 def test_decompose_structural_tree_has_twist_leaf():
@@ -222,18 +224,39 @@ def test_subgroup_refusals_shorten_long_numbers(subgroup):
     assert re.search(r"\d{10}\.\.\. \(\d+ digits\)", err), err
 
 
+D1000 = "d" * 1000
+CUT = "%s... (1000 characters)" % ("d" * 60)
+C300 = "(%s)" % " ".join(map(str, range(1, 301)))
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, parities, message",
     [
-        (["group-info", "Y" * 1000], "unknown family name"),
-        (["group-info", "(" * 1000 + "(1 2)"], "unbalanced parentheses"),
-        (["group-info", "(1 2" + "a" * 1000 + ")"], "bad cycle notation"),
-        (["group-info", "(%s)" % " ".join(["1"] * 1000)], "repeated point"),
-        (["decompose", "S3", "--subgroup", "x" * 1000], "unknown family name"),
+        (["group-info", "Y" * 1000], None, "unknown family name"),
+        (["group-info", "(" * 1000 + "(1 2)"], None, "unbalanced parentheses"),
+        (["group-info", "(1 2" + "a" * 1000 + ")"], None, "bad cycle notation"),
+        (["group-info", "(%s)" % " ".join(["1"] * 1000)], None, "repeated point"),
+        (["decompose", "S3", "--subgroup", "x" * 1000], None, "unknown family name"),
+        (["parity", "S3"], {"dihedral": {D1000: 0}}, "dihedral[%s] must be +1 or -1" % CUT),
+        (["parity", "S3"], {"dihedral": {D1000: 1}}, "S3 has no parity symbols %s" % CUT),
+        (["parity", "S3"], {"dihedral": {"d%d" % i: 1 for i in range(300)}},
+         "S3 has no parity symbols d0, d1, "),
+        (["parity", C300], {"dihedral": {"d": 1}},
+         "%s... (%d characters) has no parity symbols d" % (C300[:60], len(C300))),
+        (["parity", "S3"], {"dihedral": {"d": D1000}}, "dihedral[d] must be +1 or -1, got 'ddd"),
+        (["parity", "S3"], {"quadratic": {"X" + D1000: 1}}, "bad quadratic character id 'Xddd"),
+        (["parity", "S3"], {"quadratic": [D1000]}, "quadratic must be a JSON object or null"),
+        (["parity", "S3"], {D1000: 1}, "unknown parity input keys: %s" % CUT),
     ],
-    ids=["family", "unbalanced", "cycles", "repeated-point", "subgroup"],
+    ids=["family", "unbalanced", "cycles", "repeated-point", "subgroup", "dihedral-key",
+         "unknown-symbol", "unknown-symbols", "long-group", "dihedral-value", "quadratic-key",
+         "quadratic-doc", "input-key"],
 )
-def test_error_lines_do_not_grow_with_the_input(argv, message):
+def test_error_lines_do_not_grow_with_the_input(tmp_path, argv, parities, message):
+    if parities is not None:
+        path = tmp_path / "parities.json"
+        path.write_text(json.dumps(parities))
+        argv = argv + ["--parities", str(path)]
     code, out, err = run_cli(*argv)
     assert code == 2 and out == "" and err.startswith("error: " + message), err[:300]
     assert len(err.splitlines()) == 1 and len(err) < 200, err[:300]

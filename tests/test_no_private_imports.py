@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("chartab", "lattice", "_extend"):
         "Dimino's coset extension: the abelian-by-cyclic test grows subgroups with it as the lattice does",
-    ("cli", "groupspec", "_shorten"):
-        "a --subgroup argument is cut short in errors as a group spec is",
     ("cli", "groupspec", "_split_generators"):
         "a --subgroup cycle list is split into generators as a group spec's is",
     ("generators", "genchar", "_det_exponents"):
