@@ -6,13 +6,14 @@ Matrices are plain lists of rows of ints; arithmetic is arbitrary precision.
 Both the HNF and the solves' reduction run one elimination loop, `_echelon`,
 on sparse rows ``{column: nonzero entry}``, since the rows it meets (a family
 matrix beside the identity, a kernel of a few nonzeros per row) are mostly
-zero; `HnfResult` holds its ``h`` and ``u`` dense.  A batch of solves shares
-one echelon of the kernel.
+zero; `HnfResult` keeps those rows, and no solve writes one out dense.  A
+batch of solves shares one echelon of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def linear_combination(pairs, width: int):
@@ -27,16 +28,28 @@ def linear_combination(pairs, width: int):
 
 @dataclass(frozen=True)
 class HnfResult:
-    """Row Hermite normal form h = u @ a with u unimodular.
+    """Row Hermite normal form h = u @ a with u unimodular, kept as the sparse
+    rows of its elimination: ``h_rows[i]`` and ``u_rows[i]`` are row i of h and
+    of u, and ``width`` is a's.
 
     Pivot rows come first (rank of them); pivots are positive and entries
-    above each pivot are reduced into [0, pivot).
+    above each pivot are reduced into [0, pivot).  The dense ``h``, ``u`` and
+    ``kernel`` are views built when read, for perfbench and the tests.
     """
 
-    h: list
-    u: list
+    h_rows: list
+    u_rows: list
+    width: int
     rank: int
     pivot_cols: list
+
+    @cached_property
+    def h(self):
+        return [[row.get(c, 0) for c in range(self.width)] for row in self.h_rows]
+
+    @cached_property
+    def u(self):
+        return [[row.get(c, 0) for c in range(len(self.u_rows))] for row in self.u_rows]
 
     @property
     def kernel(self):
@@ -53,22 +66,24 @@ class HnfResult:
         c (pivot p) of the kernel lattice, i.e. one solution reduced modulo its
         HNF.  The kernel's echelon form is built at most once per call, and only
         when some target has a nonzero solution."""
-        out, relations = [], None
+        out, relations, m = [], None, len(self.u_rows)
         for b in targets:
-            if self.h and len(b) != len(self.h[0]):
+            if m and len(b) != self.width:
                 raise ValueError("dimension mismatch")
             resid = list(b)
-            x = [0] * len(self.u)
-            for k, col in enumerate(self.pivot_cols):
-                q, r = divmod(resid[col], self.h[k][col])
+            x = [0] * m
+            for h, u, col in zip(self.h_rows, self.u_rows, self.pivot_cols):
+                q, r = divmod(resid[col], h[col])
                 if r:
                     break  # off the lattice: resid stays nonzero
                 if q:
-                    resid = [v - q * w for v, w in zip(resid, self.h[k])]
-                    x = [xi + q * ui for xi, ui in zip(x, self.u[k])]
+                    for c, v in h.items():
+                        resid[c] -= q * v
+                    for c, v in u.items():
+                        x[c] += q * v
             if any(x) and not any(resid):
                 if relations is None:
-                    relations = list(zip(*_echelon([_sparse(row) for row in self.kernel], len(x))))
+                    relations = list(zip(*_echelon([dict(row) for row in self.u_rows[self.rank:]], m)))
                 for row, col in relations:
                     q = x[col] // row[col]
                     if q:
@@ -76,11 +91,6 @@ class HnfResult:
                             x[c] -= q * v
             out.append(None if any(resid) else x)
         return out
-
-
-def _sparse(row):
-    """The nonzero entries of a dense row, as ``{column: entry}``."""
-    return {c: x for c, x in enumerate(row) if x}
 
 
 def _subtract(row, q, other):
@@ -126,16 +136,16 @@ def hnf(a) -> HnfResult:
     m = len(a)
     n = len(a[0]) if m else 0
     # u rides along as columns n.. (one entry per row to start): the same row operations as on a.
-    rows, pivot_cols = _echelon([_sparse(row) | {n + i: 1} for i, row in enumerate(a)], n)
+    rows, pivot_cols = _echelon([{c: x for c, x in enumerate(v) if x} | {n + i: 1} for i, v in enumerate(a)], n)
     for r, col in enumerate(pivot_cols):
         piv = rows[r][col]
         for k in range(r):
             q = rows[k].get(col, 0) // piv
             if q:
                 _subtract(rows[k], q, rows[r])
-    h = [[row.get(c, 0) for c in range(n)] for row in rows]
-    u = [[row.get(c, 0) for c in range(n, n + m)] for row in rows]
-    return HnfResult(h=h, u=u, rank=len(pivot_cols), pivot_cols=pivot_cols)
+    h_rows = [{c: x for c, x in row.items() if c < n} for row in rows]
+    u_rows = [{c - n: x for c, x in row.items() if c >= n} for row in rows]
+    return HnfResult(h_rows, u_rows, n, len(pivot_cols), pivot_cols)
 
 
 def kernel_mod2(rows, exact: int):
@@ -144,5 +154,5 @@ def kernel_mod2(rows, exact: int):
     columns, cut to len(rows) entries, zero rows dropped."""
     width = len(rows[0])
     evens = [[2 if j == c else 0 for j in range(width)] for c in range(exact, width)]
-    cut = (x[:len(rows)] for x in hnf(list(rows) + evens).kernel)
-    return [x for x in cut if any(x)]
+    res = hnf(list(rows) + evens)
+    return [[x.get(c, 0) for c in range(len(rows))] for x in res.u_rows[res.rank:] if min(x) < len(rows)]

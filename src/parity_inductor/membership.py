@@ -158,7 +158,8 @@ def _admissible_lattice(G: PermGroup):
     chars = [perm_char(G, rec) for rec in subgroup_lattice(G).records]
     rows = [[ch.degree] + [1 if a else 0 for a in determinant(ch).exponents] for ch in chars]
     projected = kernel_mod2(rows, 1)
-    return [row for row in hnf(projected).h if any(row)] if projected else []
+    h_rows = hnf(projected).h_rows if projected else []
+    return [[row.get(c, 0) for c in range(len(projected[0]))] for row in h_rows if row]
 
 
 _DRAWS = 1000  # random_S_element's budget of draws per call

@@ -2,14 +2,34 @@
 
 `hnf` is the row HNF that updates h and its transform u in parallel, `echelon`
 is the dense elimination loop `src/` ran before its rows went sparse, and the
-solves are the ones `src/` used before `HnfResult.solve`.  Only the result
-container comes from `src/`; they stay here as the independent side of the
-differential tests.
+solves are the ones `src/` used before `HnfResult.solve`.  `DenseHnf` is the
+dense result `src/` returned before its result kept sparse rows.  Nothing here
+comes from `src/`; they stay here as the independent side of the differential
+tests.
 """
 
 from __future__ import annotations
 
-from parity_inductor.intlinalg import HnfResult
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class DenseHnf:
+    """Row Hermite normal form h = u @ a with u unimodular, h and u dense.
+
+    Pivot rows come first (rank of them); pivots are positive and entries
+    above each pivot are reduced into [0, pivot).
+    """
+
+    h: list
+    u: list
+    rank: int
+    pivot_cols: list
+
+    @property
+    def kernel(self):
+        """Basis of the left kernel {x : x @ a = 0}, as rows."""
+        return self.u[self.rank:]
 
 
 def identity_matrix(n: int):
@@ -45,7 +65,7 @@ def echelon(rows, width):
     return rows, pivot_cols
 
 
-def hnf(a) -> HnfResult:
+def hnf(a) -> DenseHnf:
     m = len(a)
     n = len(a[0]) if m else 0
     h = [list(row) for row in a]
@@ -80,7 +100,7 @@ def hnf(a) -> HnfResult:
                 u[k] = [x - q * y for x, y in zip(u[k], u[r])]
         pivot_cols.append(col)
         r += 1
-    return HnfResult(h=h, u=u, rank=r, pivot_cols=pivot_cols)
+    return DenseHnf(h=h, u=u, rank=r, pivot_cols=pivot_cols)
 
 
 def kernel_basis(a):
@@ -89,7 +109,7 @@ def kernel_basis(a):
     return [row[:] for row in res.u[res.rank:]]
 
 
-def solve_left(a, b, hnf_result: HnfResult | None = None):
+def solve_left(a, b, hnf_result: DenseHnf | None = None):
     """One integer solution x of x @ a = b, or None if b is off the row lattice."""
     res = hnf_result if hnf_result is not None else hnf(a)
     n = len(a[0]) if a else len(b)
@@ -128,7 +148,7 @@ def reduce_mod_lattice(x, basis):
     return x
 
 
-def solve_left_canonical(a, b, hnf_result: HnfResult | None = None):
+def solve_left_canonical(a, b, hnf_result: DenseHnf | None = None):
     """Deterministic solution of x @ a = b: particular solve reduced mod kernel."""
     res = hnf_result if hnf_result is not None else hnf(a)
     x = solve_left(a, b, res)

@@ -1,4 +1,6 @@
+import json
 import random
+import subprocess
 import sys
 
 import pytest
@@ -15,6 +17,7 @@ from parity_inductor.generators import family_for
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.intlinalg import hnf, linear_combination
 from parity_inductor.lattice import subgroup_lattice
+from parity_inductor.spanreport import span_report
 
 
 def mat_mul(a, b):
@@ -472,3 +475,91 @@ def test_solve_all_builds_the_kernel_echelon_only_when_a_target_needs_it(monkeyp
         [0, 0, 0], [0, 3, 0], None, [0, 2, 2], [0, 5, 1],
     ]
     assert calls == [1]
+
+
+# The sparse result in use: no solve path writes out a dense view, and the
+# large families' HNFs fit in memory.
+
+DENSE_VIEWS = {"h", "u"}  # `kernel` is a slice of `u`
+
+
+def test_no_solve_path_builds_a_dense_view(monkeypatch):
+    """Span reports over the catalog in both flavors, target_stream's solves on
+    D8xC2 and flattened S4 trees, on fresh groups: every HnfResult built leaves
+    its cached dense views unread, the families' and `_perm_lattice`'s among
+    them."""
+    built = []
+    real = intlinalg.HnfResult
+
+    def recorded(*fields):
+        built.append(real(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(intlinalg, "HnfResult", recorded)
+    groups = [entry.group for entry in load_bundled_catalog()]
+    for G in groups:
+        for flavor in ("thm12", "cor29"):
+            assert span_report(G, flavor, samples=2).all_certified
+    G = parse_group_spec("(1 2 3 4),(1 3),(5 6)")
+    family = family_for(G, "thm12")
+    targets = [rho_H(G, rec) for rec in subgroup_lattice(G).records]
+    targets += [membership.random_S_element(G, seed, 4) for seed in range(8)]
+    for rho in targets:
+        assert membership.verify_certificate(membership.membership_solve(rho, family))
+    S4 = parse_group_spec("S4")
+    for rec in subgroup_lattice(S4).records:
+        tree = decompose.decompose_structural(S4, rho_H(S4, rec))
+        assert membership.verify_certificate(decompose.flatten_to_certificate(tree))
+    lattices = [family_for(H, flavor).hnf() for H in groups for flavor in ("thm12", "cor29")]
+    lattices += [family.hnf(), membership._perm_lattice(S4)[2]]
+    ids = {id(res) for res in built}
+    assert all(id(res) in ids for res in lattices if res is not None)
+    assert len(built) > 300, len(built)
+    for res in built:
+        assert not DENSE_VIEWS & set(vars(res)), sorted(DENSE_VIEWS & set(vars(res)))
+
+
+def test_a_read_dense_view_is_cached_and_seen_by_the_guard():
+    res = hnf([[2, 4], [1, 3], [1, 1]])
+    assert res.solve([1, 3]) is not None and not DENSE_VIEWS & set(vars(res))
+    kernel = res.kernel
+    assert DENSE_VIEWS & set(vars(res)) == {"u"} and kernel == [res.u[2]]
+    assert res.h is res.h and DENSE_VIEWS <= set(vars(res))
+
+
+def _family_hnf_in_a_fresh_process(n):
+    """Build C2^n's thm12 family and its HNF in a fresh process, whose parent
+    reads its one child's CPU time and peak RSS."""
+    spec = ",".join("(%d %d)" % (i, i + 1) for i in range(1, 2 * n, 2))
+    child = (
+        "from parity_inductor.groupspec import parse_group_spec\n"
+        "from parity_inductor.generators import family_for\n"
+        "family = family_for(parse_group_spec(%r), 'thm12')\n"
+        "print(len(family), family.hnf().rank)\n" % spec
+    )
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-c', %r], capture_output=True, text=True)\n"
+        "use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr,"
+        " use.ru_utime + use.ru_stime, use.ru_maxrss]))\n" % child
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=600)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize(
+    "n, out, mb_bound",
+    [
+        # with a dense transform u (4,092 x 4,092) this peaked at 174 MB
+        (5, "4092 31\n", 105),
+        # the dense u, 46,998 x 46,998 entries, ran out of memory
+        (6, "46998 63\n", 1024),
+    ],
+    ids=["C2^5", "C2^6"],
+)
+def test_family_hnf_of_an_elementary_abelian_group_fits_in_memory(n, out, mb_bound):
+    code, got, err, cpu_s, peak_kb = _family_hnf_in_a_fresh_process(n)
+    assert (code, got, err) == (0, out, "")
+    assert peak_kb < mb_bound * 1024, (cpu_s, peak_kb)
