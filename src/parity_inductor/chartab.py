@@ -224,12 +224,9 @@ def kernel_rows(table: "CharacterTable", positions):
     """The rows with N in their kernel, N normal in table.group, given as
     positions in its ``elements()``: G/N's irreducibles (Isaacs, Lemma 2.22).
     A row's identity slot holds its whole degree at each class N meets."""
-    group = table.group
-    classes = {group.class_of_index(a) for a in positions}
-    return [
-        i for i, row in enumerate(table.vectors)
-        if all(row[c][0] == row[0][0] for c in classes)
-    ]
+    class_of = table.group._class_of()
+    classes = {class_of[a] for a in positions}
+    return [i for i, row in enumerate(table.vectors) if all(row[c][0] == row[0][0] for c in classes)]
 
 
 def quotient_rows(table: "CharacterTable", kernel):
@@ -247,14 +244,17 @@ def quotient_rows(table: "CharacterTable", kernel):
     m_image[s] = m_H[s * o_h / o].
     """
     group, classes = table.group, table.classes
-    cayley = group.cayley()[0]
-    in_n = {group.class_of_index(a) for a in kernel}
-    over = {}
+    cayley, class_of = group.cayley()[0], group._class_of()
+    in_n = {class_of[a] for a in kernel}
+    over, image = {}, {}
     for c, cls in enumerate(classes):
-        met = {group.class_of_index(cayley[cls.members[0]][n]) for n in kernel}
-        o = next(k for k in range(1, cls.order + 1) if table.power_cycles[c][k % cls.order] in in_n)
-        size = sum(classes[d].size for d in met) // len(kernel)
-        over[o, size, min(classes[d].members[0] for d in met)] = c
+        if c not in image:
+            # every class that r*N meets lies over the same class of H/N
+            met = {class_of[cayley[cls.members[0]][n]] for n in kernel}
+            o = next(k for k in range(1, cls.order + 1) if table.power_cycles[c][k % cls.order] in in_n)
+            size = sum(classes[d].size for d in met) // len(kernel)
+            image.update(dict.fromkeys(met, (o, size, min(classes[d].members[0] for d in met))))
+        over[image[c]] = c
     image_classes = sorted(over)
     over = [over[key] for key in image_classes]
     rows = kernel_rows(table, kernel)

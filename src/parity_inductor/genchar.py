@@ -4,9 +4,11 @@ A GenChar is a vector of integer coefficients over the irreducible rows of a
 CharacterTable, and the operations work on those coordinates.  Restriction and
 induction share one integer matrix per subgroup H, cached in the larger group
 as its columns: column h is Ind of H's irreducible h, read off G's rows at H's
-classes, all decomposed over H's table in one call.  Induction sums columns
-and restriction takes one dot product per column.  Coset characters are
-decomposed the same way, every lattice class of G in one call.  Inflation
+classes, where a row that restricts to one of H's rows, as each linear row
+does, gives a unit vector and the other distinct restrictions are decomposed
+over H's table in one call.  Induction sums columns (`induced_coeffs`, from
+(row, coefficient) pairs) and restriction takes one dot product per column.
+Coset characters are decomposed in one call for every lattice class.  Inflation
 puts each coordinate of G/N on the row of G's table it names
 (`chartab.quotient_rows`); determinants are integer exponent vectors mod
 exp(G).  No class value is ever formed: the table keeps its rows as
@@ -174,8 +176,11 @@ def _induction(G: PermGroup, H: SubgroupRecord):
     irreducible h in G's coordinates, by Frobenius reciprocity."""
     ht = character_table(H.as_group())
     fusion = [G.class_of(cls.rep) for cls in ht.classes]
-    rows = ht.decompose([[row[c] for c in fusion] for row in character_table(G).vectors])
-    return ht, tuple(zip(*rows))
+    restricted = [tuple([row[c] for c in fusion]) for row in character_table(G).vectors]
+    rows = {row: tuple([int(i == j) for j in range(len(fusion))]) for i, row in enumerate(ht.vectors)}
+    rest = [row for row in dict.fromkeys(restricted) if row not in rows]
+    rows.update(zip(rest, ht.decompose(rest)))
+    return ht, tuple(zip(*map(rows.__getitem__, restricted)))
 
 
 @per_group
@@ -188,16 +193,19 @@ def _inflation_rows(G: PermGroup, qmap: QuotientMap):
 
 
 def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
-    """Induction of a virtual character of H up to its parent group: the
-    induction matrix's columns summed over tau's nonzero coefficients."""
+    """Induction of a virtual character of H up to its parent group."""
     if not isinstance(H, SubgroupRecord):
         raise ValueError("induction needs a SubgroupRecord (the parent fixes G)")
-    G = H.parent
-    ht, columns = _induction(G, H)
-    if tau.table is not ht:
+    if tau.table is not _induction(H.parent, H)[0]:
         raise ValueError("character does not live on the subgroup's table")
-    gt = character_table(G)
-    return GenChar(gt, linear_combination(zip(tau.coeffs, columns), gt.class_count()))
+    return GenChar(character_table(H.parent), induced_coeffs(H, enumerate(tau.coeffs)))
+
+
+def induced_coeffs(H: SubgroupRecord, pairs) -> tuple:
+    """G-coordinates of Ind_H^G of the sum of c * Y_h over the (row h of H's
+    table, coefficient c) pairs: the induction matrix's columns summed."""
+    columns = _induction(H.parent, H)[1]
+    return tuple(linear_combination(((c, columns[h]) for h, c in pairs), len(columns[0])))
 
 
 def restrict(tau: GenChar, H: SubgroupRecord) -> GenChar:
@@ -219,16 +227,17 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     return sum_of_rows(character_table(G), zip(_inflation_rows(G, qmap), rho.coeffs))
 
 
-def _det_exponents(table: CharacterTable, coeffs):
-    """det(sum_i coeffs[i] * chi_i) at class c is zeta_exp ** exps[c]."""
-    exps = linear_combination(zip(coeffs, table.det_exponents), table.class_count())
+def _det_exponents(table: CharacterTable, pairs):
+    """det of the sum of c * chi_i over the (row i, coefficient c) pairs: its
+    value at class c is zeta_exp ** exps[c]."""
+    exps = linear_combination(((c, table.det_exponents[i]) for i, c in pairs), table.class_count())
     return [a % table.exponent for a in exps]
 
 
 def determinant(tau: GenChar) -> LinearChar:
     """Determinant character, extended to virtual characters multiplicatively."""
     table = tau.table
-    row = table.linear_row_of.get(tuple(_det_exponents(table, tau.coeffs)))
+    row = table.linear_row_of.get(tuple(_det_exponents(table, enumerate(tau.coeffs))))
     if row is None:
         raise CharTableError("determinant values do not match a linear character")
     return LinearChar(table, row)

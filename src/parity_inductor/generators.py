@@ -1,9 +1,12 @@
 """Generator families for the degree-zero, trivial-determinant lattice.
 
 An induced generator (type2, tagged, cyclic) is Ind_H^G of a core formed on
-H's table: tau - 1 - det tau, or the tagged or cyclic tau itself.  The core's
-degree and determinant are checked on H, which the transfer formula carries
-to G, and its expansion is `genchar.induce` of the core.
+H's table as (row, coefficient) pairs: tau - 1 - det tau, or the tagged or
+cyclic tau itself.  Each H's cores are taken in one pass: a core's degree and
+determinant are checked on H, which the transfer formula carries to G, and
+`genchar.induced_coeffs` sums its expansion's G-coordinates.  Those key it
+against one seen-set per family, so a descriptor is built only for a nonzero
+expansion not met before.
 
 Each family is built in its final order, and that order is an output
 contract: it fixes every generator id and the term order of every
@@ -16,11 +19,14 @@ the cyclic twists come larger H first, then by H's class and by row.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import groupby
+
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, induce, irreducible_char, sum_of_rows, trivial_char
+from .genchar import GenChar, _det_exponents, induced_coeffs, sum_of_rows
 from .group import PermGroup, per_group
 from .intlinalg import hnf, kernel_mod2
-from .lattice import subgroup_lattice
+from .lattice import SubgroupRecord, subgroup_lattice
 from .structure import dihedral_subquotients
 
 THEOREM_FLAVOR = "thm12"
@@ -31,63 +37,67 @@ class GeneratorError(RuntimeError):
     """A generator violates its construction contract."""
 
 
+@dataclass(slots=True, eq=False)
 class GeneratorDesc:
     """One family generator with its cached expansion in the ambient group.
 
     The builders below check each generator's contract (degree 0, trivial
     determinant) on the group its core lives on, before this is made."""
 
-    __slots__ = (
-        "kind",
-        "gen_id",
-        "expansion",
-        "h_record",
-        "n_positions",
-        "tag",
-        "tau",
-    )
-
-    def __init__(self, kind, gen_id, expansion, **extra):
-        self.kind = kind
-        self.gen_id = gen_id
-        self.expansion = expansion
-        self.h_record = extra.get("h_record")
-        self.n_positions = extra.get("n_positions")
-        self.tag = extra.get("tag")
-        self.tau = extra.get("tau")
+    kind: str
+    gen_id: str
+    expansion: GenChar
+    h_record: SubgroupRecord | None = None
+    n_positions: frozenset | None = None
+    tag: str | None = None
+    tau: GenChar | None = None
 
     def __repr__(self):
         return "GeneratorDesc(%s)" % self.gen_id
 
 
-def _check_core(core: GenChar, gen_id):
-    """Degree 0 and trivial determinant on the core's group.
+def _check_core(table: CharacterTable, core, gen_id):
+    """Degree 0 and trivial determinant on the core's group, for a core given
+    as (row, coefficient) pairs of its table.
 
     For a core psi on H this holds for Ind_H^G(psi) too: its degree is
     |G : H| * psi(1), and by the transfer formula (Gallagher) det Ind psi is
     the sign of G on the cosets of H to the psi(1), times det psi composed
     with the transfer G -> H/H'.
     """
-    if core.degree:
+    if sum(c * table.degrees[i] for i, c in core):
         raise GeneratorError("generator %s has nonzero degree" % gen_id)
-    if any(_det_exponents(core.table, core.coeffs)):
+    if any(_det_exponents(table, core)):
         raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
 
 
-def _induced(kind, record, ids, taus, cores, **extra):
-    """The generators Ind_H^G(core) of H = record, one per id, tau and core
-    (a virtual character of H), once every core's contract is checked on H."""
-    for core, gen_id in zip(cores, ids):
-        _check_core(core, gen_id)
-    return [
-        GeneratorDesc(kind, gen_id, induce(record, core), h_record=record, tau=tau, **extra)
-        for gen_id, tau, core in zip(ids, taus, cores)
-    ]
+def _induced(kind, record, candidates, seen, core_of=None):
+    """The new generators Ind_H^G(core) of H = record, in one pass over its
+    candidates (id, tau, extra): tau as (row, coefficient) pairs of H's table,
+    core = ``core_of(table, tau)`` or tau, extra the descriptor's other fields.
+    Only a nonzero key not in ``seen`` is kept, and joins it; a tau met again
+    on H had its core checked and its key seen the first time."""
+    table = character_table(record.as_group())
+    taus = set()
+    out = []
+    for gen_id, tau, extra in candidates:
+        if tau in taus:
+            continue
+        taus.add(tau)
+        core = core_of(table, tau) if core_of else tau
+        _check_core(table, core, gen_id)
+        key = induced_coeffs(record, core)
+        if key in seen or not any(key):
+            continue
+        seen.add(key)
+        expansion = GenChar(character_table(record.parent), key)
+        out.append(GeneratorDesc(kind, gen_id, expansion, record, tau=sum_of_rows(table, tau), **extra))
+    return out
 
 
-def _conjugate_pair_twist(table: CharacterTable, i: int) -> GenChar:
-    """chi_i + conj(chi_i) - 2*deg(chi_i)*1."""
-    return sum_of_rows(table, [(i, 1), (table.conj_rows[i], 1), (0, -2 * table.degrees[i])])
+def _conjugate_pair_twist(table: CharacterTable, i: int):
+    """chi_i + conj(chi_i) - 2*deg(chi_i)*1, as (row, coefficient) pairs."""
+    return ((i, 1), (table.conj_rows[i], 1), (0, -2 * table.degrees[i]))
 
 
 def enumerate_type1(G: PermGroup):
@@ -95,70 +105,53 @@ def enumerate_type1(G: PermGroup):
     table = character_table(G)
     out = []
     for i in range(table.class_count()):
-        expansion = _conjugate_pair_twist(table, i)
+        core = _conjugate_pair_twist(table, i)
+        expansion = sum_of_rows(table, core)
         if table.conj_rows[i] < i or expansion.is_zero():
             continue
         gen_id = "t1:%d" % i
-        _check_core(expansion, gen_id)
+        _check_core(table, core, gen_id)
         out.append(GeneratorDesc("type1", gen_id, expansion))
     return out
 
 
-def _subquotient_rows(dq):
-    """H's table and `chartab.quotient_rows` of H/N on it."""
-    table = character_table(dq.h_record.as_group())
-    return (table, *quotient_rows(table, dq.h_record.local(dq.n_positions)))
+def _subquotient_twists(G: PermGroup, kind, id_format, seen, taus_of, core_of=None):
+    """The new generators through G's tagged subquotients H/N, larger H first
+    (a stable sort), one pass per H over each ``taus_of(H's table, N in H)``."""
+    out = []
+    subquotients = sorted(dihedral_subquotients(G), key=lambda dq: -dq.h_record.order)
+    for record, dqs in groupby(subquotients, lambda dq: dq.h_record):
+        table = character_table(record.as_group())
+        candidates = []
+        for dq in dqs:
+            extra = {"n_positions": dq.n_positions, "tag": str(dq.tag)}
+            taus = taus_of(table, record.local(dq.n_positions))
+            candidates += [(id_format % (record.class_id, dq.n_class_id, dq.tag, i), tau, extra)
+                           for i, tau in enumerate(taus)]
+        out += _induced(kind, record, candidates, seen, core_of)
+    return out
 
 
-def _subquotient_generators(kind, id_format, dq, taus, cores):
-    """The generators Ind_H^G(core), one per tau of H/N and its core."""
-    ids = [id_format % (dq.h_record.class_id, dq.n_class_id, dq.tag, i) for i in range(len(taus))]
-    return _induced(kind, dq.h_record, ids, taus, cores, n_positions=dq.n_positions, tag=str(dq.tag))
-
-
-def _degree2_characters(table: CharacterTable, rows):
-    """All degree-2 characters of H/N on H's table, canonically ordered, and their det exponents."""
+def _degree2_characters(table: CharacterTable, kernel):
+    """All degree-2 characters of H/N on H's table as (row, coefficient)
+    pairs, canonically ordered, for N given by its positions in H."""
+    rows, _ = quotient_rows(table, kernel)
     linear = [i for i in rows if table.degrees[i] == 1]
-    d, e = table.det_exponents, table.exponent
-    out = []
-    for pos, a in enumerate(linear):
-        for b in linear[pos:]:
-            out.append((sum_of_rows(table, [(a, 1), (b, 1)]), tuple([(x + y) % e for x, y in zip(d[a], d[b])])))
-    out.extend((irreducible_char(table, i), d[i]) for i in rows if table.degrees[i] == 2)
-    return out
+    out = [((a, 1), (b, 1)) for pos, a in enumerate(linear) for b in linear[pos:]]
+    return out + [((i, 1),) for i in rows if table.degrees[i] == 2]
 
 
-def _dihedral_twists(dq):
-    """All induced twists Ind(tau - 1 - det tau) for one tagged subquotient."""
-    table, rows, _ = _subquotient_rows(dq)
-    pairs = _degree2_characters(table, rows)
-    one = trivial_char(table)
-    cores = [tau - one - irreducible_char(table, table.linear_row_of[det]) for tau, det in pairs]
-    return _subquotient_generators("type2", "t2:h%d:n%d:%s:tau%d", dq, [tau for tau, _ in pairs], cores)
+def _dihedral_core(table: CharacterTable, tau):
+    """tau - 1 - det tau, for a degree-2 character tau."""
+    return tau + ((0, -1), (table.linear_row_of[tuple(_det_exponents(table, tau))], -1))
 
 
-def _drop_zero_and_duplicate(descs):
-    out = []
-    seen = set()
-    for desc in descs:
-        if desc.expansion.is_zero():
-            continue
-        key = desc.expansion.coeffs
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(desc)
-    return out
-
-
-def _larger_h_first(G: PermGroup):
-    """G's tagged subquotients in family order: a stable sort by descending |H|."""
-    return sorted(dihedral_subquotients(G), key=lambda dq: -dq.h_record.order)
-
-
-def enumerate_type2(G: PermGroup):
-    """Dihedral induction twists over all tagged subquotients, deduplicated."""
-    return _drop_zero_and_duplicate([g for dq in _larger_h_first(G) for g in _dihedral_twists(dq)])
+def enumerate_type2(G: PermGroup, seen=None):
+    """Dihedral induction twists Ind(tau - 1 - det tau) over all tagged
+    subquotients, each kept only if its expansion is nonzero and not in
+    ``seen`` (empty by default)."""
+    seen = set() if seen is None else seen
+    return _subquotient_twists(G, "type2", "t2:h%d:n%d:%s:tau%d", seen, _degree2_characters, _dihedral_core)
 
 
 class GeneratorFamily:
@@ -199,14 +192,16 @@ class GeneratorFamily:
 @per_group
 def theorem_family(G: PermGroup) -> GeneratorFamily:
     """The conjugate-pair plus dihedral-twist family."""
-    descs = _drop_zero_and_duplicate(enumerate_type1(G) + enumerate_type2(G))
-    return GeneratorFamily(G, THEOREM_FLAVOR, descs)
+    type1 = enumerate_type1(G)
+    type2 = enumerate_type2(G, {g.expansion.coeffs for g in type1})
+    return GeneratorFamily(G, THEOREM_FLAVOR, type1 + type2)
 
 
-def _real_zero_lattice_basis(table: CharacterTable, rows, over):
+def _real_zero_lattice_basis(table: CharacterTable, kernel):
     """Basis of {real generalized characters of H/N of degree 0 with trivial
-    det}, on H's table: H/N's irreducibles are ``rows``, and ``over`` holds
-    one class of H over each class of H/N."""
+    det}, as (row, coefficient) pairs of H's table, for N given by its
+    positions in H."""
+    rows, over = quotient_rows(table, kernel)
     dets = [table.det_exponents[i] for i in rows]
     if any(2 * x % table.exponent for det in dets for x in det):
         raise GeneratorError("tagged quotient with determinant of order > 2")
@@ -218,33 +213,26 @@ def _real_zero_lattice_basis(table: CharacterTable, rows, over):
         + [1 if det[c] else 0 for c in over]
         for i, (row, det) in enumerate(zip(rows, dets))
     ]
-    return [sum_of_rows(table, zip(rows, x)) for x in kernel_mod2(matrix, 1 + len(pairs))]
+    return [tuple(zip(rows, x)) for x in kernel_mod2(matrix, 1 + len(pairs))]
 
 
-def _cyclic_quotient_twists(record):
-    """Induced twists psi + conj(psi) - 2*1 over linear characters of H."""
+def _cyclic_quotient_twists(record, seen):
+    """The new induced twists psi + conj(psi) - 2*1 over linear characters of H."""
     subtab = character_table(record.as_group())
     rows = [i for i in subtab.linear_row_indices() if i and subtab.conj_rows[i] >= i]
-    cores = [_conjugate_pair_twist(subtab, i) for i in rows]
-    ids = ["cyc:h%d:chi%d" % (record.class_id, i) for i in rows]
-    return _induced("cyclic", record, ids, cores, cores)
-
-
-def _tagged_quotient_twists(dq):
-    """Induced lattice basis of real degree-0 trivial-det characters of H/N."""
-    table, rows, over = _subquotient_rows(dq)
-    taus = _real_zero_lattice_basis(table, rows, over)
-    return _subquotient_generators("tagged", "tag:h%d:n%d:%s:b%d", dq, taus, taus)
+    candidates = [("cyc:h%d:chi%d" % (record.class_id, i), _conjugate_pair_twist(subtab, i), {})
+                  for i in rows]
+    return _induced("cyclic", record, candidates, seen)
 
 
 @per_group
 def cor29_family(G: PermGroup) -> GeneratorFamily:
     """Induced real twists through cyclic or tagged quotients."""
     records = sorted(subgroup_lattice(G).records, key=lambda record: -record.order)
-    cyclic = [g for record in records for g in _cyclic_quotient_twists(record)]
-    tagged = [g for dq in _larger_h_first(G) for g in _tagged_quotient_twists(dq)]
-    descs = _drop_zero_and_duplicate(cyclic + tagged)
-    return GeneratorFamily(G, COROLLARY_FLAVOR, descs)
+    seen = set()
+    cyclic = [g for record in records for g in _cyclic_quotient_twists(record, seen)]
+    tagged = _subquotient_twists(G, "tagged", "tag:h%d:n%d:%s:b%d", seen, _real_zero_lattice_basis)
+    return GeneratorFamily(G, COROLLARY_FLAVOR, cyclic + tagged)
 
 
 def family_for(G: PermGroup, flavor: str) -> GeneratorFamily:

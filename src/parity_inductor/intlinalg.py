@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 
 def linear_combination(pairs, width: int):
@@ -21,7 +22,9 @@ def linear_combination(pairs, width: int):
     zero coefficients are skipped."""
     total = [0] * width
     for c, v in pairs:
-        if c:
+        if c in (1, -1):
+            total = list(map(add if c == 1 else sub, total, v))
+        elif c:
             total = [t + c * x for t, x in zip(total, v)]
     return total
 

@@ -25,12 +25,7 @@ from parity_inductor.genchar import (
     irreducible_char,
     trivial_char,
 )
-from parity_inductor.generators import (
-    GeneratorDesc,
-    GeneratorError,
-    _drop_zero_and_duplicate,
-    enumerate_type1,
-)
+from parity_inductor.generators import GeneratorDesc, GeneratorError, enumerate_type1
 from parity_inductor.intlinalg import hnf
 from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.structure import dihedral_subquotients, quotient
@@ -78,6 +73,17 @@ def _cyclic_sort_key(record, row):
 def _sorted_descs(keyed):
     """The descriptors of (key, descriptor) pairs, stably sorted by key."""
     return [desc for _, desc in sorted(keyed, key=lambda pair: pair[0])]
+
+
+def _first_of_each_expansion(descs):
+    """The descriptors whose expansion is nonzero and differs from every
+    earlier one's, in their order: the family's deduplication, done here
+    after every twist is built."""
+    first = {}
+    for desc in descs:
+        if not desc.expansion.is_zero():
+            first.setdefault(desc.expansion.coeffs, desc)
+    return list(first.values())
 
 
 def _describe(kind, gen_id, expansion, dq, index, tau):
@@ -163,7 +169,7 @@ def _cyclic_quotient_twists(record):
 def theorem_generators(G):
     """The thm12 family's generators, in family order."""
     type2 = _sorted_descs(d for dq in dihedral_subquotients(G) for d in _dihedral_twists(dq))
-    return _drop_zero_and_duplicate(enumerate_type1(G) + _drop_zero_and_duplicate(type2))
+    return _first_of_each_expansion(enumerate_type1(G) + type2)
 
 
 def cor29_generators(G):
@@ -171,4 +177,4 @@ def cor29_generators(G):
     records = subgroup_lattice(G).records
     cyclic = _sorted_descs(d for record in records for d in _cyclic_quotient_twists(record))
     tagged = _sorted_descs(d for dq in dihedral_subquotients(G) for d in _tagged_quotient_twists(dq))
-    return _drop_zero_and_duplicate(cyclic + tagged)
+    return _first_of_each_expansion(cyclic + tagged)

@@ -17,6 +17,7 @@ from parity_inductor.genchar import (
     trivial_char,
 )
 from parity_inductor.generators import (
+    GeneratorDesc,
     GeneratorError,
     GeneratorFamily,
     _induced,
@@ -247,12 +248,20 @@ def _check_against_quotient_tables(G):
 def test_cores_are_checked_on_the_subgroup():
     G = parse_group_spec("S3")
     record = next(r for r in subgroup_lattice(G).records if r.order == 2)
-    table = character_table(record.as_group())
-    for core, what in (([1, 0], "nonzero degree"), ([-1, 1], "nontrivial determinant")):
+    for core, what in ((((0, 1),), "nonzero degree"), (((1, 1), (0, -1)), "nontrivial determinant")):
         with pytest.raises(GeneratorError, match=what):
-            _induced("probe", record, ["probe"], [None], [GenChar(table, core)])
-    [desc] = _induced("probe", record, ["probe"], [None], [GenChar(table, [0, 0])])
-    assert desc.expansion.is_zero()
+            _induced("probe", record, [("probe", core, {})], set())
+    # the zero core is checked, and its zero expansion is dropped
+    assert _induced("probe", record, [("probe", ((0, 0), (1, 0)), {})], set()) == []
+    seen = set()
+    kept = ((1, 2), (0, -2))
+    [desc] = _induced("probe", record, [("probe", kept, {})], seen)
+    assert seen == {desc.expansion.coeffs} and desc.expansion == induce(record, desc.tau)
+    assert _induced("probe", record, [("again", kept, {})], seen) == []
+    # a core whose expansion is already kept is checked all the same
+    seen.add(genchar.induced_coeffs(record, [(0, 1)]))
+    with pytest.raises(GeneratorError, match="nonzero degree"):
+        _induced("probe", record, [("probe", ((0, 1),), {})], seen)
 
 
 def test_families_match_quotient_table_reference_on_catalog():
@@ -332,3 +341,25 @@ def test_families_build_tables_of_g_and_its_subgroups_only(monkeypatch):
             # the record of G itself is G, whose table is built once
             expected = {id(G)} | {id(rec.as_group()) for rec in records}
             assert sorted(map(id, built)) == sorted(expected), (spec, family)
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [("(1 2),(3 4),(5 6)", (56, 63)), ("(1 2 3 4),(1 3),(5 6)", (102, 125))],
+    ids=["C2^3", "D8xC2"],
+)
+def test_families_build_a_descriptor_for_each_kept_generator_only(monkeypatch, spec, sizes):
+    # a twist whose expansion is zero or already in the family is dropped
+    # before its descriptor is made
+    built = []
+    init = GeneratorDesc.__init__
+
+    def counting_init(desc, *args, **extra):
+        built.append(args[1])
+        init(desc, *args, **extra)
+
+    monkeypatch.setattr(GeneratorDesc, "__init__", counting_init)
+    for family, size in zip((theorem_family, cor29_family), sizes):
+        built.clear()
+        generators = family(parse_group_spec(spec))
+        assert built == [g.gen_id for g in generators] and len(built) == size, family

@@ -554,8 +554,10 @@ def _family_hnf_in_a_fresh_process(n):
     [
         # with a dense transform u (4,092 x 4,092) this peaked at 174 MB
         (5, "4092 31\n", 105),
-        # the dense u, 46,998 x 46,998 entries, ran out of memory
-        (6, "46998 63\n", 1024),
+        # the dense u, 46,998 x 46,998 entries, ran out of memory; with the
+        # sparse rows this peaked at 551 MB while every twist candidate was
+        # built before duplicates were dropped, and at 291 MB with them keyed
+        (6, "46998 63\n", 440),
     ],
     ids=["C2^5", "C2^6"],
 )
