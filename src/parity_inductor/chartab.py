@@ -58,8 +58,7 @@ from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, sub
 
 from ._primes import is_prime, prime_factors, primitive_root
-from .group import PermGroup, per_group
-from .lattice import _extend
+from .group import PermGroup, extend_subgroup, per_group
 from .perm import format_perm
 
 
@@ -224,7 +223,7 @@ def kernel_rows(table: "CharacterTable", positions):
     """The rows with N in their kernel, N normal in table.group, given as
     positions in its ``elements()``: G/N's irreducibles (Isaacs, Lemma 2.22).
     A row's identity slot holds its whole degree at each class N meets."""
-    class_of = table.group._class_of()
+    class_of = table.group.class_of()
     classes = {class_of[a] for a in positions}
     return [i for i, row in enumerate(table.vectors) if all(row[c][0] == row[0][0] for c in classes)]
 
@@ -244,7 +243,7 @@ def quotient_rows(table: "CharacterTable", kernel):
     m_image[s] = m_H[s * o_h / o].
     """
     group, classes = table.group, table.classes
-    cayley, class_of = group.cayley()[0], group._class_of()
+    cayley, class_of = group.cayley()[0], group.class_of()
     in_n = {class_of[a] for a in kernel}
     over, image = {}, {}
     for c, cls in enumerate(classes):
@@ -281,7 +280,7 @@ def _format_value(key) -> str:
 
 def _power_cycles(group: PermGroup, classes):
     """cycles[c][j] = class of rep_c ** j for 0 <= j < o(c), off the Cayley table."""
-    table, class_of = group.cayley()[0], group._class_of()
+    table, class_of = group.cayley()[0], group.class_of()
     cycles = []
     for cls in classes:
         pos, cycle = 0, []
@@ -377,9 +376,8 @@ class CharacterTable:
         s, so d(1) = 0 and d(x * y) = d(x) + d(y) (Serre, Linear
         Representations of Finite Groups, 2.3)."""
         G, e, dets = self.group, self.exponent, self.det_exponents
-        table, class_of = G.cayley()[0], G._class_of()
-        for s in G.generators:
-            g = G.element_index(s)
+        table, class_of = G.cayley()[0], G.class_of()
+        for s, g in zip(G.generators, G.generator_positions()):
             pairs = {(class_of[x], class_of[xs[g]]) for x, xs in enumerate(table)}
             at, to = (itemgetter(*side) for side in zip(*pairs))  # two pairs at least
             for i in rows:
@@ -528,7 +526,7 @@ def _abelian_by_cyclic(group):
     the first element in that order with <A, g> = G.
     """
     table, inverse, orders = group.cayley()
-    gens = list(map(group.element_index, group.generators))
+    gens = list(group.generator_positions())
     if len(group.conjugacy_classes()) == len(table):
         return gens, 0, 1
     sub, derived = frozenset([0]), []
@@ -537,12 +535,12 @@ def _abelian_by_cyclic(group):
     # sub stays abelian, so it holds all the commutators only if G' is abelian
     for x in commutators + ranked:
         if x not in sub and all(table[x][y] == table[y][x] for y in derived):
-            sub = _extend(table, sub, derived, x)
+            sub = extend_subgroup(table, sub, derived, x)
             derived.append(x)
     if not sub.issuperset(commutators):
         return None
     for x in ranked:
-        if x not in sub and len(_extend(table, sub, derived, x)) == len(table):
+        if x not in sub and len(extend_subgroup(table, sub, derived, x)) == len(table):
             return derived, x, len(table) // len(sub)
     return None
 
@@ -625,7 +623,7 @@ def _dixon_schneider(group, classes, cycles):
 
     cayley = group.cayley()
     table, inverse = cayley.table, cayley.inverse
-    class_of = group._class_of()
+    class_of = group.class_of()
     reps = [c.members[0] for c in classes]
     sizes = [c.size for c in classes]
 

@@ -12,8 +12,8 @@ from .decompose import DecomposeError, decompose_structural, flatten_to_certific
 from .genchar import order2_linear_chars, rho_H
 from .generators import GeneratorError, family_for
 from .group import CayleyBoundError
-from .groupspec import (GroupSpecError, _split_generators, group_from_cycles, parse_group_spec,
-                        shorten)
+from .groupspec import (GroupSpecError, group_from_cycles, parse_group_spec, shorten,
+                        split_generators)
 from .lattice import LatticeBoundError, subgroup_lattice
 from .membership import MembershipError, certificate_to_json, membership_solve, verify_certificate
 from .parity import (ParityError, ParityInput, format_columns, parity_symbols, parity_table,
@@ -61,7 +61,7 @@ def _resolve_subgroup(G, text: str):
         matches = [r for r in lattice.records if str(r.order) == text.lstrip("0")]
     elif text.startswith("("):
         try:
-            K = group_from_cycles(_split_generators(text), degree=G.degree)
+            K = group_from_cycles(split_generators(text), degree=G.degree)
         except GroupSpecError as exc:
             raise CliError(str(exc)) from None
         try:

@@ -174,8 +174,8 @@ def _check_record(G: PermGroup, H) -> None:
 def _induction(G: PermGroup, H: SubgroupRecord):
     """H's table and the induction matrix's columns: column h is Ind of H's
     irreducible h in G's coordinates, by Frobenius reciprocity."""
-    ht = character_table(H.as_group())
-    fusion = [G.class_of(cls.rep) for cls in ht.classes]
+    ht, class_of = character_table(H.as_group()), G.class_of()
+    fusion = [class_of[H.sorted_positions[cls.members[0]]] for cls in ht.classes]
     restricted = [tuple([row[c] for c in fusion]) for row in character_table(G).vectors]
     rows = {row: tuple([int(i == j) for j in range(len(fusion))]) for i, row in enumerate(ht.vectors)}
     rest = [row for row in dict.fromkeys(restricted) if row not in rows]
@@ -196,16 +196,21 @@ def induce(H: SubgroupRecord, tau: GenChar) -> GenChar:
     """Induction of a virtual character of H up to its parent group."""
     if not isinstance(H, SubgroupRecord):
         raise ValueError("induction needs a SubgroupRecord (the parent fixes G)")
-    if tau.table is not _induction(H.parent, H)[0]:
+    ht, columns = _induction(H.parent, H)
+    if tau.table is not ht:
         raise ValueError("character does not live on the subgroup's table")
-    return GenChar(character_table(H.parent), induced_coeffs(H, enumerate(tau.coeffs)))
+    return GenChar(character_table(H.parent), _sum_columns(columns, enumerate(tau.coeffs)))
 
 
 def induced_coeffs(H: SubgroupRecord, pairs) -> tuple:
     """G-coordinates of Ind_H^G of the sum of c * Y_h over the (row h of H's
     table, coefficient c) pairs: the induction matrix's columns summed."""
-    columns = _induction(H.parent, H)[1]
-    return tuple(linear_combination(((c, columns[h]) for h, c in pairs), len(columns[0])))
+    return _sum_columns(_induction(H.parent, H)[1], pairs)
+
+
+def _sum_columns(columns, pairs) -> tuple:
+    """The sum of c * columns[h] over the (h, c) pairs with c nonzero."""
+    return tuple(linear_combination([(c, columns[h]) for h, c in pairs if c], len(columns[0])))
 
 
 def restrict(tau: GenChar, H: SubgroupRecord) -> GenChar:
@@ -227,7 +232,7 @@ def inflate(qmap: QuotientMap, rho: GenChar) -> GenChar:
     return sum_of_rows(character_table(G), zip(_inflation_rows(G, qmap), rho.coeffs))
 
 
-def _det_exponents(table: CharacterTable, pairs):
+def determinant_exponents(table: CharacterTable, pairs):
     """det of the sum of c * chi_i over the (row i, coefficient c) pairs: its
     value at class c is zeta_exp ** exps[c]."""
     exps = linear_combination(((c, table.det_exponents[i]) for i, c in pairs), table.class_count())
@@ -237,7 +242,7 @@ def _det_exponents(table: CharacterTable, pairs):
 def determinant(tau: GenChar) -> LinearChar:
     """Determinant character, extended to virtual characters multiplicatively."""
     table = tau.table
-    row = table.linear_row_of.get(tuple(_det_exponents(table, enumerate(tau.coeffs))))
+    row = table.linear_row_of.get(tuple(determinant_exponents(table, enumerate(tau.coeffs))))
     if row is None:
         raise CharTableError("determinant values do not match a linear character")
     return LinearChar(table, row)
@@ -269,10 +274,11 @@ def _coset_chars(G: PermGroup, subgroups):
     |G| * |H & C| / (|H| * |C|)."""
     gt = character_table(G)
     functions = []
+    class_of = G.class_of()
     for positions in subgroups:
         counts = [0] * gt.class_count()
         for a in positions:
-            counts[G.class_of_index(a)] += 1
+            counts[class_of[a]] += 1
         scale = G.order() // len(positions)
         functions.append([(scale * n // c.size,) for n, c in zip(counts, gt.classes)])
     return [GenChar(gt, coeffs) for coeffs in gt.decompose(functions)]

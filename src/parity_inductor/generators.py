@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .chartab import CharacterTable, character_table, quotient_rows
-from .genchar import GenChar, _det_exponents, induced_coeffs, sum_of_rows
+from .genchar import GenChar, determinant_exponents, induced_coeffs, sum_of_rows
 from .group import PermGroup, per_group
 from .intlinalg import hnf, kernel_mod2
 from .lattice import SubgroupRecord, subgroup_lattice
@@ -67,7 +67,7 @@ def _check_core(table: CharacterTable, core, gen_id):
     """
     if sum(c * table.degrees[i] for i, c in core):
         raise GeneratorError("generator %s has nonzero degree" % gen_id)
-    if any(_det_exponents(table, core)):
+    if any(determinant_exponents(table, core)):
         raise GeneratorError("generator %s has nontrivial determinant" % gen_id)
 
 
@@ -143,7 +143,7 @@ def _degree2_characters(table: CharacterTable, kernel):
 
 def _dihedral_core(table: CharacterTable, tau):
     """tau - 1 - det tau, for a degree-2 character tau."""
-    return tau + ((0, -1), (table.linear_row_of[tuple(_det_exponents(table, tau))], -1))
+    return tau + ((0, -1), (table.linear_row_of[tuple(determinant_exponents(table, tau))], -1))
 
 
 def enumerate_type2(G: PermGroup, seen=None):

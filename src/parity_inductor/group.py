@@ -1,10 +1,15 @@
-"""Finite permutation groups: elements, Cayley tables, conjugacy classes."""
+"""Finite permutation groups: elements, Cayley tables, conjugacy classes.
+
+Past the one sorted listing of its elements, a group works on positions in
+it: products, inverses, orders, classes and generators are all maps on
+positions, and this module owns them and Dimino's `extend_subgroup`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -40,7 +45,7 @@ class Cayley(NamedTuple):
     """A group's multiplication on the positions of its sorted elements."""
 
     table: tuple  # table[a][b] = position of elements()[a] * elements()[b]
-    inverse: tuple  # inverse[a] = position of elements()[a] ** -1
+    inverse: tuple  # inverse[a] = position of the inverse of elements()[a]
     orders: tuple  # orders[a] = order of elements()[a]
 
 
@@ -130,6 +135,11 @@ class PermGroup:
             raise KeyError("element not in group: %r" % (p,)) from None
 
     @per_group
+    def generator_positions(self) -> tuple:
+        """Positions in ``elements()`` of the generators, in their order."""
+        return tuple(map(self.element_index, self.generators))
+
+    @per_group
     def cayley(self) -> Cayley:
         """Integer Cayley table, inverses and element orders, built once."""
         refuse_order_above(self, MAX_CAYLEY_ORDER, CayleyBoundError, "Cayley-table")
@@ -153,7 +163,7 @@ class PermGroup:
                         rows[b] = tuple([left[x] for x in rows[a]])
                         new.append(b)
             frontier = new
-        return _cayley_of(rows, elts)
+        return _cayley_of(rows)
 
     # ---------------------------------------------------------------- classes
 
@@ -162,7 +172,7 @@ class PermGroup:
         """Conjugacy classes ordered by (element order, size, minimal rep)."""
         table, inverse, orders = self.cayley()
         elts = self.elements()
-        gens = [self.element_index(g) for g in self.generators]
+        gens = self.generator_positions()
         assigned = [None] * len(elts)
         raw = []
         for start in range(len(elts)):
@@ -193,15 +203,13 @@ class PermGroup:
         )
 
     @per_group
-    def _class_of(self):
-        """Class index of each element position."""
-        return {a: ci for ci, cls in enumerate(self.conjugacy_classes()) for a in cls.members}
-
-    def class_of_index(self, elt_index: int) -> int:
-        return self._class_of()[elt_index]
-
-    def class_of(self, p: Perm) -> int:
-        return self.class_of_index(self.element_index(p))
+    def class_of(self) -> tuple:
+        """class_of()[a] = index in ``conjugacy_classes()`` of position a's class."""
+        class_of = [0] * len(self.elements())
+        for ci, cls in enumerate(self.conjugacy_classes()):
+            for a in cls.members:
+                class_of[a] = ci
+        return tuple(class_of)
 
     # ------------------------------------------------------------- structure
 
@@ -210,10 +218,8 @@ class PermGroup:
         return lcm(*(c.order for c in self.conjugacy_classes()))
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            (a * b).images == (b * a).images for i, a in enumerate(gens) for b in gens[i + 1 :]
-        )
+        table, gens = self.cayley().table, self.generator_positions()
+        return all(table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :])
 
     def is_cyclic(self) -> bool:
         return any(c.order == self.order() for c in self.conjugacy_classes())
@@ -252,21 +258,52 @@ def refuse_order_above(G: PermGroup, bound: int, error, what: str) -> None:
         raise error("group order %s exceeds the %s bound %d" % (size, what, bound))
 
 
-def _cayley_of(rows, elements) -> Cayley:
-    """The `Cayley` of the sorted ``elements`` with multiplication table ``rows``."""
+def _cayley_of(rows) -> Cayley:
+    """The `Cayley` of the multiplication table ``rows``, identity at 0: one
+    walk a, a*a, ... back to 0 per cyclic subgroup, a ** k of order o / gcd(k, o)."""
     rows = tuple(rows)
-    return Cayley(rows, tuple(row.index(0) for row in rows), tuple(x.order() for x in elements))
+    orders = [0] * len(rows)
+    for a, row in enumerate(rows):
+        if not orders[a]:
+            cycle = [a]
+            while cycle[-1]:
+                cycle.append(row[cycle[-1]])
+            o = len(cycle)
+            for k, x in enumerate(cycle, 1):
+                orders[x] = o // gcd(k, o)
+    return Cayley(rows, tuple(row.index(0) for row in rows), tuple(orders))
 
 
 def table_group(generators, degree: int, elements, rows) -> PermGroup:
-    """The sorted ``elements`` as a group multiplying as ``rows`` says, with no
-    `Perm` product: how subgroups and quotient images are read off their
-    parent's Cayley table.
+    """The sorted ``elements`` as a group multiplying as ``rows`` says, its
+    generators given as positions in ``elements``: how subgroups and quotient
+    images are read off their parent's Cayley table, with no `Perm` product.
     """
     elements = tuple(elements)
-    G = PermGroup(generators, degree=degree, order=len(elements))
-    G._cache.update(elements=elements, cayley=_cayley_of(rows, elements))
+    generators = tuple(dict.fromkeys(a for a in generators if a))  # as PermGroup drops them
+    G = PermGroup([elements[a] for a in generators], degree=degree, order=len(elements))
+    G._cache.update(elements=elements, cayley=_cayley_of(rows), generator_positions=generators)
     return G
+
+
+def extend_subgroup(table, sub, gens, g) -> frozenset:
+    """Positions of <S, g>, for S = <gens> given as the positions ``sub``.
+
+    Dimino's coset extension: <S, g> is a union of right cosets S*y, and a
+    union of such cosets that contains S is the whole of <S, g> as soon as
+    it is closed under right multiplication by the generators of S and g.
+    """
+    members = set(sub)
+    gens = [*gens, g]
+    reps = [0]
+    for r in reps:
+        row = table[r]
+        for x in gens:
+            y = row[x]
+            if y not in members:
+                members.update([table[s][y] for s in sub])
+                reps.append(y)
+    return frozenset(members)
 
 
 def conjugacy_classes(G: PermGroup):

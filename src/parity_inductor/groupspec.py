@@ -28,7 +28,7 @@ def parse_group_spec(text: str) -> PermGroup:
         return group_from_cycles(*_family(m.group(1), int(m.group(2)), m.group(3)))
     if text[0] != "(":
         raise GroupSpecError("unknown family name: %r" % shorten(text))
-    return group_from_cycles(_split_generators(text))
+    return group_from_cycles(split_generators(text))
 
 
 def group_from_cycles(gen_texts, degree=None, order=None) -> PermGroup:
@@ -69,7 +69,9 @@ def shorten(text: str) -> str:
     return short if len(short) <= 60 else "%s... (%d characters)" % (short[:60], len(text))
 
 
-def _split_generators(text: str):
+def split_generators(text: str):
+    """The generators of a cycle list such as "(1 2 3), (1 2)": split at the
+    commas outside parentheses."""
     parts = []
     depth = 0
     current = []

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from functools import cached_property
 from math import gcd
 
-from .group import PermGroup, per_group, refuse_order_above, table_group
+from .group import PermGroup, extend_subgroup, per_group, refuse_order_above, table_group
 
 DEFAULT_MAX_ORDER = 512
 MAX_SUBGROUPS = 2**15  # C2^7 has 29,212 subgroups, C2^8 has 417,199
@@ -38,9 +38,9 @@ class SubgroupRecord:
         self._group = None
 
     @cached_property
-    def generators(self) -> tuple:
-        elts = self.parent.elements()
-        return tuple(elts[a] for a in _greedy_generators(self.parent, self.positions))
+    def generator_positions(self) -> tuple:
+        """Parent positions of a small generating set, chosen by `_greedy_generators`."""
+        return _greedy_generators(self.parent, self.positions)
 
     @property
     def index(self) -> int:
@@ -61,23 +61,27 @@ class SubgroupRecord:
         if self._group is None and self.order == self.parent.order():
             self._group = self.parent
         if self._group is None:
-            table, elts, own = self.parent.cayley().table, self.parent.elements(), self._sorted
+            table, elts = self.parent.cayley().table, self.parent.elements()
+            own = self.sorted_positions
             at = {a: i for i, a in enumerate(own)}
             rows = [tuple([at[table[a][b]] for b in own]) for a in own]
-            self._group = table_group(self.generators, self.parent.degree, [elts[a] for a in own], rows)
+            gens = [at[a] for a in self.generator_positions]
+            self._group = table_group(gens, self.parent.degree, [elts[a] for a in own], rows)
         return self._group
 
     @cached_property
-    def _sorted(self) -> tuple:
+    def sorted_positions(self) -> tuple:
+        """``positions`` in ascending order: position i of ``as_group()`` is
+        the parent's ``sorted_positions[i]``."""
         return tuple(sorted(self.positions))
 
     def local(self, positions) -> frozenset:
         """Positions in ``as_group().elements()`` of these parent positions."""
-        return frozenset([bisect_left(self._sorted, a) for a in positions])
+        return frozenset([bisect_left(self.sorted_positions, a) for a in positions])
 
     def lift(self, positions) -> frozenset:
         """Parent positions of these positions in ``as_group().elements()``."""
-        return frozenset([self._sorted[i] for i in positions])
+        return frozenset([self.sorted_positions[i] for i in positions])
 
     def __repr__(self):
         return "SubgroupRecord(order=%d, class_id=%d, normal=%s)" % (
@@ -101,29 +105,9 @@ def _greedy_generators(G: PermGroup, members) -> tuple:
         if len(current) == len(members):
             break
         if c not in current:
-            current = _extend(table, current, gens, c)
+            current = extend_subgroup(table, current, gens, c)
             gens.append(c)
     return tuple(gens)
-
-
-def _extend(table, sub, gens, g) -> frozenset:
-    """Positions of <S, g>, for S = <gens> given as the positions ``sub``.
-
-    Dimino's coset extension: <S, g> is a union of right cosets S*y, and a
-    union of such cosets that contains S is the whole of <S, g> as soon as
-    it is closed under right multiplication by the generators of S and g.
-    """
-    members = set(sub)
-    gens = [*gens, g]
-    reps = [0]
-    for r in reps:
-        row = table[r]
-        for x in gens:
-            y = row[x]
-            if y not in members:
-                members.update([table[s][y] for s in sub])
-                reps.append(y)
-    return frozenset(members)
 
 
 def _subgroup_classes(table, inverse, orders, gens) -> list:
@@ -187,7 +171,7 @@ def _subgroup_classes(table, inverse, orders, gens) -> list:
                 if len(members) * len(orbit) == n:
                     break
                 if g not in members and all(conjugate(x, g) in sub for x in sub_gens):
-                    members = _extend(table, members, sub_gens + tuple(normalizer), g)
+                    members = extend_subgroup(table, members, sub_gens + tuple(normalizer), g)
                     normalizer.append(g)
         movers = [h for h in normalizer if not central[h]]  # the others fix every g
         done = bytearray(n)
@@ -196,7 +180,7 @@ def _subgroup_classes(table, inverse, orders, gens) -> list:
         for g in by_order:
             if done[g]:
                 continue
-            T = _extend(table, sub, sub_gens, g)
+            T = extend_subgroup(table, sub, sub_gens, g)
             stack = [g]
             power = g
             for k in range(2, orders[g]):
@@ -230,7 +214,7 @@ class SubgroupLattice:
         refuse_order_above(G, DEFAULT_MAX_ORDER, LatticeBoundError, "subgroup-enumeration")
         self.group = G
         table, inverse, orders = G.cayley()
-        gens = tuple(G.element_index(g) for g in G.generators)
+        gens = G.generator_positions()
         classes = _subgroup_classes(table, inverse, orders, gens)
         # positions follow the images' order, so this is (order, sorted elements)
         classes.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))

@@ -1,9 +1,13 @@
-"""Permutations on the points 1..n (stored 0-based)."""
+"""Permutations on the points 1..n (stored 0-based), parsed, printed and compared.
+
+A `Perm` has no arithmetic: a group lists its elements once, and products,
+powers, inverses and orders are read off its Cayley table on positions in
+that list (`group.PermGroup.cayley`).
+"""
 
 from __future__ import annotations
 
 import re
-from math import lcm
 
 
 class PermError(ValueError):
@@ -28,32 +32,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        # left-to-right composition: (p * q)(x) = q(p(x))
-        if other.degree != self.degree:
-            raise PermError("degree mismatch")
-        q = other.images
-        return Perm(tuple(q[i] for i in self.images))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(inv)
-
-    def __pow__(self, k: int) -> "Perm":
-        n = self.degree
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = identity(n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -74,25 +52,14 @@ class Perm:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def order(self) -> int:
-        cycs = self.cycles()
-        return lcm(*(len(c) for c in cycs)) if cycs else 1
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self):
         return hash(self.images)
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         return "Perm(%s)" % (format_perm(self),)
-
-
-def identity(degree: int) -> Perm:
-    return Perm(range(degree))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -103,7 +70,7 @@ def parse_perm(text: str, degree: int) -> Perm:
     """Parse one permutation in cycle notation, e.g. "(1 2 3)(4 5)"."""
     text = text.strip()
     if text in ("", "()"):
-        return identity(degree)
+        return Perm(range(degree))
     if not _TOKEN_RE.match(text):
         raise PermError("bad cycle notation: %r" % text)
     covered = _CYCLE_RE.sub("", text).strip().replace(",", "").strip()

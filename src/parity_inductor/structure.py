@@ -61,7 +61,7 @@ class QuotientMap:
             table[a][b] not in members for a in members for b in members
         ):
             raise ValueError("kernel is not a subgroup")
-        for g in map(source.element_index, source.generators):
+        for g in source.generator_positions():
             if any(table[inverse[g]][table[x][g]] not in members for x in members):
                 raise ValueError("kernel is not normal")
         self.source = source
@@ -77,7 +77,7 @@ class QuotientMap:
         rows = [tuple([coset_of[table[r][s]] for s in reps]) for r in reps]
         # reps[0] is the identity, so action c sends coset 0 to c: the actions are sorted
         images = list(map(Perm, zip(*rows)))
-        gens = [images[coset_of[source.element_index(g)]] for g in source.generators]
+        gens = [coset_of[g] for g in source.generator_positions()]
         self.image = table_group(gens, len(reps), images, rows)
         self.image_of = coset_of
 
@@ -166,7 +166,7 @@ def dihedral_subquotients(G: PermGroup):
     for h_rec in lattice.records:
         h_set = h_rec.positions
         h_order = h_rec.order
-        h_gens = [G.element_index(g) for g in h_rec.generators]
+        h_gens = h_rec.generator_positions
         candidates = sorted(
             (
                 cand

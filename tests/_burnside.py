@@ -10,6 +10,7 @@ production path: its values are the reference `Cyclo`.
 import numpy as np
 
 from _cyclo_reference import Cyclo
+from _perm_reference import mul
 
 
 def _class_data(G):
@@ -35,7 +36,7 @@ def _class_matrices(G):
             counts = [0] * k
             for x in xs:
                 for y in ys:
-                    counts[class_of[index[x * y]]] += 1
+                    counts[class_of[index[mul(x, y)]]] += 1
             for t in range(k):
                 size = classes[t].size
                 assert counts[t] % size == 0
@@ -92,7 +93,7 @@ def burnside_character_rows(G, seed=0):
             p = g
             for _ in range(o):
                 powers.append(chi[class_of[index[p]]])
-                p = p * g
+                p = mul(p, g)
             # powers[j-1] = chi(g^j); chi(g^0) = degree
             value = Cyclo.rational(0)
             total = 0

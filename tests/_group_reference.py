@@ -5,7 +5,7 @@ generators; this chain is the independent path the differential tests
 compare it with, and the exact order of a group too large to list.
 """
 
-from parity_inductor.perm import identity
+from _perm_reference import identity, inverse, mul
 
 
 def stabilizer_chain(gens, degree):
@@ -47,7 +47,7 @@ def stabilizer_chain(gens, degree):
                 for s in level["gens"]:
                     q = s.images[p]
                     if q not in trans:
-                        trans[q] = u * s
+                        trans[q] = mul(u, s)
                         new.append(q)
             frontier = new
         level["trans"] = trans
@@ -60,7 +60,7 @@ def stabilizer_chain(gens, degree):
             u = orbit(lv).get(q)
             if u is None:
                 return g
-            g = g * u.inverse()
+            g = mul(g, inverse(u))
         return g
 
     for g in gens:
@@ -75,7 +75,7 @@ def stabilizer_chain(gens, degree):
             u_p = trans[p]
             for s in levels[i]["gens"]:
                 q = s.images[p]
-                schreier = u_p * s * trans[q].inverse()
+                schreier = mul(u_p, s, inverse(trans[q]))
                 if schreier.is_identity():
                     continue
                 residue = strip(schreier, i + 1)
@@ -115,6 +115,6 @@ def chain_elements(gens, degree) -> tuple:
     elts = [identity(degree)]
     for lv in reversed(stabilizer_chain(gens, degree)):
         trans = [lv["trans"][p] for p in sorted(lv["trans"])]
-        elts = [h * u for h in elts for u in trans]
-    elts.sort()
+        elts = [mul(h, u) for h in elts for u in trans]
+    elts.sort(key=lambda p: p.images)
     return tuple(elts)

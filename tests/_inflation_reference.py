@@ -34,7 +34,7 @@ def _inflation(G, qmap):
     if qmap not in _INFLATIONS:
         Q = qmap.image
         gt = character_table(G)
-        fusion = [Q.class_of_index(qmap.image_of[cls.members[0]]) for cls in gt.classes]
+        fusion = [Q.class_of()[qmap.image_of[cls.members[0]]] for cls in gt.classes]
         _INFLATIONS[qmap] = tuple(zip(*_pullback(character_table(Q), gt, fusion)))
     return _INFLATIONS[qmap]
 

@@ -53,7 +53,7 @@ def all_subgroups(table, orders) -> set:
         for g in range(n):
             if done[g]:
                 continue
-            T = lattice._extend(table, sub, gens, g)
+            T = lattice.extend_subgroup(table, sub, gens, g)
             power = g
             for k in range(1, orders[g]):
                 if gcd(k, orders[g]) == 1:

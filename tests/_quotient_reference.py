@@ -7,6 +7,8 @@ building the quotient group and searching it for a dihedral presentation.
 It stays here as the independent side of the differential tests.
 """
 
+from _perm_reference import conjugate, mul, order
+
 from parity_inductor._primes import is_prime
 from parity_inductor.group import PermGroup
 from parity_inductor.lattice import SubgroupRecord, subgroup_lattice
@@ -43,7 +45,7 @@ def conjugacy_classes_reference(G):
             new = []
             for idx in frontier:
                 for g in G.generators:
-                    y = index[(g.inverse() * elts[idx] * g).images]
+                    y = index[conjugate(elts[idx], g).images]
                     if y not in orbit:
                         orbit.add(y)
                         new.append(y)
@@ -52,16 +54,15 @@ def conjugacy_classes_reference(G):
             assigned[idx] = True
         members = tuple(sorted(orbit))
         rep = elts[members[0]]
-        raw.append((rep.order(), len(members), rep.images, members))
+        raw.append((order(rep), len(members), rep.images, members))
     raw.sort(key=lambda t: (t[0], t[1], t[2]))
     return [(elts[m[0]], size, order, m) for order, size, _, m in raw]
 
 
 def is_normal_in(n_set, h_gens) -> bool:
     for g in h_gens:
-        gi = g.inverse()
         for x in n_set:
-            if gi * x * g not in n_set:
+            if conjugate(x, g) not in n_set:
                 return False
     return True
 
@@ -81,7 +82,7 @@ class QuotientMapReference:
         seen = set()
         for g in source.elements():
             if g not in seen:
-                cosets.append(sorted(x * g for x in n_set))
+                cosets.append(sorted((mul(x, g) for x in n_set), key=lambda p: p.images))
                 seen.update(cosets[-1])
         cosets.sort(key=lambda coset: coset[0].images)
         self._cosets = cosets
@@ -91,7 +92,7 @@ class QuotientMapReference:
         self._rep_images = [self.map_element(rep).images for rep in self._reps]
 
     def map_element(self, g):
-        return Perm(tuple(self._coset_of[rep * g] for rep in self._reps))
+        return Perm(tuple(self._coset_of[mul(rep, g)] for rep in self._reps))
 
     def preimage_set(self, image_elements) -> frozenset:
         wanted = {p.images for p in image_elements}
@@ -131,11 +132,11 @@ def dihedral_tag_reference(G):
 def _dihedral_presentation(G, m: int) -> bool:
     """Find r of order m and s of order 2 with (r*s)**2 = 1 generating G."""
     elts = G.elements()
-    rs = [g for g in elts if g.order() == m]
-    ss = [g for g in elts if g.order() == 2]
+    rs = [g for g in elts if order(g) == m]
+    ss = [g for g in elts if order(g) == 2]
     for r in rs:
         for s in ss:
-            if not (r * s * r * s).is_identity():
+            if not mul(r, s, r, s).is_identity():
                 continue
             if s in PermGroup([r], degree=G.degree).elements():
                 continue
@@ -152,7 +153,7 @@ def quotient_tag(H, n_set):
 
 def square_count_tag(H, n_set):
     """Tag of H/N from its order and the count of h in H with h*h in N."""
-    roots = sum(1 for h in H.elements() if h * h in n_set)
+    roots = sum(1 for h in H.elements() if mul(h, h) in n_set)
     return _dihedral_tag(H.order() // len(n_set), roots // len(n_set))
 
 
@@ -179,7 +180,7 @@ def dihedral_subquotients_reference(G, tag_of=quotient_tag):
     out = []
     for h_rec in lattice.records:
         h_idx = h_rec.positions
-        h_gens = [G.element_index(g) for g in h_rec.generators]
+        h_gens = h_rec.generator_positions
         candidates = sorted(
             (
                 cand

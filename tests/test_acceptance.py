@@ -14,6 +14,7 @@ import time
 
 from _burnside import burnside_character_rows
 from _cyclo_reference import Cyclo, reference_rows, reference_values
+from _perm_reference import mul
 from parity_inductor import (
     GenChar,
     character_table,
@@ -209,10 +210,10 @@ def _coset_sign_values(G, rec):
         index = len(reps)
         reps.append(x)
         for h in rec.element_set():
-            coset_of[x * h] = index
+            coset_of[mul(x, h)] = index
     signs = []
     for cls in G.conjugacy_classes():
-        images = [coset_of[cls.rep * r] for r in reps]
+        images = [coset_of[mul(cls.rep, r)] for r in reps]
         signs.append(_permutation_sign(images))
     return signs
 

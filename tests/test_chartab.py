@@ -30,6 +30,7 @@ from parity_inductor.spanreport import span_report
 from parity_inductor.structure import quotient
 
 from _burnside import burnside_character_rows
+from _perm_reference import inverse, power
 from _chartab_reference import (
     check_table,
     decompose_one,
@@ -286,7 +287,7 @@ def test_quotient_rows_fold_to_the_image_table_on_catalog():
                 qt = character_table(q.image)
                 rows, over = quotient_rows(t, q.kernel)
                 for s, c in enumerate(over):
-                    assert q.image.class_of_index(q.image_of[t.classes[c].members[0]]) == s
+                    assert q.image.class_of()[q.image_of[t.classes[c].members[0]]] == s
                 folded = [
                     tuple(t.vectors[i][c][:: t.classes[c].order // cls.order]
                           for c, cls in zip(over, qt.classes))
@@ -341,15 +342,15 @@ def _check_decompose_against_dense(G, rng):
     for rec in subgroup_lattice(G).records:
         counts = [0] * t.class_count()
         for a in rec.positions:
-            counts[G.class_of_index(a)] += 1
+            counts[G.class_of()[a]] += 1
         scale = G.order() // rec.order
         cases.append((t, [(scale * n // cls.size,) for n, cls in zip(counts, t.classes)]))
         ht = character_table(rec.as_group())
-        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        fusion = [G.class_of()[G.element_index(cls.rep)] for cls in ht.classes]
         cases.extend((ht, [row[c] for c in fusion]) for row in t.vectors)
         if rec.normal:
             q = quotient(G, rec)
-            fusion = [q.image.class_of_index(q.image_of[cls.members[0]]) for cls in t.classes]
+            fusion = [q.image.class_of()[q.image_of[cls.members[0]]] for cls in t.classes]
             qt = character_table(q.image)
             cases.extend((t, [row[c] for c in fusion]) for row in qt.vectors)
     for ct, vectors in cases:
@@ -400,12 +401,12 @@ def _check_batched_decompose(G, rng):
     tables = [gt]
     for rec in subgroup_lattice(G).records:
         ht, columns = _induction(G, rec)
-        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        fusion = [G.class_of()[G.element_index(cls.rep)] for cls in ht.classes]
         rows = tuple(decompose_one(ht, [row[c] for c in fusion]) for row in gt.vectors)
         assert columns == tuple(zip(*rows))
         counts = [0] * gt.class_count()
         for a in rec.positions:
-            counts[G.class_of_index(a)] += 1
+            counts[G.class_of()[a]] += 1
         values = [(G.order() // rec.order * n // cls.size,) for n, cls in zip(counts, gt.classes)]
         assert perm_char(G, rec).coeffs == decompose_one(gt, values), rec.label
         assert _coset_chars(G, [rec.positions]) == [perm_char(G, rec)], rec.label
@@ -464,27 +465,28 @@ def _check_against_reference(G):
         for j in range(i, k):
             got = Fraction(t._gram(row_terms[i], row_terms[j]), G.order())
             assert got == inner_product_conj(t, vals[i], conj[j]), (i, j)
+    class_of = G.class_of()
     for c, cls in enumerate(t.classes):
-        assert t.power_cycles[c][-1] == G.class_of(cls.rep.inverse())
+        assert t.power_cycles[c][-1] == class_of[G.element_index(inverse(cls.rep))]
         for j in range(t.exponent + 1):
-            assert t.power_cycles[c][j % cls.order] == G.class_of(cls.rep**j)
+            assert t.power_cycles[c][j % cls.order] == class_of[G.element_index(power(cls.rep, j))]
     for rec in subgroup_lattice(G).records:
         counts = [0] * k
         for h in rec.element_set():
-            counts[G.class_of(h)] += 1
+            counts[class_of[G.element_index(h)]] += 1
         fixed = [
             Cyclo.rational(G.order() * n // (rec.order * cls.size))
             for n, cls in zip(counts, t.classes)
         ]
         assert perm_char(G, rec).coeffs == decompose_reference(t, fixed), rec.label
         ht, columns = _induction(G, rec)
-        fusion = [G.class_of(cls.rep) for cls in ht.classes]
+        fusion = [class_of[G.element_index(cls.rep)] for cls in ht.classes]
         want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in vals)
         assert columns == tuple(zip(*want)), rec.label
         if rec.normal:
             q = quotient(G, rec)
             qt = character_table(q.image)
-            fusion = [q.image.class_of_index(q.image_of[cls.members[0]]) for cls in t.classes]
+            fusion = [q.image.class_of()[q.image_of[cls.members[0]]] for cls in t.classes]
             want = tuple(
                 decompose_reference(t, [row[c] for c in fusion]) for row in reference_rows(qt)
             )

@@ -333,7 +333,8 @@ def test_catalog_trees_match_pin():
 
 
 def test_warm_catalog_trees_make_no_perm_products(monkeypatch):
-    """Once the caches are warm, the recursion runs on Cayley-table positions."""
+    """Once the caches are warm, the recursion runs on Cayley-table positions:
+    a `Perm` has no product, and the warm trees build no `Perm` at all."""
     groups = [e.group for e in load_bundled_catalog() if e.group.order() <= 48]
 
     def trees():
@@ -342,14 +343,15 @@ def test_warm_catalog_trees_make_no_perm_products(monkeypatch):
                 decompose_structural(G, rho_H(G, rec))
 
     trees()
+    assert "__mul__" not in vars(Perm)
     calls = []
-    product = Perm.__mul__
+    build = Perm.__init__
 
-    def counted(a, b):
+    def counted(p, images):
         calls.append(1)
-        return product(a, b)
+        build(p, images)
 
-    monkeypatch.setattr(Perm, "__mul__", counted)
+    monkeypatch.setattr(Perm, "__init__", counted)
     trees()
     assert len(calls) == 0
 

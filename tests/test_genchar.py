@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parity_inductor import genchar
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharTableError, character_table
 from parity_inductor.genchar import (
@@ -25,6 +26,7 @@ from parity_inductor.perm import Perm
 from parity_inductor.structure import quotient
 
 from _cyclo_reference import Cyclo, from_values, reference_rows, reference_values
+from _perm_reference import inverse, mul
 
 
 def records(G):
@@ -124,6 +126,24 @@ def test_induce_degree_scaling():
             assert ind.degree == rec.index * ht.degrees[i]
 
 
+def test_induce_reads_the_induction_matrix_once(monkeypatch):
+    # the table check and the column sum share one lookup of H's columns
+    G = parse_group_spec("S4")
+    rec = record_of_order(G, 4)
+    tau = irreducible_char(character_table(rec.as_group()), 1)
+    want = induce(rec, tau)
+    calls = []
+    lookup = genchar._induction
+
+    def counted(G, H):
+        calls.append(H)
+        return lookup(G, H)
+
+    monkeypatch.setattr(genchar, "_induction", counted)
+    assert induce(rec, tau) == want
+    assert calls == [rec]
+
+
 def test_frobenius_reciprocity():
     for spec in ["S3", "D8", "S4"]:
         G = parse_group_spec(spec)
@@ -218,7 +238,7 @@ def test_inflate_examples():
     # the lift kills every element of the order-7 kernel
     values = reference_values(lifted2)
     for p in C7.element_set():
-        assert values[D42.class_of(p)] == 2
+        assert values[D42.class_of()[D42.element_index(p)]] == 2
 
 
 def test_determinant_examples():
@@ -284,8 +304,8 @@ def _induce_reference(H, tau):
     tau_vals = reference_values(tau)
     buckets = [Cyclo.rational(0)] * gt.class_count()
     for x in sub.elements():
-        gc = G.class_of_index(G.element_index(x))
-        hc = sub.class_of_index(sub.element_index(x))
+        gc = G.class_of()[G.element_index(x)]
+        hc = sub.class_of()[sub.element_index(x)]
         buckets[gc] = buckets[gc] + tau_vals[hc]
     vals = [
         b * Fraction(G.order(), cls.size * sub.order())
@@ -298,7 +318,7 @@ def _restrict_reference(tau, H):
     G = tau.table.group
     ht = character_table(H.as_group())
     tau_vals = reference_values(tau)
-    vals = [tau_vals[G.class_of(c.rep)] for c in ht.classes]
+    vals = [tau_vals[G.class_of()[G.element_index(c.rep)]] for c in ht.classes]
     return from_values(ht, vals)
 
 
@@ -309,7 +329,7 @@ def _inflate_reference(qmap, rho):
     vals = []
     for cls in gt.classes:
         q = qmap.image_of[qmap.source.element_index(cls.rep)]
-        vals.append(rho_vals[Q.class_of_index(q)])
+        vals.append(rho_vals[Q.class_of()[q]])
     return from_values(gt, vals)
 
 
@@ -323,11 +343,11 @@ def _perm_char_reference(G, H):
             continue
         reps.append(x)
         for h in h_set:
-            seen.add(h * x)
+            seen.add(mul(h, x))
     vals = []
     for cls in gt.classes:
         g = cls.rep
-        fixed = sum(1 for x in reps if x * g * x.inverse() in h_set)
+        fixed = sum(1 for x in reps if mul(x, g, inverse(x)) in h_set)
         vals.append(Cyclo.rational(fixed))
     return from_values(gt, vals)
 
@@ -398,13 +418,13 @@ def test_determinant_of_induced_trivial_is_coset_sign():
                 if x in seen:
                     continue
                 reps.append(x)
-                seen.update(h * x for h in h_set)
+                seen.update(mul(h, x) for h in h_set)
             coset_index = {}
             for i, x in enumerate(reps):
                 for h in h_set:
-                    coset_index[h * x] = i
+                    coset_index[mul(h, x)] = i
             for ci, cls in enumerate(pc.table.classes):
-                images = [coset_index[x * cls.rep] for x in reps]
+                images = [coset_index[mul(x, cls.rep)] for x in reps]
                 swaps = sum(len(c) - 1 for c in Perm(tuple(images)).cycles())
                 assert det[ci] == (-1) ** swaps
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from _group_reference import chain_elements, chain_order, family_tokens
+from _perm_reference import conjugate, identity, mul, order
 
 import parity_inductor
 from parity_inductor import group
@@ -23,7 +24,7 @@ from parity_inductor.group import (
 from parity_inductor.groupspec import group_from_cycles, parse_group_spec
 from parity_inductor.lattice import LatticeBoundError, subgroup_lattice
 from parity_inductor.membership import solomon_coefficients
-from parity_inductor.perm import Perm, identity, parse_perm
+from parity_inductor.perm import Perm, parse_perm
 from parity_inductor.spanreport import span_report
 from parity_inductor.structure import dihedral_subquotients, quotient
 
@@ -38,7 +39,7 @@ def bfs_closure(gens, degree):
         new = []
         for x in frontier:
             for g in gens:
-                y = x * g
+                y = mul(x, g)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -159,6 +160,24 @@ def test_s4_classes():
     assert [c.order for c in cls] == [1, 2, 2, 3, 4]
 
 
+def test_cayley_orders_match_the_reference_order():
+    # the table's orders come from one walk per cyclic subgroup; the reference
+    # takes the lcm of each element's cycle lengths.  Subgroups and quotient
+    # images get their tables from their parent's, so they are checked too.
+    groups = [entry.group for entry in load_bundled_catalog()]
+    groups += [rec.as_group() for G in groups for rec in subgroup_lattice(G).records]
+    D12 = parse_group_spec("D12")
+    images = [
+        node.carrier.image
+        for rec in subgroup_lattice(D12).records
+        for node in decompose_structural(D12, rho_H(D12, rec)).walk()
+        if node.kind == "Inflated"
+    ]
+    assert images
+    for G in groups + images:
+        assert G.cayley().orders == tuple(map(order, G.elements())), G
+
+
 def test_a4_classes():
     G = parse_group_spec("A4")
     cls = G.conjugacy_classes()
@@ -171,11 +190,11 @@ def test_classes_partition_and_conjugation_stable():
         cls = G.conjugacy_classes()
         covered = sorted(i for c in cls for i in c.members)
         assert covered == list(range(G.order()))
-        elts = G.elements()
+        class_of = G.class_of()
         for g in G.generators:
             for c in cls:
                 x = c.rep
-                assert G.class_of(g.inverse() * x * g) == G.class_of(x)
+                assert class_of[G.element_index(conjugate(x, g))] == class_of[G.element_index(x)]
 
 
 def test_class_brute_force_oracle():
@@ -183,7 +202,7 @@ def test_class_brute_force_oracle():
     G = parse_group_spec("D8")
     elts = G.elements()
     for c in G.conjugacy_classes():
-        orbit = {h.inverse() * c.rep * h for h in elts}
+        orbit = {conjugate(c.rep, h) for h in elts}
         assert {G.element_index(x) for x in orbit} == set(c.members)
 
 
@@ -366,18 +385,21 @@ def _families(G):
     ids=["D8xC2-families", "C2^4-families", "D12-trees", "C2^5-families"],
 )
 def test_no_perm_products_below_the_group(monkeypatch, gens, build):
-    # subgroups and quotient images are read off G's Cayley table: once it
-    # exists, building families and trees multiplies no two permutations
+    # subgroups and quotient images are read off G's Cayley table: a Perm has
+    # no product, and once G's table and generator positions exist, building
+    # families and trees looks no element up by its images
+    assert {"__mul__", "__pow__", "inverse", "order", "__lt__"}.isdisjoint(vars(Perm))
     G = group_from_cycles(gens)
     G.cayley()
+    G.generator_positions()
     calls = []
-    mul = Perm.__mul__
+    element_index = PermGroup.element_index
 
-    def counted(self, other):
+    def counted(self, p):
         calls.append(1)
-        return mul(self, other)
+        return element_index(self, p)
 
-    monkeypatch.setattr(Perm, "__mul__", counted)
+    monkeypatch.setattr(PermGroup, "element_index", counted)
     kinds = build(G)
     if kinds is not None:
         assert {"Prop2.6.case1", "Prop2.6.case3", "Inflated"} <= kinds

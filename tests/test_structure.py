@@ -240,7 +240,8 @@ def test_positions_match_perm_reference_on_catalog():
         for rec in lattice.records:
             H = rec.as_group()
             # the record of G itself is G, with G's generators
-            gens = G.generators if rec.order == G.order() else rec.generators
+            gens = [G.elements()[a] for a in rec.generator_positions]
+            gens = G.generators if rec.order == G.order() else gens
             _assert_same_group(H, PermGroup(gens, degree=G.degree), (name, rec))
             assert _tag(H) == dihedral_tag_reference(H), (name, rec)
             classes = [(c.rep, c.size, c.order, c.members) for c in H.conjugacy_classes()]
