@@ -33,20 +33,20 @@ linear rows to be equal.  Distinct linear characters are orthonormal, so
 their block of the Gram matrix needs no sum.
 
 Decomposition: `CharacterTable.decompose` takes any number of class
-functions as integer vectors (value sum_s a_s zeta_n ** s at a class, any
-n); put N = lcm(n, o).  By Hoelder's formula the normalized trace
-Tr(zeta_N ** k) / phi(N) is mu(N/g) / phi(N/g), g = gcd(k, N): the Ramanujan
-sum c_N(k) over phi(N).  So |G| * L times the rational part of <f, chi_j>,
-with L the lcm of the phi(N) over every input, is the integer sum over
-classes c, over the input's nonzero terms (s, a_s) and over row j's nonzero
-multiplicities (t, m_t) at c of |C_c| * (L / phi(N)) * a_s * m_t * c_N(s - t),
-slots lifted to Z[x]/(x^N - 1); a class where the input is zero adds
-nothing.  The weights and the dot products with every row are computed once
-per distinct vector at a class, however many inputs share it, and each
-input sums its classes' dot products.  For a generalized character the
-inner products are rational, hence equal to their rational parts.  For
+functions as integer vectors (value sum_s a_s zeta_n ** s at a class of
+element order o, n dividing o), each lifted to Z[x]/(x^o - 1).  By Hoelder's
+formula the normalized trace Tr(zeta_o ** k) / phi(o) is mu(o/g) / phi(o/g),
+g = gcd(k, o): the Ramanujan sum c_o(k) over phi(o).  So |G| * L times the
+rational part of <f, chi_j>, with L the lcm of the phi(o) over the classes,
+is the integer sum over classes c, over the input's nonzero terms (s, a_s)
+and over row j's nonzero multiplicities (t, m_t) at c of
+|C_c| * (L / phi(o)) * a_s * m_t * c_o(s - t); a class where the input is
+zero adds nothing.  The weights and the dot products with every row are
+computed once per distinct vector at a class, however many inputs share it,
+and each input sums its classes' dot products.  For a generalized character
+the inner products are rational, hence equal to their rational parts.  For
 other input they need not be, so the coordinates must be integers and
-sum_j a_j * chi_j must re-expand to each input at every class modulo Phi_N.
+sum_j a_j * chi_j must re-expand to each input at every class modulo Phi_o.
 A return is then the exact identity f = sum_j a_j * chi_j for every input,
 with no second path.
 """
@@ -413,13 +413,14 @@ class CharacterTable:
     def decompose(self, functions):
         """Integer coordinates over the irreducibles of each class function.
 
-        functions[f][c] = (a_0, ..., a_{n-1}) stands for sum_s a_s * zeta_n ** s
-        at class c, for any n >= 1.  Raises ValueError on malformed input and
+        functions[f][c] = (a_0, ..., a_{n-1}), a tuple or list, stands for
+        sum_s a_s * zeta_n ** s at class c, for an n that divides the class's
+        element order.  Raises ValueError on malformed input and
         CharTableError unless every class function is exactly an integer
         combination of the rows.
         """
         k, classes, row_terms = len(self.classes), self.classes, self._row_terms
-        # per class, each distinct input vector's (N, its lift, its phi(N))
+        # per class, each distinct input vector's lift to Z[x]/(x^o - 1)
         seen = [{} for _ in classes]
         given = []
         for vectors in functions:
@@ -427,25 +428,24 @@ class CharacterTable:
                 raise ValueError("%d values for %d classes" % (len(vectors), k))
             keys = []
             for value, cls, at in zip(vectors, classes, seen):
-                v = value if type(value) is tuple else tuple(value) if value else ()
-                if not v or not all(type(a) is int for a in v):
+                v = tuple(value) if type(value) in (tuple, list) else ()
+                if not v or cls.order % len(v) or not all(type(a) is int for a in v):
                     raise ValueError("value at class %s: %r" % (format_perm(cls.rep), value))
                 if v not in at:
-                    n = lcm(len(v), cls.order)
-                    at[v] = (n, _lift(v, n), len(cyclotomic_polynomial(n)) - 1)
+                    at[v] = _lift(v, cls.order)
                 keys.append(v)
             given.append(keys)
-        den = lcm(*(phi for at in seen for _, _, phi in at.values()))
+        phis = [len(cyclotomic_polynomial(cls.order)) - 1 for cls in classes]
+        den = lcm(*phis)
         # each distinct vector's dot products with the rows at its class: the
         # input's weight against slot t of a row's vector at c, summed over t
         dots = [{} for _ in classes]
-        for c, (cls, at) in enumerate(zip(classes, seen)):
-            for v, (n, _, phi) in at.items():
-                scale, step, weights = cls.size * (den // phi), n // cls.order, _ramanujan(n)
-                nonzero = [(s * n // len(v), a * scale) for s, a in enumerate(v) if a]
+        for c, (cls, at, phi) in enumerate(zip(classes, seen, phis)):
+            n, scale, weights = cls.order, cls.size * (den // phi), _ramanujan(cls.order)
+            for v, vec in at.items():
+                nonzero = [(s, a * scale) for s, a in enumerate(vec) if a]
                 if nonzero:
-                    w = [sum(a * weights[(s - t * step) % n] for s, a in nonzero)
-                         for t in range(cls.order)]
+                    w = [sum(a * weights[(s - t) % n] for s, a in nonzero) for t in range(n)]
                     dots[c][v] = [sum(x * w[t] for t, x in terms[c]) for terms in row_terms]
         quotient = self.group.order() * den
         out = []
@@ -457,15 +457,14 @@ class CharacterTable:
             if any(num % quotient for num in nums):
                 raise CharTableError("values are not a generalized character")
             coords = tuple(num // quotient for num in nums)
-            # re-expand sum_j a_j chi_j and compare with the input modulo Phi_N
+            # re-expand sum_j a_j chi_j and compare with the input modulo Phi_o
             used = [(a, terms) for a, terms in zip(coords, row_terms) if a]
             for c, (v, cls, at) in enumerate(zip(keys, classes, seen)):
-                n, vec, _ = at[v]
-                acc = [0] * n
+                acc = [0] * cls.order
                 for a, terms in used:
                     for s, x in terms[c]:
-                        acc[s * n // cls.order] += a * x
-                if acc != vec and any(_reduce_mod_phi(map(sub, acc, vec), n)):
+                        acc[s] += a * x
+                if acc != at[v] and any(_reduce_mod_phi(map(sub, acc, at[v]), cls.order)):
                     raise CharTableError("values are not a generalized character")
             out.append(coords)
         return tuple(out)

@@ -10,7 +10,7 @@ from .catalog import CatalogError, bundled_catalog_path, load_catalog
 from .chartab import CharTableError, character_table
 from .decompose import DecomposeError, decompose_structural, flatten_to_certificate, tree_to_json
 from .genchar import order2_linear_chars, rho_H
-from .generators import GeneratorError, family_for
+from .generators import COROLLARY_FLAVOR, FLAVORS, THEOREM_FLAVOR, GeneratorError, family_for
 from .group import CayleyBoundError
 from .groupspec import (GroupSpecError, group_from_cycles, parse_group_spec, shorten,
                         split_generators)
@@ -202,7 +202,7 @@ def _cmd_decompose(args) -> int:
     record = _resolve_subgroup(G, args.subgroup)
     rho = rho_H(G, record)
     if args.structural:
-        if args.flavor == "cor29":
+        if args.flavor == COROLLARY_FLAVOR:
             raise CliError("--structural trees always use the thm12 family")
         tree = decompose_structural(G, rho)
         flatten_to_certificate(tree)  # must verify; raises on defect
@@ -354,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="subgroup class: '#3', an order, a family token, or cycle generators",
     )
-    p.add_argument("--flavor", choices=["thm12", "cor29"], default="thm12")
+    p.add_argument("--flavor", choices=FLAVORS, default=THEOREM_FLAVOR)
     p.add_argument(
         "--structural",
         action="store_true",
@@ -366,7 +366,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify every catalog group; exit 1 on failure")
     p.add_argument("--catalog", metavar="PATH", help="JSONL catalog (default: bundled)")
     p.add_argument("--max-order", type=int, default=128, metavar="N")
-    p.add_argument("--flavor", choices=["thm12", "cor29"], default="thm12")
+    p.add_argument("--flavor", choices=FLAVORS, default=THEOREM_FLAVOR)
     p.add_argument("--samples", type=int, default=20, metavar="K")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     _add_output_flags(p)
@@ -375,7 +375,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="parity expressions/values per intermediate field")
     _add_groupspec(p)
     p.add_argument("--parities", metavar="PATH", help="JSON ±1 assignments file")
-    p.add_argument("--flavor", choices=["thm12", "cor29"], default="thm12")
+    p.add_argument("--flavor", choices=FLAVORS, default=THEOREM_FLAVOR)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_parity)
 

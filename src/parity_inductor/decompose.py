@@ -95,11 +95,6 @@ class TreeNode:
         if _total(self.children, self.genchar.table) != self.genchar:
             raise DecomposeError("node %s does not match its children" % self.kind)
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
     def __repr__(self):
         return "TreeNode(%s, %d children)" % (self.kind, len(self.children))
 

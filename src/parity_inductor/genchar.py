@@ -32,11 +32,11 @@ class GenChar:
     __slots__ = ("table", "coeffs")
 
     def __init__(self, table: CharacterTable, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != table.class_count() or {*map(type, coeffs)} - {int}:
-            raise ValueError("coefficients must be %d integers, got %r" % (table.class_count(), coeffs))
+        k = table.class_count()
+        if type(coeffs) not in (tuple, list) or len(coeffs) != k or {*map(type, coeffs)} - {int}:
+            raise ValueError("coefficients must be %d integers, got %r" % (k, coeffs))
         self.table = table
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
 
     # ------------------------------------------------------------- algebra
 

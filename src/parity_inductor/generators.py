@@ -164,7 +164,6 @@ class GeneratorFamily:
         self.flavor = flavor
         self.table = character_table(group)
         self.generators = tuple(generators)
-        self.matrix = [list(g.expansion.coeffs) for g in self.generators]
         self._hnf = None
         self.position = {}  # gen_id -> its index in generators
         for i, g in enumerate(self.generators):
@@ -181,8 +180,8 @@ class GeneratorFamily:
         return self.generators[i]
 
     def hnf(self):
-        if self._hnf is None and self.matrix:
-            self._hnf = hnf(self.matrix)
+        if self._hnf is None and self.generators:
+            self._hnf = hnf([g.expansion.coeffs for g in self.generators])
         return self._hnf
 
     def by_id(self, gen_id: str) -> GeneratorDesc:

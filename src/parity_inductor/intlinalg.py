@@ -36,8 +36,8 @@ class HnfResult:
     of u, and ``width`` is a's.
 
     Pivot rows come first (rank of them); pivots are positive and entries
-    above each pivot are reduced into [0, pivot).  The dense ``h``, ``u`` and
-    ``kernel`` are views built when read, for perfbench and the tests.
+    above each pivot are reduced into [0, pivot).  The dense ``h`` and ``u``
+    are views built when read, for perfbench and the tests.
     """
 
     h_rows: list
@@ -53,11 +53,6 @@ class HnfResult:
     @cached_property
     def u(self):
         return [[row.get(c, 0) for c in range(len(self.u_rows))] for row in self.u_rows]
-
-    @property
-    def kernel(self):
-        """Basis of the left kernel {x : x @ a = 0}, as rows."""
-        return self.u[self.rank:]
 
     def solve(self, b):
         """The canonical x with x @ a = b, or None if b is off the row lattice."""

@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import prod
 
 from .genchar import determinant, order2_linear_chars, perm_char, rho_H
-from .generators import family_for
+from .generators import THEOREM_FLAVOR, family_for
 from .group import PermGroup
 from .groupspec import shorten
 from .lattice import SubgroupRecord, subgroup_lattice
@@ -148,7 +148,7 @@ class ParityInput:
         return "ParityInput(%r)" % self.values
 
 
-def parity_symbols(G: PermGroup, flavor="thm12"):
+def parity_symbols(G: PermGroup, flavor=THEOREM_FLAVOR):
     """G's symbols: Base, one Quad per order-2 linear character, one Twist per
     type2 generator of the flavor's family."""
     quads = [quadratic_symbol(lc.row) for lc in order2_linear_chars(G)]
@@ -156,7 +156,7 @@ def parity_symbols(G: PermGroup, flavor="thm12"):
     return [BASE] + quads + twists
 
 
-def full_assignment(G: PermGroup, flavor="thm12", base=None, quadratic=None, dihedral=None):
+def full_assignment(G: PermGroup, flavor=THEOREM_FLAVOR, base=None, quadratic=None, dihedral=None):
     """Total assignment for G's symbols: the overrides given, +1 everywhere else."""
     assignment = ParityInput(base, quadratic, dihedral)
     for symbol in parity_symbols(G, flavor):
@@ -164,10 +164,8 @@ def full_assignment(G: PermGroup, flavor="thm12", base=None, quadratic=None, dih
     return assignment
 
 
-def parity_expression(G: PermGroup, record: SubgroupRecord, flavor="thm12", certificate=None) -> ParityExpression:
-    """Symbolic parity over the fixed field of `record`, from its certificate."""
-    if certificate is None:
-        [certificate] = _certificates_for(G, [record], flavor)
+def parity_expression(G: PermGroup, record: SubgroupRecord, certificate) -> ParityExpression:
+    """Symbolic parity over the fixed field of `record`, from the certificate of its rho_H."""
     index = record.index
     delta = determinant(perm_char(G, record))
     symbols = []
@@ -246,12 +244,12 @@ class ParityTable:
         }
 
 
-def parity_table(G: PermGroup, assignment: ParityInput = None, flavor="thm12") -> ParityTable:
+def parity_table(G: PermGroup, assignment: ParityInput = None, flavor=THEOREM_FLAVOR) -> ParityTable:
     """One row per subgroup class; rows evaluate when the assignment covers them."""
     records = sorted(subgroup_lattice(G).records, key=lambda r: (-r.order, r.class_id))
     rows = []
     for record, cert in zip(records, _certificates_for(G, records, flavor)):
-        expression = parity_expression(G, record, flavor, cert)
+        expression = parity_expression(G, record, cert)
         index = record.index
         _check_row_shape(G, record, index, expression)
         covered = assignment is not None and expression.symbols <= assignment.values.keys()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .genchar import rho_H
-from .generators import family_for
+from .generators import THEOREM_FLAVOR, family_for
 from .group import PermGroup
 from .lattice import subgroup_lattice
 from .membership import check_target, membership_solve_all, random_S_element, verify_certificate
@@ -119,7 +119,7 @@ def _attempt(call, *args):
         return exc
 
 
-def span_report(G: PermGroup, flavor="thm12", name=None, samples=0, seed=0, bound=4):
+def span_report(G: PermGroup, flavor=THEOREM_FLAVOR, name=None, samples=0, seed=0, bound=4):
     """Certify every rho_H of G plus seeded random targets, all solved in one
     batch; failures are recorded."""
     group_name = name if name is not None else "order%d" % G.order()

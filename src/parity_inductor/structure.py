@@ -55,7 +55,7 @@ class QuotientMap:
     """
 
     def __init__(self, source: PermGroup, kernel):
-        members = _kernel_positions(source, kernel)
+        members = frozenset(kernel)
         table, inverse, _ = source.cayley()
         if 0 not in members or not members.issubset(range(len(table))) or any(
             table[a][b] not in members for a in members for b in members
@@ -82,21 +82,13 @@ class QuotientMap:
         self.image_of = coset_of
 
 
-def _kernel_positions(G: PermGroup, N) -> frozenset:
-    """N's positions in ``G.elements()``, for a record of G or a position set."""
-    if isinstance(N, SubgroupRecord):
-        if N.parent is not G:
-            raise ValueError("kernel record belongs to a different group")
-        return N.positions
-    return frozenset(N)
-
-
 _quotient_map = per_group(QuotientMap)
 
 
 def quotient(G: PermGroup, N) -> QuotientMap:
-    """G/N for a normal record or position set N, built once per (G, positions of N)."""
-    return _quotient_map(G, _kernel_positions(G, N))
+    """G/N for N normal in G, given as positions in ``G.elements()``, built
+    once per (G, N)."""
+    return _quotient_map(G, frozenset(N))
 
 
 @per_group

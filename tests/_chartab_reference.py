@@ -89,7 +89,7 @@ def decompose_one(table, vectors):
     if len(vectors) != k:
         raise ValueError("%d values for %d classes" % (len(vectors), k))
     for v, cls in zip(vectors, table.classes):
-        if not v or any(type(a) is not int for a in v):
+        if type(v) not in (tuple, list) or not v or cls.order % len(v) or any(type(a) is not int for a in v):
             raise ValueError("value at class %s: %r" % (format_perm(cls.rep), v))
     lengths = [lcm(len(v), cls.order) for v, cls in zip(vectors, table.classes)]
     phis = [len(cyclotomic_polynomial(n)) - 1 for n in lengths]

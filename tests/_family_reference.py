@@ -31,6 +31,7 @@ from parity_inductor.lattice import subgroup_lattice
 from parity_inductor.structure import dihedral_subquotients, quotient
 
 from _inflation_reference import inflate_reference
+from _intlinalg_reference import kernel
 
 
 def _degree2_characters(qtab):
@@ -136,7 +137,7 @@ def _real_zero_lattice_basis(qtab):
         col[k + c] = 2
         columns.append(col)
     rows = [[col[i] for col in columns] for i in range(nvars)]
-    return [row[:k] for row in hnf(rows).kernel if any(row[:k])]
+    return [row[:k] for row in kernel(hnf(rows)) if any(row[:k])]
 
 
 def _tagged_quotient_twists(dq):

@@ -26,10 +26,12 @@ class DenseHnf:
     rank: int
     pivot_cols: list
 
-    @property
-    def kernel(self):
-        """Basis of the left kernel {x : x @ a = 0}, as rows."""
-        return self.u[self.rank:]
+
+def kernel(res):
+    """Basis of the left kernel {x : x @ a = 0} of a row HNF result of a, as
+    rows: its transform's rows past the rank, for a `DenseHnf` and for the
+    package's `HnfResult` alike."""
+    return res.u[res.rank:]
 
 
 def identity_matrix(n: int):

@@ -146,8 +146,9 @@ def test_family_hnf_keeps_the_meaning_build_counters_reads():
         res = family.hnf()
         m = len(family)
         assert len(res.u) == m and all(len(row) == m for row in res.u), name
+        matrix = [g.expansion.coeffs for g in family]
         product = [
-            [sum(c * row[j] for c, row in zip(u_row, family.matrix)) for j in range(len(family.matrix[0]))]
+            [sum(c * row[j] for c, row in zip(u_row, matrix)) for j in range(len(matrix[0]))]
             for u_row in res.u
         ]
         assert product == res.h, name

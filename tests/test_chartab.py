@@ -250,12 +250,14 @@ def test_value_count_must_match_class_count():
 
 
 def test_decompose_is_exact_on_non_characters():
-    # zeta_3 - zeta_3^2 has rational part 0, so the trace form alone would
-    # return the zero character; the re-expansion must refuse it
-    t = table("C1")
-    assert decompose(t, [(2,)]) == (2,)
+    # zeta_3 - zeta_3^2 at both order-3 classes of C3: each inner product
+    # with a row is a rational multiple of zeta_3 - zeta_3^2, of rational
+    # part 0, so the trace form alone would return the zero character; the
+    # re-expansion must refuse it
+    assert decompose(table("C1"), [(2,)]) == (2,)
+    t = table("C3")
     with pytest.raises(CharTableError):
-        decompose(t, [(0, 1, -1)])
+        decompose(t, [(0,), (0, 1, -1), (0, 1, -1)])
 
 
 def test_decompose_rejects_malformed_values_naming_the_class():
@@ -264,7 +266,9 @@ def test_decompose_rejects_malformed_values_naming_the_class():
     cases = [
         ([(), (1,), (1,)], names[0]),
         ([(1,), (1.0,), (1,)], names[1]),
+        ([(1,), {1: 2}, (1,)], names[1]),
         ([(1,), (1,), (0, "1", 0)], names[2]),
+        ([(1,), (1,), (0, 1)], names[2]),
     ]
     for vals, name in cases:
         with pytest.raises(ValueError, match="class %s:" % re.escape(name)):
@@ -283,7 +287,7 @@ def test_quotient_rows_fold_to_the_image_table_on_catalog():
             for rec in subgroup_lattice(H).records:
                 if not rec.normal:
                     continue
-                q = quotient(H, rec)
+                q = quotient(H, rec.positions)
                 qt = character_table(q.image)
                 rows, over = quotient_rows(t, q.kernel)
                 for s, c in enumerate(over):
@@ -309,30 +313,38 @@ def _outcome(decompose, t, vectors):
         return None
 
 
+def _shortest(v):
+    """v as the shortest vector it lifts from: v[::step] for the largest step
+    dividing len(v) with v zero off the multiples of step."""
+    n = len(v)
+    step = max(d for d in range(1, n + 1) if n % d == 0 and not any(v[s] for s in range(n) if s % d))
+    return v[::step]
+
+
 def _random_class_functions(t, rng, count):
-    """Integer combinations of the rows written at random multiples of each
-    class's order, then about half of them disturbed at a few classes."""
+    """Integer combinations of the rows written at each class's order o, then
+    about half of them disturbed at a few classes by a vector of a random
+    length dividing o; each function is then written at o, or at every class
+    at the shortest length its value lifts from."""
     out = []
     for _ in range(count):
         coeffs = [rng.randint(-2, 2) for _ in t.degrees]
         vectors = []
         for c, cls in enumerate(t.classes):
-            n = cls.order * rng.choice((1, 1, 2))
-            v = [0] * n
+            v = [0] * cls.order
             for a, row in zip(coeffs, t.vectors):
                 for s, x in enumerate(row[c]):
-                    v[s * n // cls.order] += a * x
+                    v[s] += a * x
             vectors.append(tuple(v))
         if rng.random() < 0.5:
             for c in rng.sample(range(len(vectors)), min(2, rng.randint(1, len(vectors)))):
-                noise = [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
-                n = len(vectors[c]) * len(noise)
-                v = [0] * n
-                for part in (vectors[c], noise):
-                    for s, a in enumerate(part):
-                        v[s * n // len(part)] += a
+                n = len(vectors[c])
+                d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                v = list(vectors[c])
+                for s in range(d):
+                    v[s * n // d] += rng.randint(-2, 2)
                 vectors[c] = tuple(v)
-        out.append(vectors)
+        out.append([_shortest(v) for v in vectors] if rng.random() < 0.5 else vectors)
     return out
 
 
@@ -349,7 +361,7 @@ def _check_decompose_against_dense(G, rng):
         fusion = [G.class_of()[G.element_index(cls.rep)] for cls in ht.classes]
         cases.extend((ht, [row[c] for c in fusion]) for row in t.vectors)
         if rec.normal:
-            q = quotient(G, rec)
+            q = quotient(G, rec.positions)
             fusion = [q.image.class_of()[q.image_of[cls.members[0]]] for cls in t.classes]
             qt = character_table(q.image)
             cases.extend((t, [row[c] for c in fusion]) for row in qt.vectors)
@@ -393,6 +405,11 @@ def _malformed(t):
         good[:-1] + [(True,)],
         good[:-1] + [(0, "1")],
         good[:-1] + [(0, [1])],
+        # a length that does not divide the class's element order
+        good[:-1] + [(1,) * (t.classes[-1].order + 1)],
+        good[:-1] + [{0: 1}],
+        good[:-1] + [{1}],
+        good[:-1] + [1],
     ]
 
 
@@ -484,7 +501,7 @@ def _check_against_reference(G):
         want = tuple(decompose_reference(ht, [row[c] for c in fusion]) for row in vals)
         assert columns == tuple(zip(*want)), rec.label
         if rec.normal:
-            q = quotient(G, rec)
+            q = quotient(G, rec.positions)
             qt = character_table(q.image)
             fusion = [q.image.class_of()[q.image_of[cls.members[0]]] for cls in t.classes]
             want = tuple(

@@ -4,12 +4,14 @@ import hashlib
 import json
 
 import pytest
+from _tree_walk import walk
 
 from parity_inductor import decompose, intlinalg
 from parity_inductor.catalog import load_bundled_catalog
 from parity_inductor.chartab import CharacterTable, character_table
 from parity_inductor.decompose import (
     DecomposeError,
+    TreeNode,
     decompose_structural,
     flatten_to_certificate,
     tree_to_json,
@@ -62,11 +64,11 @@ ZOO = [
 
 
 def _kinds(tree):
-    return {node.kind for node in tree.walk()}
+    return {node.kind for node in walk(tree)}
 
 
 def all_leaves(tree):
-    return [node for node in tree.walk() if node.kind == "Leaf"]
+    return [node for node in walk(tree) if node.kind == "Leaf"]
 
 
 def test_s3_order_two_subgroup_is_a_single_twist_leaf():
@@ -360,7 +362,7 @@ def test_induced_and_inflated_nodes_record_their_carriers():
     G = parse_group_spec("S4")
     rec = next(r for r in subgroup_lattice(G).records if r.order == 2)
     tree = decompose_structural(G, rho_H(G, rec))
-    induced = [n for n in tree.walk() if n.kind == "Induced"]
+    induced = [n for n in walk(tree) if n.kind == "Induced"]
     assert induced
     for node in induced:
         assert node.carrier is not None
@@ -368,11 +370,32 @@ def test_induced_and_inflated_nodes_record_their_carriers():
     G2 = parse_group_spec("C12")
     rec2 = next(r for r in subgroup_lattice(G2).records if r.order == 3)
     tree2 = decompose_structural(G2, rho_H(G2, rec2))
-    inflated = [n for n in tree2.walk() if n.kind == "Inflated"]
+    inflated = [n for n in walk(tree2) if n.kind == "Inflated"]
     assert inflated
     for node in inflated:
         assert node.carrier is not None
         assert len(node.carrier.kernel) > 1
+
+
+def test_a_node_that_does_not_account_for_its_character_is_refused():
+    S3 = parse_group_spec("S3")
+    rho = rho_H(S3, next(r for r in subgroup_lattice(S3).records if r.order == 2))
+    twist = next(g for g in theorem_family(S3) if g.kind == "type2")
+    with pytest.raises(DecomposeError, match="^leaf without a generator$"):
+        TreeNode("Leaf", rho, multiplicity=1)
+    with pytest.raises(DecomposeError, match="^leaf does not account for its generator$"):
+        TreeNode("Leaf", twist.expansion, generator=twist, multiplicity=2)
+    # each carrying node again, over its own child, with one more trivial
+    # character than the carried child gives
+    for spec, order, kind in (("S4", 2, "Induced"), ("C12", 3, "Inflated")):
+        G = parse_group_spec(spec)
+        rec = next(r for r in subgroup_lattice(G).records if r.order == order)
+        node = next(n for n in walk(decompose_structural(G, rho_H(G, rec))) if n.kind == kind)
+        wrong = node.genchar + trivial_char(node.genchar.table)
+        with pytest.raises(DecomposeError, match="^%s node does not match its children$" % kind.lower()):
+            TreeNode(kind, wrong, node.children, carrier=node.carrier)
+    with pytest.raises(DecomposeError, match="^node Lemma2.5 does not match its children$"):
+        TreeNode("Lemma2.5", rho, [TreeNode("Leaf", 2 * twist.expansion, generator=twist, multiplicity=2)])
 
 
 @pytest.mark.parametrize("spec", ["D16", "C12", "S4"], ids=["thm28", "prop26", "lemma27"])

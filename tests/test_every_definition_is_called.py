@@ -5,8 +5,11 @@ named somewhere else: in another part of the package, in the benchmark under
 ``perfbench/``, or in a ``python`` block of the README.  A name that only tests
 use belongs in ``tests/``.  The scan goes by name: a load of ``x.walk``
 anywhere counts for every ``walk``, and a load inside a function's own body
-(recursion) does not count for it.  So it can miss an uncalled method that
-shares its name with a used one, but it never flags a name that is used.
+(recursion) does not count for it.  A method (a def in a class body) counts
+as named only through an attribute load ``x.name``, since that is the only
+way to reach it: a bare ``walk(...)`` calls some other ``walk``.  So the scan
+can miss an uncalled method that shares its name with a used attribute, but
+it never flags a name that is used.
 """
 
 import ast
@@ -20,10 +23,22 @@ ALLOWED = {}
 
 
 def _loads(tree):
-    """(name, line) of every name or attribute the tree reads."""
+    """(name, line, through an attribute) of every name or attribute the tree reads."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            yield (node.id if isinstance(node, ast.Name) else node.attr), node.lineno
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno, True
+
+
+def _definitions(tree):
+    """(node, is a method) of every function and class the tree defines."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, id(node) in methods
+        elif isinstance(node, ast.ClassDef):
+            yield node, False
 
 
 def uncalled(package_files, other_sources):
@@ -35,21 +50,20 @@ def uncalled(package_files, other_sources):
     trees = {path: ast.parse(path.read_text()) for path in package_files}
     loads = {}
     for path, tree in trees.items():
-        for name, line in _loads(tree):
-            loads.setdefault(name, []).append((path, line))
-    outside = {name for source in other_sources for name, _ in _loads(ast.parse(source))}
+        for name, line, attribute in _loads(tree):
+            loads.setdefault(name, []).append((path, line, attribute))
+    outside = {(name, attribute) for source in other_sources for name, _, attribute in _loads(ast.parse(source))}
     found = []
     for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node, method in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in outside:
+            if (name, True) in outside or (not method and (name, False) in outside):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if any(other is not path or line not in own for other, line in loads.get(name, ())):
+            if any((attribute or not method) and (other is not path or line not in own)
+                   for other, line, attribute in loads.get(name, ())):
                 continue
             found.append("%s.%s" % (path.stem, name))
     return sorted(found)
@@ -87,3 +101,5 @@ def test_the_scan_flags_uncalled_and_self_called_definitions(tmp_path):
     files = sorted(tmp_path.glob("*.py"))
     assert uncalled(files, []) == ["a.method", "a.only_recurses", "a.unused"]
     assert uncalled(files, ["Used().method()", "import x; x.unused()"]) == ["a.only_recurses"]
+    # a bare name reaches a function of that name, never a method
+    assert uncalled(files, ["method()", "unused()"]) == ["a.method", "a.only_recurses"]

@@ -182,7 +182,11 @@ def test_restrict_error_on_foreign_subgroup():
 
 def test_genchar_refuses_coefficients_that_are_not_ints():
     t = character_table(parse_group_spec("S3"))
-    for coeffs in ([1.9, -0.5, 1], [1, 0, True], ["2", 0, 0], [Fraction(2), 0, 0]):
+    # a dict's keys and a set's members are not coefficients, and an
+    # iterator is not a sequence
+    bad = ([1.9, -0.5, 1], [1, 0, True], ["2", 0, 0], [Fraction(2), 0, 0],
+           {0: 5, 1: 6, 2: 7}, {0, 1, 2}, iter((2, -1, 0)), 3)
+    for coeffs in bad:
         with pytest.raises(ValueError, match="must be 3 integers"):
             GenChar(t, coeffs)
     assert GenChar(t, (2, -1, 0)).coeffs == (2, -1, 0)
@@ -208,19 +212,23 @@ def test_subgroup_operations_take_only_records_of_the_group():
 
 
 def test_record_and_its_positions_give_one_quotient():
-    # a character of either call's image inflates through the other
+    # a record's positions, in any container, give one quotient, and a
+    # character of either call's image inflates through the other; the record
+    # itself is refused
     G = parse_group_spec("D12")
     n = record_of_order(G, 3)
-    q = quotient(G, n)
-    assert quotient(G, n.positions) is q
-    chi = irreducible_char(character_table(quotient(G, n.positions).image), 1)
+    q = quotient(G, n.positions)
+    assert quotient(G, sorted(n.positions)) is q
+    chi = irreducible_char(character_table(quotient(G, set(n.positions)).image), 1)
     assert inflate(q, chi).degree == 1
+    with pytest.raises(TypeError):
+        quotient(G, n)
 
 
 def test_inflate_examples():
     C4 = parse_group_spec("C4")
     N = record_of_order(C4, 2)
-    q = quotient(C4, N)
+    q = quotient(C4, N.positions)
     eps = irreducible_char(character_table(q.image), 1)
     lifted = inflate(q, eps)
     assert lifted.degree == 1
@@ -228,7 +236,7 @@ def test_inflate_examples():
 
     D42 = parse_group_spec("D42")
     C7 = record_of_order(D42, 7)
-    q2 = quotient(D42, C7)
+    q2 = quotient(D42, C7.positions)
     assert q2.image.order() == 6
     qt = character_table(q2.image)
     sigma = irreducible_char(qt, 2)
@@ -369,7 +377,7 @@ def test_transport_matches_value_reference_on_catalog():
             for chi in g_irr:
                 assert restrict(chi, rec) == _restrict_reference(chi, rec), where
             if rec.normal:
-                q = quotient(G, rec)
+                q = quotient(G, rec.positions)
                 qt = character_table(q.image)
                 for i in range(qt.class_count()):
                     rho = irreducible_char(qt, i)

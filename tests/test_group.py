@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from _group_reference import chain_elements, chain_order, family_tokens
 from _perm_reference import conjugate, identity, mul, order
+from _tree_walk import walk
 
 import parity_inductor
 from parity_inductor import group
@@ -170,7 +171,7 @@ def test_cayley_orders_match_the_reference_order():
     images = [
         node.carrier.image
         for rec in subgroup_lattice(D12).records
-        for node in decompose_structural(D12, rho_H(D12, rec)).walk()
+        for node in walk(decompose_structural(D12, rho_H(D12, rec)))
         if node.kind == "Inflated"
     ]
     assert images
@@ -344,7 +345,7 @@ def test_s7_is_below_the_cayley_bound():
         solomon_coefficients,
         lambda G: family_for(G, "thm12"),
         lambda G: family_for(G, "cor29"),
-        lambda G: quotient(G, subgroup_lattice(G).records[-2]),
+        lambda G: quotient(G, subgroup_lattice(G).records[-2].positions),
         lambda G: perm_char(G, subgroup_lattice(G).records[1]),
         lambda G: rho_H(G, subgroup_lattice(G).records[1]),
     ],
@@ -362,7 +363,7 @@ def test_per_group_calls_return_the_same_object(call):
 def _tree_kinds(G):
     kinds = set()
     for rec in subgroup_lattice(G).records:
-        kinds |= {node.kind for node in decompose_structural(G, rho_H(G, rec)).walk()}
+        kinds |= {node.kind for node in walk(decompose_structural(G, rho_H(G, rec)))}
     return kinds
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 from _intlinalg_reference import echelon as reference_echelon
 from _intlinalg_reference import hnf as reference_hnf
-from _intlinalg_reference import identity_matrix, reduce_mod_lattice, solve_left_canonical
+from _intlinalg_reference import identity_matrix, kernel, reduce_mod_lattice, solve_left_canonical
 
 from parity_inductor import decompose, intlinalg, membership
 from parity_inductor._primes import prime_factors
@@ -36,6 +36,11 @@ def mat_mul(a, b):
                 for j in range(cols):
                     oi[j] += x * bk[j]
     return out
+
+
+def family_matrix(family):
+    """The rows `GeneratorFamily.hnf` reduces: each generator's expansion."""
+    return [list(g.expansion.coeffs) for g in family]
 
 
 def bareiss_det(a):
@@ -104,11 +109,11 @@ def test_hnf_unimodular_transform_general():
 
 
 def test_kernel_basis():
-    k = hnf([[1, 1], [2, 2]]).kernel
+    k = kernel(hnf([[1, 1], [2, 2]]))
     assert len(k) == 1
     assert mat_mul(k, [[1, 1], [2, 2]]) == [[0, 0]]
     assert k == [[-2, 1]]
-    assert hnf([[1, 0], [0, 1]]).kernel == []
+    assert kernel(hnf([[1, 0], [0, 1]])) == []
 
 
 def test_solve_left():
@@ -131,7 +136,7 @@ def test_reduce_mod_lattice():
     # solve reduces modulo the HNF of the kernel, here the row (1, -1, 0)
     a = [[1, 0], [1, 0], [0, 1]]
     res = hnf(a)
-    assert hnf(res.kernel).h == [[1, -1, 0]]
+    assert hnf(kernel(res)).h == [[1, -1, 0]]
     for b in ([5, 7], [-1, 0], [0, 0]):
         x = res.solve(b)
         assert mat_mul([x], a) == [b]
@@ -155,13 +160,13 @@ def test_solve_rejects_a_wrong_length_target():
 def test_solve_over_an_empty_lattice():
     # no rows: only the empty zero vector is reached
     res = hnf([])
-    assert res.rank == 0 and res.kernel == []
+    assert res.rank == 0 and kernel(res) == []
     assert res.solve([]) == []
     assert res.solve([0, 0]) == []
     assert res.solve([1]) is None
     # zero rows span {0}; the canonical solution is the zero combination
     res = hnf([[0, 0], [0, 0]])
-    assert res.rank == 0 and res.kernel == [[1, 0], [0, 1]]
+    assert res.rank == 0 and kernel(res) == [[1, 0], [0, 1]]
     assert res.solve([0, 0]) == [0, 0]
     assert res.solve([0, 1]) is None
 
@@ -176,7 +181,7 @@ def _lattices(G):
     out = []
     for flavor in ("thm12", "cor29"):
         family = family_for(G, flavor)
-        out.append((flavor, family.matrix, family.hnf() or hnf([]), True))
+        out.append((flavor, family_matrix(family), family.hnf() or hnf([]), True))
     _, chars, lattice = membership._perm_lattice(G)
     out.append(("perm", [list(ch.coeffs) for ch in chars], lattice, False))
     subfamilies = [
@@ -186,7 +191,7 @@ def _lattices(G):
     for q in sorted(prime_factors(G.order()) - {2}):
         subfamilies.append(("Prop2.6(%d)" % q, decompose._prop26_family(G, q)))
     for name, family in subfamilies:
-        out.append((name, family.matrix, family.hnf() or hnf([]), True))
+        out.append((name, family_matrix(family), family.hnf() or hnf([]), True))
     return out
 
 
@@ -308,7 +313,7 @@ def catalog_families():
 def test_hnf_matches_reference_on_catalog_families(catalog_families):
     for name, flavor, family in catalog_families:
         if len(family):
-            assert _fields(family.hnf()) == _fields(reference_hnf(family.matrix)), (name, flavor)
+            assert _fields(family.hnf()) == _fields(reference_hnf(family_matrix(family))), (name, flavor)
 
 
 def test_sparse_echelon_matches_reference_on_catalog_lattices(catalog_families):
@@ -317,9 +322,9 @@ def test_sparse_echelon_matches_reference_on_catalog_lattices(catalog_families):
     for name, flavor, family in catalog_families:
         groups[name] = family.group
         if len(family):
-            assert _echelon_matches_reference(family.hnf().kernel, len(family)), (name, flavor)
+            assert _echelon_matches_reference(kernel(family.hnf()), len(family)), (name, flavor)
             width = family.table.class_count()
-            assert _echelon_matches_reference(_with_identity(family.matrix), width), (name, flavor)
+            assert _echelon_matches_reference(_with_identity(family_matrix(family)), width), (name, flavor)
     for name, G in groups.items():
         _, chars, _ = membership._perm_lattice(G)
         matrix = [list(ch.coeffs) for ch in chars]
@@ -353,7 +358,7 @@ def test_zero_target_gives_the_zero_solution(catalog_families):
         b = [0] * family.table.class_count()
         x = res.solve(b)
         assert x == [0] * len(family), (name, flavor)
-        assert x == solve_left_canonical(family.matrix, b), (name, flavor)
+        assert x == solve_left_canonical(family_matrix(family), b), (name, flavor)
 
 
 def test_solve_matches_reference_on_random_lattices():
@@ -367,7 +372,7 @@ def test_solve_matches_reference_on_random_lattices():
         a = _random_matrix(rng, m, n, (0, 1, -1, 2, -2, 3, 4, -6))
         a = [[x * (j + 1) for j, x in enumerate(row)] for row in a]
         res, ref = hnf(a), reference_hnf(a)
-        relations = reference_hnf(ref.kernel) if ref.kernel else None
+        relations = reference_hnf(kernel(ref)) if kernel(ref) else None
         lattice_pivots += any(ref.h[k][c] > 1 for k, c in enumerate(ref.pivot_cols))
         kernel_pivots += bool(relations) and any(
             relations.h[k][c] > 1 for k, c in enumerate(relations.pivot_cols)
@@ -400,15 +405,15 @@ def test_solve_matches_reference_on_target_stream_groups(name, spec):
     """Every target the benchmark's target_stream solves on these groups."""
     G = parse_group_spec(spec)
     family = family_for(G, "thm12")
-    ref = reference_hnf(family.matrix)
+    ref = reference_hnf(family_matrix(family))
     targets = [rho_H(G, rec) for rec in subgroup_lattice(G).records]
     targets += [membership.random_S_element(G, seed, 4) for seed in range(8)]
     for rho in targets:
         b = list(rho.coeffs)
-        assert family.hnf().solve(b) == solve_left_canonical(family.matrix, b, ref)
+        assert family.hnf().solve(b) == solve_left_canonical(family_matrix(family), b, ref)
     one = list(trivial_char(character_table(G)).coeffs)
     assert family.hnf().solve(one) is None
-    assert solve_left_canonical(family.matrix, one, ref) is None
+    assert solve_left_canonical(family_matrix(family), one, ref) is None
 
 
 # Batched solves: one kernel echelon per call, each answer the reference's.
@@ -439,7 +444,7 @@ def test_solve_all_matches_reference_on_catalog_families(catalog_families):
     for name, flavor, family in catalog_families:
         G = groups.setdefault(name, family.group)
         batch = batches.setdefault(name, _mixed_batch(G, family.table))
-        expected = _check_batch(family.hnf() or hnf([]), family.matrix, batch, (name, flavor))
+        expected = _check_batch(family.hnf() or hnf([]), family_matrix(family), batch, (name, flavor))
         offs += expected.count(None)
     assert len(batches) == 61 and offs > 250, offs
     for name, batch in batches.items():
@@ -480,7 +485,7 @@ def test_solve_all_builds_the_kernel_echelon_only_when_a_target_needs_it(monkeyp
 # The sparse result in use: no solve path writes out a dense view, and the
 # large families' HNFs fit in memory.
 
-DENSE_VIEWS = {"h", "u"}  # `kernel` is a slice of `u`
+DENSE_VIEWS = {"h", "u"}
 
 
 def test_no_solve_path_builds_a_dense_view(monkeypatch):
@@ -522,8 +527,8 @@ def test_no_solve_path_builds_a_dense_view(monkeypatch):
 def test_a_read_dense_view_is_cached_and_seen_by_the_guard():
     res = hnf([[2, 4], [1, 3], [1, 1]])
     assert res.solve([1, 3]) is not None and not DENSE_VIEWS & set(vars(res))
-    kernel = res.kernel
-    assert DENSE_VIEWS & set(vars(res)) == {"u"} and kernel == [res.u[2]]
+    rows = kernel(res)
+    assert DENSE_VIEWS & set(vars(res)) == {"u"} and rows == [res.u[2]]
     assert res.h is res.h and DENSE_VIEWS <= set(vars(res))
 
 

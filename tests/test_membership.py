@@ -444,7 +444,7 @@ def test_inflation_compatibility():
             for r in subgroup_lattice(G).records
             if r.order == n_order and r.normal
         )
-        qmap = QuotientMap(G, rec)
+        qmap = QuotientMap(G, rec.positions)
         quom = qmap.image
         quo_fam = theorem_family(quom)
         for seed in range(4):

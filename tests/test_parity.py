@@ -6,11 +6,11 @@ import json
 import pytest
 
 from parity_inductor.catalog import load_bundled_catalog
-from parity_inductor.genchar import determinant, order2_linear_chars, perm_char
+from parity_inductor.genchar import determinant, order2_linear_chars, perm_char, rho_H
 from parity_inductor.generators import theorem_family
 from parity_inductor.groupspec import parse_group_spec
 from parity_inductor.lattice import subgroup_lattice
-from parity_inductor.membership import MembershipCertificate, verify_certificate
+from parity_inductor.membership import MembershipCertificate, membership_solve, verify_certificate
 from parity_inductor.parity import (
     BASE,
     ParityError,
@@ -33,6 +33,11 @@ def record_of_order(G, order):
     return matches[0]
 
 
+def expression(G, record):
+    """The parity expression of record's field, from the certificate of its rho_H."""
+    return parity_expression(G, record, membership_solve(rho_H(G, record), theorem_family(G)))
+
+
 def test_expression_algebra():
     a = ParityExpression([BASE, quadratic_symbol(1)])
     b = ParityExpression([quadratic_symbol(1), dihedral_symbol("g")])
@@ -47,7 +52,7 @@ def test_whole_group_row_is_base():
     for spec in ["C1", "C2", "S3", "D8", "A4", "S4", "C12"]:
         G = parse_group_spec(spec)
         top = record_of_order(G, G.order())
-        expr = parity_expression(G, top)
+        expr = expression(G, top)
         assert expr.support() == (BASE,)
 
 
@@ -58,16 +63,16 @@ def test_s3_rows_match_hand_expansion():
     twists = [d for d in theorem_family(G) if d.kind == "type2"]
     assert len(twists) == 1
 
-    assert parity_expression(G, record_of_order(G, 6)).support() == (BASE,)
-    assert parity_expression(G, record_of_order(G, 3)).support() == (BASE, quad)
-    cubic = parity_expression(G, record_of_order(G, 2))
+    assert expression(G, record_of_order(G, 6)).support() == (BASE,)
+    assert expression(G, record_of_order(G, 3)).support() == (BASE, quad)
+    cubic = expression(G, record_of_order(G, 2))
     assert cubic.support() == (quad, dihedral_symbol(twists[0].gen_id))
-    assert parity_expression(G, record_of_order(G, 1)).support() == (BASE, quad)
+    assert expression(G, record_of_order(G, 1)).support() == (BASE, quad)
 
 
 def test_s3_cubic_value_flips_with_twist():
     G = parse_group_spec("S3")
-    cubic = parity_expression(G, record_of_order(G, 2))
+    cubic = expression(G, record_of_order(G, 2))
     assert cubic.evaluate(full_assignment(G)) == 1
     twist_id = [d.gen_id for d in theorem_family(G) if d.kind == "type2"][0]
     flipped = full_assignment(G, dihedral={twist_id: -1})
@@ -77,13 +82,13 @@ def test_s3_cubic_value_flips_with_twist():
 def test_base_minus_one_flips_whole_group_row():
     G = parse_group_spec("D8")
     top = record_of_order(G, 8)
-    expr = parity_expression(G, top)
+    expr = expression(G, top)
     assert expr.evaluate(full_assignment(G, base=-1)) == -1
 
 
 def test_evaluate_reports_missing_symbols():
     G = parse_group_spec("S3")
-    expr = parity_expression(G, record_of_order(G, 1))
+    expr = expression(G, record_of_order(G, 1))
     with pytest.raises(ParityError) as err:
         expr.evaluate(ParityInput(base=1))
     assert "Quad(X" in str(err.value)
@@ -191,9 +196,7 @@ def test_alternate_certificate_same_expression():
     G = parse_group_spec("S3")
     family = theorem_family(G)
     record = record_of_order(G, 2)
-    canonical = parity_expression(G, record)
-    from parity_inductor.genchar import rho_H
-
+    canonical = expression(G, record)
     rho = rho_H(G, record)
     by_id = {desc.gen_id: i for i, desc in enumerate(family.generators)}
     twist = [d.gen_id for d in family if d.kind == "type2"][0]
